@@ -1,44 +1,28 @@
 """Encoding, decoding with bounded lookahead, and round-trip checking.
 
-The decoder is greedy: standing in table i with unread bits w, it emits the
-symbol s whose codeword starts w and whose k-bit window right after that
-codeword is an emittable k-bit block of the next table.  For a tuple that
-is decodable with delay k this candidate is unique whenever the window is
-fully available, so the greedy scan never misreads; it just stops early
-when fewer than k bits remain past the true codeword.
-
-Whatever the scan leaves unread is the tail.  Its information content is
-reported exactly: every shortest symbol sequence whose emission equals the
-tail is enumerated, and the longest common prefix of those sequences is
-appended to the output since the source must have produced it.
-
-The round-trip checker re-derives the delay independently of the decoder:
-it replays the bit stream one bit at a time and records, for each symbol,
-how many bits past the end of its codeword were needed before it became
-the only consistent explanation.
+The decoder is greedy: in table i it emits the symbol whose codeword the
+unread bits start with and whose next k bits are an emittable k-bit block
+of the next table.  For a tuple decodable with delay k that candidate is
+unique once the window is fully available, so the scan never misreads; it
+stops when fewer than k bits remain past the codeword, or rather than
+revisit a (table, offset) state through an empty codeword.  Decoding, tail
+completion and the round-trip delay scan all walk the emission automaton
+of ``prefix_sets.Emissions`` over ``str`` offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import random
 
 from .bits import Bits
-from .core import CodeTuple
 from .errors import NoConsistentCompletion
-from .prefix_sets import (
-    PrefixSetTable,
-    encode_from,
-    is_achievable_prefix,
-)
+from .prefix_sets import Emissions, PrefixSetTable, encode_from
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
 
 encode = encode_from
-
-_achievable = lru_cache(maxsize=1 << 16)(is_achievable_prefix)
 
 
 @dataclass(frozen=True)
@@ -70,145 +54,164 @@ class DecodeResult:
     info: DanglingInfo
 
 
-def _exact_emitters(code, tail):
-    """Per (bits consumed, table): can the rest of ``tail`` be emitted
-    exactly?  Codewords that emit nothing stay at the same level, so each
-    level is a least fixed point over the tables."""
-    n = len(tail)
-    exact = [[u == n for _ in code.table_indices()] for u in range(n + 1)]
-    for u in range(n - 1, -1, -1):
-        rest = tail.tail_from(u)
-        changed = True
-        while changed:
-            changed = False
-            for i in code.table_indices():
-                if exact[u][i]:
-                    continue
-                for s in code.alphabet:
-                    w = code.code(i, s)
-                    if w.is_prefix_of(rest) and exact[u + len(w)][code.target(i, s)]:
-                        exact[u][i] = True
-                        changed = True
-                        break
-    return exact
-
-
-def _completions(code, start, tail, cap=COMPLETION_CAP):
-    """All shortest symbol sequences emitting exactly ``tail``.
-
-    Breadth-first by sequence length with symbols expanded in order, so
-    results arrive already sorted by (length, lexicographic).  A branch
-    stops at its first exact match: extending one only appends symbols
-    that emit nothing, which the bits cannot testify to.  Branches are
-    expanded only while an exact finish is still reachable, which cuts
-    emission-free cycles without losing any completion.
-    """
-    exact = _exact_emitters(code, tail)
-    found = []
-    frontier = [(start, 0, ())] if exact[0][start] else []
-    while frontier and len(found) <= cap:
-        nxt = []
-        for table, used, acc in frontier:
-            if used == len(tail):
-                found.append(acc)
-                if len(found) > cap:
-                    break
-                continue
-            rest = tail.tail_from(used)
-            for s in code.alphabet:
-                w = code.code(table, s)
-                j = code.target(table, s)
-                if w.is_prefix_of(rest) and exact[used + len(w)][j]:
-                    nxt.append((j, used + len(w), acc + (s,)))
-        frontier = nxt
-    capped = len(found) > cap
-    return tuple(found[:cap]), capped
-
-
-def _greedy_step(code, sets, k, table, bits, pos):
-    """The admissible symbols at this position, best first."""
-    rest = bits.tail_from(pos)
-    out = []
-    for s in code.alphabet:
-        w = code.code(table, s)
-        if not w.is_prefix_of(rest):
-            continue
-        window = rest.tail_from(len(w)).head(k)
-        if len(window) < k:
-            continue
-        if window in sets.base(code.target(table, s), k):
-            out.append(s)
+def _finish_lengths(graph, end, width):
+    """Per state that reaches offset ``end``: (d, mask), where d is the
+    fewest symbols that get there, bit i of mask is set when exactly d + i
+    do (i < width), and bit ``width`` stands for any longer count."""
+    out = {st: (0, 1) for st in graph if st[1] == end}
+    order = sorted((st for st in graph if st[1] < end), key=lambda st: -st[1])
+    changed = True
+    while changed:  # passes repeat only around cycles of empty codewords
+        changed = False
+        for st in order:
+            succ = [out[nxt] for _, nxt in graph[st] if nxt in out]
+            if succ:
+                d = 1 + min(e for e, _ in succ)
+                mask = 0
+                for e, m in succ:
+                    mask |= m << (e + 1 - d)
+                if mask >> width > 1:
+                    mask = mask & ((1 << width) - 1) | 1 << width
+                if out.get(st) != (d, mask):
+                    out[st], changed = (d, mask), True
     return out
 
 
-def decode(code, start, bits, k=2, sets=None):
-    """Decode as much of ``bits`` as the k-bit lookahead determines.
+def _completions(auto, text, table, pos, cap=COMPLETION_CAP):
+    """The first ``cap`` symbol sequences, in length-then-lexicographic
+    order, that emit exactly text[pos:] from ``table``, and whether more
+    exist; NoConsistentCompletion when no emission even starts with it.
 
-    Raises NoConsistentCompletion if the bits cannot be a prefix of any
-    emission from the start table.
+    A sequence stops at its first exact match: extending one only appends
+    symbols that emit nothing, which the bits cannot testify to.  Each
+    length is listed by a walk through states that finish in exactly the
+    symbols left, known for a window of lengths above each state's fewest;
+    the window widens until it holds cap + 1 sequences or all of them.
     """
-    sets = sets or PrefixSetTable(code)
-    sets._check_k(k)
-    symbols = []
-    table = start
-    pos = 0
-    conflicts = 0
-    while True:
-        cands = _greedy_step(code, sets, k, table, bits, pos)
-        if not cands:
-            break
-        if len(cands) > 1:
-            conflicts += 1
-        s = cands[0]
-        symbols.append(s)
-        pos += len(code.code(table, s))
-        table = code.target(table, s)
-
-    tail = bits.tail_from(pos)
-    if not _achievable(code, table, tail):
+    graph, reaches = auto.search(text, table, pos)
+    if not reaches:
         raise NoConsistentCompletion(
             "%s is not a prefix of any emission from table %d"
-            % (tail, table))
-    completions, capped = _completions(code, table, tail)
+            % (text[pos:], table))
+    start, width = (table, pos), 2 * cap
+    while True:
+        finish = _finish_lengths(graph, len(text), width)
+        if start not in finish or pos == len(text):
+            return (), False
 
+        def exact(st, r):
+            d, mask = finish.get(st, (r + 1, 0))
+            return 0 <= r - d < width and mask >> (r - d) & 1
+        found = []
+        for length in range(finish[start][0], finish[start][0] + width):
+            stack = [(start, length, None)] if exact(start, length) else []
+            while stack and len(found) <= cap:
+                st, left, path = stack.pop()  # path: (symbol, path) links
+                if not left:
+                    found.append(_unlink(path))
+                    continue
+                stack.extend((nxt, left - 1, (s, path)) for s, nxt
+                             in reversed(graph[st]) if exact(nxt, left - 1))
+        if len(found) > cap or not finish[start][1] >> width:
+            return tuple(found[:cap]), len(found) > cap
+        width *= 2
+
+
+def _unlink(path):
+    seq = []
+    while path:
+        s, path = path
+        seq.append(s)
+    return tuple(reversed(seq))
+
+
+def _common_prefix(seqs):
+    lo, hi = min(seqs, default=()), max(seqs, default=())
+    return next((lo[:n] for n, (a, b) in enumerate(zip(lo, hi)) if a != b), lo)
+
+
+def _windows(code, k, sets):  # each table's emittable k-bit blocks
+    sets = sets or PrefixSetTable(code)
+    return tuple(frozenset(map(str, sets.base(i, k)))
+                 for i in code.table_indices())
+
+
+def _decode(auto, windows, k, start, text):
+    rows = auto.rows
+    symbols, table, pos, conflicts = [], start, 0, 0
+    seen = {start}  # tables visited at this offset
+    while True:
+        cands = [(w, t, s) for w, t, s in rows[table]
+                 if text.startswith(w, pos) and pos + len(w) + k <= len(text)
+                 and text[pos + len(w):pos + len(w) + k] in windows[t]]
+        if not cands:
+            break
+        conflicts += len(cands) > 1
+        w, t, s = cands[0]
+        if w:
+            seen = set()
+        elif t in seen:
+            break
+        seen.add(t)
+        symbols.append(s)
+        pos += len(w)
+        table = t
+
+    completions, capped = _completions(auto, text, table, pos)
     # With the list capped an unseen completion could disagree, so only an
     # uncapped consensus is safe to emit.
     settled = _common_prefix(completions) if not capped else ()
     if settled:
         for s in settled:
+            w, table, _ = rows[table][s]
             symbols.append(s)
-            pos += len(code.code(table, s))
-            table = code.target(table, s)
-        tail = bits.tail_from(pos)
-        completions, capped = _completions(code, table, tail)
-    if not tail:
-        completions, capped = (), False
+            pos += len(w)
+        completions, capped = _completions(auto, text, table, pos)
 
-    info = DanglingInfo(tail, completions, capped, conflicts)
+    info = DanglingInfo(Bits(text[pos:]), completions, capped, conflicts)
     return DecodeResult(tuple(symbols), start, table, info)
 
 
-def _common_prefix(seqs):
-    if not seqs:
-        return ()
-    first = min(seqs, key=len)
-    out = []
-    for r, s in enumerate(first):
-        if all(seq[r] == s for seq in seqs):
-            out.append(s)
+def decode(code, start, bits, k=2, sets=None):
+    """Decode as much of ``bits`` as the k-bit lookahead determines.
+
+    For a tuple decodable with delay k, every symbol decoded from a whole
+    emission is the source's.  On a stream cut inside a codeword only the
+    symbols whose codeword is followed by at least k bits are guaranteed:
+    the tail's settled prefix takes the cut for a codeword boundary.
+
+    Raises NoConsistentCompletion if the bits cannot be a prefix of any
+    emission from the start table.
+    """
+    return _decode(Emissions(code), _windows(code, k, sets), k, start,
+                   str(bits))
+
+
+def _delays(auto, start, seq, text):
+    rows = auto.rows
+    table, pos = start, 0
+    delays = []
+    for s in seq:
+        w, nxt, _ = rows[table][s]
+        cands = rows[table]
+        for t in range(pos, len(text) + 1):
+            # consistency only shrinks as more bits are observed
+            cands = [(w2, j, s2) for w2, j, s2 in cands
+                     if text.startswith(w2[:t - pos], pos)
+                     and (len(w2) >= t - pos
+                          or auto.search(text, j, pos + len(w2), t)[1])]
+            if len(cands) == 1:
+                if cands[0][2] != s:
+                    raise NoConsistentCompletion(
+                        "the bits do not encode the sequence: the scan "
+                        "contradicts it at table %d, bit %d" % (table, t))
+                break
         else:
-            break
-    return tuple(out)
-
-
-def _consistent(code, table, s, obs):
-    """Could symbol s be the next emission given the observed bits?"""
-    w = code.code(table, s)
-    if obs.is_prefix_of(w):
-        return True
-    if w.is_prefix_of(obs):
-        return _achievable(code, code.target(table, s), obs.strip_prefix(w))
-    return False
+            break  # never the only explanation: the decoder's dangling tail
+        delays.append(max(0, t - pos - len(w)))
+        pos += len(w)
+        table = nxt
+    return delays
 
 
 def identification_delays(code, start, seq, bits=None):
@@ -222,29 +225,7 @@ def identification_delays(code, start, seq, bits=None):
     """
     if bits is None:
         bits, _ = encode_from(code, start, seq)
-    table = start
-    pos = 0
-    delays = []
-    for s in seq:
-        boundary = pos + len(code.code(table, s))
-        identified = None
-        for t in range(pos, len(bits) + 1):
-            obs = bits[pos:t]
-            cands = [s2 for s2 in code.alphabet
-                     if _consistent(code, table, s2, obs)]
-            if len(cands) == 1:
-                if cands[0] != s:
-                    raise AssertionError(
-                        "identification scan contradicts the source at "
-                        "table %d, bit %d" % (table, t))
-                identified = t
-                break
-        if identified is None:
-            break
-        delays.append(max(0, identified - boundary))
-        pos = boundary
-        table = code.target(table, s)
-    return delays
+    return _delays(Emissions(code), start, seq, str(bits))
 
 
 @dataclass(frozen=True)
@@ -279,7 +260,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
     if seed is None:
         raise ValueError("seed is required")
     rng = random.Random(seed)
-    sets = PrefixSetTable(code)
+    auto, windows = Emissions(code), _windows(code, k, None)
     failures = []
     count = 0
     max_delay = 0
@@ -293,11 +274,11 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
 
     for trial in range(trials):
         start = rng.randrange(code.num_tables)
-        length = rng.randint(1, max_len)
-        seq = tuple(rng.randrange(code.sigma) for _ in range(length))
-        bits, _ = encode_from(code, start, seq)
+        seq = tuple(rng.randrange(code.sigma)
+                    for _ in range(rng.randint(1, max_len)))
+        text = str(encode_from(code, start, seq)[0])
         try:
-            result = decode(code, start, bits, k, sets)
+            result = _decode(auto, windows, k, start, text)
         except NoConsistentCompletion as exc:
             fail(trial, start, seq, "no completion: %s" % exc)
             continue
@@ -306,7 +287,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             fail(trial, start, seq, "decoded %r instead of a prefix" % (got,))
             continue
         conflicts += result.info.conflicts
-        delays = identification_delays(code, start, seq, bits)
+        delays = _delays(auto, start, seq, text)
         if delays:
             worst = max(delays)
             max_delay = max(max_delay, worst)

@@ -172,15 +172,14 @@ class SourceDist:
         return cls(alphabet, tuple(Fraction(1, n) for _ in range(n)))
 
     @classmethod
-    def from_values(cls, alphabet, values):
+    def from_values(cls, alphabet, values, inexact=False):
         """Build from ints, Fractions, strings, or floats.
 
-        Floats are snapped to rationals with denominator at most 10**6; a
-        leftover defect up to 10**-12 is absorbed into the largest entry so
-        the stored values still sum to one exactly.
+        Floats snap to rationals with denominator at most 10**6.  When a
+        value was a float, or ``inexact`` says the caller rounded, a defect
+        up to 10**-12 goes into the largest entry so they sum to one exactly.
         """
         probs = []
-        inexact = False
         for v in values:
             if isinstance(v, float):
                 probs.append(Fraction(v).limit_denominator(MAX_FLOAT_DENOMINATOR))
@@ -190,7 +189,11 @@ class SourceDist:
         defect = 1 - sum(probs)
         if defect != 0:
             if not inexact or abs(defect) > FLOAT_SUM_TOLERANCE:
-                raise ValueError("probabilities sum to %s, not 1" % (sum(probs),))
+                try:
+                    total = str(sum(probs))
+                except ValueError:  # past the interpreter's digit limit
+                    total = "a value too long to print"
+                raise ValueError("probabilities sum to %s, not 1" % total)
             top = probs.index(max(probs))
             probs[top] += defect
         return cls(alphabet, tuple(probs))
@@ -215,6 +218,14 @@ def check_same_alphabet(code, dist):
 # Codewords use '-' for the empty string.  Distribution file: one
 # "symbol probability" pair per line, probability as decimal or p/q.
 # --------------------------------------------------------------------------
+
+
+def _natural(token):
+    """An ASCII decimal token's value, or None (isdigit admits '\u00b2')."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # past the interpreter's digit limit
+        return None
 
 
 def _content_lines(text):
@@ -247,9 +258,9 @@ def parse_code_tuple(text):
         raise FormatError("missing 'tables N' line")
     lineno, line = lines[pos]
     fields = line.split()
-    if fields[0] != "tables" or len(fields) != 2 or not fields[1].isdigit():
+    num_tables = _natural(fields[1]) if len(fields) == 2 else None
+    if fields[0] != "tables" or num_tables is None:
         raise FormatError("expected 'tables N'", lineno)
-    num_tables = int(fields[1])
     if num_tables < 1:
         raise FormatError("need at least one table", lineno)
     pos += 1
@@ -282,12 +293,12 @@ def parse_code_tuple(text):
                 codes[sym] = parse_bits(word)
             except ValueError:
                 raise FormatError("bad codeword %r" % word, lineno) from None
-            if not target.isdigit() or int(target) >= num_tables:
+            targets[sym] = _natural(target)
+            if targets[sym] is None or targets[sym] >= num_tables:
                 raise FormatError(
                     "next-table index %r out of range 0..%d" % (target, num_tables - 1),
                     lineno,
                 )
-            targets[sym] = int(target)
             pos += 1
         tables.append(Table(tuple(codes), tuple(targets)))
 
@@ -316,6 +327,10 @@ def _parse_probability(token, lineno):
         if "/" in token:
             return Fraction(token), False
         if "." in token or "e" in token or "E" in token:
+            # bound the exponent before Fraction builds 10**exponent
+            exponent = token.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > 1000:
+                raise ValueError(token)
             return Fraction(token), True
         return Fraction(int(token)), False
     except (ValueError, ZeroDivisionError):
@@ -326,7 +341,7 @@ def parse_dist(text, alphabet=None):
     """Parse a distribution file; optionally check it against an alphabet."""
     names = []
     probs = []
-    exact = True
+    inexact = False
     for lineno, line in _content_lines(text):
         fields = line.split()
         if len(fields) != 2:
@@ -337,7 +352,7 @@ def parse_dist(text, alphabet=None):
         p, from_decimal = _parse_probability(token, lineno)
         names.append(name)
         probs.append(p)
-        exact = exact and not from_decimal
+        inexact = inexact or from_decimal
     if not names:
         raise FormatError("empty distribution file")
     if alphabet is None:
@@ -348,17 +363,10 @@ def parse_dist(text, alphabet=None):
             raise FormatError("distribution symbols do not match the alphabet")
         by_name = dict(zip(names, probs))
         ordered = [by_name[n] for n in alphabet.names]
-    defect = 1 - sum(ordered)
-    if defect != 0:
-        # Decimal entries are exact rationals already; only a written-out
-        # rounding of a repeating expansion can miss, and then only by the
-        # documented tolerance.
-        if exact or abs(defect) > FLOAT_SUM_TOLERANCE:
-            raise FormatError("probabilities sum to %s, not 1" % (sum(ordered),))
-        top = ordered.index(max(ordered))
-        ordered[top] += defect
+    # Decimal entries are exact rationals already; only a written-out
+    # rounding of a repeating expansion can miss, by the tolerance at most.
     try:
-        return SourceDist(alphabet, tuple(ordered))
+        return SourceDist.from_values(alphabet, ordered, inexact)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

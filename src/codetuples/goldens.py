@@ -11,7 +11,7 @@ from . import reference as ref
 from .analysis import (delay_decodability, is_extendable, is_regular,
                        reachable_tables, two_continuation_tables)
 from .bits import Bits, parse as parse_bits
-from .classes import classify, verify_hierarchy
+from .classes import classify, show_set, verify_hierarchy
 from .codec import decode, encode
 from .markov import (average_length, stationary_distribution, table_length,
                      transition_matrix)
@@ -34,12 +34,6 @@ class GoldenCheck:
         return "FAIL %s (%s)" % (self.name, self.detail)
 
 
-def _show_set(values):
-    if not values:
-        return "{}"
-    return "{%s}" % ",".join(str(b) if len(b) else "-" for b in sorted(values))
-
-
 def _check_continuation_sets():
     for key in ref.KEYS:
         code = ref.TUPLES[key]
@@ -51,7 +45,7 @@ def _check_continuation_sets():
                 got = sets.base(i, k)
                 if got != want:
                     return "%s table %d k=%d: computed %s, expected %s" % (
-                        key, i, k, _show_set(got), _show_set(want))
+                        key, i, k, show_set(got), show_set(want))
     return ""
 
 
@@ -64,7 +58,7 @@ def _check_strict_pairs():
             got = sets.strict_continuations(i, code.code(i, s), 2)
             if got != want:
                 return "r3 symbol %s table %d: computed %s, expected %s" % (
-                    row, i, _show_set(got), _show_set(want))
+                    row, i, show_set(got), show_set(want))
     return ""
 
 

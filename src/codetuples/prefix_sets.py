@@ -103,12 +103,11 @@ def encode_from(code, start, seq):
 
     Returns (bits, end_table); the empty sequence returns (empty, start).
     """
-    bits = EMPTY
-    j = start
+    words = []
     for s in seq:
-        bits = bits + code.code(j, s)
-        j = code.target(j, s)
-    return bits, j
+        words.append(str(code.code(start, s)))
+        start = code.target(start, s)
+    return Bits("".join(words)), start
 
 
 def symbols_with_codeword(code, i, b):
@@ -116,29 +115,47 @@ def symbols_with_codeword(code, i, b):
     return tuple(s for s in code.alphabet if code.code(i, s) == b)
 
 
+class Emissions:
+    """The emission automaton of one code tuple over a bit string: a state
+    (table, offset) says the string up to offset is exactly an emission
+    ending in that table, and each symbol whose codeword the string goes
+    on with is an edge.  ``rows[i]``: table i's (codeword, target, symbol).
+    """
+
+    def __init__(self, code):
+        self.rows = tuple(
+            tuple((str(w), t, s) for s, (w, t)
+                  in enumerate(zip(table.codes, table.targets)))
+            for table in code.tables)
+
+    def search(self, text, table, pos=0, end=None):
+        """The states reachable from (table, pos) by codewords inside
+        text[pos:end], each with its edges (symbol, next state) in symbol
+        order, and whether some emission has text[pos:end] as a prefix."""
+        end = len(text) if end is None else end
+        graph = {}
+        reaches = False
+        stack = [(table, pos)]
+        while stack:
+            state = stack.pop()
+            if state in graph:
+                continue
+            j, u = state
+            left = end - u
+            edges = graph[state] = []
+            reaches = reaches or left == 0
+            for w, t, s in self.rows[j] if left else ():
+                if len(w) <= left:
+                    if text.startswith(w, u):
+                        nxt = (t, u + len(w))
+                        edges.append((s, nxt))
+                        stack.append(nxt)
+                elif text.startswith(w[:left], u):
+                    reaches = True
+        return graph, reaches
+
+
 def is_achievable_prefix(code, start, b):
     """Whether some source sequence encoded from the given table emits a
-    bit stream with b as a prefix.
-
-    Works for windows of any length: searches states (table, matched bits)
-    instead of expanding continuation sets.
-    """
-    if len(b) == 0:
-        return True
-    seen = set()
-    frontier = [(start, 0)]
-    while frontier:
-        j, p = frontier.pop()
-        if (j, p) in seen:
-            continue
-        seen.add((j, p))
-        if p == len(b):
-            return True
-        rest = b.tail_from(p)
-        for s in code.alphabet:
-            c = code.code(j, s)
-            if c.is_prefix_of(rest):
-                frontier.append((code.target(j, s), p + len(c)))
-            elif rest.is_proper_prefix_of(c):
-                return True
-    return False
+    bit stream with b as a prefix, for windows of any length."""
+    return Emissions(code).search(str(b), start)[1]

@@ -1,5 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import codetuples
 from codetuples import (
     Bits,
     decode,
@@ -106,6 +112,13 @@ def test_identification_stops_at_persistent_ambiguity():
     assert delays == []
 
 
+def test_identification_refuses_bits_of_another_sequence():
+    # the bits of 'b' from table 0 rule out 'a' after one bit
+    code = TUPLES["r3"]
+    with pytest.raises(NoConsistentCompletion):
+        identification_delays(code, 0, (0,), Bits("10"))
+
+
 def test_roundtrip_worked_example():
     report = roundtrip_check(TUPLES["r3"], trials=1000, max_len=50, seed=7)
     assert report.ok
@@ -131,3 +144,72 @@ def test_roundtrip_catches_undecodable_tuple():
 def test_roundtrip_requires_seed():
     with pytest.raises(ValueError):
         roundtrip_check(TUPLES["r3"])
+
+
+LOOP_SCRIPT = r"""
+import sys
+from codetuples import decode, make_tuple, roundtrip_check
+from codetuples.bits import Bits
+from codetuples.cli import main
+code = make_tuple(("a", "b", "c"), [[("-", 0), ("0", 0), ("1", 0)]])
+result = decode(code, 0, Bits("0101"))
+print("decode", result.symbols, result.info.tail, result.info.conflicts,
+      result.info.capped, len(result.info.completions))
+report = roundtrip_check(code, trials=200, seed=1)
+print("roundtrip", report.trials, report.failure_count, report.conflicts > 0)
+with open(sys.argv[1], "w") as handle:
+    handle.write("alphabet a b c\ntables 1\ntable 0\na - 0\nb 0 0\nc 1 0\n")
+main(["decode", "--tuple", sys.argv[1], "--bits", "0101"])
+main(["decode", "--tuple", sys.argv[1], "--roundtrip", "--seed", "1"])
+# two tables joined by empty codewords: 0 -> 1 -> 0 would repeat (0, 0)
+code = make_tuple(("a", "b"), [[("-", 1), ("0", 0)], [("-", 0), ("1", 1)]])
+result = decode(code, 0, Bits("0110"))
+print("two tables", result.symbols, result.end_table, result.info.tail,
+      result.info.conflicts)
+"""
+
+
+def test_decode_terminates_on_empty_codeword_loop(tmp_path):
+    # The greedy scan once kept emitting the empty codeword of 'a', which
+    # loops back to its own table, and never returned.  A child process
+    # with a timeout turns a hang into a failure.
+    src = os.path.dirname(os.path.dirname(codetuples.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", LOOP_SCRIPT, str(tmp_path / "loop.ct")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # the scan stops at the revisit, so every bit goes to the tail report
+    assert lines[0] == "decode () 0101 1 True 16"
+    assert lines[1] == "roundtrip 200 0 True"
+    assert lines[2:5] == ["decoded = -", "end_table = 0", "TAIL"]
+    assert "bits = 0101" in lines
+    assert "completion = b c b c" in lines
+    assert "trials = 1000" in lines
+    # a -> table 1, whose empty 'a' would return to (0, 0): stop in table 1
+    assert lines[-1] == "two tables (0,) 1 0110 1"
+
+
+def test_cut_streams_keep_the_symbols_followed_by_k_bits():
+    # Decoding a stream cut inside a codeword settles the tail as if the
+    # cut were a codeword boundary, so only symbols whose codeword is
+    # followed by at least k bits are guaranteed to be the source's.
+    rng = random.Random(3301)
+    k = 2
+    for key in ("r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10"):
+        code = TUPLES[key]
+        for _ in range(40):
+            start = rng.randrange(code.num_tables)
+            seq = tuple(rng.randrange(code.sigma) for _ in range(40))
+            bits, _ = encode(code, start, seq)
+            ends, pos, table = [], 0, start
+            for s in seq:
+                pos += len(code.code(table, s))
+                table = code.target(table, s)
+                ends.append(pos)
+            cut = len(bits) - rng.randint(1, 12)
+            got = decode(code, start, bits.head(cut), k).symbols
+            covered = sum(1 for end in ends if end + k <= cut)
+            assert len(got) >= covered
+            assert got[:covered] == seq[:covered], (key, start, seq, cut)

@@ -1,6 +1,8 @@
 from fractions import Fraction
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codetuples import (Alphabet, FormatError, SourceDist, make_tuple,
                         parse_code_tuple, parse_dist, serialize_code_tuple,
@@ -133,3 +135,78 @@ def test_parse_dist_rejects_bad_total_and_zero():
 def test_dist_serialize_roundtrip():
     dist = main_dist()
     assert parse_dist(serialize_dist(dist)).probs == dist.probs
+
+
+def test_parse_rejects_non_ascii_digits_with_line_numbers():
+    # '\u00b2' passes str.isdigit, but int() refuses it
+    with pytest.raises(FormatError) as err:
+        parse_code_tuple("alphabet a b\ntables \u00b2\n")
+    assert "line 2" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse_code_tuple("alphabet a b\ntables 1\ntable 0\na 0 \u00b2\nb 1 0\n")
+    assert "line 4" in str(err.value)
+
+
+def test_parse_dist_bounds_exponents_with_line_numbers():
+    # formatting 10**999999 in the sum message once raised ValueError
+    with pytest.raises(FormatError) as err:
+        parse_dist("a 1e999999\n")
+    assert "line 1" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse_dist("a 1/2\nb 5e-999999\n")
+    assert "line 2" in str(err.value)
+    assert parse_dist("a 1e-3\nb 0.999\n").probs == (Fraction(1, 1000),
+                                                     Fraction(999, 1000))
+
+
+def test_parse_dist_total_too_long_to_print():
+    # two coprime 4000-digit denominators sum to an 8000-digit one
+    text = "a 1/%s\nb 1/%s\n" % ("9" * 4000, "9" * 3999 + "7")
+    with pytest.raises(FormatError):
+        parse_dist(text)
+
+
+FUZZ_TOKENS = ("0", "1", "-", "01", "2", "10", "\u00b2", "\u0663", "1e999999",
+               "1e-999999", "1/0", "0/0", "nan", "inf", "-1", "+1", "1_0",
+               "9" * 5000, "1/3", "0.5", "1e", "e5", ".", "/", "#", "a", "b",
+               "table", "tables", "alphabet", "\n", " ", "\t", "\u2028", "")
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid file with one to three tokens replaced, doubled or deleted."""
+    parts = re.split(r"(\s+)", draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = 2 * draw(st.integers(0, len(parts) // 2))
+        token = draw(st.sampled_from(FUZZ_TOKENS))
+        kind = draw(st.sampled_from(("replace", "replace", "insert", "delete")))
+        if kind == "insert" or at >= len(parts):
+            parts[at:at] = [token, " "]
+        elif kind == "replace":
+            parts[at] = token
+        else:
+            del parts[at:at + 2]
+    return "".join(parts)
+
+
+TUPLE_TEXTS = tuple(serialize_code_tuple(TUPLES[key]) for key in KEYS)
+DIST_TEXTS = (serialize_dist(main_dist()), "a 0.1\nb 0.2\nc 0.3\nd 0.4\n",
+              "a 1e-1\nb 2E-1\nc 0.3\nd 4e-1\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(TUPLE_TEXTS))
+def test_code_tuple_parser_raises_only_format_errors(text):
+    try:
+        parse_code_tuple(text)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(DIST_TEXTS), st.booleans())
+def test_dist_parser_raises_only_format_errors(text, with_alphabet):
+    try:
+        parse_dist(text, main_dist().alphabet if with_alphabet else None)
+    except FormatError:
+        pass
