@@ -63,3 +63,11 @@ class NoConsistentCompletion(CodeTupleError):
 
 class EmptySpace(CodeTupleError):
     """No tuple in the search space passes the requested filter."""
+
+
+class InvalidSpace(CodeTupleError, ValueError):
+    """A search space, or a distribution for it, is malformed."""
+
+
+class SearchCheckFailed(CodeTupleError):
+    """The search contradicted its own re-check of a result."""

@@ -31,7 +31,9 @@ next-table index.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +41,7 @@ from .analysis import delay_decodability, is_extendable, is_regular
 from .bits import Bits
 from .classes import is_aifv
 from .core import CodeTuple, Table
-from .errors import EmptySpace
+from .errors import EmptySpace, InvalidSpace, SearchCheckFailed
 from .markov import average_length
 from .prefix_sets import PrefixSetTable
 
@@ -59,13 +61,13 @@ class SearchSpace:
 
     def __post_init__(self):
         if self.sigma < 2:
-            raise ValueError("need at least two symbols")
+            raise InvalidSpace("need at least two symbols")
         if self.tables not in (1, 2):
-            raise ValueError("table count must be 1 or 2")
+            raise InvalidSpace("table count must be 1 or 2")
         if self.max_len < 1:
-            raise ValueError("max_len must be positive")
+            raise InvalidSpace("max_len must be positive")
         if self.filter not in FILTERS:
-            raise ValueError("filter must be one of %s" % (FILTERS,))
+            raise InvalidSpace("filter must be one of %s" % (FILTERS,))
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,10 @@ def _passes_filter(code, space):
             and delay_decodability(code, 2, sets).ok)
 
 
-def _result(space, dist, code):
-    return SearchResult(code, average_length(code, dist), space_size(space))
+def _build(alphabet, sigma, slots):
+    """The tuple whose (codeword, target) slots run table by table."""
+    return CodeTuple(alphabet, tuple(Table(*zip(*slots[i:i + sigma]))
+                                     for i in range(0, len(slots), sigma)))
 
 
 def enumerate_min_direct(space, dist):
@@ -115,37 +119,31 @@ def enumerate_min_direct(space, dist):
     Only usable for small spaces; the guessing search must agree with this
     on any space where both run.
     """
-    check = _space_dist(space, dist)
+    _space_dist(space, dist)
     words = all_words(space.max_len)
-    slots = [(w, t) for w in words for t in range(space.tables)]
+    slots = [(Bits(w), t) for w in words for t in range(space.tables)]
     best = None
     examined = 0
     for assignment in itertools.product(slots, repeat=space.sigma * space.tables):
         examined += 1
-        tables = []
-        for i in range(space.tables):
-            part = assignment[i * space.sigma:(i + 1) * space.sigma]
-            tables.append(Table(tuple(Bits(w) for w, _ in part),
-                                tuple(t for _, t in part)))
-        code = CodeTuple(dist.alphabet, tuple(tables))
+        code = _build(dist.alphabet, space.sigma, assignment)
         if not _passes_filter(code, space):
             continue
         entry = (average_length(code, dist), canonical_key(code), code)
         if best is None or entry[:2] < best[:2]:
             best = entry
-    assert examined == space_size(space)
+    if examined != space_size(space):
+        raise SearchCheckFailed("%s: walked %d assignments of %d" % (
+            _describe(space), examined, space_size(space)))
     if best is None:
-        raise EmptySpace("no %s tuple with %d tables, %d symbols, codewords "
-                         "up to %d bits" % (space.filter, space.tables,
-                                            space.sigma, space.max_len))
+        raise EmptySpace("no %s" % _describe(space))
     return SearchResult(best[2], best[0], examined)
 
 
 def _space_dist(space, dist):
     if len(dist.alphabet) != space.sigma:
-        raise ValueError("distribution has %d symbols, space wants %d"
-                         % (len(dist.alphabet), space.sigma))
-    return dist
+        raise InvalidSpace("distribution has %d symbols, space wants %d"
+                           % (len(dist.alphabet), space.sigma))
 
 
 _SCAN_CACHE = {}
@@ -155,52 +153,40 @@ def enumerate_min(space, dist):
     """The minimum-cost member of the space under the filter."""
     _space_dist(space, dist)
     if space.tables == 1:
-        return _min_single(space, dist)
+        return enumerate_min_direct(space, dist)
     if space not in _SCAN_CACHE:
         _SCAN_CACHE[space] = _scan_two_tables(space)
     entry = _combine(space, dist, _SCAN_CACHE[space])
     if entry is None:
-        raise EmptySpace("no %s tuple with %d tables, %d symbols, codewords "
-                         "up to %d bits" % (space.filter, space.tables,
-                                            space.sigma, space.max_len))
-    code = entry[2]
-    # The guessing scan is cross-checked in the tests; re-verifying the
+        raise EmptySpace("no %s" % _describe(space))
+    # The guessing scan is cross-checked in the tests; re-checking the
     # winner keeps a silent scan bug from returning a non-member.
-    assert _passes_filter(code, space)
-    result = _result(space, dist, code)
-    assert result.avg_len == entry[0]
-    return result
+    code = entry[2]
+    cost = average_length(code, dist)
+    member = _passes_filter(code, space)
+    if not member or cost != entry[0]:
+        winner = " | ".join(" ".join("%s>%d" % (str(w) or "-", t) for w, t in
+                                     zip(table.codes, table.targets))
+                            for table in code.tables)
+        raise SearchCheckFailed(
+            "%s: the scan's winner [%s] %s; scan cost %s, recomputed %s"
+            % (_describe(space), winner, "passes the filter" if member
+               else "fails the filter", entry[0], cost))
+    return SearchResult(code, cost, space_size(space))
 
 
-def _min_single(space, dist):
-    words = all_words(space.max_len)
-    best = None
-    for combo in itertools.product(words, repeat=space.sigma):
-        tables = (Table(tuple(Bits(w) for w in combo),
-                        tuple(0 for _ in combo)),)
-        code = CodeTuple(dist.alphabet, tables)
-        if not _passes_filter(code, space):
-            continue
-        entry = (average_length(code, dist), canonical_key(code), code)
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    if best is None:
-        raise EmptySpace("no %s tuple with 1 table, %d symbols, codewords "
-                         "up to %d bits" % (space.filter, space.sigma,
-                                            space.max_len))
-    return SearchResult(best[2], best[0], space_size(space))
+def _describe(space):
+    return ("%s tuple with %d table%s, %d symbols, codewords up to %d bits"
+            % (space.filter, space.tables, "s" * (space.tables != 1),
+               space.sigma, space.max_len))
 
 
 # -- two-table guessing scan -------------------------------------------------
 #
-# Sets of two-bit strings are 4-bit masks over PAIR_INDEX, first-bit sets
-# 2-bit masks.  Slot number sid encodes (word index, target) as
-# sid = 2 * word_index + target, so ascending sid tuples are exactly the
-# canonical order and tuple comparison is the tie-break.
-
-
-def _heads(mask):
-    return (1 if mask & 0b0011 else 0) | (2 if mask & 0b1100 else 0)
+# Sets of two-bit strings are 4-bit masks over PAIR_INDEX.  Slot number sid
+# encodes (word index, target) as sid = 2 * word_index + target, so
+# ascending sid tuples are exactly the canonical order and tuple comparison
+# is the tie-break; sets of slots are int bitmasks over sid.
 
 
 def _contrib(word, target, pair_masks):
@@ -208,47 +194,32 @@ def _contrib(word, target, pair_masks):
     if len(word) >= 2:
         return 1 << PAIR_INDEX[word[:2]]
     if len(word) == 1:
-        heads = _heads(pair_masks[target])
-        out = 0
-        if heads & 1:
-            out |= 1 << PAIR_INDEX[word + "0"]
-        if heads & 2:
-            out |= 1 << PAIR_INDEX[word + "1"]
-        return out
+        mask = pair_masks[target]
+        return sum(1 << PAIR_INDEX[word + bit]
+                   for bit, firsts in (("0", 0b0011), ("1", 0b1100))
+                   if mask & firsts)
     return pair_masks[target]
 
 
 def _aifv_table_ok(table_index, words, targets):
     """The structural clauses, restricted to one table's contents."""
-    if len(set(words)) != len(words):
-        return False
-    for w in words:
-        for b in (w, w + "0"):
-            if any(w2.startswith(b) and len(w2) > len(b) and
-                   w2[len(b)] == "1" for w2 in words):
-                return False
     word_set = set(words)
-    for w in words:
-        if w + "0" in word_set:
-            return False
+    if len(word_set) != len(words) or any(w + "0" in word_set for w in words):
+        return False
+    if any(w2.startswith(b + "1") for w in words for b in (w, w + "0")
+           for w2 in words):
+        return False
     for w, t in zip(words, targets):
-        extendable = any(w2.startswith(w) and len(w2) > len(w)
-                         for w2 in words)
-        if t != (1 if extendable else 0):
+        if t != any(w2.startswith(w) and len(w2) > len(w) for w2 in words):
             return False
-    if table_index == 1:
-        if "" in word_set or "0" in word_set:
-            return False
-        if any(w.startswith("00") for w in words):
-            return False
-    prefixes = {w[:n] for w in words for n in range(len(w))}
+    if table_index == 1 and ("" in word_set or "0" in word_set
+                             or any(w.startswith("00") for w in words)):
+        return False
     near = word_set | {w + x for w in words for x in "01"}
-    for b in sorted(prefixes):
+    for b in {w[:n] for w in words for n in range(len(w))}:
         firsts = {w[len(b)] for w in words
                   if w.startswith(b) and len(w) > len(b)}
-        if len(firsts) == 1:
-            if b in near or (table_index == 1 and b == "0"):
-                continue
+        if len(firsts) == 1 and b not in near and (table_index, b) != (1, "0"):
             return False
     return True
 
@@ -261,123 +232,150 @@ def _scan_two_tables(space):
     targets and codeword lengths.
     """
     words = all_words(space.max_len)
-    nwords = len(words)
-    nslots = 2 * nwords
-    sigma = space.sigma
-    word_len = [len(w) for w in words]
-    # suffix of a strict prefix pair, None when the words are unrelated
-    suffix = [[None] * nslots for _ in range(nwords)]
-    for wi, w in enumerate(words):
-        for sid in range(nslots):
-            w2 = words[sid >> 1]
-            if len(w2) > len(w) and w2.startswith(w):
-                suffix[wi][sid] = (w2[len(w):], sid & 1)
-
+    nslots = 2 * len(words)
+    # (shorter word, slot of a strict extension, the extension's suffix)
+    extensions = [(wi, sid, words[sid >> 1][len(w):])
+                  for wi, w in enumerate(words) for sid in range(nslots)
+                  if len(words[sid >> 1]) > len(w)
+                  and words[sid >> 1].startswith(w)]
+    # a slot's part of the (targets, lenvec) key, and the slots sharing it
+    key_of = [2 * len(words[sid >> 1]) + (sid & 1) for sid in range(nslots)]
+    same_key = [sum(1 << s for s in range(nslots) if key_of[s] == key)
+                for key in key_of]
+    layout = (words, key_of, same_key)
     if space.filter == "aifv":
         guesses = [(FULL_MASK, NONZERO_MASK)]
-        aifv_ok = []
-        for i in (0, 1):
-            table_ok = {}
-            for wordvec in itertools.product(range(nwords), repeat=sigma):
-                for targetvec in itertools.product((0, 1), repeat=sigma):
-                    content = tuple(2 * wi + t
-                                    for wi, t in zip(wordvec, targetvec))
-                    table_ok[content] = _aifv_table_ok(
-                        i, [words[wi] for wi in wordvec], targetvec)
-            aifv_ok.append(table_ok)
     else:
         guesses = [(a, b) for a in range(1, 16) for b in range(1, 16)]
-        aifv_ok = None
 
     scan = {}
-    sym_pairs = list(itertools.combinations(range(sigma), 2))
     for guess in guesses:
         contrib = [_contrib(words[sid >> 1], sid & 1, guess)
                    for sid in range(nslots)]
-        ext_mask = [[0 if e is None else _contrib(e[0], e[1], guess)
-                     for e in row] for row in suffix]
-        target_mask = (guess[0], guess[1])
-        per_table = []
-        for i in (0, 1):
-            want = guess[i]
-            found = {}
-            for content in itertools.product(range(nslots), repeat=sigma):
-                union = 0
-                for sid in content:
-                    union |= contrib[sid]
-                if union != want:
-                    continue
-                ok = True
-                for a, b in sym_pairs:
-                    sa, sb = content[a], content[b]
-                    if sa >> 1 == sb >> 1 and \
-                            target_mask[sa & 1] & target_mask[sb & 1]:
-                        ok = False
-                        break
-                if ok:
-                    for sid in content:
-                        row = ext_mask[sid >> 1]
-                        strict = 0
-                        for other in content:
-                            strict |= row[other]
-                        if strict & target_mask[sid & 1]:
-                            ok = False
-                            break
-                if not ok or (aifv_ok and not aifv_ok[i][content]):
-                    continue
-                targets = tuple(sid & 1 for sid in content)
-                lenvec = tuple(word_len[sid >> 1] for sid in content)
-                bucket = found.setdefault(targets, {})
-                if lenvec not in bucket:
-                    bucket[lenvec] = content
-            per_table.append(found)
-        if per_table[0] and per_table[1]:
-            scan[guess] = tuple(per_table)
+        # Slots that cannot share a table: one codeword with overlapping
+        # target sets, or a strict extension whose suffix can start a pair
+        # that the shorter slot's target can start too.
+        clash = [sum(1 << (sid & ~1 | t) for t in (0, 1)
+                     if guess[sid & 1] & guess[t]) for sid in range(nslots)]
+        for wi, sid, rest in extensions:
+            reach = _contrib(rest, sid & 1, guess)
+            for short in (2 * wi, 2 * wi + 1):
+                if reach & guess[short & 1]:
+                    clash[sid] |= 1 << short
+                    clash[short] |= 1 << sid
+        tab0 = _scan_table(space, 0, guess[0], contrib, clash, layout)
+        tab1 = tab0 and _scan_table(space, 1, guess[1], contrib, clash, layout)
+        if tab1:
+            scan[guess] = (tab0, tab1)
     return scan
 
 
+def _scan_table(space, index, want, contrib, clash, layout):
+    """One table's passing contents under a guess, by a depth-first walk.
+
+    Symbols take slots in ascending sid order, so contents appear in
+    product order and the first one kept per (targets, lenvec) is the
+    canonical one.  Only slots whose contribution lies inside the wanted
+    set are tried, never one clashing with an earlier symbol's slot.  The
+    last symbol must complete the union to exactly the wanted set, and is
+    tried only for keys not yet found after the same head.
+    """
+    words, key_of, same_key = layout
+    allowed = sum(1 << sid for sid, c in enumerate(contrib) if not c & ~want)
+    last = space.sigma - 1
+    content = [0] * last
+    cover = {}  # missing pairs -> allowed slots that contribute them all
+    filled = {}  # head key -> slots whose key is already found
+    found = {}
+
+    @functools.cache
+    def verdict(slots):  # sorted: the clauses ignore symbol order
+        return _aifv_table_ok(index, [words[s >> 1] for s in slots],
+                              [s & 1 for s in slots])
+
+    def finish(options, head_key):
+        head = tuple(content)
+        head_targets = tuple(sid & 1 for sid in head)
+        head_lens = tuple(len(words[sid >> 1]) for sid in head)
+        done = filled.get(head_key, 0)
+        while options:
+            low = options & -options
+            sid = low.bit_length() - 1
+            row = head + (sid,)
+            if space.filter == "aifv" and not verdict(tuple(sorted(row))):
+                options ^= low
+                continue
+            bucket = found.setdefault(head_targets + (sid & 1,), {})
+            bucket[head_lens + (len(words[sid >> 1]),)] = row
+            done |= same_key[sid]
+            options &= ~done
+        filled[head_key] = done
+
+    def walk(pos, cand, union, head_key):
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sid = low.bit_length() - 1
+            content[pos] = sid
+            below = cand & ~clash[sid]
+            key = head_key * len(key_of) + key_of[sid]  # base > any part
+            if pos + 1 < last:
+                walk(pos + 1, below, union | contrib[sid], key)
+                continue
+            need = want & ~(union | contrib[sid])
+            if need not in cover:
+                cover[need] = sum(1 << s for s, c in enumerate(contrib)
+                                  if allowed >> s & 1 and c & need == need)
+            options = below & cover[need] & ~filled.get(key, 0)
+            if options:
+                finish(options, key)
+
+    walk(0, allowed, 0, 0)
+    return found
+
+
 def _combine(space, dist, scan):
-    """Cheapest (guess, targets, contents) combo for this distribution."""
+    """Cheapest (guess, targets, contents) combo for this distribution.
+
+    Probabilities become integer weights scaled by the lcm of their
+    denominators, and costs are compared as cross-multiplied fractions.
+    """
     words = all_words(space.max_len)
+    scale = math.lcm(*(p.denominator for p in dist.probs))
+    weight = [p.numerator * (scale // p.denominator) for p in dist.probs]
 
     def summarize(bucket):
         # (min cost, canonical-min content at min cost, canonical-min overall)
-        by_cost = {}
-        overall = None
-        for lenvec, content in bucket.items():
-            cost = sum(dist.probs[s] * lenvec[s] for s in range(space.sigma))
-            if cost not in by_cost or content < by_cost[cost]:
-                by_cost[cost] = content
-            if overall is None or content < overall:
-                overall = content
-        low = min(by_cost)
-        return low, by_cost[low], overall
+        low, at = min((sum(w * n for w, n in zip(weight, lenvec)), content)
+                      for lenvec, content in bucket.items())
+        return low, at, min(bucket.values())
 
     best = None
-    for guess, (tab0, tab1) in scan.items():
-        sums0 = {t: summarize(b) for t, b in tab0.items()}
-        sums1 = {t: summarize(b) for t, b in tab1.items()}
-        for t0, (low0, at0, any0) in sums0.items():
-            leave0 = sum(dist.probs[s] for s in range(space.sigma) if t0[s] == 1)
-            for t1, (low1, at1, any1) in sums1.items():
-                leave1 = sum(dist.probs[s] for s in range(space.sigma)
-                             if t1[s] == 0)
+    for tab0, tab1 in scan.values():
+        # weight leaving each table: table 1's returns, table 0's switches
+        sums1 = [(sum(w for w, t in zip(weight, t1) if not t), summarize(b))
+                 for t1, b in tab1.items()]
+        for t0, b in tab0.items():
+            low0, at0, any0 = summarize(b)
+            leave0 = sum(w for w, t in zip(weight, t0) if t)
+            for leave1, (low1, at1, any1) in sums1:
                 total = leave0 + leave1
                 if total == 0:
                     continue  # the two tables never mix: not regular
-                cost = (leave1 * low0 + leave0 * low1) / total
-                c0 = at0 if leave1 > 0 else any0
-                c1 = at1 if leave0 > 0 else any1
-                entry = (cost, c0 + c1)
-                if best is None or entry < best[:2]:
-                    best = (cost, c0 + c1, (c0, c1))
+                num = leave1 * low0 + leave0 * low1
+                pick = (at0 if leave1 > 0 else any0) + \
+                    (at1 if leave0 > 0 else any1)
+                if best is not None:
+                    ahead = num * best[1] - best[0] * total
+                    if ahead > 0 or ahead == 0 and pick >= best[2]:
+                        continue
+                best = (num, total, pick)
     if best is None:
         return None
-    tables = []
-    for content in best[2]:
-        tables.append(Table(tuple(Bits(words[sid >> 1]) for sid in content),
-                            tuple(sid & 1 for sid in content)))
-    return (best[0], best[1], CodeTuple(dist.alphabet, tuple(tables)))
+    return (Fraction(best[0], best[1] * scale), best[2],
+            _build(dist.alphabet, space.sigma,
+                   [(Bits(words[sid >> 1]), sid & 1) for sid in best[2]]))
 
 
 # -- baseline ----------------------------------------------------------------
@@ -429,7 +427,7 @@ def compare_aifv_huffman(space, dist):
     report carries a note instead of a claim.
     """
     if space.tables != 2:
-        raise ValueError("the comparison needs a two-table space")
+        raise InvalidSpace("the comparison needs a two-table space")
     space = dataclasses.replace(space, filter="aifv")
     lengths, huff = huffman_length(dist)
     result = enumerate_min(space, dist)

@@ -1,5 +1,6 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
-greedy decoder, and a random tuple generator.
+greedy decoder, the old search scan and combine, and a random tuple
+generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -8,11 +9,15 @@ circularity.  The decoder oracle works on ``Bits`` slices and searches
 states with its own code, independently of the codec's emission automaton.
 """
 
+import itertools
+
 from codetuples import Bits, PrefixSetTable, make_tuple
 from codetuples.bits import EMPTY
 from codetuples.codec import DanglingInfo, DecodeResult
+from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
+from codetuples.search import FULL_MASK, NONZERO_MASK, PAIR_INDEX, all_words
 
 NAME_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -268,3 +273,194 @@ def oracle_identification_delays(code, start, seq, bits=None):
         pos = boundary
         table = code.target(table, s)
     return delays
+
+
+# --------------------------------------------------------------------------
+# The two-table search scan and its combine step as they stood before the
+# scan became a pruned depth-first walk and the combine moved to integer
+# weights, kept verbatim as the oracle for differential tests.  The scan
+# tries every content of every table under every guess, so it is slow
+# beyond sigma=3 with codewords of up to 3 bits.  Its helpers are copied
+# too, so the oracle shares no clause with the code under test.
+# --------------------------------------------------------------------------
+
+
+def _heads(mask):
+    return (1 if mask & 0b0011 else 0) | (2 if mask & 0b1100 else 0)
+
+
+def _contrib(word, target, pair_masks):
+    """Mask of two-bit blocks an emission can start with, given the slot."""
+    if len(word) >= 2:
+        return 1 << PAIR_INDEX[word[:2]]
+    if len(word) == 1:
+        heads = _heads(pair_masks[target])
+        out = 0
+        if heads & 1:
+            out |= 1 << PAIR_INDEX[word + "0"]
+        if heads & 2:
+            out |= 1 << PAIR_INDEX[word + "1"]
+        return out
+    return pair_masks[target]
+
+
+def _aifv_table_ok(table_index, words, targets):
+    """The structural clauses, restricted to one table's contents."""
+    if len(set(words)) != len(words):
+        return False
+    for w in words:
+        for b in (w, w + "0"):
+            if any(w2.startswith(b) and len(w2) > len(b) and
+                   w2[len(b)] == "1" for w2 in words):
+                return False
+    word_set = set(words)
+    for w in words:
+        if w + "0" in word_set:
+            return False
+    for w, t in zip(words, targets):
+        extendable = any(w2.startswith(w) and len(w2) > len(w)
+                         for w2 in words)
+        if t != (1 if extendable else 0):
+            return False
+    if table_index == 1:
+        if "" in word_set or "0" in word_set:
+            return False
+        if any(w.startswith("00") for w in words):
+            return False
+    prefixes = {w[:n] for w in words for n in range(len(w))}
+    near = word_set | {w + x for w in words for x in "01"}
+    for b in sorted(prefixes):
+        firsts = {w[len(b)] for w in words
+                  if w.startswith(b) and len(w) > len(b)}
+        if len(firsts) == 1:
+            if b in near or (table_index == 1 and b == "0"):
+                continue
+            return False
+    return True
+
+
+def oracle_scan_two_tables(space):
+    """Per continuation-set guess and table: every passing content.
+
+    Returns {guess: ({targets: {lenvec: sid tuple}}, {targets: ...})} where
+    the stored sid tuple is the canonically first content with those
+    targets and codeword lengths.
+    """
+    words = all_words(space.max_len)
+    nwords = len(words)
+    nslots = 2 * nwords
+    sigma = space.sigma
+    word_len = [len(w) for w in words]
+    # suffix of a strict prefix pair, None when the words are unrelated
+    suffix = [[None] * nslots for _ in range(nwords)]
+    for wi, w in enumerate(words):
+        for sid in range(nslots):
+            w2 = words[sid >> 1]
+            if len(w2) > len(w) and w2.startswith(w):
+                suffix[wi][sid] = (w2[len(w):], sid & 1)
+
+    if space.filter == "aifv":
+        guesses = [(FULL_MASK, NONZERO_MASK)]
+        aifv_ok = []
+        for i in (0, 1):
+            table_ok = {}
+            for wordvec in itertools.product(range(nwords), repeat=sigma):
+                for targetvec in itertools.product((0, 1), repeat=sigma):
+                    content = tuple(2 * wi + t
+                                    for wi, t in zip(wordvec, targetvec))
+                    table_ok[content] = _aifv_table_ok(
+                        i, [words[wi] for wi in wordvec], targetvec)
+            aifv_ok.append(table_ok)
+    else:
+        guesses = [(a, b) for a in range(1, 16) for b in range(1, 16)]
+        aifv_ok = None
+
+    scan = {}
+    sym_pairs = list(itertools.combinations(range(sigma), 2))
+    for guess in guesses:
+        contrib = [_contrib(words[sid >> 1], sid & 1, guess)
+                   for sid in range(nslots)]
+        ext_mask = [[0 if e is None else _contrib(e[0], e[1], guess)
+                     for e in row] for row in suffix]
+        target_mask = (guess[0], guess[1])
+        per_table = []
+        for i in (0, 1):
+            want = guess[i]
+            found = {}
+            for content in itertools.product(range(nslots), repeat=sigma):
+                union = 0
+                for sid in content:
+                    union |= contrib[sid]
+                if union != want:
+                    continue
+                ok = True
+                for a, b in sym_pairs:
+                    sa, sb = content[a], content[b]
+                    if sa >> 1 == sb >> 1 and \
+                            target_mask[sa & 1] & target_mask[sb & 1]:
+                        ok = False
+                        break
+                if ok:
+                    for sid in content:
+                        row = ext_mask[sid >> 1]
+                        strict = 0
+                        for other in content:
+                            strict |= row[other]
+                        if strict & target_mask[sid & 1]:
+                            ok = False
+                            break
+                if not ok or (aifv_ok and not aifv_ok[i][content]):
+                    continue
+                targets = tuple(sid & 1 for sid in content)
+                lenvec = tuple(word_len[sid >> 1] for sid in content)
+                bucket = found.setdefault(targets, {})
+                if lenvec not in bucket:
+                    bucket[lenvec] = content
+            per_table.append(found)
+        if per_table[0] and per_table[1]:
+            scan[guess] = tuple(per_table)
+    return scan
+
+
+def oracle_combine(space, dist, scan):
+    """Cheapest (guess, targets, contents) combo for this distribution."""
+    words = all_words(space.max_len)
+
+    def summarize(bucket):
+        # (min cost, canonical-min content at min cost, canonical-min overall)
+        by_cost = {}
+        overall = None
+        for lenvec, content in bucket.items():
+            cost = sum(dist.probs[s] * lenvec[s] for s in range(space.sigma))
+            if cost not in by_cost or content < by_cost[cost]:
+                by_cost[cost] = content
+            if overall is None or content < overall:
+                overall = content
+        low = min(by_cost)
+        return low, by_cost[low], overall
+
+    best = None
+    for guess, (tab0, tab1) in scan.items():
+        sums0 = {t: summarize(b) for t, b in tab0.items()}
+        sums1 = {t: summarize(b) for t, b in tab1.items()}
+        for t0, (low0, at0, any0) in sums0.items():
+            leave0 = sum(dist.probs[s] for s in range(space.sigma) if t0[s] == 1)
+            for t1, (low1, at1, any1) in sums1.items():
+                leave1 = sum(dist.probs[s] for s in range(space.sigma)
+                             if t1[s] == 0)
+                total = leave0 + leave1
+                if total == 0:
+                    continue  # the two tables never mix: not regular
+                cost = (leave1 * low0 + leave0 * low1) / total
+                c0 = at0 if leave1 > 0 else any0
+                c1 = at1 if leave0 > 0 else any1
+                entry = (cost, c0 + c1)
+                if best is None or entry < best[:2]:
+                    best = (cost, c0 + c1, (c0, c1))
+    if best is None:
+        return None
+    tables = []
+    for content in best[2]:
+        tables.append(Table(tuple(Bits(words[sid >> 1]) for sid in content),
+                            tuple(sid & 1 for sid in content)))
+    return (best[0], best[1], CodeTuple(dist.alphabet, tuple(tables)))

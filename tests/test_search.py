@@ -13,7 +13,9 @@ from codetuples import (
     is_aifv,
     space_size,
 )
-from codetuples.errors import EmptySpace
+from codetuples import search
+from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
+                               SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
 
@@ -41,6 +43,19 @@ def test_space_validation():
         SearchSpace(2, 2, 0, "f0")
     with pytest.raises(ValueError):
         SearchSpace(2, 2, 2, "f7")
+
+
+def test_space_errors_are_domain_errors():
+    # still ValueErrors for old callers, and CodeTupleErrors for the CLI
+    cases = (lambda: SearchSpace(2, 3, 2, "f0"),
+             lambda: enumerate_min(SearchSpace(3, 2, 2, "f0"), dist2("1/2")),
+             lambda: compare_aifv_huffman(SearchSpace(2, 1, 2, "aifv"),
+                                          dist2("1/2")))
+    for case in cases:
+        with pytest.raises(InvalidSpace) as info:
+            case()
+        assert isinstance(info.value, CodeTupleError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_all_words_canonical_order():
@@ -91,8 +106,39 @@ def test_winner_is_a_member():
 
 def test_empty_space():
     # one-bit codewords cannot fill a second table injectively
-    with pytest.raises(EmptySpace):
+    with pytest.raises(EmptySpace, match="with 2 tables, 2 symbols"):
         enumerate_min(SearchSpace(2, 2, 1, "aifv"), dist2("1/2"))
+    # no single table is AIFV, which needs two
+    with pytest.raises(EmptySpace, match="no aifv tuple with 1 table, "
+                                         "2 symbols, codewords up to 1 bits"):
+        enumerate_min(SearchSpace(2, 1, 1, "aifv"), dist2("1/2"))
+
+
+def test_rejected_winner_raises(monkeypatch):
+    # the re-check of the scan's winner survives python -O
+    space = SearchSpace(2, 2, 2, "aifv")
+    monkeypatch.setattr(search, "_passes_filter", lambda code, space: False)
+    with pytest.raises(SearchCheckFailed) as info:
+        enumerate_min(space, dist2("9/10"))
+    assert str(info.value) == (
+        "aifv tuple with 2 tables, 2 symbols, codewords up to 2 bits: the "
+        "scan's winner [->1 00>0 | 1>0 01>0] fails the filter; scan cost "
+        "119/190, recomputed 119/190")
+
+
+def test_miscosted_winner_raises(monkeypatch):
+    monkeypatch.setattr(search, "average_length", lambda code, dist: 7)
+    with pytest.raises(SearchCheckFailed,
+                       match="passes the filter; scan cost 119/190, "
+                             "recomputed 7$"):
+        enumerate_min(SearchSpace(2, 2, 2, "aifv"), dist2("9/10"))
+
+
+def test_short_direct_walk_raises(monkeypatch):
+    space = SearchSpace(2, 1, 1, "f0")
+    monkeypatch.setattr(search, "space_size", lambda space: 10)
+    with pytest.raises(SearchCheckFailed, match="walked 9 assignments of 10"):
+        enumerate_min_direct(space, dist2("1/2"))
 
 
 def test_huffman_trivial_cases():

@@ -1,0 +1,56 @@
+"""The pruned two-table scan and the integer combine against the old ones.
+
+``support.oracle_scan_two_tables`` tries every content of every table under
+every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
+scan dicts must be equal including key order and the order inside every
+bucket, since the combine's tie-break reads the first content kept, and
+the combine must pick the same cost, contents and tuple.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from codetuples import Alphabet, SearchSpace, SourceDist
+from codetuples.search import _combine, _scan_two_tables
+from support import oracle_combine, oracle_scan_two_tables
+
+SPACES = [(sigma, max_len, filt)
+          for sigma, max_len in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+          for filt in ("f0", "aifv")]
+COMBINE_DISTS = 20
+
+
+def ordered(scan):
+    """Every key and bucket of a scan as nested lists, in dict order."""
+    return [(guess, [[(targets, list(bucket.items()))
+                      for targets, bucket in table.items()]
+                     for table in tables])
+            for guess, tables in scan.items()]
+
+
+def seeded_dists(sigma, seed):
+    """Uniform first, then seeded weights: small ones tie often."""
+    rng = random.Random("combine:%d:%s" % (sigma, seed))
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    out = [SourceDist.uniform(alphabet)]
+    while len(out) < COMBINE_DISTS:
+        top = rng.choice((3, 10, 1000))
+        weights = [rng.randint(1, top) for _ in range(sigma)]
+        out.append(SourceDist(alphabet, tuple(Fraction(w, sum(weights))
+                                              for w in weights)))
+    return out
+
+
+@pytest.mark.parametrize("sigma,max_len,filt", SPACES)
+def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
+    space = SearchSpace(sigma, 2, max_len, filt)
+    scan = _scan_two_tables(space)
+    expected = oracle_scan_two_tables(space)
+    assert ordered(scan) == ordered(expected)
+    for dist in seeded_dists(sigma, space):
+        got = _combine(space, dist, scan)
+        want = oracle_combine(space, dist, expected)
+        assert got == want, (space, dist.probs)
+        assert got is None or type(got[0]) is Fraction
