@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import EMPTY, ZERO, Bits, all_bits
+from .bits import EMPTY, ZERO, Bits, all_bits, show
 from .analysis import (
     dead_tables,
     delay_decodability,
@@ -37,7 +37,7 @@ BOTH_BITS = frozenset(all_bits(1))
 
 
 def show_set(bits_set):
-    return "{%s}" % ",".join(str(b) for b in sorted(bits_set))
+    return "{%s}" % ",".join(map(show, sorted(bits_set)))
 
 
 @dataclass

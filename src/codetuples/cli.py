@@ -9,6 +9,7 @@ trips), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import (dead_tables, delay_decodability, is_extendable,
@@ -78,7 +79,7 @@ def _cmd_classify(args, out):
 
 def _cmd_psets(args, out):
     code = _load_tuple(args.tuple)
-    sets = PrefixSetTable(code, max_k=max(args.k, DEFAULT_MAX_K))
+    sets = PrefixSetTable(code)
     for i in code.table_indices():
         out("P%d[%d]=%s" % (args.k, i, show_set(sets.base(i, args.k))))
     return 0
@@ -223,6 +224,7 @@ def _cmd_goldens(args, out):
     return 0 if all(check.ok for check in results) else 1
 
 
+@functools.cache  # one parser per process; parse_args keeps no state
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="codetuples",
@@ -316,6 +318,9 @@ def main(argv=None):
         print(line)
 
     try:
+        k = getattr(args, "k", 0)
+        if not 0 <= k <= DEFAULT_MAX_K:  # sets grow as 2**k
+            raise ValueError("k=%d outside 0..%d" % (k, DEFAULT_MAX_K))
         if args.verb == "decode":
             return _cmd_decode(args, parser, out)
         if args.verb == "transform":

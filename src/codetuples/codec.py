@@ -131,9 +131,7 @@ def _common_prefix(seqs):
 
 
 def _windows(code, k, sets):  # each table's emittable k-bit blocks
-    sets = sets or PrefixSetTable(code)
-    return tuple(frozenset(map(str, sets.base(i, k)))
-                 for i in code.table_indices())
+    return (sets or PrefixSetTable(code)).words(k)
 
 
 def _decode(auto, windows, k, start, text):
@@ -253,8 +251,9 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
     """Encode random sequences, decode, and measure identification delays.
 
     A trial fails when the decoder output is not a prefix of the source,
-    when the bits admit no completion, or when some symbol needed more
-    than k bits of delay to identify.  ``seed`` is required so runs are
+    when it leaves out a symbol whose codeword is followed by at least k
+    bits, when the bits admit no completion, or when some symbol needed
+    more than k bits of delay to identify.  ``seed`` is required so runs are
     reproducible.
     """
     if seed is None:
@@ -287,6 +286,12 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             fail(trial, start, seq, "decoded %r instead of a prefix" % (got,))
             continue
         conflicts += result.info.conflicts
+        n = len(got)  # the cut-stream contract owes seq[n] if k bits follow
+        if n < len(seq) and len(encode_from(code, start, seq[:n + 1])[0]) \
+                + k <= len(text):
+            fail(trial, start, seq, "symbol %d not decoded, though at least "
+                 "%d bits follow its codeword" % (n, k))
+            continue
         delays = _delays(auto, start, seq, text)
         if delays:
             worst = max(delays)

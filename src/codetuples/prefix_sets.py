@@ -13,49 +13,48 @@ Sets grow like 2**k, so an instance refuses k beyond its configured bound.
 
 from __future__ import annotations
 
-from .bits import EMPTY, Bits
+from .bits import Bits
 
 DEFAULT_MAX_K = 8
 
 
 class PrefixSetTable:
-    """Memoized continuation sets for one code tuple."""
+    """Memoized continuation sets for one code tuple, computed on ``str``
+    codewords; a level's sets become ``Bits`` once, when ``base`` asks."""
 
     def __init__(self, code, max_k=DEFAULT_MAX_K):
         self.code = code
         self.max_k = max_k
-        self._bases = {0: tuple(frozenset([EMPTY]) for _ in code.tables)}
+        self._rows = Emissions(code).rows
+        self._words = {0: tuple(frozenset([""]) for _ in code.tables)}
+        self._bases = {}
 
     def _check_k(self, k):
         if not 0 <= k <= self.max_k:
             raise ValueError("k=%d outside 0..%d" % (k, self.max_k))
 
-    def _base_level(self, k):
-        """Base sets of every table at level k, computing lower levels first."""
-        if k not in self._bases:
-            for kk in range(1, k + 1):
-                if kk not in self._bases:
-                    self._bases[kk] = self._fixed_point(kk)
-        return self._bases[k]
+    def words(self, k):
+        """The base sets of every table at level k, as sets of ``str``."""
+        self._check_k(k)
+        for kk in range(1, k + 1):
+            if kk not in self._words:
+                self._words[kk] = self._fixed_point(kk)
+        return self._words[k]
 
     def _fixed_point(self, k):
-        code = self.code
-        cur = [set() for _ in code.tables]
+        cur = [set() for _ in self._rows]
         changed = True
         while changed:
             changed = False
-            for j in code.table_indices():
+            for j, row in enumerate(self._rows):
                 new = set()
-                for s in code.alphabet:
-                    c = code.code(j, s)
-                    t = code.target(j, s)
+                for c, t, _ in row:
                     if len(c) >= k:
-                        new.add(c.head(k))
-                    elif len(c) == 0:
+                        new.add(c[:k])
+                    elif not c:
                         new |= cur[t]
                     else:
-                        for r in self._bases[k - len(c)][t]:
-                            new.add(c + r)
+                        new.update(c + r for r in self._words[k - len(c)][t])
                 if new != cur[j]:
                     cur[j] = new
                     changed = True
@@ -63,8 +62,10 @@ class PrefixSetTable:
 
     def base(self, i, k):
         """All k-bit strings the encoder can emit next, starting in table i."""
-        self._check_k(k)
-        return self._base_level(k)[i]
+        if k not in self._bases:
+            self._bases[k] = tuple(frozenset(map(Bits, words))
+                                   for words in self.words(k))
+        return self._bases[k][i]
 
     def continuations(self, i, b, k):
         """k-bit continuations of window b when the first codeword of the
@@ -78,24 +79,17 @@ class PrefixSetTable:
     def _conditional(self, i, b, k, strict):
         self._check_k(k)
         if len(b) == 0 and not strict:
-            return self._base_level(k)[i]
-        code = self.code
+            return self.base(i, k)
+        b = str(b)
         out = set()
-        for s in code.alphabet:
-            c = code.code(i, s)
-            if strict:
-                if not b.is_proper_prefix_of(c):
-                    continue
-            elif not b.is_prefix_of(c):
-                continue
-            u = c.strip_prefix(b)
-            if len(u) >= k:
-                out.add(u.head(k))
-            else:
-                t = code.target(i, s)
-                for r in self._base_level(k - len(u))[t]:
-                    out.add(u + r)
-        return frozenset(out)
+        for c, t, _ in self._rows[i]:
+            if c.startswith(b) and (len(c) > len(b) or not strict):
+                u = c[len(b):]
+                if len(u) >= k:
+                    out.add(u[:k])
+                else:
+                    out.update(u + r for r in self.words(k - len(u))[t])
+        return frozenset(map(Bits, out))
 
 
 def encode_from(code, start, seq):

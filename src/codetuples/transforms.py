@@ -197,14 +197,19 @@ def _dot_word(code, sets, steer, i, s, two_pairs):
                 # A single-bit codeword in a two-pair table would force
                 # both pairs to share its head, against the next-bit set
                 # being {0, 1}; the precondition rules it out.
-                assert len(part) >= 2, "one-bit codeword in a two-pair table"
+                if len(part) < 2:
+                    raise NotInClass("f1", "table %d, symbol %s: one-bit "
+                                     "codeword in a two-pair table"
+                                     % (i, code.alphabet.name(s)))
                 piece = bit_of(steer[i]) + part.head(1) + part.tail_from(2)
             else:
                 piece = part
         else:
             # Chain increments have at least two bits: a one-bit increment
             # would clash with the target table emitting that same bit.
-            assert len(part) >= 2, "one-bit chain increment"
+            if len(part) < 2:
+                raise NotInClass("f1", "table %d, symbol %s: one-bit chain "
+                                 "increment" % (i, code.alphabet.name(s)))
             prev_word = code.code(i, decomp.chain[r - 1])
             j = code.target(i, decomp.chain[r - 1])
             opposite = bit_of(1 - steer[j])
@@ -243,7 +248,10 @@ def ddot(code, sets=None):
             out = EMPTY
             for r, part in enumerate(decomp.parts):
                 if r > 0:
-                    assert len(part) >= 2, "one-bit chain increment"
+                    if len(part) < 2:
+                        raise NotInClass("f2", "table %d, symbol %s: one-bit "
+                                         "chain increment"
+                                         % (i, code.alphabet.name(s)))
                     piece = ZERO_PAIR + part.tail_from(2)
                 elif len(pairs) == 4 or len(part) == 0:
                     piece = part

@@ -3,7 +3,8 @@ import random
 
 from codetuples import (CLASS_NAMES, PrefixSetTable, classify, is_aifv,
                         make_tuple)
-from codetuples.classes import ClassReport, verify_hierarchy
+from codetuples.bits import EMPTY, Bits
+from codetuples.classes import ClassReport, show_set, verify_hierarchy
 from codetuples.reference import EXPECTED_FLAGS, KEYS, TUPLES
 
 from support import random_code_tuple
@@ -135,3 +136,9 @@ def test_classify_handles_single_table():
     report = classify(code)
     assert report["f0"] and report["f1"]
     assert not report["f4"] and not report["aifv"]
+
+
+def test_show_set_tells_the_empty_string_from_the_empty_set():
+    assert show_set(frozenset([EMPTY])) == "{-}"
+    assert show_set(frozenset()) == "{}"
+    assert show_set(frozenset([Bits("1"), EMPTY, Bits("0")])) == "{-,0,1}"

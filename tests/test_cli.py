@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import codetuples
 from codetuples.cli import main
 from codetuples.core import serialize_code_tuple, serialize_dist
 from codetuples.reference import TUPLES, main_dist
@@ -210,3 +215,78 @@ def test_unknown_verb_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["frobnicate"])
     assert exit_info.value.code == 2
+
+
+def test_psets_at_level_zero_shows_the_empty_string(files, capsys):
+    rc, lines, _ = run(capsys, ["psets", "--tuple", files["r3"], "--k", "0"])
+    assert rc == 0
+    assert lines == ["P0[0]={-}", "P0[1]={-}", "P0[2]={-}"]
+
+
+@pytest.mark.parametrize("k", [-1, 12, 22])
+@pytest.mark.parametrize("extra", [["check"], ["psets"],
+                                   ["decode", "--bits", "10"],
+                                   ["decode", "--roundtrip", "--seed", "1"]])
+def test_k_out_of_range_is_refused_before_any_output(files, capsys, extra, k):
+    argv = extra[:1] + ["--tuple", files["r3"], "--k", str(k)] + extra[1:]
+    rc, lines, err = run(capsys, argv)
+    assert (rc, lines) == (1, [])
+    assert err == "error: k=%d outside 0..8\n" % k
+
+
+def _in_process(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(
+        files, tmp_path, capsys, monkeypatch):
+    # main() reuses one parser per process; every call must still behave
+    # as in a fresh interpreter, with no value left over from the last one.
+    monkeypatch.setenv("COLUMNS", "80")
+    bits_file = tmp_path / "stream.bits"
+    bits_file.write_text("1000\n001111110\n", encoding="utf-8")
+    r3, r5 = files["r3"], files["r5"]
+    calls = [
+        ["check", "--tuple", r3],
+        ["check", "--tuple", files["r2"], "--k", "1"],
+        ["classify", "--tuple", files["r10"]],
+        ["psets", "--tuple", r3, "--k", "3"],
+        ["psets", "--tuple", r3],
+        ["encode", "--tuple", r3, "--symbols", "badb"],
+        ["encode", "--tuple", r3, "--start", "1", "--symbols", "a"],
+        ["decode", "--tuple", r3, "--roundtrip", "--seed", "3",
+         "--trials", "50", "--k", "3"],
+        ["decode", "--tuple", r3, "--bits", "1000111"],
+        ["decode", "--tuple", r3, "--bits-file", str(bits_file)],
+        ["transform", "--tuple", r5, "--op", "chain", "--target", "f2",
+         "--dist", files["dist"]],
+        ["transform", "--tuple", r3, "--op", "rotate"],
+        ["transform", "--tuple", r5, "--op", "chain"],
+        ["transform", "--tuple", r3, "--op", "dot"],
+        ["stationary", "--tuple", r3, "--dist", files["dist"]],
+        ["avglen", "--tuple", r3, "--dist", files["dist"]],
+        ["search", "--sigma", "2", "--tables", "1", "--max-len", "2",
+         "--filter", "f0", "--dist", files["skew"]],
+        ["frobnicate"],
+        ["huffman", "--dist", files["dist"]],
+        ["decode", "--tuple", r3, "--roundtrip"],
+        ["decode", "--tuple", r3, "--bits", "10000011"],
+        ["psets", "--tuple", r3, "--k", "12"],
+        ["goldens"],
+        ["--help"],
+        ["decode", "--help"],
+        ["classify"],
+    ]
+    src = os.path.dirname(os.path.dirname(codetuples.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "codetuples.cli"] + argv, env=env,
+            capture_output=True, text=True, timeout=120)
+        got = _in_process(capsys, argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -19,6 +19,7 @@ from codetuples import (
     steer_bit,
     two_continuation_tables,
 )
+from codetuples import transforms
 from codetuples.bits import EMPTY
 from codetuples.errors import (
     AmbiguousChain,
@@ -194,6 +195,32 @@ def test_ddot_requires_three_pairs_everywhere():
     with pytest.raises(NotInClass) as err:
         ddot(TUPLES["r5"])
     assert err.value.required == "f2"
+
+
+# Inputs outside the class reach the guards in the rewrites only when the
+# class precondition is skipped; each guard still raises under python -O.
+ONE_BIT_HEAD = make_tuple(("a", "b"), [[("0", 1), ("11", 0)],
+                                       [("1", 1), ("10", 0)]])
+ONE_BIT_INCREMENT = make_tuple(("a", "b", "c"),
+                               [[("0", 0), ("01", 0), ("1", 0)]])
+
+
+@pytest.mark.parametrize("op, code, required, detail", [
+    (dot, ONE_BIT_HEAD, "f1",
+     "table 0, symbol a: one-bit codeword in a two-pair table"),
+    (dot, ONE_BIT_INCREMENT, "f1",
+     "table 0, symbol b: one-bit chain increment"),
+    (ddot, ONE_BIT_INCREMENT, "f2",
+     "table 0, symbol b: one-bit chain increment"),
+])
+def test_rewrite_guards_name_table_and_symbol(monkeypatch, op, code,
+                                              required, detail):
+    monkeypatch.setattr(transforms, "_require_class", lambda *args: None)
+    with pytest.raises(NotInClass) as err:
+        op(code)
+    assert err.value.required == required
+    assert str(err.value) == "input is not in class %s (%s)" % (required,
+                                                                 detail)
 
 
 def test_chain_to_f1_trace():
