@@ -14,9 +14,10 @@ from .core import (Alphabet, CodeTuple, SourceDist, Table, make_tuple,
                    parse_code_tuple, parse_dist, serialize_code_tuple,
                    serialize_dist)
 from .errors import (AlphabetMismatch, AmbiguousChain, CodeTupleError,
-                     EmptySpace, FormatError, NoConsistentCompletion,
-                     NonTerminatingRecursion, NotExtendable, NotInClass,
-                     NotRegular, StepLimitExceeded, WrongTableCount)
+                     EmptySpace, FormatError, InvalidArgument,
+                     NoConsistentCompletion, NonTerminatingRecursion,
+                     NotExtendable, NotInClass, NotRegular,
+                     StepLimitExceeded, WrongTableCount)
 from .prefix_sets import DEFAULT_MAX_K, PrefixSetTable, encode_from
 from .analysis import (DecodabilityReport, ReachabilityReport, dead_tables,
                        delay_decodability, is_extendable, is_regular,
@@ -41,8 +42,9 @@ __all__ = [
     "Alphabet", "Bits", "CLASS_NAMES", "ChainDecomposition", "ClassReport",
     "CodeTuple", "CodeTupleError", "ComparisonReport", "DanglingInfo",
     "DecodabilityReport", "DecodeResult", "DEFAULT_MAX_K", "EmptySpace",
-    "FormatError", "NoConsistentCompletion", "NonTerminatingRecursion",
-    "NotExtendable", "NotInClass", "NotRegular", "PrefixSetTable",
+    "FormatError", "InvalidArgument", "NoConsistentCompletion",
+    "NonTerminatingRecursion", "NotExtendable", "NotInClass", "NotRegular",
+    "PrefixSetTable",
     "ReachabilityReport", "RoundTripReport", "SearchResult", "SearchSpace",
     "SourceDist", "StepLimitExceeded", "Table", "TransformStep",
     "TransformTrace", "WrongTableCount", "AlphabetMismatch",

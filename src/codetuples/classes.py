@@ -7,13 +7,19 @@ everywhere); f4 (exactly two tables, table 0 full, table 1 missing only 00);
 aifv (two tables satisfying seven structural conditions on codewords and
 next-table choices).  f1 through f4 are defined over regular, delay-2
 decodable tuples; each family implies the previous one.
+
+Each class clause is defined once here.  The f1, f2 and f3 clauses are
+per-table tests on continuation sets, shared by ``classify`` and the
+preconditions of the rewrites.  The seven aifv clauses are table-local:
+they read only one table's codewords and targets, so the search scan
+prunes each table's contents with the same functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import EMPTY, ZERO, Bits, all_bits, show
+from .bits import Bits, all_bits, show
 from .analysis import (
     dead_tables,
     delay_decodability,
@@ -46,7 +52,6 @@ class ClassReport:
 
     flags: dict
     failures: dict = field(default_factory=dict)
-    prefix_check: str = "exact over proper prefixes of table codewords"
 
     def __getitem__(self, name):
         return self.flags[name]
@@ -69,155 +74,155 @@ class ClassReport:
         return out
 
 
-def _proper_codeword_prefixes(code, i):
-    """Every strict prefix of a codeword of table i, shortest first.
-
-    The one-bit follow-up set of any other window is empty, so these are
-    the only windows that can have exactly one follow-up bit.
-    """
-    seen = set()
-    for s in code.alphabet:
-        c = code.code(i, s)
-        for n in range(len(c)):
-            seen.add(c.head(n))
-    return sorted(seen)
+# Each aifv clause reads one table's codewords (``str``) and targets and
+# returns a witness or None; ``names`` label the symbols in the witness.
 
 
-def is_aifv(code, sets=None):
-    """Check the seven structural conditions; returns (ok, failing clause)."""
-    if code.num_tables != 2:
-        return False, "needs exactly two tables, not %d" % code.num_tables
-    sets = sets or PrefixSetTable(code)
-    name = code.alphabet.name
+def _heads(words):
+    """Every nonempty prefix of a codeword: bit x can follow window b inside
+    a longer codeword of the table exactly when b + x is one of them."""
+    return {w[:n] for w in words for n in range(1, len(w) + 1)}
 
-    for i in code.table_indices():
-        for s in code.alphabet:
-            for s2 in code.alphabet:
-                if s < s2 and code.code(i, s) == code.code(i, s2):
-                    return False, "(i) table %d: symbols %s and %s share codeword %s" % (
-                        i, name(s), name(s2), code.code(i, s))
 
-    for i in code.table_indices():
-        for s in code.alphabet:
-            c = code.code(i, s)
-            for window in (c, c + ZERO):
-                if Bits("1") in sets.strict_continuations(i, window, 1):
-                    return False, (
-                        "(ii) table %d, symbol %s: bit 1 can follow window %s "
-                        "inside a longer codeword" % (i, name(s), window))
+def _distinct(i, words, targets, names):
+    for s, w in enumerate(words):
+        if w in words[s + 1:]:
+            return "(i) table %d: symbols %s and %s share codeword %s" % (
+                i, names[s], names[words.index(w, s + 1)], w)
 
-    for i in code.table_indices():
-        for s in code.alphabet:
-            for s2 in code.alphabet:
-                if code.code(i, s2) == code.code(i, s) + ZERO:
-                    return False, "(iii) table %d: codeword of %s is that of %s plus 0" % (
-                        i, name(s2), name(s))
 
-    for i in code.table_indices():
-        for s in code.alphabet:
-            extended = bool(sets.strict_continuations(i, code.code(i, s), 0))
-            required = 1 if extended else 0
-            if code.target(i, s) != required:
-                return False, (
-                    "(iv) table %d, symbol %s: next table must be %d because its "
-                    "codeword %s a longer codeword's prefix"
-                    % (i, name(s), required, "is" if extended else "is not"))
+def _no_one_after(i, words, targets, names):
+    heads = _heads(words)
+    for s, w in enumerate(words):
+        for window in (w, w + "0"):
+            if window + "1" in heads:
+                return ("(ii) table %d, symbol %s: bit 1 can follow window %s "
+                        "inside a longer codeword" % (i, names[s], window))
 
-    for s in code.alphabet:
-        if code.code(1, s) in (EMPTY, ZERO):
-            return False, "(v) table 1, symbol %s: codeword %r is too short" % (
-                name(s), str(code.code(1, s)))
 
-    if ZERO in sets.strict_continuations(1, ZERO, 1):
-        return False, "(vi) bit 0 can follow window 0 inside a longer codeword of table 1"
+def _no_zero_extension(i, words, targets, names):
+    for s, w in enumerate(words):
+        if w + "0" in words:
+            return "(iii) table %d: codeword of %s is that of %s plus 0" % (
+                i, names[words.index(w + "0")], names[s])
 
-    for i in code.table_indices():
-        for b in _proper_codeword_prefixes(code, i):
-            if len(sets.strict_continuations(i, b, 1)) != 1:
-                continue
-            if i == 1 and b == ZERO:
-                continue
-            stubs = {b} | ({b.drop_last()} if len(b) else set())
-            if any(code.code(i, s) in stubs for s in code.alphabet):
-                continue
-            return False, (
-                "(vii) table %d: window %s has exactly one possible next bit "
+
+def _targets(i, words, targets, names):
+    heads = _heads(words)
+    for s, (w, t) in enumerate(zip(words, targets)):
+        extended = w + "0" in heads or w + "1" in heads
+        if t != extended:
+            return ("(iv) table %d, symbol %s: next table must be %d because "
+                    "its codeword %s a longer codeword's prefix"
+                    % (i, names[s], extended, "is" if extended else "is not"))
+
+
+def _long_enough(i, words, targets, names):
+    for s, w in enumerate(words):
+        if i == 1 and w in ("", "0"):
+            return "(v) table 1, symbol %s: codeword %r is too short" % (
+                names[s], w)
+
+
+def _no_double_zero(i, words, targets, names):
+    if i == 1 and "00" in _heads(words):
+        return ("(vi) bit 0 can follow window 0 inside a longer codeword "
+                "of table 1")
+
+
+def _one_way_windows(i, words, targets, names):
+    heads = _heads(words)
+    for b in sorted({h[:-1] for h in heads}, key=lambda b: (len(b), b)):
+        if (b + "0" in heads) == (b + "1" in heads) or (i, b) == (1, "0"):
+            continue  # both bits can follow b (at least one always can)
+        if b in words or b and b[:-1] in words:
+            continue
+        return ("(vii) table %d: window %s has exactly one possible next bit "
                 "but is not a codeword or a codeword plus one bit" % (i, b))
 
+
+AIFV_CLAUSES = (_distinct, _no_one_after, _no_zero_extension, _targets,
+                _long_enough, _no_double_zero, _one_way_windows)
+
+
+def aifv_table_ok(i, words, targets):
+    """Whether table i with these contents passes every aifv clause."""
+    return not any(clause(i, words, targets, range(len(words)))
+                   for clause in AIFV_CLAUSES)
+
+
+def is_aifv(code):
+    """Check the seven structural conditions; returns (ok, failing clause),
+    trying each clause on table 0, then on table 1."""
+    if code.num_tables != 2:
+        return False, "needs exactly two tables, not %d" % code.num_tables
+    tables = [(i, [str(w) for w in t.codes], t.targets)
+              for i, t in enumerate(code.tables)]
+    for clause in AIFV_CLAUSES:
+        for i, words, targets in tables:
+            witness = clause(i, words, targets, code.alphabet.names)
+            if witness:
+                return False, witness
     return True, None
 
 
-def classify(code, dist=None):
+# The f1, f2 and f3 clauses read table i's continuation sets; each returns
+# a witness or None.
+TABLE_CLAUSES = {
+    "f1": lambda sets, i: None if sets.base(i, 1) == BOTH_BITS else
+    "table %d next-bit set is %s" % (i, show_set(sets.base(i, 1))),
+    "f2": lambda sets, i: None if len(sets.base(i, 2)) >= 3 else
+    "table %d has only %d two-bit continuations" % (i, len(sets.base(i, 2))),
+    "f3": lambda sets, i: None if sets.base(i, 2) >= NONZERO_PAIRS else
+    "table %d misses %s" % (i, show_set(NONZERO_PAIRS - sets.base(i, 2))),
+}
+
+
+def table_witness(name, code, sets):
+    """The first table's witness against the f1, f2 or f3 clause, or None."""
+    clause = TABLE_CLAUSES[name]
+    return next(filter(None, (clause(sets, i) for i in code.table_indices())),
+                None)
+
+
+def _f4_witness(code, sets):
+    if code.num_tables != 2:
+        return "needs exactly two tables, not %d" % code.num_tables
+    for i, want in enumerate((FULL_PAIRS, NONZERO_PAIRS)):
+        pairs = sets.base(i, 2)
+        if pairs != want:
+            return "table %d two-bit set is %s" % (i, show_set(pairs))
+
+
+def classify(code):
     """Evaluate every family, cheap checks first; failed families carry the
     first violated clause as a witness."""
     sets = PrefixSetTable(code)
     flags = {}
     failures = {}
 
+    def record(name, reason):
+        flags[name] = reason is None
+        if reason is not None:
+            failures[name] = reason
+
     dead = dead_tables(code, sets)
-    flags["extendable"] = not dead
-    if dead:
-        failures["extendable"] = "table %d can emit no bits" % dead[0]
-
-    flags["regular"] = is_regular(code)
-    if not flags["regular"]:
-        failures["regular"] = "no table is reachable from every table"
-
+    record("extendable",
+           "table %d can emit no bits" % dead[0] if dead else None)
+    record("regular", None if is_regular(code) else
+           "no table is reachable from every table")
     report = delay_decodability(code, 2, sets)
-    flags["decodable"] = report.ok
-    if not report.ok:
-        failures["decodable"] = report.violations[0].describe(code)
-
-    flags["f0"] = flags["extendable"] and flags["regular"] and flags["decodable"]
-    if not flags["f0"]:
-        lacking = next(n for n in ("extendable", "regular", "decodable")
-                       if not flags[n])
-        failures["f0"] = "not %s" % lacking
-
-    base_ok = flags["regular"] and flags["decodable"]
-    base_reason = None if base_ok else "not %s" % (
-        "regular" if not flags["regular"] else "decodable")
-
-    def shape(name, ok_table):
-        if not base_ok:
-            flags[name] = False
-            failures[name] = base_reason
-            return
-        for i in code.table_indices():
-            reason = ok_table(i)
-            if reason:
-                flags[name] = False
-                failures[name] = reason
-                return
-        flags[name] = True
-
-    shape("f1", lambda i: None if sets.base(i, 1) == BOTH_BITS else
-          "table %d next-bit set is %s" % (i, show_set(sets.base(i, 1))))
-    shape("f2", lambda i: None if len(sets.base(i, 2)) >= 3 else
-          "table %d has only %d two-bit continuations" % (i, len(sets.base(i, 2))))
-    shape("f3", lambda i: None if sets.base(i, 2) >= NONZERO_PAIRS else
-          "table %d misses %s" % (i, show_set(NONZERO_PAIRS - sets.base(i, 2))))
-
-    if not base_ok:
-        flags["f4"] = False
-        failures["f4"] = base_reason
-    elif code.num_tables != 2:
-        flags["f4"] = False
-        failures["f4"] = "needs exactly two tables, not %d" % code.num_tables
-    elif sets.base(0, 2) != FULL_PAIRS:
-        flags["f4"] = False
-        failures["f4"] = "table 0 two-bit set is %s" % show_set(sets.base(0, 2))
-    elif sets.base(1, 2) != NONZERO_PAIRS:
-        flags["f4"] = False
-        failures["f4"] = "table 1 two-bit set is %s" % show_set(sets.base(1, 2))
-    else:
-        flags["f4"] = True
-
-    ok, clause = is_aifv(code, sets)
-    flags["aifv"] = ok
-    if not ok:
-        failures["aifv"] = clause
-
+    record("decodable", None if report.ok else
+           report.violations[0].describe(code))
+    lacking = [n for n in ("extendable", "regular", "decodable")
+               if not flags[n]]
+    record("f0", "not %s" % lacking[0] if lacking else None)
+    lacking = [n for n in ("regular", "decodable") if not flags[n]]
+    for name in ("f1", "f2", "f3", "f4"):
+        record(name, "not %s" % lacking[0] if lacking else
+               _f4_witness(code, sets) if name == "f4" else
+               table_witness(name, code, sets))
+    record("aifv", is_aifv(code)[1])
     return ClassReport(flags, failures)
 
 

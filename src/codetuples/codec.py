@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import random
 
 from .bits import Bits
-from .errors import NoConsistentCompletion
+from .errors import InvalidArgument, NoConsistentCompletion
 from .prefix_sets import Emissions, PrefixSetTable, encode_from
 
 COMPLETION_CAP = 16
@@ -257,7 +257,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
     reproducible.
     """
     if seed is None:
-        raise ValueError("seed is required")
+        raise InvalidArgument("seed is required")
     rng = random.Random(seed)
     auto, windows = Emissions(code), _windows(code, k, None)
     failures = []

@@ -65,6 +65,10 @@ class EmptySpace(CodeTupleError):
     """No tuple in the search space passes the requested filter."""
 
 
+class InvalidArgument(CodeTupleError, ValueError):
+    """An argument lies outside the values an operation accepts."""
+
+
 class InvalidSpace(CodeTupleError, ValueError):
     """A search space, or a distribution for it, is malformed."""
 

@@ -14,6 +14,7 @@ Sets grow like 2**k, so an instance refuses k beyond its configured bound.
 from __future__ import annotations
 
 from .bits import Bits
+from .errors import InvalidArgument
 
 DEFAULT_MAX_K = 8
 
@@ -31,7 +32,7 @@ class PrefixSetTable:
 
     def _check_k(self, k):
         if not 0 <= k <= self.max_k:
-            raise ValueError("k=%d outside 0..%d" % (k, self.max_k))
+            raise InvalidArgument("k=%d outside 0..%d" % (k, self.max_k))
 
     def words(self, k):
         """The base sets of every table at level k, as sets of ``str``."""

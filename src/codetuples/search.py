@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .analysis import delay_decodability, is_extendable, is_regular
 from .bits import Bits
-from .classes import is_aifv
+from .classes import aifv_table_ok, is_aifv
 from .core import CodeTuple, Table
 from .errors import EmptySpace, InvalidSpace, SearchCheckFailed
 from .markov import average_length
@@ -201,29 +201,6 @@ def _contrib(word, target, pair_masks):
     return pair_masks[target]
 
 
-def _aifv_table_ok(table_index, words, targets):
-    """The structural clauses, restricted to one table's contents."""
-    word_set = set(words)
-    if len(word_set) != len(words) or any(w + "0" in word_set for w in words):
-        return False
-    if any(w2.startswith(b + "1") for w in words for b in (w, w + "0")
-           for w2 in words):
-        return False
-    for w, t in zip(words, targets):
-        if t != any(w2.startswith(w) and len(w2) > len(w) for w2 in words):
-            return False
-    if table_index == 1 and ("" in word_set or "0" in word_set
-                             or any(w.startswith("00") for w in words)):
-        return False
-    near = word_set | {w + x for w in words for x in "01"}
-    for b in {w[:n] for w in words for n in range(len(w))}:
-        firsts = {w[len(b)] for w in words
-                  if w.startswith(b) and len(w) > len(b)}
-        if len(firsts) == 1 and b not in near and (table_index, b) != (1, "0"):
-            return False
-    return True
-
-
 def _scan_two_tables(space):
     """Per continuation-set guess and table: every passing content.
 
@@ -290,8 +267,8 @@ def _scan_table(space, index, want, contrib, clash, layout):
 
     @functools.cache
     def verdict(slots):  # sorted: the clauses ignore symbol order
-        return _aifv_table_ok(index, [words[s >> 1] for s in slots],
-                              [s & 1 for s in slots])
+        return aifv_table_ok(index, [words[s >> 1] for s in slots],
+                             [s & 1 for s in slots])
 
     def finish(options, head_key):
         head = tuple(content)

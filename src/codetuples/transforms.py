@@ -34,10 +34,11 @@ from .analysis import (
     reachable_tables,
     two_continuation_tables,
 )
-from .classes import BOTH_BITS, NONZERO_PAIRS, classify, show_set
+from .classes import classify, table_witness
 from .core import CodeTuple, Table
 from .errors import (
     AmbiguousChain,
+    InvalidArgument,
     NonTerminatingRecursion,
     NotExtendable,
     NotInClass,
@@ -157,26 +158,22 @@ def steer_bit(code, i, sets=None):
         return 0 if ZERO_PAIR in sets.base(j, 2) else 1
 
 
-def _require_class(code, sets, name, pair_floor):
+def _require_class(code, sets, name):
     """Shared precondition for dot (f1 shapes) and ddot (f2 shapes)."""
     if not is_regular(code):
         raise NotInClass(name, "no table is reachable from every table")
     report = delay_decodability(code, 2, sets)
     if not report.ok:
         raise NotInClass(name, report.violations[0].describe(code))
-    for i in code.table_indices():
-        if name == "f1" and sets.base(i, 1) != BOTH_BITS:
-            raise NotInClass(name, "table %d next-bit set is %s" % (
-                i, show_set(sets.base(i, 1))))
-        if name == "f2" and len(sets.base(i, 2)) < pair_floor:
-            raise NotInClass(name, "table %d has only %d two-bit continuations"
-                             % (i, len(sets.base(i, 2))))
+    reason = table_witness(name, code, sets)
+    if reason:
+        raise NotInClass(name, reason)
 
 
 def dot(code, sets=None):
     """Rewrite codewords along prefix chains against the steer bits."""
     sets = sets or PrefixSetTable(code)
-    _require_class(code, sets, "f1", 2)
+    _require_class(code, sets, "f1")
     steer = [steer_bit(code, i, sets) for i in code.table_indices()]
     tables = []
     for i in code.table_indices():
@@ -238,7 +235,7 @@ def _dot_word(code, sets, steer, i, s, two_pairs):
 def ddot(code, sets=None):
     """Reserve the pair 00 for in-codeword extensions everywhere."""
     sets = sets or PrefixSetTable(code)
-    _require_class(code, sets, "f2", 3)
+    _require_class(code, sets, "f2")
     tables = []
     for i in code.table_indices():
         pairs = sets.base(i, 2)
@@ -311,7 +308,7 @@ def chain_to_class(code, target, dist=None):
             raise NotInClass("f0", "not decodable with delay 2")
         limit = 2 * code.max_code_len() + 2
         current = code
-        while any(sets.base(i, 1) != BOTH_BITS for i in current.table_indices()):
+        while table_witness("f1", current, sets):
             if len(steps) >= limit:
                 raise StepLimitExceeded(
                     "still outside f1 after %d rotations" % limit)
@@ -321,7 +318,7 @@ def chain_to_class(code, target, dist=None):
             sets = PrefixSetTable(current)
             steps.append(_step("rotate", current, forced, dist))
     elif target == "f2":
-        _require_class(code, sets, "f1", 2)
+        _require_class(code, sets, "f1")
         limit = code.num_tables + 1
         current = code
         rounds = 0
@@ -341,15 +338,14 @@ def chain_to_class(code, target, dist=None):
             steps.append(_step("rotate", current, forced, dist))
             rounds += 1
     elif target == "f3":
-        _require_class(code, sets, "f2", 3)
+        _require_class(code, sets, "f2")
         current = ddot(code, sets)
         steps.append(_step("ddot", current, (), dist))
         sets = PrefixSetTable(current)
-        if any(not sets.base(i, 2) >= NONZERO_PAIRS
-               for i in current.table_indices()):
+        if table_witness("f3", current, sets):
             raise StepLimitExceeded("ddot did not reach f3")
     else:
-        raise ValueError("unknown target class %r" % (target,))
+        raise InvalidArgument("unknown target class %r" % (target,))
 
     trace = TransformTrace(code, target, tuple(steps))
     report = classify(trace.final)
@@ -380,7 +376,7 @@ def extend_to_two_tables(code):
         raise WrongTableCount("expected a single table, got %d" % code.num_tables)
     sigma = code.sigma
     if sigma < 2:
-        raise ValueError("need at least two symbols")
+        raise InvalidArgument("need at least two symbols")
     codes = []
     for r in range(1, sigma + 1):
         if r == 1:

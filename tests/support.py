@@ -1,6 +1,6 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
-greedy decoder, the old search scan and combine, and a random tuple
-generator.
+greedy decoder, the old search scan and combine, the old aifv membership
+test, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -12,7 +12,7 @@ states with its own code, independently of the codec's emission automaton.
 import itertools
 
 from codetuples import Bits, PrefixSetTable, make_tuple
-from codetuples.bits import EMPTY
+from codetuples.bits import EMPTY, ZERO
 from codetuples.codec import DanglingInfo, DecodeResult
 from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion
@@ -464,3 +464,89 @@ def oracle_combine(space, dist, scan):
         tables.append(Table(tuple(Bits(words[sid >> 1]) for sid in content),
                             tuple(sid & 1 for sid in content)))
     return (best[0], best[1], CodeTuple(dist.alphabet, tuple(tables)))
+
+
+# --------------------------------------------------------------------------
+# The aifv membership test as it stood before its seven clauses became
+# table-local functions on ``str`` shared with the search scan, kept
+# verbatim (renamed) as the oracle: it reads the clauses off continuation
+# sets through PrefixSetTable and formats witnesses from ``Bits``.
+# --------------------------------------------------------------------------
+
+
+def _proper_codeword_prefixes(code, i):
+    """Every strict prefix of a codeword of table i, shortest first.
+
+    The one-bit follow-up set of any other window is empty, so these are
+    the only windows that can have exactly one follow-up bit.
+    """
+    seen = set()
+    for s in code.alphabet:
+        c = code.code(i, s)
+        for n in range(len(c)):
+            seen.add(c.head(n))
+    return sorted(seen)
+
+
+def oracle_is_aifv(code, sets=None):
+    """Check the seven structural conditions; returns (ok, failing clause)."""
+    if code.num_tables != 2:
+        return False, "needs exactly two tables, not %d" % code.num_tables
+    sets = sets or PrefixSetTable(code)
+    name = code.alphabet.name
+
+    for i in code.table_indices():
+        for s in code.alphabet:
+            for s2 in code.alphabet:
+                if s < s2 and code.code(i, s) == code.code(i, s2):
+                    return False, "(i) table %d: symbols %s and %s share codeword %s" % (
+                        i, name(s), name(s2), code.code(i, s))
+
+    for i in code.table_indices():
+        for s in code.alphabet:
+            c = code.code(i, s)
+            for window in (c, c + ZERO):
+                if Bits("1") in sets.strict_continuations(i, window, 1):
+                    return False, (
+                        "(ii) table %d, symbol %s: bit 1 can follow window %s "
+                        "inside a longer codeword" % (i, name(s), window))
+
+    for i in code.table_indices():
+        for s in code.alphabet:
+            for s2 in code.alphabet:
+                if code.code(i, s2) == code.code(i, s) + ZERO:
+                    return False, "(iii) table %d: codeword of %s is that of %s plus 0" % (
+                        i, name(s2), name(s))
+
+    for i in code.table_indices():
+        for s in code.alphabet:
+            extended = bool(sets.strict_continuations(i, code.code(i, s), 0))
+            required = 1 if extended else 0
+            if code.target(i, s) != required:
+                return False, (
+                    "(iv) table %d, symbol %s: next table must be %d because its "
+                    "codeword %s a longer codeword's prefix"
+                    % (i, name(s), required, "is" if extended else "is not"))
+
+    for s in code.alphabet:
+        if code.code(1, s) in (EMPTY, ZERO):
+            return False, "(v) table 1, symbol %s: codeword %r is too short" % (
+                name(s), str(code.code(1, s)))
+
+    if ZERO in sets.strict_continuations(1, ZERO, 1):
+        return False, "(vi) bit 0 can follow window 0 inside a longer codeword of table 1"
+
+    for i in code.table_indices():
+        for b in _proper_codeword_prefixes(code, i):
+            if len(sets.strict_continuations(i, b, 1)) != 1:
+                continue
+            if i == 1 and b == ZERO:
+                continue
+            stubs = {b} | ({b.drop_last()} if len(b) else set())
+            if any(code.code(i, s) in stubs for s in code.alphabet):
+                continue
+            return False, (
+                "(vii) table %d: window %s has exactly one possible next bit "
+                "but is not a codeword or a codeword plus one bit" % (i, b))
+
+    return True, None

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from codetuples import (CLASS_NAMES, PrefixSetTable, classify, is_aifv,
                         make_tuple)
 from codetuples.bits import EMPTY, Bits
@@ -142,3 +144,44 @@ def test_show_set_tells_the_empty_string_from_the_empty_set():
     assert show_set(frozenset([EMPTY])) == "{-}"
     assert show_set(frozenset()) == "{}"
     assert show_set(frozenset([Bits("1"), EMPTY, Bits("0")])) == "{-,0,1}"
+
+
+# a table that passes every clause as table 0, and one that does as table 1
+GOOD_TABLE = [("0", 0), ("10", 0), ("11", 0)]
+GOOD_TABLE1 = [("11", 0), ("10", 0), ("01", 0)]
+
+
+@pytest.mark.parametrize("rows, witness", [
+    ([[("0", 0), ("0", 0), ("1", 0)], GOOD_TABLE1],
+     "(i) table 0: symbols a and b share codeword 0"),
+    ([GOOD_TABLE, [("", 0), ("", 0), ("1", 0)]],
+     "(i) table 1: symbols a and b share codeword "),
+    ([[("0", 1), ("01", 0), ("1", 0)], GOOD_TABLE1],
+     "(ii) table 0, symbol a: bit 1 can follow window 0 inside a longer "
+     "codeword"),
+    ([[("0", 1), ("001", 0), ("1", 0)], GOOD_TABLE1],
+     "(ii) table 0, symbol a: bit 1 can follow window 00 inside a longer "
+     "codeword"),
+    ([[("1", 1), ("10", 0), ("0", 0)], GOOD_TABLE1],
+     "(iii) table 0: codeword of b is that of a plus 0"),
+    ([[("0", 1), ("10", 0), ("11", 0)], GOOD_TABLE1],
+     "(iv) table 0, symbol a: next table must be 0 because its codeword is "
+     "not a longer codeword's prefix"),
+    ([GOOD_TABLE, [("1", 0), ("100", 0), ("01", 0)]],
+     "(iv) table 1, symbol a: next table must be 1 because its codeword is "
+     "a longer codeword's prefix"),
+    ([GOOD_TABLE, GOOD_TABLE],
+     "(v) table 1, symbol a: codeword '0' is too short"),
+    ([GOOD_TABLE, [("01", 0), ("1", 0), ("000", 0)]],
+     "(vi) bit 0 can follow window 0 inside a longer codeword of table 1"),
+    ([[("0", 0), ("110", 0), ("111", 0)], GOOD_TABLE1],
+     "(vii) table 0: window 1 has exactly one possible next bit but is not "
+     "a codeword or a codeword plus one bit"),
+    ([GOOD_TABLE, [("11", 0), ("101", 0), ("100", 0)]],
+     "(vii) table 1: window  has exactly one possible next bit but is not "
+     "a codeword or a codeword plus one bit"),
+    ([GOOD_TABLE], "needs exactly two tables, not 1"),
+    ([GOOD_TABLE] * 3, "needs exactly two tables, not 3"),
+])
+def test_aifv_witness_messages(rows, witness):
+    assert is_aifv(make_tuple(("a", "b", "c"), rows)) == (False, witness)
