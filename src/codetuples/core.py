@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits, parse as parse_bits, show as show_bits
-from .errors import AlphabetMismatch, FormatError
+from .errors import AlphabetMismatch, FormatError, InvalidArgument
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
 FLOAT_SUM_TOLERANCE = Fraction(1, 10 ** 12)
@@ -28,12 +28,12 @@ class Alphabet:
 
     def __post_init__(self):
         if not self.names:
-            raise ValueError("alphabet is empty")
+            raise InvalidArgument("alphabet is empty")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate symbol name")
+            raise InvalidArgument("duplicate symbol name")
         for name in self.names:
             if not name or any(ch.isspace() for ch in name):
-                raise ValueError("bad symbol name: %r" % (name,))
+                raise InvalidArgument("bad symbol name: %r" % (name,))
 
     def __len__(self):
         return len(self.names)
@@ -81,7 +81,7 @@ class Table:
 
     def __post_init__(self):
         if len(self.codes) != len(self.targets):
-            raise ValueError("codes and targets differ in length")
+            raise InvalidArgument("codes and targets differ in length")
         for c in self.codes:
             if not isinstance(c, Bits):
                 raise TypeError("codeword must be Bits, got %r" % (c,))
@@ -96,14 +96,14 @@ class CodeTuple:
 
     def __post_init__(self):
         if not self.tables:
-            raise ValueError("a code tuple needs at least one table")
+            raise InvalidArgument("a code tuple needs at least one table")
         m = len(self.tables)
         for t in self.tables:
             if len(t.codes) != len(self.alphabet):
-                raise ValueError("table size does not match alphabet")
+                raise InvalidArgument("table size does not match alphabet")
             for j in t.targets:
                 if not 0 <= j < m:
-                    raise ValueError("next-table index %r out of range" % (j,))
+                    raise InvalidArgument("next-table index %r out of range" % (j,))
 
     @property
     def num_tables(self):
@@ -154,14 +154,14 @@ class SourceDist:
 
     def __post_init__(self):
         if len(self.probs) != len(self.alphabet):
-            raise ValueError("distribution size does not match alphabet")
+            raise InvalidArgument("distribution size does not match alphabet")
         for p in self.probs:
             if not isinstance(p, Fraction):
                 raise TypeError("probability must be Fraction, got %r" % (p,))
             if p <= 0:
-                raise ValueError("probabilities must be positive")
+                raise InvalidArgument("probabilities must be positive")
         if sum(self.probs) != 1:
-            raise ValueError("probabilities sum to %s, not 1" % (sum(self.probs),))
+            raise InvalidArgument("probabilities sum to %s, not 1" % (sum(self.probs),))
 
     def __getitem__(self, sym):
         return self.probs[sym]
@@ -193,7 +193,7 @@ class SourceDist:
                     total = str(sum(probs))
                 except ValueError:  # past the interpreter's digit limit
                     total = "a value too long to print"
-                raise ValueError("probabilities sum to %s, not 1" % total)
+                raise InvalidArgument("probabilities sum to %s, not 1" % total)
             top = probs.index(max(probs))
             probs[top] += defect
         return cls(alphabet, tuple(probs))

@@ -23,6 +23,11 @@ one guess.  Costs factor the same way: the stationary weight of each table
 depends only on the next-table choices, so the two tables' expected
 lengths are minimized independently per guess and target assignment.
 
+Under f0 only table 0 is walked: no f0 condition reads the table index, so
+table 1 under guess (a, b) is table 0 under (b, a) with targets flipped,
+which keeps each scan bucket's contents in ascending order, as the combine
+needs them.
+
 Ties are broken canonically: tables in index order, symbols in alphabet
 order, codewords compared by length then lexicographically, then the
 next-table index.
@@ -201,14 +206,8 @@ def _contrib(word, target, pair_masks):
     return pair_masks[target]
 
 
-def _scan_two_tables(space):
-    """Per continuation-set guess and table: every passing content.
-
-    Returns {guess: ({targets: {lenvec: sid tuple}}, {targets: ...})} where
-    the stored sid tuple is the canonically first content with those
-    targets and codeword lengths.
-    """
-    words = all_words(space.max_len)
+def _layout(max_len):
+    words = all_words(max_len)
     nslots = 2 * len(words)
     # (shorter word, slot of a strict extension, the extension's suffix)
     extensions = [(wi, sid, words[sid >> 1][len(w):])
@@ -219,35 +218,38 @@ def _scan_two_tables(space):
     key_of = [2 * len(words[sid >> 1]) + (sid & 1) for sid in range(nslots)]
     same_key = [sum(1 << s for s in range(nslots) if key_of[s] == key)
                 for key in key_of]
-    layout = (words, key_of, same_key)
-    if space.filter == "aifv":
-        guesses = [(FULL_MASK, NONZERO_MASK)]
-    else:
-        guesses = [(a, b) for a in range(1, 16) for b in range(1, 16)]
-
-    scan = {}
-    for guess in guesses:
-        contrib = [_contrib(words[sid >> 1], sid & 1, guess)
-                   for sid in range(nslots)]
-        # Slots that cannot share a table: one codeword with overlapping
-        # target sets, or a strict extension whose suffix can start a pair
-        # that the shorter slot's target can start too.
-        clash = [sum(1 << (sid & ~1 | t) for t in (0, 1)
-                     if guess[sid & 1] & guess[t]) for sid in range(nslots)]
-        for wi, sid, rest in extensions:
-            reach = _contrib(rest, sid & 1, guess)
-            for short in (2 * wi, 2 * wi + 1):
-                if reach & guess[short & 1]:
-                    clash[sid] |= 1 << short
-                    clash[short] |= 1 << sid
-        tab0 = _scan_table(space, 0, guess[0], contrib, clash, layout)
-        tab1 = tab0 and _scan_table(space, 1, guess[1], contrib, clash, layout)
-        if tab1:
-            scan[guess] = (tab0, tab1)
-    return scan
+    return words, key_of, same_key, extensions
 
 
-def _scan_table(space, index, want, contrib, clash, layout):
+def _scan_two_tables(space):
+    """Per continuation-set guess and table: every passing content.
+
+    Returns {guess: ({targets: {lenvec: sid tuple}}, {targets: ...})} where
+    each stored sid tuple is the canonically first content with its targets
+    and codeword lengths, in ascending order.  Under f0, table 1 is table 0
+    under the swapped guess with targets flipped.
+    """
+    layout = _layout(space.max_len)
+    if space.filter == "aifv":  # its clauses read the table index
+        guess = (FULL_MASK, NONZERO_MASK)
+        tabs = tuple(_scan_table(space, i, guess, layout) for i in (0, 1))
+        return {guess: tabs} if all(tabs) else {}
+    tab0 = {(a, b): _scan_table(space, 0, (a, b), layout)
+            for a in range(1, 16) for b in range(1, 16)}
+    return {(a, b): (tab0[a, b], _swapped(tab0[b, a]))
+            for a, b in tab0 if tab0[a, b] and tab0[b, a]}
+
+
+def _swapped(table):
+    """Table 0 under guess (b, a) as f0 table 1 under (a, b), in walk order."""
+    buckets = sorted([(tuple([sid ^ 1 for sid in row]), lenvec)
+                      for lenvec, row in bucket.items()]
+                     for bucket in table.values())
+    return {tuple([sid & 1 for sid in rows[0][0]]):
+            {lenvec: row for row, lenvec in rows} for rows in buckets}
+
+
+def _scan_table(space, index, guess, layout):
     """One table's passing contents under a guess, by a depth-first walk.
 
     Symbols take slots in ascending sid order, so contents appear in
@@ -257,7 +259,21 @@ def _scan_table(space, index, want, contrib, clash, layout):
     last symbol must complete the union to exactly the wanted set, and is
     tried only for keys not yet found after the same head.
     """
-    words, key_of, same_key = layout
+    words, key_of, same_key, extensions = layout
+    contrib = [_contrib(words[sid >> 1], sid & 1, guess)
+               for sid in range(len(key_of))]
+    # Slots that cannot share a table: one codeword with overlapping target
+    # sets, or a strict extension whose suffix can start a pair that the
+    # shorter slot's target can start too.
+    clash = [sum(1 << (sid & ~1 | t) for t in (0, 1)
+                 if guess[sid & 1] & guess[t]) for sid in range(len(key_of))]
+    for wi, sid, rest in extensions:
+        reach = _contrib(rest, sid & 1, guess)
+        for short in (2 * wi, 2 * wi + 1):
+            if reach & guess[short & 1]:
+                clash[sid] |= 1 << short
+                clash[short] |= 1 << sid
+    want = guess[index]
     allowed = sum(1 << sid for sid, c in enumerate(contrib) if not c & ~want)
     last = space.sigma - 1
     content = [0] * last
@@ -317,16 +333,19 @@ def _combine(space, dist, scan):
 
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
+    A bucket's contents ascend in dict order, so it is summarized as (min
+    cost, canonical content at min cost, canonical content) by lookups.
     """
     words = all_words(space.max_len)
     scale = math.lcm(*(p.denominator for p in dist.probs))
     weight = [p.numerator * (scale // p.denominator) for p in dist.probs]
+    cost = {lenvec: sum(w * n for w, n in zip(weight, lenvec))
+            for lenvec in itertools.product(range(space.max_len + 1),
+                                            repeat=space.sigma)}
 
     def summarize(bucket):
-        # (min cost, canonical-min content at min cost, canonical-min overall)
-        low, at = min((sum(w * n for w, n in zip(weight, lenvec)), content)
-                      for lenvec, content in bucket.items())
-        return low, at, min(bucket.values())
+        at = min(bucket, key=cost.__getitem__)
+        return cost[at], bucket[at], next(iter(bucket.values()))
 
     best = None
     for tab0, tab1 in scan.values():

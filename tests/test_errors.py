@@ -1,14 +1,19 @@
 """Argument errors are domain errors and still ValueErrors, with their
 messages unchanged."""
 
+from fractions import Fraction
+
 import pytest
 
-from codetuples import (CodeTupleError, InvalidArgument, PrefixSetTable,
+from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
+                        InvalidArgument, PrefixSetTable, SourceDist, Table,
                         chain_to_class, extend_to_two_tables, make_tuple,
                         roundtrip_check)
 from codetuples.reference import TUPLES
 
 ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
+AB = Alphabet(("a", "b"))
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -18,6 +23,22 @@ ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
     (lambda: PrefixSetTable(TUPLES["r3"]).base(0, 9), "k=9 outside 0..8"),
     (lambda: PrefixSetTable(TUPLES["r3"], max_k=2).words(-1),
      "k=-1 outside 0..2"),
+    (lambda: Alphabet(()), "alphabet is empty"),
+    (lambda: Alphabet(("a", "a")), "duplicate symbol name"),
+    (lambda: Alphabet(("a b",)), "bad symbol name: 'a b'"),
+    (lambda: Table((Bits("0"),), ()), "codes and targets differ in length"),
+    (lambda: CodeTuple(AB, ()), "a code tuple needs at least one table"),
+    (lambda: CodeTuple(AB, (Table((Bits("0"),), (0,)),)),
+     "table size does not match alphabet"),
+    (lambda: CodeTuple(AB, (Table((Bits("0"), Bits("1")), (0, 1)),)),
+     "next-table index 1 out of range"),
+    (lambda: SourceDist(AB, (Fraction(1),)),
+     "distribution size does not match alphabet"),
+    (lambda: SourceDist(AB, (Fraction(0), Fraction(1))),
+     "probabilities must be positive"),
+    (lambda: SourceDist(AB, (HALF, THIRD)), "probabilities sum to 5/6, not 1"),
+    (lambda: SourceDist.from_values(AB, (HALF, THIRD)),
+     "probabilities sum to 5/6, not 1"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:

@@ -87,6 +87,25 @@ def test_scan_matches_direct_walk():
         assert scanned.examined == direct.examined == space_size(space)
 
 
+@pytest.mark.parametrize("sigma,max_len", [(2, 1), (2, 2), (2, 3), (3, 2),
+                                            (3, 3), (4, 3)])
+def test_f0_table_one_is_table_zero_under_the_swapped_guess(sigma, max_len):
+    # the f0 scan derives table 1 instead of walking it; walk it anyway
+    space = SearchSpace(sigma, 2, max_len, "f0")
+    layout = search._layout(max_len)
+
+    def ordered(table):  # keys and buckets in dict order
+        return [(targets, list(bucket.items()))
+                for targets, bucket in table.items()]
+
+    for a in range(1, 16):
+        for b in range(1, 16):
+            direct = search._scan_table(space, 1, (a, b), layout)
+            derived = search._swapped(
+                search._scan_table(space, 0, (b, a), layout))
+            assert ordered(direct) == ordered(derived), (a, b)
+
+
 def test_single_table_matches_direct_walk():
     space = SearchSpace(3, 1, 2, "f0")
     dist = SourceDist(AB3, (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))

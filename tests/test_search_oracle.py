@@ -4,9 +4,13 @@
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
 scan dicts must be equal including key order and the order inside every
 bucket, since the combine's tie-break reads the first content kept, and
-the combine must pick the same cost, contents and tuple.
+the combine must pick the same cost, contents and tuple.  At four symbols
+the oracle scan is too slow, so both combines read the pruned scan, and
+the order the combine relies on, contents ascending in every bucket, is
+checked on its own.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -33,7 +37,7 @@ def ordered(scan):
 def seeded_dists(sigma, seed):
     """Uniform first, then seeded weights: small ones tie often."""
     rng = random.Random("combine:%d:%s" % (sigma, seed))
-    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    alphabet = Alphabet(("a", "b", "c", "d")[:sigma])
     out = [SourceDist.uniform(alphabet)]
     while len(out) < COMBINE_DISTS:
         top = rng.choice((3, 10, 1000))
@@ -54,3 +58,34 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
         want = oracle_combine(space, dist, expected)
         assert got == want, (space, dist.probs)
         assert got is None or type(got[0]) is Fraction
+
+
+@functools.cache
+def scan_of(sigma, max_len, filt):
+    return _scan_two_tables(SearchSpace(sigma, 2, max_len, filt))
+
+
+@pytest.mark.parametrize("sigma,max_len,filt",
+                         SPACES + [(4, 3, "f0"), (4, 3, "aifv")])
+def test_scan_contents_ascend_in_dict_order(sigma, max_len, filt):
+    # the combine takes a bucket's first content, and its first at the
+    # minimum cost, as the canonical ones
+    for tables in scan_of(sigma, max_len, filt).values():
+        for table in tables:
+            firsts = [next(iter(bucket.values())) for bucket in table.values()]
+            assert firsts == sorted(firsts)
+            for bucket in table.values():
+                contents = list(bucket.values())
+                assert all(x < y for x, y in zip(contents, contents[1:]))
+
+
+@pytest.mark.parametrize("max_len,filt,count", [(2, "f0", COMBINE_DISTS),
+                                                (2, "aifv", COMBINE_DISTS),
+                                                (3, "f0", 2)])
+def test_combine_matches_the_oracle_at_four_symbols(max_len, filt, count):
+    # the oracle scan takes minutes here, so both combines read one scan
+    space = SearchSpace(4, 2, max_len, filt)
+    scan = scan_of(4, max_len, filt)
+    for dist in seeded_dists(4, space)[:count]:
+        assert _combine(space, dist, scan) == \
+            oracle_combine(space, dist, scan), dist.probs
