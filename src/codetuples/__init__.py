@@ -17,7 +17,7 @@ from .errors import (AlphabetMismatch, AmbiguousChain, CodeTupleError,
                      EmptySpace, FormatError, InvalidArgument,
                      NoConsistentCompletion, NonTerminatingRecursion,
                      NotExtendable, NotInClass, NotRegular,
-                     StepLimitExceeded, WrongTableCount)
+                     StepLimitExceeded, UnknownSymbol, WrongTableCount)
 from .prefix_sets import DEFAULT_MAX_K, PrefixSetTable, encode_from
 from .analysis import (DecodabilityReport, ReachabilityReport, dead_tables,
                        delay_decodability, is_extendable, is_regular,
@@ -47,7 +47,7 @@ __all__ = [
     "PrefixSetTable",
     "ReachabilityReport", "RoundTripReport", "SearchResult", "SearchSpace",
     "SourceDist", "StepLimitExceeded", "Table", "TransformStep",
-    "TransformTrace", "WrongTableCount", "AlphabetMismatch",
+    "TransformTrace", "UnknownSymbol", "WrongTableCount", "AlphabetMismatch",
     "AmbiguousChain", "approx_decimal", "average_length", "chain_to_class",
     "classify", "compare_aifv_huffman", "dead_tables", "ddot", "decode",
     "delay_decodability", "dot", "encode", "encode_from",

@@ -8,23 +8,21 @@ aifv (two tables satisfying seven structural conditions on codewords and
 next-table choices).  f1 through f4 are defined over regular, delay-2
 decodable tuples; each family implies the previous one.
 
-Each class clause is defined once here.  The f1, f2 and f3 clauses are
-per-table tests on continuation sets, shared by ``classify`` and the
-preconditions of the rewrites.  The seven aifv clauses are table-local:
-they read only one table's codewords and targets, so the search scan
-prunes each table's contents with the same functions.
+Each class clause is defined once here, and ``witness`` is the one
+membership test outside ``classify``: it returns a family's first violated
+clause, or None for a member.  The search filter and the preconditions of
+the rewrites call it.  The seven aifv clauses are table-local: they read
+only one table's codewords and targets, so the search scan prunes each
+table's contents with the same functions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bits import Bits, all_bits, show
-from .analysis import (
-    dead_tables,
-    delay_decodability,
-    is_regular,
-)
+from .analysis import dead_tables, delay_decodability, is_regular
 from .prefix_sets import PrefixSetTable
 
 CLASS_NAMES = (
@@ -194,36 +192,57 @@ def _f4_witness(code, sets):
             return "table %d two-bit set is %s" % (i, show_set(pairs))
 
 
+def _extendable(code, sets):
+    dead = dead_tables(code, sets)
+    return "table %d can emit no bits" % dead[0] if dead else None
+
+
+def _regular(code, sets):
+    return None if is_regular(code) else \
+        "no table is reachable from every table"
+
+
+def _decodable(code, sets):
+    report = delay_decodability(code, 2, sets)
+    return None if report.ok else report.violations[0].describe(code)
+
+
+# Each family's clauses in the order they are tried; each reads the tuple
+# and its continuation sets and returns a witness or None.
+FAMILIES = {
+    "extendable": (_extendable,),
+    "regular": (_regular,),
+    "decodable": (_decodable,),
+    "f0": (_extendable, _regular, _decodable),
+    **{name: (_regular, _decodable, functools.partial(table_witness, name))
+       for name in TABLE_CLAUSES},
+    "f4": (_regular, _decodable, _f4_witness),
+    "aifv": (lambda code, sets: is_aifv(code)[1],),
+}
+
+
+def witness(name, code, sets=None):
+    """The first violated clause of family ``name``, or None for a member."""
+    sets = sets or PrefixSetTable(code)
+    return next(filter(None, (c(code, sets) for c in FAMILIES[name])), None)
+
+
 def classify(code):
     """Evaluate every family, cheap checks first; failed families carry the
-    first violated clause as a witness."""
+    first violated clause as a witness (f0 to f4 name the first basic
+    property they lack)."""
     sets = PrefixSetTable(code)
-    flags = {}
-    failures = {}
-
-    def record(name, reason):
-        flags[name] = reason is None
-        if reason is not None:
-            failures[name] = reason
-
-    dead = dead_tables(code, sets)
-    record("extendable",
-           "table %d can emit no bits" % dead[0] if dead else None)
-    record("regular", None if is_regular(code) else
-           "no table is reachable from every table")
-    report = delay_decodability(code, 2, sets)
-    record("decodable", None if report.ok else
-           report.violations[0].describe(code))
-    lacking = [n for n in ("extendable", "regular", "decodable")
-               if not flags[n]]
-    record("f0", "not %s" % lacking[0] if lacking else None)
-    lacking = [n for n in ("regular", "decodable") if not flags[n]]
+    reasons = {name: witness(name, code, sets)
+               for name in ("extendable", "regular", "decodable")}
+    lacking = [n for n in reasons if reasons[n]]
+    reasons["f0"] = "not %s" % lacking[0] if lacking else None
+    lacking = [n for n in ("regular", "decodable") if reasons[n]]
     for name in ("f1", "f2", "f3", "f4"):
-        record(name, "not %s" % lacking[0] if lacking else
-               _f4_witness(code, sets) if name == "f4" else
-               table_witness(name, code, sets))
-    record("aifv", is_aifv(code)[1])
-    return ClassReport(flags, failures)
+        reasons[name] = ("not %s" % lacking[0] if lacking else
+                         FAMILIES[name][-1](code, sets))
+    reasons["aifv"] = witness("aifv", code, sets)
+    return ClassReport({n: reasons[n] is None for n in CLASS_NAMES},
+                       {n: reasons[n] for n in CLASS_NAMES if reasons[n]})
 
 
 def verify_hierarchy(reports):

@@ -12,8 +12,7 @@ import argparse
 import functools
 import sys
 
-from .analysis import (dead_tables, delay_decodability, is_extendable,
-                       reachable_tables)
+from .analysis import dead_tables, delay_decodability, reachable_tables
 from .bits import parse as parse_bits, show as show_bits
 from .classes import classify, show_set
 from .codec import decode, encode, roundtrip_check

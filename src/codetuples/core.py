@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits, parse as parse_bits, show as show_bits
-from .errors import AlphabetMismatch, FormatError, InvalidArgument
+from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
+                     UnknownSymbol)
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
 FLOAT_SUM_TOLERANCE = Fraction(1, 10 ** 12)
@@ -45,7 +46,7 @@ class Alphabet:
         try:
             return self.names.index(name)
         except ValueError:
-            raise KeyError("unknown symbol: %r" % (name,)) from None
+            raise UnknownSymbol("unknown symbol: %r" % (name,)) from None
 
     def name(self, sym):
         return self.names[sym]
@@ -185,7 +186,10 @@ class SourceDist:
                 probs.append(Fraction(v).limit_denominator(MAX_FLOAT_DENOMINATOR))
                 inexact = True
             else:
-                probs.append(Fraction(v))
+                try:
+                    probs.append(Fraction(v))
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise InvalidArgument("bad probability %r" % (v,)) from None
         defect = 1 - sum(probs)
         if defect != 0:
             if not inexact or abs(defect) > FLOAT_SUM_TOLERANCE:

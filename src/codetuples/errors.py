@@ -65,6 +65,12 @@ class EmptySpace(CodeTupleError):
     """No tuple in the search space passes the requested filter."""
 
 
+class UnknownSymbol(CodeTupleError, KeyError):
+    """A symbol name is not in the alphabet."""
+
+    __str__ = Exception.__str__  # the bare message: KeyError would quote it
+
+
 class InvalidArgument(CodeTupleError, ValueError):
     """An argument lies outside the values an operation accepts."""
 

@@ -11,17 +11,18 @@ and enumerate_min always reports that number as examined: the partition
 argument below covers each assignment exactly once, even though most are
 rejected wholesale.
 
-Two-table spaces are not walked tuple by tuple.  Instead the search guesses
-the pair of two-bit continuation sets, one per table, and scans each
-table's contents independently against the guess: the guessed sets make
-every membership condition local to one table.  A guess is kept only when
-the per-table unions reproduce it exactly and the delay conditions hold,
-and then the guess provably equals the true continuation sets (any
-overclaimed element would need support through an emission-free cycle,
-which the delay conditions reject), so every tuple survives under exactly
-one guess.  Costs factor the same way: the stationary weight of each table
-depends only on the next-table choices, so the two tables' expected
-lengths are minimized independently per guess and target assignment.
+No space is walked tuple by tuple (enumerate_min_direct does that, for the
+tests).  Instead the search guesses every table's two-bit continuation
+set and scans each table's contents independently against the guess: the
+guessed sets make every membership condition local to one table.  A guess
+is kept only when the per-table unions reproduce it exactly and the delay
+conditions hold, and then the guess provably equals the true continuation
+sets (any overclaimed element would need support through an emission-free
+cycle, which the delay conditions reject), so every tuple survives under
+exactly one guess.  Costs factor the same way: the stationary weight of
+each table depends only on the next-table choices, so the tables' expected
+lengths are minimized independently per guess and target assignment (one
+table's cost is its own expected length).
 
 Under f0 only table 0 is walked: no f0 condition reads the table index, so
 table 1 under guess (a, b) is table 0 under (b, a) with targets flipped,
@@ -42,13 +43,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import delay_decodability, is_extendable, is_regular
 from .bits import Bits
-from .classes import aifv_table_ok, is_aifv
+from .classes import aifv_table_ok, witness
 from .core import CodeTuple, Table
 from .errors import EmptySpace, InvalidSpace, SearchCheckFailed
 from .markov import average_length
-from .prefix_sets import PrefixSetTable
 
 FILTERS = ("f0", "aifv")
 
@@ -105,11 +104,7 @@ def canonical_key(code):
 
 
 def _passes_filter(code, space):
-    if space.filter == "aifv":
-        return is_aifv(code)[0]
-    sets = PrefixSetTable(code)
-    return (is_extendable(code, sets) and is_regular(code)
-            and delay_decodability(code, 2, sets).ok)
+    return witness(space.filter, code) is None
 
 
 def _build(alphabet, sigma, slots):
@@ -157,10 +152,8 @@ _SCAN_CACHE = {}
 def enumerate_min(space, dist):
     """The minimum-cost member of the space under the filter."""
     _space_dist(space, dist)
-    if space.tables == 1:
-        return enumerate_min_direct(space, dist)
     if space not in _SCAN_CACHE:
-        _SCAN_CACHE[space] = _scan_two_tables(space)
+        _SCAN_CACHE[space] = _scan(space)
     entry = _combine(space, dist, _SCAN_CACHE[space])
     if entry is None:
         raise EmptySpace("no %s" % _describe(space))
@@ -221,19 +214,23 @@ def _layout(max_len):
     return words, key_of, same_key, extensions
 
 
-def _scan_two_tables(space):
+def _scan(space):
     """Per continuation-set guess and table: every passing content.
 
-    Returns {guess: ({targets: {lenvec: sid tuple}}, {targets: ...})} where
-    each stored sid tuple is the canonically first content with its targets
-    and codeword lengths, in ascending order.  Under f0, table 1 is table 0
-    under the swapped guess with targets flipped.
+    Returns {guess: ({targets: {lenvec: sid tuple}}, ...)}, one dict per
+    table, where each stored sid tuple is the canonically first content
+    with its targets and codeword lengths, in ascending order.  Under f0,
+    table 1 is table 0 under the swapped guess with targets flipped.
     """
     layout = _layout(space.max_len)
-    if space.filter == "aifv":  # its clauses read the table index
+    if space.filter == "aifv":  # two tables, and the clauses read the index
         guess = (FULL_MASK, NONZERO_MASK)
-        tabs = tuple(_scan_table(space, i, guess, layout) for i in (0, 1))
-        return {guess: tabs} if all(tabs) else {}
+        tabs = tuple(_scan_table(space, i, guess, layout)
+                     for i in range(space.tables))
+        return {guess: tabs} if len(tabs) == 2 and all(tabs) else {}
+    if space.tables == 1:  # only target-0 slots, so guess[1] is never read
+        return {a: (tab,) for a in range(1, 16)
+                if (tab := _scan_table(space, 0, (a, a), layout))}
     tab0 = {(a, b): _scan_table(space, 0, (a, b), layout)
             for a in range(1, 16) for b in range(1, 16)}
     return {(a, b): (tab0[a, b], _swapped(tab0[b, a]))
@@ -274,7 +271,8 @@ def _scan_table(space, index, guess, layout):
                 clash[sid] |= 1 << short
                 clash[short] |= 1 << sid
     want = guess[index]
-    allowed = sum(1 << sid for sid, c in enumerate(contrib) if not c & ~want)
+    allowed = sum(1 << sid for sid, c in enumerate(contrib)
+                  if not c & ~want and (sid & 1) < space.tables)
     last = space.sigma - 1
     content = [0] * last
     cover = {}  # missing pairs -> allowed slots that contribute them all
@@ -347,8 +345,14 @@ def _combine(space, dist, scan):
         at = min(bucket, key=cost.__getitem__)
         return cost[at], bucket[at], next(iter(bucket.values()))
 
-    best = None
-    for tab0, tab1 in scan.values():
+    best = None  # (numerator, denominator, content) of the least cost
+    for tabs in scan.values():
+        if len(tabs) == 1:  # all targets 0: one bucket, the table's cost
+            low, at, _ = summarize(*tabs[0].values())
+            if best is None or (low, at) < (best[0], best[2]):
+                best = (low, 1, at)
+            continue
+        tab0, tab1 = tabs
         # weight leaving each table: table 1's returns, table 0's switches
         sums1 = [(sum(w for w, t in zip(weight, t1) if not t), summarize(b))
                  for t1, b in tab1.items()]

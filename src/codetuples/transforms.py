@@ -24,17 +24,10 @@ table extension live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bits import EMPTY, ONE, ZERO, Bits, bit as bit_of
-from .analysis import (
-    dead_tables,
-    delay_decodability,
-    is_regular,
-    reachable_tables,
-    two_continuation_tables,
-)
-from .classes import classify, table_witness
+from .analysis import reachable_tables, two_continuation_tables
+from .classes import table_witness, witness
 from .core import CodeTuple, Table
 from .errors import (
     AmbiguousChain,
@@ -69,9 +62,6 @@ def forced_bit(code, i, sets=None):
 def rotate(code, sets=None):
     """Move each table's forced first bit across codeword boundaries."""
     sets = sets or PrefixSetTable(code)
-    dead = dead_tables(code, sets)
-    if dead:
-        raise NotExtendable("table %d emits no bits" % dead[0])
     forced = [forced_bit(code, i, sets) for i in code.table_indices()]
     tables = []
     for i in code.table_indices():
@@ -159,13 +149,8 @@ def steer_bit(code, i, sets=None):
 
 
 def _require_class(code, sets, name):
-    """Shared precondition for dot (f1 shapes) and ddot (f2 shapes)."""
-    if not is_regular(code):
-        raise NotInClass(name, "no table is reachable from every table")
-    report = delay_decodability(code, 2, sets)
-    if not report.ok:
-        raise NotInClass(name, report.violations[0].describe(code))
-    reason = table_witness(name, code, sets)
+    """The one precondition of dot (f1), ddot (f2) and every chain."""
+    reason = witness(name, code, sets)
     if reason:
         raise NotInClass(name, reason)
 
@@ -285,74 +270,55 @@ class TransformTrace:
         return self.steps[-1].result if self.steps else self.start
 
 
-def _step(op, result, bits, dist):
-    avg = average_length(result, dist) if dist is not None else None
-    return TransformStep(op, result, bits, avg)
+PRECEDING = {"f1": "f0", "f2": "f1", "f3": "f2"}
 
 
 def chain_to_class(code, target, dist=None):
     """Apply rewrites until the tuple lands in the target family.
 
-    f1: repeated rotate; f2: alternating dot and rotate from an f1 member;
-    f3: one ddot from an f2 member.  Step limits are explicit because
-    termination is only guaranteed for inputs of minimal cost.
+    f1: repeated rotate from an f0 member; f2: alternating dot and rotate
+    from an f1 member; f3: one ddot from an f2 member.  Step limits are
+    explicit because termination is only guaranteed for inputs of minimal
+    cost.
     """
+    if target not in PRECEDING:
+        raise InvalidArgument("unknown target class %r" % (target,))
     sets = PrefixSetTable(code)
+    _require_class(code, sets, PRECEDING[target])
+    current = code
     steps = []
+
+    def apply(op, rewrite, table_bit=None):
+        nonlocal current, sets
+        bits = tuple(table_bit(current, i, sets)
+                     for i in current.table_indices()) if table_bit else ()
+        current = rewrite(current, sets)
+        sets = PrefixSetTable(current)
+        avg = average_length(current, dist) if dist is not None else None
+        steps.append(TransformStep(op, current, bits, avg))
+
     if target == "f1":
-        if dead_tables(code, sets):
-            raise NotInClass("f0", "not extendable")
-        if not is_regular(code):
-            raise NotInClass("f0", "not regular")
-        if not delay_decodability(code, 2, sets).ok:
-            raise NotInClass("f0", "not decodable with delay 2")
         limit = 2 * code.max_code_len() + 2
-        current = code
         while table_witness("f1", current, sets):
             if len(steps) >= limit:
                 raise StepLimitExceeded(
                     "still outside f1 after %d rotations" % limit)
-            forced = tuple(forced_bit(current, i, sets)
-                           for i in current.table_indices())
-            current = rotate(current, sets)
-            sets = PrefixSetTable(current)
-            steps.append(_step("rotate", current, forced, dist))
+            apply("rotate", rotate, forced_bit)
     elif target == "f2":
-        _require_class(code, sets, "f1")
         limit = code.num_tables + 1
-        current = code
-        rounds = 0
         while two_continuation_tables(current, sets):
-            if rounds >= limit:
+            if len(steps) >= 2 * limit:
                 raise StepLimitExceeded(
                     "still outside f2 after %d dot-rotate rounds" % limit)
-            steer = tuple(steer_bit(current, i, sets)
-                          for i in current.table_indices())
-            current = dot(current, sets)
-            sets = PrefixSetTable(current)
-            steps.append(_step("dot", current, steer, dist))
-            forced = tuple(forced_bit(current, i, sets)
-                           for i in current.table_indices())
-            current = rotate(current, sets)
-            sets = PrefixSetTable(current)
-            steps.append(_step("rotate", current, forced, dist))
-            rounds += 1
-    elif target == "f3":
-        _require_class(code, sets, "f2")
-        current = ddot(code, sets)
-        steps.append(_step("ddot", current, (), dist))
-        sets = PrefixSetTable(current)
-        if table_witness("f3", current, sets):
-            raise StepLimitExceeded("ddot did not reach f3")
+            apply("dot", dot, steer_bit)
+            apply("rotate", rotate, forced_bit)
     else:
-        raise InvalidArgument("unknown target class %r" % (target,))
-
-    trace = TransformTrace(code, target, tuple(steps))
-    report = classify(trace.final)
-    if not report.flags[target]:
+        apply("ddot", ddot)
+    reason = witness(target, current, sets)
+    if reason:
         raise StepLimitExceeded(
-            "chain ended outside %s: %s" % (target, report.failures[target]))
-    return trace
+            "chain ended outside %s: %s" % (target, reason))
+    return TransformTrace(code, target, tuple(steps))
 
 
 def prune_to_reachable(code):

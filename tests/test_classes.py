@@ -5,6 +5,7 @@ import pytest
 
 from codetuples import (CLASS_NAMES, PrefixSetTable, classify, is_aifv,
                         make_tuple)
+from codetuples import classes
 from codetuples.bits import EMPTY, Bits
 from codetuples.classes import ClassReport, show_set, verify_hierarchy
 from codetuples.reference import EXPECTED_FLAGS, KEYS, TUPLES
@@ -131,6 +132,24 @@ def test_f1_members_have_at_least_two_pairs():
         sets = PrefixSetTable(code)
         for i in code.table_indices():
             assert len(sets.base(i, 2)) >= 2
+
+
+def test_witness_is_the_one_membership_test():
+    # classify and witness read one definition of every clause: they agree
+    # on membership, and on the witness wherever classify names the clause
+    # itself (f0 to f4 otherwise name the basic property they lack)
+    rng = random.Random(8)
+    codes = [TUPLES[key] for key in KEYS]
+    codes += [random_code_tuple(rng, max_len=3) for _ in range(300)]
+    for code in codes:
+        report = classify(code)
+        for name in CLASS_NAMES:
+            reason = classes.witness(name, code)
+            assert (reason is None) == report.flags[name], (code, name)
+            if name in ("extendable", "regular", "decodable", "aifv") or \
+                    name != "f0" and report.flags["regular"] and \
+                    report.flags["decodable"]:
+                assert reason == report.failures.get(name), (code, name)
 
 
 def test_classify_handles_single_table():

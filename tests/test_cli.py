@@ -259,6 +259,7 @@ def test_repeated_calls_in_one_process_match_fresh_processes(
         ["psets", "--tuple", r3],
         ["encode", "--tuple", r3, "--symbols", "badb"],
         ["encode", "--tuple", r3, "--start", "1", "--symbols", "a"],
+        ["encode", "--tuple", r3, "--symbols", "bz"],
         ["decode", "--tuple", r3, "--roundtrip", "--seed", "3",
          "--trials", "50", "--k", "3"],
         ["decode", "--tuple", r3, "--bits", "1000111"],

@@ -7,8 +7,8 @@ import pytest
 
 from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SourceDist, Table,
-                        chain_to_class, extend_to_two_tables, make_tuple,
-                        roundtrip_check)
+                        UnknownSymbol, chain_to_class, extend_to_two_tables,
+                        make_tuple, roundtrip_check)
 from codetuples.reference import TUPLES
 
 ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
@@ -39,6 +39,10 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
     (lambda: SourceDist(AB, (HALF, THIRD)), "probabilities sum to 5/6, not 1"),
     (lambda: SourceDist.from_values(AB, (HALF, THIRD)),
      "probabilities sum to 5/6, not 1"),
+    (lambda: SourceDist.from_values(AB, ("x", "1")), "bad probability 'x'"),
+    (lambda: SourceDist.from_values(AB, (None, 1)), "bad probability None"),
+    (lambda: SourceDist.from_values(AB, ("1/0", "1")),
+     "bad probability '1/0'"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:
@@ -46,3 +50,11 @@ def test_argument_errors_are_domain_errors(call, message):
     assert isinstance(info.value, CodeTupleError)
     assert isinstance(info.value, ValueError)
     assert str(info.value) == message
+
+
+def test_unknown_symbol_is_a_domain_error_and_a_key_error():
+    with pytest.raises(UnknownSymbol) as info:
+        AB.seq("bz")
+    assert isinstance(info.value, CodeTupleError)
+    assert isinstance(info.value, KeyError)
+    assert str(info.value) == "unknown symbol: 'z'"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
 
 AB2 = Alphabet(("a", "b"))
-AB3 = Alphabet(("a", "b", "c"))
 
 
 def dist2(p):
@@ -106,14 +106,28 @@ def test_f0_table_one_is_table_zero_under_the_swapped_guess(sigma, max_len):
             assert ordered(direct) == ordered(derived), (a, b)
 
 
-def test_single_table_matches_direct_walk():
-    space = SearchSpace(3, 1, 2, "f0")
-    dist = SourceDist(AB3, (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)))
-    direct = enumerate_min_direct(space, dist)
-    got = enumerate_min(space, dist)
-    assert got.best == direct.best
-    assert got.avg_len == direct.avg_len == Fraction(3, 2)
-    assert got.examined == 343
+@pytest.mark.parametrize("filt", ["f0", "aifv"])
+@pytest.mark.parametrize("sigma,max_len", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                            (3, 2), (3, 3), (4, 2)])
+def test_single_table_matches_direct_walk(sigma, max_len, filt):
+    # one table is scanned under each of the 15 guesses, like two tables
+    space = SearchSpace(sigma, 1, max_len, filt)
+    rng = random.Random("one-table:%d:%d" % (sigma, max_len))
+    alphabet = Alphabet(("a", "b", "c", "d")[:sigma])
+    for _ in range(3):
+        weights = [rng.randint(1, 10) for _ in range(sigma)]
+        dist = SourceDist(alphabet, tuple(Fraction(w, sum(weights))
+                                          for w in weights))
+        outcomes = []
+        for walk in (enumerate_min_direct, enumerate_min):
+            try:
+                got = walk(space, dist)
+            except EmptySpace as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((got.best, got.avg_len, got.examined))
+        assert outcomes[0] == outcomes[1], dist.probs
+        assert filt == "f0" or "no aifv tuple with 1 table" in outcomes[0]
 
 
 def test_winner_is_a_member():

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from codetuples import Alphabet, SearchSpace, SourceDist
-from codetuples.search import _combine, _scan_two_tables
+from codetuples.search import _combine, _scan
 from support import oracle_combine, oracle_scan_two_tables
 
 SPACES = [(sigma, max_len, filt)
@@ -50,7 +50,7 @@ def seeded_dists(sigma, seed):
 @pytest.mark.parametrize("sigma,max_len,filt", SPACES)
 def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
     space = SearchSpace(sigma, 2, max_len, filt)
-    scan = _scan_two_tables(space)
+    scan = _scan(space)
     expected = oracle_scan_two_tables(space)
     assert ordered(scan) == ordered(expected)
     for dist in seeded_dists(sigma, space):
@@ -62,7 +62,7 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
 
 @functools.cache
 def scan_of(sigma, max_len, filt):
-    return _scan_two_tables(SearchSpace(sigma, 2, max_len, filt))
+    return _scan(SearchSpace(sigma, 2, max_len, filt))
 
 
 @pytest.mark.parametrize("sigma,max_len,filt",

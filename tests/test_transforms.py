@@ -253,11 +253,17 @@ def test_chain_already_in_target_is_empty():
 
 
 def test_chain_requires_the_preceding_class():
-    with pytest.raises(NotInClass) as err:
-        chain_to_class(TUPLES["r1"], "f1")
-    assert err.value.required == "f0"
-    with pytest.raises(NotInClass):
-        chain_to_class(TUPLES["r2"], "f1")
+    # the f0 refusal names the first violated clause in classify's words
+    for code, reason in (
+            (TUPLES["r1"], "table 2 can emit no bits"),
+            (TUPLES["r2"], "no table is reachable from every table"),
+            (make_tuple(("a", "b"), [[("0", 0), ("0", 0)]]),
+             "table 0, symbols a b: equal codewords with common "
+             "continuation 00")):
+        with pytest.raises(NotInClass) as err:
+            chain_to_class(code, "f1")
+        assert err.value.required == "f0"
+        assert str(err.value) == "input is not in class f0 (%s)" % reason
     with pytest.raises(NotInClass) as err2:
         chain_to_class(TUPLES["r3"], "f2")
     assert err2.value.required == "f1"
