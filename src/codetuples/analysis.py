@@ -13,17 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .prefix_sets import PrefixSetTable
 
-
-def dead_tables(code, sets=None):
+def dead_tables(code):
     """Tables that can never emit another bit, in index order."""
-    sets = sets or PrefixSetTable(code)
-    return tuple(i for i in code.table_indices() if not sets.base(i, 1))
+    return tuple(i for i in code.table_indices() if not code.sets.base(i, 1))
 
 
-def is_extendable(code, sets=None):
-    return not dead_tables(code, sets)
+def is_extendable(code):
+    return not dead_tables(code)
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,9 @@ class DecodabilityReport:
         return self.ok
 
 
-def delay_decodability(code, k, sets=None):
+def delay_decodability(code, k):
     """Check k-bit delay decodability, collecting every violation."""
-    sets = sets or PrefixSetTable(code)
+    sets = code.sets
     violations = []
     for i in code.table_indices():
         for s in code.alphabet:
@@ -129,8 +126,7 @@ def is_regular(code):
     return bool(reachable_tables(code).core)
 
 
-def two_continuation_tables(code, sets=None):
+def two_continuation_tables(code):
     """Tables with exactly two possible 2-bit continuations."""
-    sets = sets or PrefixSetTable(code)
     return frozenset(
-        i for i in code.table_indices() if len(sets.base(i, 2)) == 2)
+        i for i in code.table_indices() if len(code.sets.base(i, 2)) == 2)

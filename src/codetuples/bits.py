@@ -7,6 +7,8 @@ operations below assume nonempty input unless documented.
 
 from __future__ import annotations
 
+from .errors import InvalidArgument
+
 
 class Bits:
     """An immutable sequence over {0, 1}.
@@ -23,7 +25,7 @@ class Bits:
         else:
             s = str(bits)
             if s.strip("01"):
-                raise ValueError("not a binary string: %r" % (bits,))
+                raise InvalidArgument("not a binary string: %r" % (bits,))
         object.__setattr__(self, "_s", s)
 
     def __setattr__(self, name, value):
@@ -87,18 +89,18 @@ class Bits:
 
     def drop_first(self):
         if not self._s:
-            raise ValueError("empty bit string has no first bit")
+            raise InvalidArgument("empty bit string has no first bit")
         return Bits(self._s[1:])
 
     def drop_last(self):
         if not self._s:
-            raise ValueError("empty bit string has no last bit")
+            raise InvalidArgument("empty bit string has no last bit")
         return Bits(self._s[:-1])
 
     def strip_prefix(self, prefix):
         """The remainder after removing ``prefix``; requires prefix <= self."""
         if not prefix.is_prefix_of(self):
-            raise ValueError("%r is not a prefix of %r" % (prefix, self))
+            raise InvalidArgument("%r is not a prefix of %r" % (prefix, self))
         return Bits(self._s[len(prefix._s):])
 
 
@@ -110,14 +112,14 @@ ONE = Bits("1")
 def bit(value):
     """A single-bit Bits from an int 0/1."""
     if value not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+        raise InvalidArgument("bit must be 0 or 1")
     return ONE if value else ZERO
 
 
 def flip(value):
     """Negate a single bit given as int 0/1."""
     if value not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+        raise InvalidArgument("bit must be 0 or 1")
     return 1 - value
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .bits import Bits, all_bits, show
 from .analysis import dead_tables, delay_decodability, is_regular
-from .prefix_sets import PrefixSetTable
 
 CLASS_NAMES = (
     "extendable", "regular", "decodable",
@@ -164,51 +163,51 @@ def is_aifv(code):
     return True, None
 
 
-# The f1, f2 and f3 clauses read table i's continuation sets; each returns
-# a witness or None.
+# The f1, f2 and f3 clauses read table i's continuation sets through the
+# tuple's ``sets.base``; each returns a witness or None.
 TABLE_CLAUSES = {
-    "f1": lambda sets, i: None if sets.base(i, 1) == BOTH_BITS else
-    "table %d next-bit set is %s" % (i, show_set(sets.base(i, 1))),
-    "f2": lambda sets, i: None if len(sets.base(i, 2)) >= 3 else
-    "table %d has only %d two-bit continuations" % (i, len(sets.base(i, 2))),
-    "f3": lambda sets, i: None if sets.base(i, 2) >= NONZERO_PAIRS else
-    "table %d misses %s" % (i, show_set(NONZERO_PAIRS - sets.base(i, 2))),
+    "f1": lambda base, i: None if base(i, 1) == BOTH_BITS else
+    "table %d next-bit set is %s" % (i, show_set(base(i, 1))),
+    "f2": lambda base, i: None if len(base(i, 2)) >= 3 else
+    "table %d has only %d two-bit continuations" % (i, len(base(i, 2))),
+    "f3": lambda base, i: None if base(i, 2) >= NONZERO_PAIRS else
+    "table %d misses %s" % (i, show_set(NONZERO_PAIRS - base(i, 2))),
 }
 
 
-def table_witness(name, code, sets):
+def table_witness(name, code):
     """The first table's witness against the f1, f2 or f3 clause, or None."""
     clause = TABLE_CLAUSES[name]
-    return next(filter(None, (clause(sets, i) for i in code.table_indices())),
-                None)
+    return next(filter(None, (clause(code.sets.base, i)
+                              for i in code.table_indices())), None)
 
 
-def _f4_witness(code, sets):
+def _f4_witness(code):
     if code.num_tables != 2:
         return "needs exactly two tables, not %d" % code.num_tables
     for i, want in enumerate((FULL_PAIRS, NONZERO_PAIRS)):
-        pairs = sets.base(i, 2)
+        pairs = code.sets.base(i, 2)
         if pairs != want:
             return "table %d two-bit set is %s" % (i, show_set(pairs))
 
 
-def _extendable(code, sets):
-    dead = dead_tables(code, sets)
+def _extendable(code):
+    dead = dead_tables(code)
     return "table %d can emit no bits" % dead[0] if dead else None
 
 
-def _regular(code, sets):
+def _regular(code):
     return None if is_regular(code) else \
         "no table is reachable from every table"
 
 
-def _decodable(code, sets):
-    report = delay_decodability(code, 2, sets)
+def _decodable(code):
+    report = delay_decodability(code, 2)
     return None if report.ok else report.violations[0].describe(code)
 
 
 # Each family's clauses in the order they are tried; each reads the tuple
-# and its continuation sets and returns a witness or None.
+# and returns a witness or None.
 FAMILIES = {
     "extendable": (_extendable,),
     "regular": (_regular,),
@@ -217,30 +216,28 @@ FAMILIES = {
     **{name: (_regular, _decodable, functools.partial(table_witness, name))
        for name in TABLE_CLAUSES},
     "f4": (_regular, _decodable, _f4_witness),
-    "aifv": (lambda code, sets: is_aifv(code)[1],),
+    "aifv": (lambda code: is_aifv(code)[1],),
 }
 
 
-def witness(name, code, sets=None):
+def witness(name, code):
     """The first violated clause of family ``name``, or None for a member."""
-    sets = sets or PrefixSetTable(code)
-    return next(filter(None, (c(code, sets) for c in FAMILIES[name])), None)
+    return next(filter(None, (c(code) for c in FAMILIES[name])), None)
 
 
 def classify(code):
     """Evaluate every family, cheap checks first; failed families carry the
     first violated clause as a witness (f0 to f4 name the first basic
     property they lack)."""
-    sets = PrefixSetTable(code)
-    reasons = {name: witness(name, code, sets)
+    reasons = {name: witness(name, code)
                for name in ("extendable", "regular", "decodable")}
     lacking = [n for n in reasons if reasons[n]]
     reasons["f0"] = "not %s" % lacking[0] if lacking else None
     lacking = [n for n in ("regular", "decodable") if reasons[n]]
     for name in ("f1", "f2", "f3", "f4"):
         reasons[name] = ("not %s" % lacking[0] if lacking else
-                         FAMILIES[name][-1](code, sets))
-    reasons["aifv"] = witness("aifv", code, sets)
+                         FAMILIES[name][-1](code))
+    reasons["aifv"] = witness("aifv", code)
     return ClassReport({n: reasons[n] is None for n in CLASS_NAMES},
                        {n: reasons[n] for n in CLASS_NAMES if reasons[n]})
 

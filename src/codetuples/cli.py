@@ -21,7 +21,7 @@ from .errors import CodeTupleError
 from .goldens import run_goldens
 from .markov import (approx_decimal, average_length, stationary_distribution,
                      table_length)
-from .prefix_sets import DEFAULT_MAX_K, PrefixSetTable
+from .prefix_sets import DEFAULT_MAX_K
 from .search import (SearchSpace, enumerate_min, huffman_length)
 from .transforms import (chain_to_class, ddot, dot, forced_bit, rotate,
                          steer_bit)
@@ -50,17 +50,16 @@ def _show_table_list(tables):
 
 def _cmd_check(args, out):
     code = _load_tuple(args.tuple)
-    sets = PrefixSetTable(code)
     out("tables = %d" % code.num_tables)
     out("symbols = %d" % code.sigma)
     out("k = %d" % args.k)
-    dead = dead_tables(code, sets)
+    dead = dead_tables(code)
     out("extendable = %s" % ("yes" if not dead else "no"))
     out("dead = %s" % _show_table_list(dead))
     report = reachable_tables(code)
     out("regular = %s" % ("yes" if report.core else "no"))
     out("core = %s" % _show_table_list(report.core))
-    dec = delay_decodability(code, args.k, sets)
+    dec = delay_decodability(code, args.k)
     out("decodable = %s" % ("yes" if dec.ok else "no"))
     for violation in dec.violations:
         out("violation = %s" % violation.describe(code))
@@ -78,9 +77,8 @@ def _cmd_classify(args, out):
 
 def _cmd_psets(args, out):
     code = _load_tuple(args.tuple)
-    sets = PrefixSetTable(code)
     for i in code.table_indices():
-        out("P%d[%d]=%s" % (args.k, i, show_set(sets.base(i, args.k))))
+        out("P%d[%d]=%s" % (args.k, i, show_set(code.sets.base(i, args.k))))
     return 0
 
 
@@ -159,18 +157,17 @@ def _cmd_transform(args, parser, out):
         if not trace.steps:
             out(serialize_code_tuple(code).rstrip("\n"))
         return 0
-    sets = PrefixSetTable(code)
     if args.op == "rotate":
-        bits = " ".join(show_bits(forced_bit(code, i, sets))
+        bits = " ".join(show_bits(forced_bit(code, i))
                         for i in code.table_indices())
-        result = rotate(code, sets)
+        result = rotate(code)
     elif args.op == "dot":
-        bits = " ".join(str(steer_bit(code, i, sets))
+        bits = " ".join(str(steer_bit(code, i))
                         for i in code.table_indices())
-        result = dot(code, sets)
+        result = dot(code)
     else:
         bits = "-"
-        result = ddot(code, sets)
+        result = ddot(code)
     out("# op = %s" % args.op)
     out("# bits = %s" % bits)
     if dist is not None:

@@ -17,7 +17,7 @@ import random
 
 from .bits import Bits
 from .errors import InvalidArgument, NoConsistentCompletion
-from .prefix_sets import Emissions, PrefixSetTable, encode_from
+from .prefix_sets import Emissions, encode_from
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
@@ -130,10 +130,6 @@ def _common_prefix(seqs):
     return next((lo[:n] for n, (a, b) in enumerate(zip(lo, hi)) if a != b), lo)
 
 
-def _windows(code, k, sets):  # each table's emittable k-bit blocks
-    return (sets or PrefixSetTable(code)).words(k)
-
-
 def _decode(auto, windows, k, start, text):
     rows = auto.rows
     symbols, table, pos, conflicts = [], start, 0, 0
@@ -170,7 +166,7 @@ def _decode(auto, windows, k, start, text):
     return DecodeResult(tuple(symbols), start, table, info)
 
 
-def decode(code, start, bits, k=2, sets=None):
+def decode(code, start, bits, k=2):
     """Decode as much of ``bits`` as the k-bit lookahead determines.
 
     For a tuple decodable with delay k, every symbol decoded from a whole
@@ -181,8 +177,7 @@ def decode(code, start, bits, k=2, sets=None):
     Raises NoConsistentCompletion if the bits cannot be a prefix of any
     emission from the start table.
     """
-    return _decode(Emissions(code), _windows(code, k, sets), k, start,
-                   str(bits))
+    return _decode(Emissions(code), code.sets.words(k), k, start, str(bits))
 
 
 def _delays(auto, start, seq, text):
@@ -259,7 +254,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
     if seed is None:
         raise InvalidArgument("seed is required")
     rng = random.Random(seed)
-    auto, windows = Emissions(code), _windows(code, k, None)
+    auto, windows = Emissions(code), code.sets.words(k)
     failures = []
     count = 0
     max_delay = 0

@@ -3,19 +3,22 @@
 A code tuple is a finite family of code tables over one alphabet.  Table i
 assigns every symbol a binary codeword (possibly empty) and a next-table
 index; encoding starts in a chosen table and hops tables after every symbol.
-All values here are immutable and hashable so analysis results can be memoized
-per tuple.  Symbol order is the order of first appearance in the alphabet
-line; every iteration in the package follows that order.
+All values here are immutable and hashable; a tuple builds its continuation
+sets on first use and keeps them (``CodeTuple.sets``).  Symbol order is the
+order of first appearance in the alphabet line; every iteration in the
+package follows that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bits import Bits, parse as parse_bits, show as show_bits
 from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
-                     UnknownSymbol)
+                     InvalidType, UnknownSymbol)
+from .prefix_sets import PrefixSetTable
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
 FLOAT_SUM_TOLERANCE = Fraction(1, 10 ** 12)
@@ -85,7 +88,7 @@ class Table:
             raise InvalidArgument("codes and targets differ in length")
         for c in self.codes:
             if not isinstance(c, Bits):
-                raise TypeError("codeword must be Bits, got %r" % (c,))
+                raise InvalidType("codeword must be Bits, got %r" % (c,))
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,11 @@ class CodeTuple:
     def with_tables(self, tables):
         return CodeTuple(self.alphabet, tuple(tables))
 
+    @cached_property
+    def sets(self):
+        """This tuple's continuation sets, built on first use and kept."""
+        return PrefixSetTable(self)
+
 
 def make_tuple(names, rows):
     """Build a CodeTuple from symbol names and per-table (code, target) rows.
@@ -158,7 +166,7 @@ class SourceDist:
             raise InvalidArgument("distribution size does not match alphabet")
         for p in self.probs:
             if not isinstance(p, Fraction):
-                raise TypeError("probability must be Fraction, got %r" % (p,))
+                raise InvalidType("probability must be Fraction, got %r" % (p,))
             if p <= 0:
                 raise InvalidArgument("probabilities must be positive")
         if sum(self.probs) != 1:

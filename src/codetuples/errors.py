@@ -75,6 +75,10 @@ class InvalidArgument(CodeTupleError, ValueError):
     """An argument lies outside the values an operation accepts."""
 
 
+class InvalidType(CodeTupleError, TypeError):
+    """An argument is not of the type an operation accepts."""
+
+
 class InvalidSpace(CodeTupleError, ValueError):
     """A search space, or a distribution for it, is malformed."""
 

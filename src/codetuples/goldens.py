@@ -15,7 +15,6 @@ from .classes import classify, show_set, verify_hierarchy
 from .codec import decode, encode
 from .markov import (average_length, stationary_distribution, table_length,
                      transition_matrix)
-from .prefix_sets import PrefixSetTable
 from .search import huffman_length
 from .transforms import ddot, dot, forced_bit, rotate, steer_bit
 
@@ -37,12 +36,11 @@ class GoldenCheck:
 def _check_continuation_sets():
     for key in ref.KEYS:
         code = ref.TUPLES[key]
-        sets = PrefixSetTable(code)
         for i in code.table_indices():
             for k, table in ((1, ref.EXPECTED_NEXT_BITS),
                              (2, ref.EXPECTED_NEXT_PAIRS)):
                 want = ref.bitset(table[key][i])
-                got = sets.base(i, k)
+                got = code.sets.base(i, k)
                 if got != want:
                     return "%s table %d k=%d: computed %s, expected %s" % (
                         key, i, k, show_set(got), show_set(want))
@@ -51,11 +49,10 @@ def _check_continuation_sets():
 
 def _check_strict_pairs():
     code = ref.TUPLES["r3"]
-    sets = PrefixSetTable(code)
     for s, row in enumerate(ref.SYMBOLS):
         for i in code.table_indices():
             want = ref.bitset(ref.EXPECTED_STRICT_PAIRS_R3[row][i])
-            got = sets.strict_continuations(i, code.code(i, s), 2)
+            got = code.sets.strict_continuations(i, code.code(i, s), 2)
             if got != want:
                 return "r3 symbol %s table %d: computed %s, expected %s" % (
                     row, i, show_set(got), show_set(want))

@@ -24,7 +24,6 @@ class PrefixSetTable:
     codewords; a level's sets become ``Bits`` once, when ``base`` asks."""
 
     def __init__(self, code, max_k=DEFAULT_MAX_K):
-        self.code = code
         self.max_k = max_k
         self._rows = Emissions(code).rows
         self._words = {0: tuple(frozenset([""]) for _ in code.tables)}

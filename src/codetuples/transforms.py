@@ -40,18 +40,17 @@ from .errors import (
     WrongTableCount,
 )
 from .markov import average_length
-from .prefix_sets import PrefixSetTable, symbols_with_codeword
+from .prefix_sets import symbols_with_codeword
 
 ZERO_PAIR = ZERO + ZERO
 
 
-def forced_bit(code, i, sets=None):
+def forced_bit(code, i):
     """The single bit every emission of table i starts with, or empty.
 
     Undefined (NotExtendable) for a table that emits nothing.
     """
-    sets = sets or PrefixSetTable(code)
-    first = sets.base(i, 1)
+    first = code.sets.base(i, 1)
     if not first:
         raise NotExtendable("table %d emits no bits" % i)
     if len(first) == 2:
@@ -59,13 +58,12 @@ def forced_bit(code, i, sets=None):
     return next(iter(first))
 
 
-def rotate(code, sets=None):
+def rotate(code):
     """Move each table's forced first bit across codeword boundaries."""
-    sets = sets or PrefixSetTable(code)
-    forced = [forced_bit(code, i, sets) for i in code.table_indices()]
+    forced = [forced_bit(code, i) for i in code.table_indices()]
     tables = []
     for i in code.table_indices():
-        keep_head = len(sets.base(i, 1)) == 2
+        keep_head = len(code.sets.base(i, 1)) == 2
         codes = []
         for s in code.alphabet:
             word = code.code(i, s) + forced[code.target(i, s)]
@@ -124,14 +122,13 @@ def prefix_chain(code, i, s):
     return ChainDecomposition(i, chain, tuple(parts))
 
 
-def steer_bit(code, i, sets=None):
+def steer_bit(code, i):
     """The bit dot-rewritten emissions of table i are made to start with.
 
     A table whose single empty codeword delegates to another table inherits
     that table's bit; otherwise the bit is 0 exactly when 00 is an
     emittable pair.  Delegation cycles are rejected.
     """
-    sets = sets or PrefixSetTable(code)
     seen = []
     j = i
     while True:
@@ -145,32 +142,32 @@ def steer_bit(code, i, sets=None):
         if len(empties) == 1:
             j = code.target(j, empties[0])
             continue
-        return 0 if ZERO_PAIR in sets.base(j, 2) else 1
+        return 0 if ZERO_PAIR in code.sets.base(j, 2) else 1
 
 
-def _require_class(code, sets, name):
+def _require_class(code, name):
     """The one precondition of dot (f1), ddot (f2) and every chain."""
-    reason = witness(name, code, sets)
+    reason = witness(name, code)
     if reason:
         raise NotInClass(name, reason)
 
 
-def dot(code, sets=None):
+def dot(code):
     """Rewrite codewords along prefix chains against the steer bits."""
-    sets = sets or PrefixSetTable(code)
-    _require_class(code, sets, "f1")
-    steer = [steer_bit(code, i, sets) for i in code.table_indices()]
+    _require_class(code, "f1")
+    steer = [steer_bit(code, i) for i in code.table_indices()]
     tables = []
     for i in code.table_indices():
-        two_pairs = len(sets.base(i, 2)) == 2
+        two_pairs = len(code.sets.base(i, 2)) == 2
         codes = []
         for s in code.alphabet:
-            codes.append(_dot_word(code, sets, steer, i, s, two_pairs))
+            codes.append(_dot_word(code, steer, i, s, two_pairs))
         tables.append(Table(tuple(codes), code.tables[i].targets))
     return code.with_tables(tables)
 
 
-def _dot_word(code, sets, steer, i, s, two_pairs):
+def _dot_word(code, steer, i, s, two_pairs):
+    sets = code.sets
     decomp = prefix_chain(code, i, s)
     out = EMPTY
     for r, part in enumerate(decomp.parts):
@@ -217,13 +214,12 @@ def _dot_word(code, sets, steer, i, s, two_pairs):
     return out
 
 
-def ddot(code, sets=None):
+def ddot(code):
     """Reserve the pair 00 for in-codeword extensions everywhere."""
-    sets = sets or PrefixSetTable(code)
-    _require_class(code, sets, "f2")
+    _require_class(code, "f2")
     tables = []
     for i in code.table_indices():
-        pairs = sets.base(i, 2)
+        pairs = code.sets.base(i, 2)
         codes = []
         for s in code.alphabet:
             decomp = prefix_chain(code, i, s)
@@ -283,30 +279,28 @@ def chain_to_class(code, target, dist=None):
     """
     if target not in PRECEDING:
         raise InvalidArgument("unknown target class %r" % (target,))
-    sets = PrefixSetTable(code)
-    _require_class(code, sets, PRECEDING[target])
+    _require_class(code, PRECEDING[target])
     current = code
     steps = []
 
     def apply(op, rewrite, table_bit=None):
-        nonlocal current, sets
-        bits = tuple(table_bit(current, i, sets)
+        nonlocal current
+        bits = tuple(table_bit(current, i)
                      for i in current.table_indices()) if table_bit else ()
-        current = rewrite(current, sets)
-        sets = PrefixSetTable(current)
+        current = rewrite(current)
         avg = average_length(current, dist) if dist is not None else None
         steps.append(TransformStep(op, current, bits, avg))
 
     if target == "f1":
         limit = 2 * code.max_code_len() + 2
-        while table_witness("f1", current, sets):
+        while table_witness("f1", current):
             if len(steps) >= limit:
                 raise StepLimitExceeded(
                     "still outside f1 after %d rotations" % limit)
             apply("rotate", rotate, forced_bit)
     elif target == "f2":
         limit = code.num_tables + 1
-        while two_continuation_tables(current, sets):
+        while two_continuation_tables(current):
             if len(steps) >= 2 * limit:
                 raise StepLimitExceeded(
                     "still outside f2 after %d dot-rotate rounds" % limit)
@@ -314,7 +308,7 @@ def chain_to_class(code, target, dist=None):
             apply("rotate", rotate, forced_bit)
     else:
         apply("ddot", ddot)
-    reason = witness(target, current, sets)
+    reason = witness(target, current)
     if reason:
         raise StepLimitExceeded(
             "chain ended outside %s: %s" % (target, reason))

@@ -237,7 +237,7 @@ def test_08_property_suite(capsys):
                                      max_len=3)
             sets = PrefixSetTable(code, max_k=4)
             for k in (1, 2, 3):
-                if not delay_decodability(code, k, sets).ok:
+                if not delay_decodability(code, k).ok:
                     continue
                 split_cases += 1
                 for i in code.table_indices():

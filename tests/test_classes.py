@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from codetuples import (CLASS_NAMES, PrefixSetTable, classify, is_aifv,
-                        make_tuple)
+from codetuples import (CLASS_NAMES, CodeTuple, PrefixSetTable, classify,
+                        is_aifv, make_tuple)
 from codetuples import classes
 from codetuples.bits import EMPTY, Bits
 from codetuples.classes import ClassReport, show_set, verify_hierarchy
@@ -150,6 +150,18 @@ def test_witness_is_the_one_membership_test():
                     name != "f0" and report.flags["regular"] and \
                     report.flags["decodable"]:
                 assert reason == report.failures.get(name), (code, name)
+
+
+def test_aifv_verdict_builds_no_continuation_sets():
+    # the aifv clauses read codewords and targets only, so the aifv verdict
+    # leaves a fresh tuple without continuation sets
+    for key in ("r9", "r10"):
+        code = CodeTuple(TUPLES[key].alphabet, TUPLES[key].tables)
+        assert classes.witness("aifv", code) == \
+            classify(TUPLES[key]).failures.get("aifv")
+        assert is_aifv(code)[0] == EXPECTED_FLAGS[key]["aifv"]
+        assert "sets" not in vars(code)
+        assert code.sets.base(0, 1) and "sets" in vars(code)
 
 
 def test_classify_handles_single_table():

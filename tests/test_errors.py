@@ -1,5 +1,5 @@
-"""Argument errors are domain errors and still ValueErrors, with their
-messages unchanged."""
+"""Argument errors are domain errors and still ValueErrors (TypeErrors for
+a value of the wrong type), with their messages unchanged."""
 
 from fractions import Fraction
 
@@ -9,6 +9,8 @@ from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SourceDist, Table,
                         UnknownSymbol, chain_to_class, extend_to_two_tables,
                         make_tuple, roundtrip_check)
+from codetuples.bits import EMPTY, bit, flip
+from codetuples.errors import InvalidType
 from codetuples.reference import TUPLES
 
 ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
@@ -43,6 +45,13 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
     (lambda: SourceDist.from_values(AB, (None, 1)), "bad probability None"),
     (lambda: SourceDist.from_values(AB, ("1/0", "1")),
      "bad probability '1/0'"),
+    (lambda: Bits("012"), "not a binary string: '012'"),
+    (lambda: EMPTY.drop_first(), "empty bit string has no first bit"),
+    (lambda: EMPTY.drop_last(), "empty bit string has no last bit"),
+    (lambda: Bits("1").strip_prefix(Bits("0")),
+     "Bits('0') is not a prefix of Bits('1')"),
+    (lambda: bit(2), "bit must be 0 or 1"),
+    (lambda: flip(-1), "bit must be 0 or 1"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:
@@ -58,3 +67,16 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     assert isinstance(info.value, CodeTupleError)
     assert isinstance(info.value, KeyError)
     assert str(info.value) == "unknown symbol: 'z'"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Table(("0",), (0,)), "codeword must be Bits, got '0'"),
+    (lambda: SourceDist(AB, (0.5, HALF)),
+     "probability must be Fraction, got 0.5"),
+])
+def test_wrong_types_are_domain_errors_and_type_errors(call, message):
+    with pytest.raises(InvalidType) as info:
+        call()
+    assert isinstance(info.value, CodeTupleError)
+    assert isinstance(info.value, TypeError)
+    assert str(info.value) == message

@@ -136,7 +136,7 @@ def test_cardinality_identity_on_decodable_tuples():
         code = random_code_tuple(rng)
         sets = PrefixSetTable(code)
         for k in range(0, 4):
-            if not delay_decodability(code, k, sets).ok:
+            if not delay_decodability(code, k).ok:
                 continue
             for i in code.table_indices():
                 for b in window_samples(code, rng):
@@ -206,7 +206,7 @@ def test_strict_plus_next_bounded_for_decodable():
     for key in KEYS:
         code = TUPLES[key]
         sets = PrefixSetTable(code)
-        if not is_extendable(code) or not delay_decodability(code, 2, sets).ok:
+        if not is_extendable(code) or not delay_decodability(code, 2).ok:
             continue
         for i in code.table_indices():
             for s in code.alphabet:

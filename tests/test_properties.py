@@ -76,7 +76,7 @@ def test_base_sets_extend_one_bit_at_a_time(code, k):
     # an achievable block of length k is exactly an achievable block of
     # length k-1 with one more achievable bit, when every table emits
     sets = PrefixSetTable(code, max_k=4)
-    assume(is_extendable(code, sets))
+    assume(is_extendable(code))
     for i in code.table_indices():
         shorter = {c.head(k - 1) for c in sets.base(i, k)}
         assert shorter == sets.base(i, k - 1)
@@ -138,7 +138,7 @@ def test_decoded_symbols_are_a_source_prefix(key, raw, start):
 @given(code_tuples(), st.integers(1, 3))
 def test_delay_violations_carry_real_witnesses(code, k):
     sets = PrefixSetTable(code, max_k=4)
-    report = delay_decodability(code, k, sets)
+    report = delay_decodability(code, k)
     if report.ok:
         return
     violation = report.violations[0]

@@ -252,6 +252,32 @@ def test_chain_already_in_target_is_empty():
     assert trace.final == TUPLES["r5"]
 
 
+def test_rewrites_never_reuse_their_inputs_sets():
+    # a rewrite returns a new tuple, which builds its own continuation sets
+    # even when its input's sets were built first
+    pairs = []
+    for key in ("r3", "r4", "r5", "r6", "r7", "r8"):
+        code = TUPLES[key]
+        report = classify(code)
+        for op, needs in (("rotate", "extendable"), ("dot", "f1"),
+                          ("ddot", "f2")):
+            if report[needs]:
+                pairs.append((code, OPS[op](code)))
+        for target, needs in transforms.PRECEDING.items():
+            if report[needs]:
+                before = code
+                for step in chain_to_class(code, target).steps:
+                    pairs.append((before, step.result))
+                    before = step.result
+    assert len(pairs) == 19
+    for before, result in pairs:
+        assert result.sets is not before.sets
+        fresh = PrefixSetTable(result)
+        for i in result.table_indices():
+            for k in (1, 2):
+                assert result.sets.base(i, k) == fresh.base(i, k), (result, i)
+
+
 def test_chain_requires_the_preceding_class():
     # the f0 refusal names the first violated clause in classify's words
     for code, reason in (
