@@ -17,7 +17,7 @@ import random
 
 from .bits import Bits
 from .errors import InvalidArgument, NoConsistentCompletion
-from .prefix_sets import Emissions, encode_from
+from .prefix_sets import Emissions, check_indices, encode_from
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
@@ -177,6 +177,7 @@ def decode(code, start, bits, k=2):
     Raises NoConsistentCompletion if the bits cannot be a prefix of any
     emission from the start table.
     """
+    check_indices(code, start)
     return _decode(Emissions(code), code.sets.words(k), k, start, str(bits))
 
 
@@ -216,9 +217,11 @@ def identification_delays(code, start, seq, bits=None):
     stream never pins down are not measured; they are exactly the ones the
     decoder reports as dangling.
     """
-    if bits is None:
-        bits, _ = encode_from(code, start, seq)
-    return _delays(Emissions(code), start, seq, str(bits))
+    seq = tuple(seq)
+    check_indices(code, start, seq)
+    auto = Emissions(code)
+    text = auto.emit(start, seq)[0] if bits is None else str(bits)
+    return _delays(auto, start, seq, text)
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
         start = rng.randrange(code.num_tables)
         seq = tuple(rng.randrange(code.sigma)
                     for _ in range(rng.randint(1, max_len)))
-        text = str(encode_from(code, start, seq)[0])
+        text = auto.emit(start, seq)[0]
         try:
             result = _decode(auto, windows, k, start, text)
         except NoConsistentCompletion as exc:
@@ -282,8 +285,8 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             continue
         conflicts += result.info.conflicts
         n = len(got)  # the cut-stream contract owes seq[n] if k bits follow
-        if n < len(seq) and len(encode_from(code, start, seq[:n + 1])[0]) \
-                + k <= len(text):
+        if n < len(seq) and len(auto.emit(start, seq[:n + 1])[0]) + k \
+                <= len(text):
             fail(trial, start, seq, "symbol %d not decoded, though at least "
                  "%d bits follow its codeword" % (n, k))
             continue

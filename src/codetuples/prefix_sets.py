@@ -97,11 +97,22 @@ def encode_from(code, start, seq):
 
     Returns (bits, end_table); the empty sequence returns (empty, start).
     """
-    words = []
-    for s in seq:
-        words.append(str(code.code(start, s)))
-        start = code.target(start, s)
-    return Bits("".join(words)), start
+    seq = tuple(seq)
+    check_indices(code, start, seq)
+    text, end = Emissions(code).emit(start, seq)
+    return Bits(text), end
+
+
+def check_indices(code, start, seq=()):
+    """Refuse a start table or a symbol index outside the tuple, since a
+    negative one would silently index from the end."""
+    if not 0 <= start < len(code.tables):
+        raise InvalidArgument("start table %r outside 0..%d"
+                              % (start, len(code.tables) - 1))
+    bad = set(seq).difference(range(len(code.alphabet)))
+    if bad:
+        raise InvalidArgument("symbol %r outside 0..%d" % (
+            next(s for s in seq if s in bad), len(code.alphabet) - 1))
 
 
 def symbols_with_codeword(code, i, b):
@@ -121,6 +132,15 @@ class Emissions:
             tuple((str(w), t, s) for s, (w, t)
                   in enumerate(zip(table.codes, table.targets)))
             for table in code.tables)
+
+    def emit(self, table, seq):
+        """The codewords of seq from table joined as a str, and the table
+        it ends in; the indices are not checked."""
+        words = []
+        for s in seq:
+            w, table, _ = self.rows[table][s]
+            words.append(w)
+        return "".join(words), table
 
     def search(self, text, table, pos=0, end=None):
         """The states reachable from (table, pos) by codewords inside

@@ -29,6 +29,12 @@ table 1 under guess (a, b) is table 0 under (b, a) with targets flipped,
 which keeps each scan bucket's contents in ascending order, as the combine
 needs them.
 
+The combine visits the guesses by a lower bound on their costs: a pair of
+tables costs a mean of their two costs weighted by the weight leaving each,
+so never less than the least bucket cost of either table.  It stops at the
+first guess whose bound is strictly above the best cost: a guess whose
+bound equals it may still hold a tie whose contents come first below.
+
 Ties are broken canonically: tables in index order, symbols in alphabet
 order, codewords compared by length then lexicographically, then the
 next-table index.
@@ -46,7 +52,7 @@ from fractions import Fraction
 from .bits import Bits
 from .classes import aifv_table_ok, witness
 from .core import CodeTuple, Table
-from .errors import EmptySpace, InvalidSpace, SearchCheckFailed
+from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
 
 FILTERS = ("f0", "aifv")
@@ -64,6 +70,10 @@ class SearchSpace:
     filter: str
 
     def __post_init__(self):
+        for name in ("sigma", "tables", "max_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidType("%s must be int, got %r" % (name, value))
         if self.sigma < 2:
             raise InvalidSpace("need at least two symbols")
         if self.tables not in (1, 2):
@@ -187,31 +197,33 @@ def _describe(space):
 # is the tie-break; sets of slots are int bitmasks over sid.
 
 
-def _contrib(word, target, pair_masks):
-    """Mask of two-bit blocks an emission can start with, given the slot."""
+def _contrib(word, mask):
+    """Two-bit blocks an emission can start with, given the target's set."""
     if len(word) >= 2:
         return 1 << PAIR_INDEX[word[:2]]
     if len(word) == 1:
-        mask = pair_masks[target]
         return sum(1 << PAIR_INDEX[word + bit]
                    for bit, firsts in (("0", 0b0011), ("1", 0b1100))
                    if mask & firsts)
-    return pair_masks[target]
+    return mask
 
 
 def _layout(max_len):
     words = all_words(max_len)
     nslots = 2 * len(words)
-    # (shorter word, slot of a strict extension, the extension's suffix)
-    extensions = [(wi, sid, words[sid >> 1][len(w):])
+    lens = [len(words[sid >> 1]) for sid in range(nslots)]
+    # each word's contribution under each of the 16 sets a target may guess
+    reach = {w: [_contrib(w, mask) for mask in range(16)] for w in words}
+    contrib = [reach[words[sid >> 1]] for sid in range(nslots)]
+    # (shorter word, slot of a strict extension, the suffix's contributions)
+    extensions = [(wi, sid, reach[words[sid >> 1][len(w):]])
                   for wi, w in enumerate(words) for sid in range(nslots)
-                  if len(words[sid >> 1]) > len(w)
-                  and words[sid >> 1].startswith(w)]
+                  if lens[sid] > len(w) and words[sid >> 1].startswith(w)]
     # a slot's part of the (targets, lenvec) key, and the slots sharing it
-    key_of = [2 * len(words[sid >> 1]) + (sid & 1) for sid in range(nslots)]
+    key_of = [2 * lens[sid] + (sid & 1) for sid in range(nslots)]
     same_key = [sum(1 << s for s in range(nslots) if key_of[s] == key)
                 for key in key_of]
-    return words, key_of, same_key, extensions
+    return words, lens, contrib, extensions, key_of, same_key
 
 
 def _scan(space):
@@ -256,16 +268,16 @@ def _scan_table(space, index, guess, layout):
     last symbol must complete the union to exactly the wanted set, and is
     tried only for keys not yet found after the same head.
     """
-    words, key_of, same_key, extensions = layout
-    contrib = [_contrib(words[sid >> 1], sid & 1, guess)
-               for sid in range(len(key_of))]
+    words, lens, by_mask, extensions, key_of, same_key = layout
+    nslots = len(key_of)
+    contrib = [row[guess[sid & 1]] for sid, row in enumerate(by_mask)]
     # Slots that cannot share a table: one codeword with overlapping target
     # sets, or a strict extension whose suffix can start a pair that the
     # shorter slot's target can start too.
-    clash = [sum(1 << (sid & ~1 | t) for t in (0, 1)
-                 if guess[sid & 1] & guess[t]) for sid in range(len(key_of))]
-    for wi, sid, rest in extensions:
-        reach = _contrib(rest, sid & 1, guess)
+    twin = 1 if guess[0] & guess[1] else 0
+    clash = [1 << sid | twin << (sid ^ 1) for sid in range(nslots)]
+    for wi, sid, reach in extensions:
+        reach = reach[guess[sid & 1]]
         for short in (2 * wi, 2 * wi + 1):
             if reach & guess[short & 1]:
                 clash[sid] |= 1 << short
@@ -273,9 +285,13 @@ def _scan_table(space, index, guess, layout):
     want = guess[index]
     allowed = sum(1 << sid for sid, c in enumerate(contrib)
                   if not c & ~want and (sid & 1) < space.tables)
+    by_pair = {pair: sum(1 << sid for sid, c in enumerate(contrib) if c & pair)
+               for pair in (1, 2, 4, 8)}
+    cover = [allowed]  # missing pairs -> allowed slots contributing them all
+    for need in range(1, 16):
+        cover.append(cover[need & need - 1] & by_pair[need & -need])
+    aifv = space.filter == "aifv"
     last = space.sigma - 1
-    content = [0] * last
-    cover = {}  # missing pairs -> allowed slots that contribute them all
     filled = {}  # head key -> slots whose key is already found
     found = {}
 
@@ -284,45 +300,40 @@ def _scan_table(space, index, guess, layout):
         return aifv_table_ok(index, [words[s >> 1] for s in slots],
                              [s & 1 for s in slots])
 
-    def finish(options, head_key):
-        head = tuple(content)
-        head_targets = tuple(sid & 1 for sid in head)
-        head_lens = tuple(len(words[sid >> 1]) for sid in head)
+    def finish(options, head_key, head, head_targets, head_lens):
         done = filled.get(head_key, 0)
         while options:
             low = options & -options
             sid = low.bit_length() - 1
             row = head + (sid,)
-            if space.filter == "aifv" and not verdict(tuple(sorted(row))):
+            if aifv and not verdict(tuple(sorted(row))):
                 options ^= low
                 continue
             bucket = found.setdefault(head_targets + (sid & 1,), {})
-            bucket[head_lens + (len(words[sid >> 1]),)] = row
+            bucket[head_lens + (lens[sid],)] = row
             done |= same_key[sid]
             options &= ~done
         filled[head_key] = done
 
-    def walk(pos, cand, union, head_key):
+    def walk(pos, cand, union, head_key, head, head_targets, head_lens):
+        base = head_key * nslots  # base > any part
+        deeper = pos + 1 < last
         rest = cand
         while rest:
             low = rest & -rest
             rest ^= low
             sid = low.bit_length() - 1
-            content[pos] = sid
-            below = cand & ~clash[sid]
-            key = head_key * len(key_of) + key_of[sid]  # base > any part
-            if pos + 1 < last:
-                walk(pos + 1, below, union | contrib[sid], key)
-                continue
-            need = want & ~(union | contrib[sid])
-            if need not in cover:
-                cover[need] = sum(1 << s for s, c in enumerate(contrib)
-                                  if allowed >> s & 1 and c & need == need)
-            options = below & cover[need] & ~filled.get(key, 0)
-            if options:
-                finish(options, key)
+            key = base + key_of[sid]
+            if deeper:
+                walk(pos + 1, cand & ~clash[sid], union | contrib[sid], key,
+                     head + (sid,), head_targets + (sid & 1,),
+                     head_lens + (lens[sid],))
+            elif options := (cand & ~clash[sid] & ~filled.get(key, 0)
+                             & cover[want & ~(union | contrib[sid])]):
+                finish(options, key, head + (sid,), head_targets + (sid & 1,),
+                       head_lens + (lens[sid],))
 
-    walk(0, allowed, 0, 0)
+    walk(0, allowed, 0, 0, (), (), ())
     return found
 
 
@@ -333,6 +344,11 @@ def _combine(space, dist, scan):
     denominators, and costs are compared as cross-multiplied fractions.
     A bucket's contents ascend in dict order, so it is summarized as (min
     cost, canonical content at min cost, canonical content) by lookups.
+
+    Guesses are visited by the least bucket cost of either table, a lower
+    bound on their pairs' costs, until it is strictly above the best cost;
+    only then is no tie left that could win on contents.  Pairs strictly
+    above the best are skipped before their contents are joined.
     """
     words = all_words(space.max_len)
     scale = math.lcm(*(p.denominator for p in dist.probs))
@@ -340,38 +356,45 @@ def _combine(space, dist, scan):
     cost = {lenvec: sum(w * n for w, n in zip(weight, lenvec))
             for lenvec in itertools.product(range(space.max_len + 1),
                                             repeat=space.sigma)}
+    # weight sent to table 1 per target vector; the weights sum to scale
+    ones = {targets: sum(w for w, t in zip(weight, targets) if t)
+            for targets in itertools.product((0, 1), repeat=space.sigma)}
 
-    def summarize(bucket):
-        at = min(bucket, key=cost.__getitem__)
-        return cost[at], bucket[at], next(iter(bucket.values()))
+    def summarize(table):  # (low, targets, at, any) per bucket, least first
+        ats = ((t, b, min(b, key=cost.__getitem__)) for t, b in table.items())
+        return sorted((cost[at], t, b[at], next(iter(b.values())))
+                      for t, b, at in ats)
 
-    best = None  # (numerator, denominator, content) of the least cost
-    for tabs in scan.values():
-        if len(tabs) == 1:  # all targets 0: one bucket, the table's cost
-            low, at, _ = summarize(*tabs[0].values())
-            if best is None or (low, at) < (best[0], best[2]):
+    guesses = [(min(s[0][0] for s in sums), sums) for sums in
+               ([summarize(t) for t in tabs] for tabs in scan.values())]
+    guesses.sort(key=lambda guess: guess[0])
+    best = (1, 0, None)  # (numerator, denominator, content); 1/0 is above all
+    for bound, sums in guesses:
+        if bound * best[1] > best[0]:  # strictly: ties go to the contents
+            break
+        if len(sums) == 1:  # all targets 0: one bucket, the table's cost
+            low, _, at, _ = sums[0][0]
+            ahead = low * best[1] - best[0]
+            if ahead < 0 or ahead == 0 and at < best[2]:
                 best = (low, 1, at)
             continue
-        tab0, tab1 = tabs
-        # weight leaving each table: table 1's returns, table 0's switches
-        sums1 = [(sum(w for w, t in zip(weight, t1) if not t), summarize(b))
-                 for t1, b in tab1.items()]
-        for t0, b in tab0.items():
-            low0, at0, any0 = summarize(b)
-            leave0 = sum(w for w, t in zip(weight, t0) if t)
-            for leave1, (low1, at1, any1) in sums1:
+        for low0, t0, at0, any0 in sums[0]:
+            # weight leaving each table: table 0's switches, table 1's returns
+            leave0 = ones[t0]
+            for low1, t1, at1, any1 in sums[1]:
+                leave1 = scale - ones[t1]
                 total = leave0 + leave1
                 if total == 0:
                     continue  # the two tables never mix: not regular
                 num = leave1 * low0 + leave0 * low1
+                ahead = num * best[1] - best[0] * total
+                if ahead > 0:
+                    continue
                 pick = (at0 if leave1 > 0 else any0) + \
                     (at1 if leave0 > 0 else any1)
-                if best is not None:
-                    ahead = num * best[1] - best[0] * total
-                    if ahead > 0 or ahead == 0 and pick >= best[2]:
-                        continue
-                best = (num, total, pick)
-    if best is None:
+                if ahead < 0 or pick < best[2]:
+                    best = (num, total, pick)
+    if best[2] is None:
         return None
     return (Fraction(best[0], best[1] * scale), best[2],
             _build(dist.alphabet, space.sigma,

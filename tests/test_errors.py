@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
-                        InvalidArgument, PrefixSetTable, SourceDist, Table,
-                        UnknownSymbol, chain_to_class, extend_to_two_tables,
-                        make_tuple, roundtrip_check)
+                        InvalidArgument, PrefixSetTable, SearchSpace,
+                        SourceDist, Table, UnknownSymbol, chain_to_class,
+                        decode, encode, extend_to_two_tables,
+                        identification_delays, make_tuple, roundtrip_check)
 from codetuples.bits import EMPTY, bit, flip
 from codetuples.errors import InvalidType
 from codetuples.reference import TUPLES
@@ -52,6 +53,20 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
      "Bits('0') is not a prefix of Bits('1')"),
     (lambda: bit(2), "bit must be 0 or 1"),
     (lambda: flip(-1), "bit must be 0 or 1"),
+    # a negative index would silently count from the end
+    (lambda: encode(TUPLES["r3"], 0, (9,)), "symbol 9 outside 0..3"),
+    (lambda: encode(TUPLES["r3"], 0, (0, -1)), "symbol -1 outside 0..3"),
+    (lambda: encode(TUPLES["r3"], 0, (0, "b")), "symbol 'b' outside 0..3"),
+    (lambda: encode(TUPLES["r3"], 7, (0,)), "start table 7 outside 0..2"),
+    (lambda: encode(TUPLES["r3"], -1, (0,)), "start table -1 outside 0..2"),
+    (lambda: decode(TUPLES["r3"], 5, Bits("0101")),
+     "start table 5 outside 0..2"),
+    (lambda: decode(TUPLES["r3"], -3, Bits("0101")),
+     "start table -3 outside 0..2"),
+    (lambda: identification_delays(TUPLES["r3"], 3, (0,), Bits("0")),
+     "start table 3 outside 0..2"),
+    (lambda: identification_delays(TUPLES["r3"], 0, (4,), Bits("0")),
+     "symbol 4 outside 0..3"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:
@@ -73,6 +88,10 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: Table(("0",), (0,)), "codeword must be Bits, got '0'"),
     (lambda: SourceDist(AB, (0.5, HALF)),
      "probability must be Fraction, got 0.5"),
+    (lambda: SearchSpace("3", 2, 3, "f0"), "sigma must be int, got '3'"),
+    (lambda: SearchSpace(3.0, 2, 2, "f0"), "sigma must be int, got 3.0"),
+    (lambda: SearchSpace(3, True, 2, "f0"), "tables must be int, got True"),
+    (lambda: SearchSpace(3, 2, 3.5, "f0"), "max_len must be int, got 3.5"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:

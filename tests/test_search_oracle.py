@@ -7,10 +7,13 @@ bucket, since the combine's tie-break reads the first content kept, and
 the combine must pick the same cost, contents and tuple.  At four symbols
 the oracle scan is too slow, so both combines read the pruned scan, and
 the order the combine relies on, contents ascending in every bucket, is
-checked on its own.
+checked on its own.  The combine stops at a bound, so it is also checked
+on distributions whose costs tie often and with the guesses in reverse
+order.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +27,14 @@ SPACES = [(sigma, max_len, filt)
           for sigma, max_len in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
           for filt in ("f0", "aifv")]
 COMBINE_DISTS = 20
+# weights whose costs tie often: uniform, then a half and quarters and
+# two fifths and a fifth in every order (a half, a quarter and eighths at
+# four symbols, where the oracle takes seconds per distribution)
+TIE_HEAVY = {
+    3: [(1, 1, 1)] + sorted(set(itertools.permutations((2, 1, 1))))
+    + sorted(set(itertools.permutations((2, 2, 1)))),
+    4: [(1, 1, 1, 1), (4, 2, 1, 1)],
+}
 
 
 def ordered(scan):
@@ -89,3 +100,22 @@ def test_combine_matches_the_oracle_at_four_symbols(max_len, filt, count):
     for dist in seeded_dists(4, space)[:count]:
         assert _combine(space, dist, scan) == \
             oracle_combine(space, dist, scan), dist.probs
+
+
+@pytest.mark.parametrize("sigma,max_len,filt", [(3, 2, "f0"), (3, 3, "f0"),
+                                                (3, 3, "aifv"), (4, 3, "f0")])
+def test_bounded_combine_keeps_the_tie_break(sigma, max_len, filt):
+    # the combine stops at the first guess whose bound is strictly above
+    # the best cost: a bound equal to it can still hold a tie whose
+    # contents come first, so neither the stop nor the visiting order may
+    # change the result
+    space = SearchSpace(sigma, 2, max_len, filt)
+    scan = scan_of(sigma, max_len, filt)
+    backwards = dict(reversed(scan.items()))
+    alphabet = Alphabet(("a", "b", "c", "d")[:sigma])
+    for weights in TIE_HEAVY[sigma]:
+        dist = SourceDist(alphabet, tuple(Fraction(w, sum(weights))
+                                          for w in weights))
+        got = _combine(space, dist, scan)
+        assert got == oracle_combine(space, dist, scan), dist.probs
+        assert _combine(space, dist, backwards) == got, dist.probs
