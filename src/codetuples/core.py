@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .bits import Bits, parse as parse_bits, show as show_bits
 from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
@@ -91,6 +90,18 @@ class Table:
                 raise InvalidType("codeword must be Bits, got %r" % (c,))
 
 
+class _Sets:
+    """``CodeTuple.sets``, built on first read and then stored on the tuple
+    with ``object.__setattr__``: unlike ``functools.cached_property``'s
+    write to ``__dict__``, that keeps CPython 3.11's inline attributes."""
+
+    def __get__(self, code, owner=None):
+        if code is None:
+            return self
+        object.__setattr__(code, "sets", PrefixSetTable(code))
+        return code.sets
+
+
 @dataclass(frozen=True)
 class CodeTuple:
     """A family of code tables over a common alphabet."""
@@ -132,10 +143,7 @@ class CodeTuple:
     def with_tables(self, tables):
         return CodeTuple(self.alphabet, tuple(tables))
 
-    @cached_property
-    def sets(self):
-        """This tuple's continuation sets, built on first use and kept."""
-        return PrefixSetTable(self)
+    sets = _Sets()  # this tuple's continuation sets
 
 
 def make_tuple(names, rows):

@@ -14,7 +14,7 @@ Sets grow like 2**k, so an instance refuses k beyond its configured bound.
 from __future__ import annotations
 
 from .bits import Bits
-from .errors import InvalidArgument
+from .errors import InvalidArgument, InvalidType
 
 DEFAULT_MAX_K = 8
 
@@ -104,11 +104,18 @@ def encode_from(code, start, seq):
 
 
 def check_indices(code, start, seq=()):
-    """Refuse a start table or a symbol index outside the tuple, since a
-    negative one would silently index from the end."""
+    """Refuse a start table or a symbol index outside the tuple (a negative
+    one would silently index from the end) or not an int: 1.0 and True
+    equal an index, and ``set((1, 1.0))`` is ``{1}``, so symbol types are
+    read one by one.  A str symbol names no index, so it is outside them."""
+    if type(start) is not int:
+        raise InvalidType("start table must be int, got %r" % (start,))
     if not 0 <= start < len(code.tables):
         raise InvalidArgument("start table %r outside 0..%d"
                               % (start, len(code.tables) - 1))
+    if set(map(type, seq)) - {int, str}:
+        raise InvalidType("symbol must be int, got %r" % (
+            next(s for s in seq if type(s) not in (int, str)),))
     bad = set(seq).difference(range(len(code.alphabet)))
     if bad:
         raise InvalidArgument("symbol %r outside 0..%d" % (

@@ -25,9 +25,10 @@ lengths are minimized independently per guess and target assignment (one
 table's cost is its own expected length).
 
 Under f0 only table 0 is walked: no f0 condition reads the table index, so
-table 1 under guess (a, b) is table 0 under (b, a) with targets flipped,
-which keeps each scan bucket's contents in ascending order, as the combine
-needs them.
+table 1 under guess (a, b) is table 0 under (b, a) with targets flipped.
+The scan shares that table instead of copying it, and the combine flips
+the winner's table-1 sids: a bucket's contents share their targets, so
+flipping keeps them in the ascending order the combine reads them in.
 
 The combine visits the guesses by a lower bound on their costs: a pair of
 tables costs a mean of their two costs weighted by the weight leaving each,
@@ -232,7 +233,7 @@ def _scan(space):
     Returns {guess: ({targets: {lenvec: sid tuple}}, ...)}, one dict per
     table, where each stored sid tuple is the canonically first content
     with its targets and codeword lengths, in ascending order.  Under f0,
-    table 1 is table 0 under the swapped guess with targets flipped.
+    table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
     """
     layout = _layout(space.max_len)
     if space.filter == "aifv":  # two tables, and the clauses read the index
@@ -245,17 +246,8 @@ def _scan(space):
                 if (tab := _scan_table(space, 0, (a, a), layout))}
     tab0 = {(a, b): _scan_table(space, 0, (a, b), layout)
             for a in range(1, 16) for b in range(1, 16)}
-    return {(a, b): (tab0[a, b], _swapped(tab0[b, a]))
+    return {(a, b): (tab0[a, b], tab0[b, a])
             for a, b in tab0 if tab0[a, b] and tab0[b, a]}
-
-
-def _swapped(table):
-    """Table 0 under guess (b, a) as f0 table 1 under (a, b), in walk order."""
-    buckets = sorted([(tuple([sid ^ 1 for sid in row]), lenvec)
-                      for lenvec, row in bucket.items()]
-                     for bucket in table.values())
-    return {tuple([sid & 1 for sid in rows[0][0]]):
-            {lenvec: row for row, lenvec in rows} for rows in buckets}
 
 
 def _scan_table(space, index, guess, layout):
@@ -343,7 +335,9 @@ def _combine(space, dist, scan):
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
     A bucket's contents ascend in dict order, so it is summarized as (min
-    cost, canonical content at min cost, canonical content) by lookups.
+    cost, weight leaving, canonical content at min cost, canonical content)
+    by lookups, once per stored table: an f0 table read as table 1 leaves
+    by its own targets' ones, so one summary serves both positions.
 
     Guesses are visited by the least bucket cost of either table, a lower
     bound on their pairs' costs, until it is strictly above the best cost;
@@ -359,14 +353,22 @@ def _combine(space, dist, scan):
     # weight sent to table 1 per target vector; the weights sum to scale
     ones = {targets: sum(w for w, t in zip(weight, targets) if t)
             for targets in itertools.product((0, 1), repeat=space.sigma)}
+    flip = space.filter == "f0"  # table 1 is a table 0 with targets flipped
+    # weight leaving each table: table 0's switches, table 1's returns
+    leaving = (ones, ones if flip else
+               {targets: scale - w for targets, w in ones.items()})
+    summaries = {}  # by table identity: an f0 table serves two guesses
 
-    def summarize(table):  # (low, targets, at, any) per bucket, least first
+    def summarize(table, leave):  # (low, leave, at, any), least first
         ats = ((t, b, min(b, key=cost.__getitem__)) for t, b in table.items())
-        return sorted((cost[at], t, b[at], next(iter(b.values())))
+        return sorted((cost[at], leave[t], b[at], next(iter(b.values())))
                       for t, b, at in ats)
 
     guesses = [(min(s[0][0] for s in sums), sums) for sums in
-               ([summarize(t) for t in tabs] for tabs in scan.values())]
+               ([summaries[id(t)] if id(t) in summaries else
+                 summaries.setdefault(id(t), summarize(t, leave))
+                 for t, leave in zip(tabs, leaving)]
+                for tabs in scan.values())]
     guesses.sort(key=lambda guess: guess[0])
     best = (1, 0, None)  # (numerator, denominator, content); 1/0 is above all
     for bound, sums in guesses:
@@ -378,11 +380,8 @@ def _combine(space, dist, scan):
             if ahead < 0 or ahead == 0 and at < best[2]:
                 best = (low, 1, at)
             continue
-        for low0, t0, at0, any0 in sums[0]:
-            # weight leaving each table: table 0's switches, table 1's returns
-            leave0 = ones[t0]
-            for low1, t1, at1, any1 in sums[1]:
-                leave1 = scale - ones[t1]
+        for low0, leave0, at0, any0 in sums[0]:
+            for low1, leave1, at1, any1 in sums[1]:
                 total = leave0 + leave1
                 if total == 0:
                     continue  # the two tables never mix: not regular
@@ -390,8 +389,9 @@ def _combine(space, dist, scan):
                 ahead = num * best[1] - best[0] * total
                 if ahead > 0:
                     continue
+                half = at1 if leave0 > 0 else any1
                 pick = (at0 if leave1 > 0 else any0) + \
-                    (at1 if leave0 > 0 else any1)
+                    (tuple([sid ^ 1 for sid in half]) if flip else half)
                 if ahead < 0 or pick < best[2]:
                     best = (num, total, pick)
     if best[2] is None:

@@ -422,6 +422,28 @@ def oracle_scan_two_tables(space):
     return scan
 
 
+def _swapped(table):
+    """Table 0 under guess (b, a) as f0 table 1 under (a, b), in walk order."""
+    buckets = sorted([(tuple([sid ^ 1 for sid in row]), lenvec)
+                      for lenvec, row in bucket.items()]
+                     for bucket in table.values())
+    return {tuple([sid & 1 for sid in rows[0][0]]):
+            {lenvec: row for row, lenvec in rows} for rows in buckets}
+
+
+def expand_scan(space, scan):
+    """A search scan in the oracle's shape, {guess: (table 0, table 1)}.
+
+    The f0 scan stores table 1 under (a, b) as the table 0 it keeps under
+    (b, a); this flips a copy of it, the way the scan itself once stored
+    it.  Other scans already have the oracle's shape.
+    """
+    if space.filter != "f0" or space.tables != 2:
+        return scan
+    return {guess: (tab0, _swapped(tab1))
+            for guess, (tab0, tab1) in scan.items()}
+
+
 def oracle_combine(space, dist, scan):
     """Cheapest (guess, targets, contents) combo for this distribution."""
     words = all_words(space.max_len)

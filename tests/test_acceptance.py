@@ -5,6 +5,8 @@ the ten lines, then asserts, so a FAIL also fails the suite.  The checks
 with stated time budgets enforce them with a monotonic clock.
 """
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -81,6 +83,11 @@ SEARCH_DISTS_SIGMA4 = (("1/10", "2/10", "3/10", "4/10"),
 # ... but not on this one: of the rows in descending order with denominators
 # up to 11, the only one where they differ
 SEARCH_GAP_SIGMA4 = ("5/11", "3/11", "2/11", "1/11")
+# every row (a, b, c, d)/n with a >= b >= c >= d, gcd 1 and n <= 11: 36 rows
+LENGTH_BOUND_ROWS = [
+    row for n in range(4, 12)
+    for row in itertools.combinations_with_replacement(range(n, 0, -1), 4)
+    if sum(row) == n and math.gcd(*row) == 1]
 
 NAMES = ("a", "b", "c", "d")
 
@@ -340,7 +347,7 @@ def test_wider_search_at_four_symbols():
     # The length bound, not the class, makes the gap: the rewrites that
     # carry an f0 tuple towards the AIFV form keep its cost but lengthen a
     # codeword past 3 bits.  (The AIFV minimum with 4-bit codewords, 9/5,
-    # is below both; it takes seconds, so it is not searched here.)
+    # is below both; the next test pins it.)
     dist = _dist(SEARCH_GAP_SIGMA4)
     strict = enumerate_min(strict_space, dist)
     loose = enumerate_min(loose_space, dist)
@@ -352,3 +359,23 @@ def test_wider_search_at_four_symbols():
         assert average_length(code, dist) == loose.avg_len
     assert classify(code).flags["f3"]
     assert code.max_code_len() == 4
+
+
+def test_one_more_bit_lets_aifv_match_f0_at_four_symbols():
+    # The gap above comes from the length bound: on every row of the slice,
+    # the AIFV minimum with codewords of up to 4 bits is at most the f0
+    # minimum with codewords of up to 3 bits, and often strictly below it.
+    # One scan of each space serves all rows.
+    loose_space = SearchSpace(4, 2, 3, "f0")
+    strict_space = SearchSpace(4, 2, 4, "aifv")
+    assert len(LENGTH_BOUND_ROWS) == 36
+    below = 0
+    for row in LENGTH_BOUND_ROWS:
+        dist = _dist(["%d/%d" % (x, sum(row)) for x in row])
+        strict = enumerate_min(strict_space, dist).avg_len
+        loose = enumerate_min(loose_space, dist).avg_len
+        assert strict <= loose, (row, strict, loose)
+        below += strict < loose
+    assert below == 19
+    dist = _dist(SEARCH_GAP_SIGMA4)
+    assert enumerate_min(strict_space, dist).avg_len == Fraction(9, 5)

@@ -92,6 +92,19 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: SearchSpace(3.0, 2, 2, "f0"), "sigma must be int, got 3.0"),
     (lambda: SearchSpace(3, True, 2, "f0"), "tables must be int, got True"),
     (lambda: SearchSpace(3, 2, 3.5, "f0"), "max_len must be int, got 3.5"),
+    # a codec index equal to an index but of another type; the check is per
+    # symbol, since set((1, 1.0)) is {1}
+    (lambda: encode(TUPLES["r3"], 0, (1.0,)), "symbol must be int, got 1.0"),
+    (lambda: encode(TUPLES["r3"], 0, (1, 1.0)), "symbol must be int, got 1.0"),
+    (lambda: encode(TUPLES["r3"], 0, ([1],)), "symbol must be int, got [1]"),
+    (lambda: identification_delays(TUPLES["r3"], 0, (0, True), Bits("0")),
+     "symbol must be int, got True"),
+    (lambda: encode(TUPLES["r3"], "0", (1,)),
+     "start table must be int, got '0'"),
+    (lambda: encode(TUPLES["r3"], True, (1,)),
+     "start table must be int, got True"),
+    (lambda: decode(TUPLES["r3"], 0.0, Bits("0101")),
+     "start table must be int, got 0.0"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:

@@ -19,6 +19,7 @@ from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
                                SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
+from support import _swapped
 
 AB2 = Alphabet(("a", "b"))
 
@@ -101,8 +102,7 @@ def test_f0_table_one_is_table_zero_under_the_swapped_guess(sigma, max_len):
     for a in range(1, 16):
         for b in range(1, 16):
             direct = search._scan_table(space, 1, (a, b), layout)
-            derived = search._swapped(
-                search._scan_table(space, 0, (b, a), layout))
+            derived = _swapped(search._scan_table(space, 0, (b, a), layout))
             assert ordered(direct) == ordered(derived), (a, b)
 
 

@@ -2,14 +2,18 @@
 
 ``support.oracle_scan_two_tables`` tries every content of every table under
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
-scan dicts must be equal including key order and the order inside every
-bucket, since the combine's tie-break reads the first content kept, and
-the combine must pick the same cost, contents and tuple.  At four symbols
-the oracle scan is too slow, so both combines read the pruned scan, and
-the order the combine relies on, contents ascending in every bucket, is
-checked on its own.  The combine stops at a bound, so it is also checked
-on distributions whose costs tie often and with the guesses in reverse
-order.
+f0 scan shares each walked table 0 as table 1 of the swapped guess, so it
+is compared through ``support.expand_scan``, which flips a copy of every
+shared table 1 back into the oracle's shape.  The scan dicts must then be
+equal including key order and the order inside every bucket, since the
+combine's tie-break reads the first content kept, and the combine, reading
+the unexpanded scan, must pick the same cost, contents and tuple as the
+oracle combine reading the oracle's scan.  At four symbols the oracle
+scan is too slow, so both combines read the pruned scan, the oracle's
+expanded, and the order the combine relies on, contents ascending in
+every bucket, is checked on its own.  The combine stops at a bound, so it
+is also checked on distributions whose costs tie often and with the
+guesses in reverse order.
 """
 
 import functools
@@ -21,7 +25,7 @@ import pytest
 
 from codetuples import Alphabet, SearchSpace, SourceDist
 from codetuples.search import _combine, _scan
-from support import oracle_combine, oracle_scan_two_tables
+from support import expand_scan, oracle_combine, oracle_scan_two_tables
 
 SPACES = [(sigma, max_len, filt)
           for sigma, max_len in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
@@ -63,7 +67,7 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
     space = SearchSpace(sigma, 2, max_len, filt)
     scan = _scan(space)
     expected = oracle_scan_two_tables(space)
-    assert ordered(scan) == ordered(expected)
+    assert ordered(expand_scan(space, scan)) == ordered(expected)
     for dist in seeded_dists(sigma, space):
         got = _combine(space, dist, scan)
         want = oracle_combine(space, dist, expected)
@@ -90,6 +94,15 @@ def test_scan_contents_ascend_in_dict_order(sigma, max_len, filt):
                 assert all(x < y for x, y in zip(contents, contents[1:]))
 
 
+@pytest.mark.parametrize("sigma", [3, 4])
+def test_f0_scan_shares_each_table_with_the_swapped_guess(sigma):
+    # the f0 scan keeps one table per walked guess and shares it
+    scan = scan_of(sigma, 3, "f0")
+    assert scan
+    for a, b in scan:
+        assert scan[a, b][1] is scan[b, a][0], (a, b)
+
+
 @pytest.mark.parametrize("max_len,filt,count", [(2, "f0", COMBINE_DISTS),
                                                 (2, "aifv", COMBINE_DISTS),
                                                 (3, "f0", 2)])
@@ -99,7 +112,7 @@ def test_combine_matches_the_oracle_at_four_symbols(max_len, filt, count):
     scan = scan_of(4, max_len, filt)
     for dist in seeded_dists(4, space)[:count]:
         assert _combine(space, dist, scan) == \
-            oracle_combine(space, dist, scan), dist.probs
+            oracle_combine(space, dist, expand_scan(space, scan)), dist.probs
 
 
 @pytest.mark.parametrize("sigma,max_len,filt", [(3, 2, "f0"), (3, 3, "f0"),
@@ -117,5 +130,6 @@ def test_bounded_combine_keeps_the_tie_break(sigma, max_len, filt):
         dist = SourceDist(alphabet, tuple(Fraction(w, sum(weights))
                                           for w in weights))
         got = _combine(space, dist, scan)
-        assert got == oracle_combine(space, dist, scan), dist.probs
+        assert got == oracle_combine(space, dist, expand_scan(space, scan)), \
+            dist.probs
         assert _combine(space, dist, backwards) == got, dist.probs
