@@ -5,9 +5,11 @@ unread bits start with and whose next k bits are an emittable k-bit block
 of the next table.  For a tuple decodable with delay k that candidate is
 unique once the window is fully available, so the scan never misreads; it
 stops when fewer than k bits remain past the codeword, or rather than
-revisit a (table, offset) state through an empty codeword.  Decoding, tail
-completion and the round-trip delay scan all walk the emission automaton
-of ``prefix_sets.Emissions`` over ``str`` offsets.
+revisit a (table, offset) state through an empty codeword.  A step reads at
+most its table's longest codeword plus k bits, so each call memoizes steps by
+(table, those bits); ``roundtrip_check``'s trials share one call's table.
+Decoding, tail completion and the round-trip delay scan all walk the
+emission automaton of ``prefix_sets.Emissions`` over ``str`` offsets.
 """
 
 from __future__ import annotations
@@ -130,18 +132,25 @@ def _common_prefix(seqs):
     return next((lo[:n] for n, (a, b) in enumerate(zip(lo, hi)) if a != b), lo)
 
 
-def _decode(auto, windows, k, start, text):
-    rows = auto.rows
+def _decode(auto, windows, k, start, text, steps):
+    """Decode text from start; ``steps`` maps (table, bits read) to (more than
+    one candidate, codeword, target, symbol) or () when none fits."""
+    rows, longest = auto.rows, auto.longest
     symbols, table, pos, conflicts = [], start, 0, 0
     seen = {start}  # tables visited at this offset
     while True:
-        cands = [(w, t, s) for w, t, s in rows[table]
-                 if text.startswith(w, pos) and pos + len(w) + k <= len(text)
-                 and text[pos + len(w):pos + len(w) + k] in windows[t]]
-        if not cands:
+        view = text[pos:pos + longest[table] + k]
+        step = steps.get((table, view))
+        if step is None:
+            cands = [(w, t, s) for w, t, s in rows[table]
+                     if view.startswith(w) and len(w) + k <= len(view)
+                     and view[len(w):len(w) + k] in windows[t]]
+            step = (len(cands) > 1,) + cands[0] if cands else ()
+            steps[table, view] = step
+        if not step:
             break
-        conflicts += len(cands) > 1
-        w, t, s = cands[0]
+        conflict, w, t, s = step
+        conflicts += conflict
         if w:
             seen = set()
         elif t in seen:
@@ -178,7 +187,8 @@ def decode(code, start, bits, k=2):
     emission from the start table.
     """
     check_indices(code, start)
-    return _decode(Emissions(code), code.sets.words(k), k, start, str(bits))
+    return _decode(Emissions(code), code.sets.words(k), k, start, str(bits),
+                   {})
 
 
 def _delays(auto, start, seq, text):
@@ -256,12 +266,13 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
     """
     if seed is None:
         raise InvalidArgument("seed is required")
+    for name, value, low in (("trials", trials, 0), ("max_len", max_len, 1)):
+        if value < low:
+            raise InvalidArgument("%s=%r below %d" % (name, value, low))
     rng = random.Random(seed)
     auto, windows = Emissions(code), code.sets.words(k)
-    failures = []
-    count = 0
-    max_delay = 0
-    conflicts = 0
+    steps = {}  # the trials share one automaton, windows and k
+    failures, count, max_delay, conflicts = [], 0, 0, 0
 
     def fail(trial, start, seq, reason):
         nonlocal count
@@ -275,7 +286,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
                     for _ in range(rng.randint(1, max_len)))
         text = auto.emit(start, seq)[0]
         try:
-            result = _decode(auto, windows, k, start, text)
+            result = _decode(auto, windows, k, start, text, steps)
         except NoConsistentCompletion as exc:
             fail(trial, start, seq, "no completion: %s" % exc)
             continue

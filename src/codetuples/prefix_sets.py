@@ -30,6 +30,8 @@ class PrefixSetTable:
         self._bases = {}
 
     def _check_k(self, k):
+        if type(k) is not int:  # 2.0 and True would pass the range test
+            raise InvalidType("k must be int, got %r" % (k,))
         if not 0 <= k <= self.max_k:
             raise InvalidArgument("k=%d outside 0..%d" % (k, self.max_k))
 
@@ -62,6 +64,7 @@ class PrefixSetTable:
 
     def base(self, i, k):
         """All k-bit strings the encoder can emit next, starting in table i."""
+        self._check_k(k)  # a cached level would answer 2.0 as 2
         if k not in self._bases:
             self._bases[k] = tuple(frozenset(map(Bits, words))
                                    for words in self.words(k))
@@ -131,14 +134,15 @@ class Emissions:
     """The emission automaton of one code tuple over a bit string: a state
     (table, offset) says the string up to offset is exactly an emission
     ending in that table, and each symbol whose codeword the string goes
-    on with is an edge.  ``rows[i]``: table i's (codeword, target, symbol).
-    """
+    on with is an edge.  ``rows[i]``: table i's (codeword, target, symbol);
+    ``longest[i]``: the length of its longest codeword."""
 
     def __init__(self, code):
         self.rows = tuple(
             tuple((str(w), t, s) for s, (w, t)
                   in enumerate(zip(table.codes, table.targets)))
             for table in code.tables)
+        self.longest = tuple(max(map(len, t.codes)) for t in code.tables)
 
     def emit(self, table, seq):
         """The codewords of seq from table joined as a str, and the table

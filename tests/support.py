@@ -1,5 +1,5 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
-greedy decoder, the old search scan and combine, the old aifv membership
+greedy decoder and a round trip on it, the old search scan and combine, the old aifv membership
 test, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
@@ -10,10 +10,12 @@ states with its own code, independently of the codec's emission automaton.
 """
 
 import itertools
+import random
 
 from codetuples import Bits, PrefixSetTable, make_tuple
 from codetuples.bits import EMPTY, ZERO
-from codetuples.codec import DanglingInfo, DecodeResult
+from codetuples.codec import (FAILURE_CAP, DanglingInfo, DecodeResult,
+                              RoundTripFailure, RoundTripReport)
 from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
@@ -273,6 +275,49 @@ def oracle_identification_delays(code, start, seq, bits=None):
         pos = boundary
         table = code.target(table, s)
     return delays
+
+
+def oracle_roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
+    """``roundtrip_check`` with each trial decoded by ``oracle_decode`` and
+    timed by ``oracle_identification_delays``: the same random draws, the
+    same failure reasons, a fresh decoder per trial."""
+    rng = random.Random(seed)
+    failures, count, max_delay, conflicts = [], 0, 0, 0
+
+    def fail(trial, start, seq, reason):
+        nonlocal count
+        count += 1
+        if len(failures) < FAILURE_CAP:
+            failures.append(RoundTripFailure(trial, start, tuple(seq), reason))
+
+    for trial in range(trials):
+        start = rng.randrange(code.num_tables)
+        seq = tuple(rng.randrange(code.sigma)
+                    for _ in range(rng.randint(1, max_len)))
+        bits, _ = encode_from(code, start, seq)
+        try:
+            result = oracle_decode(code, start, bits, k)
+        except NoConsistentCompletion as exc:
+            fail(trial, start, seq, "no completion: %s" % exc)
+            continue
+        got = result.symbols
+        if got != seq[:len(got)]:
+            fail(trial, start, seq, "decoded %r instead of a prefix" % (got,))
+            continue
+        conflicts += result.info.conflicts
+        n = len(got)
+        if n < len(seq) and \
+                len(encode_from(code, start, seq[:n + 1])[0]) + k <= len(bits):
+            fail(trial, start, seq, "symbol %d not decoded, though at least "
+                 "%d bits follow its codeword" % (n, k))
+            continue
+        worst = max(oracle_identification_delays(code, start, seq, bits),
+                    default=None)
+        if worst is not None:
+            max_delay = max(max_delay, worst)
+            if worst > k:
+                fail(trial, start, seq, "identification delay %d" % worst)
+    return RoundTripReport(trials, tuple(failures), count, max_delay, conflicts)
 
 
 # --------------------------------------------------------------------------

@@ -234,6 +234,24 @@ def test_k_out_of_range_is_refused_before_any_output(files, capsys, extra, k):
     assert err == "error: k=%d outside 0..8\n" % k
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--trials", "-1"], "trials=-1 below 0"),
+    (["--max-len", "0"], "max_len=0 below 1"),
+])
+def test_bad_roundtrip_sizes_are_refused_before_any_output(
+        files, capsys, extra, message):
+    argv = ["decode", "--tuple", files["r3"], "--roundtrip", "--seed", "1"]
+    rc, lines, err = run(capsys, argv + extra)
+    assert (rc, lines, err) == (1, [], "error: %s\n" % message)
+
+
+def test_zero_roundtrip_trials_still_report(files, capsys):
+    argv = ["decode", "--tuple", files["r3"], "--roundtrip", "--seed", "1",
+            "--trials", "0"]
+    rc, lines, _ = run(capsys, argv)
+    assert (rc, lines[:2]) == (0, ["trials = 0", "failures = 0"])
+
+
 def _in_process(capsys, argv):
     try:
         rc = main(argv)
@@ -276,6 +294,10 @@ def test_repeated_calls_in_one_process_match_fresh_processes(
         ["frobnicate"],
         ["huffman", "--dist", files["dist"]],
         ["decode", "--tuple", r3, "--roundtrip"],
+        ["decode", "--tuple", r3, "--roundtrip", "--seed", "1",
+         "--trials", "-1"],
+        ["decode", "--tuple", r3, "--roundtrip", "--seed", "1",
+         "--max-len", "0"],
         ["decode", "--tuple", r3, "--bits", "10000011"],
         ["psets", "--tuple", r3, "--k", "12"],
         ["goldens"],

@@ -4,6 +4,8 @@
 the decoder and delay scan as they stood on ``Bits`` slices, with their own
 state searches.  Every field of the result must agree: symbols, end table,
 tail, completions, capped and conflicts, or both must refuse the bits.
+``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
+decoder per trial, against the codec's table of steps shared by the trials.
 """
 
 import itertools
@@ -11,14 +13,15 @@ import random
 
 import pytest
 
-from codetuples import classify, decode, identification_delays, make_tuple
+from codetuples import (classify, decode, identification_delays, make_tuple,
+                        roundtrip_check)
 from codetuples.bits import Bits
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import TUPLES
 
 from support import (oracle_decode, oracle_identification_delays,
-                     random_code_tuple, random_seq)
+                     oracle_roundtrip_check, random_code_tuple, random_seq)
 
 STREAM_KEYS = ("r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10")
 
@@ -130,3 +133,44 @@ def test_identification_delays_match_the_oracle():
         seq = random_seq(rng, code, 8)
         assert identification_delays(code, start, seq) == \
             oracle_identification_delays(code, start, seq), (code, seq)
+
+
+def assert_same_roundtrip(code, k, seed, trials=60, max_len=10):
+    got = roundtrip_check(code, k, trials, max_len, seed)
+    assert got == oracle_roundtrip_check(code, k, trials, max_len, seed), \
+        (code, k, seed)
+    return got
+
+
+def test_roundtrip_reports_on_random_tuples_match_the_oracle():
+    # f0 tuples pass; the others fail, conflict and get refused, which must
+    # be counted, capped and worded alike
+    rng = random.Random(4404)
+    wanted = {True: 20, False: 40}
+    reports = []
+    while any(wanted.values()):
+        code = random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=3)
+        f0 = classify(code)["f0"]
+        if has_empty_cycle(code) or not wanted[f0]:
+            continue
+        wanted[f0] -= 1
+        for k in (1, 2, 3):
+            reports.append(assert_same_roundtrip(code, k, rng.randrange(999)))
+    reasons = {f.reason.split()[0] for r in reports for f in r.failures}
+    # a symbol left out with k bits after it needs a loop of empty
+    # codewords, which the oracle cannot run
+    assert reasons == {"no", "decoded", "identification"}
+    assert any(r.failure_count > len(r.failures) for r in reports)
+    assert any(r.conflicts for r in reports)
+
+
+@pytest.mark.parametrize("code", AMBIGUOUS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_roundtrip_reports_on_ambiguous_tuples_match_the_oracle(code, k):
+    assert_same_roundtrip(code, k, seed=k, trials=200)
+
+
+@pytest.mark.parametrize("key", ("r2",) + STREAM_KEYS)
+def test_roundtrip_reports_on_reference_tuples_match_the_oracle(key):
+    for k in (1, 2, 3):
+        assert_same_roundtrip(TUPLES[key], k, seed=k, trials=100, max_len=16)

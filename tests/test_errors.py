@@ -8,8 +8,9 @@ import pytest
 from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SearchSpace,
                         SourceDist, Table, UnknownSymbol, chain_to_class,
-                        decode, encode, extend_to_two_tables,
-                        identification_delays, make_tuple, roundtrip_check)
+                        decode, delay_decodability, encode,
+                        extend_to_two_tables, identification_delays,
+                        make_tuple, roundtrip_check)
 from codetuples.bits import EMPTY, bit, flip
 from codetuples.errors import InvalidType
 from codetuples.reference import TUPLES
@@ -67,6 +68,13 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
      "start table 3 outside 0..2"),
     (lambda: identification_delays(TUPLES["r3"], 0, (4,), Bits("0")),
      "symbol 4 outside 0..3"),
+    # refused before any trial is drawn, not after a vacuous or random error
+    (lambda: roundtrip_check(TUPLES["r3"], trials=-1, seed=1),
+     "trials=-1 below 0"),
+    (lambda: roundtrip_check(TUPLES["r3"], max_len=0, seed=1),
+     "max_len=0 below 1"),
+    (lambda: roundtrip_check(TUPLES["r3"], max_len=-4, seed=1),
+     "max_len=-4 below 1"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:
@@ -105,6 +113,16 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
      "start table must be int, got True"),
     (lambda: decode(TUPLES["r3"], 0.0, Bits("0101")),
      "start table must be int, got 0.0"),
+    # a k equal to a level but of another type, cached or not
+    (lambda: decode(TUPLES["r3"], 0, Bits("0101"), k=2.0),
+     "k must be int, got 2.0"),
+    (lambda: delay_decodability(TUPLES["r3"], 2.0), "k must be int, got 2.0"),
+    (lambda: TUPLES["r3"].sets.base(0, 2.0), "k must be int, got 2.0"),
+    (lambda: PrefixSetTable(TUPLES["r3"]).base(0, True),
+     "k must be int, got True"),
+    (lambda: PrefixSetTable(TUPLES["r3"]).words("2"), "k must be int, got '2'"),
+    (lambda: roundtrip_check(TUPLES["r3"], k=1.0, trials=1, seed=1),
+     "k must be int, got 1.0"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:
