@@ -8,8 +8,8 @@ stops when fewer than k bits remain past the codeword, or rather than
 revisit a (table, offset) state through an empty codeword.  A step reads at
 most its table's longest codeword plus k bits, so each call memoizes steps by
 (table, those bits); ``roundtrip_check``'s trials share one call's table.
-Decoding, tail completion and the round-trip delay scan all walk the
-emission automaton of ``prefix_sets.Emissions`` over ``str`` offsets.
+Decoding, tail completion and the round-trip delay scan all walk the tuple's
+emission automaton, ``code.sets``, over ``str`` offsets.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import random
 
 from .bits import Bits
-from .errors import InvalidArgument, NoConsistentCompletion
-from .prefix_sets import Emissions, check_indices, encode_from
+from .errors import InvalidArgument, InvalidType, NoConsistentCompletion
+from .prefix_sets import check_indices, check_k, encode_from
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
@@ -132,10 +132,10 @@ def _common_prefix(seqs):
     return next((lo[:n] for n, (a, b) in enumerate(zip(lo, hi)) if a != b), lo)
 
 
-def _decode(auto, windows, k, start, text, steps):
+def _decode(auto, k, start, text, steps):
     """Decode text from start; ``steps`` maps (table, bits read) to (more than
     one candidate, codeword, target, symbol) or () when none fits."""
-    rows, longest = auto.rows, auto.longest
+    rows, longest, windows = auto.rows, auto.longest, auto.words(k)
     symbols, table, pos, conflicts = [], start, 0, 0
     seen = {start}  # tables visited at this offset
     while True:
@@ -187,8 +187,7 @@ def decode(code, start, bits, k=2):
     emission from the start table.
     """
     check_indices(code, start)
-    return _decode(Emissions(code), code.sets.words(k), k, start, str(bits),
-                   {})
+    return _decode(code.sets, k, start, str(bits), {})
 
 
 def _delays(auto, start, seq, text):
@@ -229,7 +228,7 @@ def identification_delays(code, start, seq, bits=None):
     """
     seq = tuple(seq)
     check_indices(code, start, seq)
-    auto = Emissions(code)
+    auto = code.sets
     text = auto.emit(start, seq)[0] if bits is None else str(bits)
     return _delays(auto, start, seq, text)
 
@@ -267,11 +266,13 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
     if seed is None:
         raise InvalidArgument("seed is required")
     for name, value, low in (("trials", trials, 0), ("max_len", max_len, 1)):
+        if type(value) is not int:  # a float or str would fail mid-trial
+            raise InvalidType("%s must be int, got %r" % (name, value))
         if value < low:
             raise InvalidArgument("%s=%r below %d" % (name, value, low))
+    check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)
-    auto, windows = Emissions(code), code.sets.words(k)
-    steps = {}  # the trials share one automaton, windows and k
+    auto, steps = code.sets, {}  # the trials share one automaton and k
     failures, count, max_delay, conflicts = [], 0, 0, 0
 
     def fail(trial, start, seq, reason):
@@ -286,7 +287,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
                     for _ in range(rng.randint(1, max_len)))
         text = auto.emit(start, seq)[0]
         try:
-            result = _decode(auto, windows, k, start, text, steps)
+            result = _decode(auto, k, start, text, steps)
         except NoConsistentCompletion as exc:
             fail(trial, start, seq, "no completion: %s" % exc)
             continue

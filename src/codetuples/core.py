@@ -3,10 +3,10 @@
 A code tuple is a finite family of code tables over one alphabet.  Table i
 assigns every symbol a binary codeword (possibly empty) and a next-table
 index; encoding starts in a chosen table and hops tables after every symbol.
-All values here are immutable and hashable; a tuple builds its continuation
-sets on first use and keeps them (``CodeTuple.sets``).  Symbol order is the
-order of first appearance in the alphabet line; every iteration in the
-package follows that order.
+All values here are immutable and hashable; a tuple builds its emission
+automaton and continuation sets on first use and keeps them
+(``CodeTuple.sets``).  Symbol order is the order of first appearance in the
+alphabet line; every iteration in the package follows that order.
 """
 
 from __future__ import annotations

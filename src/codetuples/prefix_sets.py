@@ -8,7 +8,8 @@ are computed as a least fixed point: start every table at the empty set and
 grow until stable.  A table that can never emit k bits ends with an empty
 set, which is the correct answer, not an error.
 
-Sets grow like 2**k, so an instance refuses k beyond its configured bound.
+The same table is the tuple's emission automaton, which the codec walks.
+Sets grow like 2**k, so k is refused beyond the fixed bound DEFAULT_MAX_K.
 """
 
 from __future__ import annotations
@@ -19,36 +20,46 @@ from .errors import InvalidArgument, InvalidType
 DEFAULT_MAX_K = 8
 
 
-class PrefixSetTable:
-    """Memoized continuation sets for one code tuple, computed on ``str``
-    codewords; a level's sets become ``Bits`` once, when ``base`` asks."""
+def check_k(k):
+    """Refuse a k that is not an int or lies outside 0..DEFAULT_MAX_K."""
+    if type(k) is not int:  # 2.0 and True would pass the range test
+        raise InvalidType("k must be int, got %r" % (k,))
+    if not 0 <= k <= DEFAULT_MAX_K:
+        raise InvalidArgument("k=%d outside 0..%d" % (k, DEFAULT_MAX_K))
 
-    def __init__(self, code, max_k=DEFAULT_MAX_K):
-        self.max_k = max_k
-        self._rows = Emissions(code).rows
+
+class PrefixSetTable:
+    """One code tuple's emission automaton and memoized continuation sets,
+    on ``str`` codewords; a level's sets become ``Bits`` once, for ``base``.
+
+    An automaton state (table, offset) says a bit string up to offset is
+    exactly an emission ending in that table, and each symbol whose
+    codeword the string goes on with is an edge.  ``rows[i]``: table i's
+    (codeword, target, symbol); ``longest[i]``: its longest codeword."""
+
+    def __init__(self, code):
+        self.rows = tuple(
+            tuple((str(w), t, s) for s, (w, t)
+                  in enumerate(zip(table.codes, table.targets)))
+            for table in code.tables)
+        self.longest = tuple(max(map(len, t.codes)) for t in code.tables)
         self._words = {0: tuple(frozenset([""]) for _ in code.tables)}
         self._bases = {}
 
-    def _check_k(self, k):
-        if type(k) is not int:  # 2.0 and True would pass the range test
-            raise InvalidType("k must be int, got %r" % (k,))
-        if not 0 <= k <= self.max_k:
-            raise InvalidArgument("k=%d outside 0..%d" % (k, self.max_k))
-
     def words(self, k):
         """The base sets of every table at level k, as sets of ``str``."""
-        self._check_k(k)
+        check_k(k)
         for kk in range(1, k + 1):
             if kk not in self._words:
                 self._words[kk] = self._fixed_point(kk)
         return self._words[k]
 
     def _fixed_point(self, k):
-        cur = [set() for _ in self._rows]
+        cur = [set() for _ in self.rows]
         changed = True
         while changed:
             changed = False
-            for j, row in enumerate(self._rows):
+            for j, row in enumerate(self.rows):
                 new = set()
                 for c, t, _ in row:
                     if len(c) >= k:
@@ -64,7 +75,7 @@ class PrefixSetTable:
 
     def base(self, i, k):
         """All k-bit strings the encoder can emit next, starting in table i."""
-        self._check_k(k)  # a cached level would answer 2.0 as 2
+        check_k(k)  # a cached level would answer 2.0 as 2
         if k not in self._bases:
             self._bases[k] = tuple(frozenset(map(Bits, words))
                                    for words in self.words(k))
@@ -80,12 +91,12 @@ class PrefixSetTable:
         return self._conditional(i, b, k, strict=True)
 
     def _conditional(self, i, b, k, strict):
-        self._check_k(k)
+        check_k(k)
         if len(b) == 0 and not strict:
             return self.base(i, k)
         b = str(b)
         out = set()
-        for c, t, _ in self._rows[i]:
+        for c, t, _ in self.rows[i]:
             if c.startswith(b) and (len(c) > len(b) or not strict):
                 u = c[len(b):]
                 if len(u) >= k:
@@ -93,56 +104,6 @@ class PrefixSetTable:
                 else:
                     out.update(u + r for r in self.words(k - len(u))[t])
         return frozenset(map(Bits, out))
-
-
-def encode_from(code, start, seq):
-    """Concatenate the codewords of seq starting in the given table.
-
-    Returns (bits, end_table); the empty sequence returns (empty, start).
-    """
-    seq = tuple(seq)
-    check_indices(code, start, seq)
-    text, end = Emissions(code).emit(start, seq)
-    return Bits(text), end
-
-
-def check_indices(code, start, seq=()):
-    """Refuse a start table or a symbol index outside the tuple (a negative
-    one would silently index from the end) or not an int: 1.0 and True
-    equal an index, and ``set((1, 1.0))`` is ``{1}``, so symbol types are
-    read one by one.  A str symbol names no index, so it is outside them."""
-    if type(start) is not int:
-        raise InvalidType("start table must be int, got %r" % (start,))
-    if not 0 <= start < len(code.tables):
-        raise InvalidArgument("start table %r outside 0..%d"
-                              % (start, len(code.tables) - 1))
-    if set(map(type, seq)) - {int, str}:
-        raise InvalidType("symbol must be int, got %r" % (
-            next(s for s in seq if type(s) not in (int, str)),))
-    bad = set(seq).difference(range(len(code.alphabet)))
-    if bad:
-        raise InvalidArgument("symbol %r outside 0..%d" % (
-            next(s for s in seq if s in bad), len(code.alphabet) - 1))
-
-
-def symbols_with_codeword(code, i, b):
-    """Symbols of table i whose codeword equals b exactly, in symbol order."""
-    return tuple(s for s in code.alphabet if code.code(i, s) == b)
-
-
-class Emissions:
-    """The emission automaton of one code tuple over a bit string: a state
-    (table, offset) says the string up to offset is exactly an emission
-    ending in that table, and each symbol whose codeword the string goes
-    on with is an edge.  ``rows[i]``: table i's (codeword, target, symbol);
-    ``longest[i]``: the length of its longest codeword."""
-
-    def __init__(self, code):
-        self.rows = tuple(
-            tuple((str(w), t, s) for s, (w, t)
-                  in enumerate(zip(table.codes, table.targets)))
-            for table in code.tables)
-        self.longest = tuple(max(map(len, t.codes)) for t in code.tables)
 
     def emit(self, table, seq):
         """The codewords of seq from table joined as a str, and the table
@@ -180,7 +141,42 @@ class Emissions:
         return graph, reaches
 
 
+def encode_from(code, start, seq):
+    """Concatenate the codewords of seq starting in the given table.
+
+    Returns (bits, end_table); the empty sequence returns (empty, start).
+    """
+    seq = tuple(seq)
+    check_indices(code, start, seq)
+    text, end = code.sets.emit(start, seq)
+    return Bits(text), end
+
+
+def check_indices(code, start, seq=()):
+    """Refuse a start table or a symbol index outside the tuple (a negative
+    one would silently index from the end) or not an int: 1.0 and True
+    equal an index, and ``set((1, 1.0))`` is ``{1}``, so symbol types are
+    read one by one.  A str symbol names no index, so it is outside them."""
+    if type(start) is not int:
+        raise InvalidType("start table must be int, got %r" % (start,))
+    if not 0 <= start < len(code.tables):
+        raise InvalidArgument("start table %r outside 0..%d"
+                              % (start, len(code.tables) - 1))
+    if set(map(type, seq)) - {int, str}:
+        raise InvalidType("symbol must be int, got %r" % (
+            next(s for s in seq if type(s) not in (int, str)),))
+    bad = set(seq).difference(range(len(code.alphabet)))
+    if bad:
+        raise InvalidArgument("symbol %r outside 0..%d" % (
+            next(s for s in seq if s in bad), len(code.alphabet) - 1))
+
+
+def symbols_with_codeword(code, i, b):
+    """Symbols of table i whose codeword equals b exactly, in symbol order."""
+    return tuple(s for s in code.alphabet if code.code(i, s) == b)
+
+
 def is_achievable_prefix(code, start, b):
     """Whether some source sequence encoded from the given table emits a
     bit stream with b as a prefix, for windows of any length."""
-    return Emissions(code).search(str(b), start)[1]
+    return code.sets.search(str(b), start)[1]

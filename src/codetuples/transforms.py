@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import EMPTY, ONE, ZERO, Bits, bit as bit_of
-from .analysis import reachable_tables, two_continuation_tables
+from .analysis import reachable_tables
 from .classes import table_witness, witness
 from .core import CodeTuple, Table
 from .errors import (
@@ -53,25 +53,24 @@ def forced_bit(code, i):
     first = code.sets.base(i, 1)
     if not first:
         raise NotExtendable("table %d emits no bits" % i)
-    if len(first) == 2:
-        return EMPTY
-    return next(iter(first))
+    return EMPTY if len(first) == 2 else next(iter(first))
+
+
+def _rewrite(code, word):
+    """Codeword (i, s) replaced by ``word(i, s)``; the targets are kept."""
+    return code.with_tables(
+        Table(tuple(word(i, s) for s in code.alphabet), code.tables[i].targets)
+        for i in code.table_indices())
 
 
 def rotate(code):
     """Move each table's forced first bit across codeword boundaries."""
     forced = [forced_bit(code, i) for i in code.table_indices()]
-    tables = []
-    for i in code.table_indices():
-        keep_head = len(code.sets.base(i, 1)) == 2
-        codes = []
-        for s in code.alphabet:
-            word = code.code(i, s) + forced[code.target(i, s)]
-            # A forced-bit table appending an empty forced bit cannot
-            # happen: an empty own codeword inherits the target's bit.
-            codes.append(word if keep_head else word.drop_first())
-        tables.append(Table(tuple(codes), code.tables[i].targets))
-    return code.with_tables(tables)
+
+    def word(i, s):  # an empty codeword inherits its target's forced bit
+        w = code.code(i, s) + forced[code.target(i, s)]
+        return w.drop_first() if forced[i] else w
+    return _rewrite(code, word)
 
 
 @dataclass(frozen=True)
@@ -152,99 +151,77 @@ def _require_class(code, name):
         raise NotInClass(name, reason)
 
 
+def _rewrite_chains(code, family, head, increment):
+    """Rewrite each codeword along its prefix chain: its first part by
+    ``head(i, s, part)``, each later part, extending chain symbol prev, by
+    ``increment(i, s, prev, part)``.  A one-bit increment would clash with
+    the target table emitting that same bit, so it is refused."""
+    def word(i, s):
+        decomp = prefix_chain(code, i, s)
+        out = head(i, s, decomp.parts[0])
+        for prev, part in zip(decomp.chain, decomp.parts[1:]):
+            if len(part) < 2:
+                raise NotInClass(family, "table %d, symbol %s: one-bit chain "
+                                 "increment" % (i, code.alphabet.name(s)))
+            out = out + increment(i, s, prev, part)
+        return out
+    return _rewrite(code, word)
+
+
 def dot(code):
     """Rewrite codewords along prefix chains against the steer bits."""
     _require_class(code, "f1")
-    steer = [steer_bit(code, i) for i in code.table_indices()]
-    tables = []
-    for i in code.table_indices():
-        two_pairs = len(code.sets.base(i, 2)) == 2
-        codes = []
-        for s in code.alphabet:
-            codes.append(_dot_word(code, steer, i, s, two_pairs))
-        tables.append(Table(tuple(codes), code.tables[i].targets))
-    return code.with_tables(tables)
-
-
-def _dot_word(code, steer, i, s, two_pairs):
     sets = code.sets
-    decomp = prefix_chain(code, i, s)
-    out = EMPTY
-    for r, part in enumerate(decomp.parts):
-        if r == 0:
-            if two_pairs and part:
-                # A single-bit codeword in a two-pair table would force
-                # both pairs to share its head, against the next-bit set
-                # being {0, 1}; the precondition rules it out.
-                if len(part) < 2:
-                    raise NotInClass("f1", "table %d, symbol %s: one-bit "
-                                     "codeword in a two-pair table"
-                                     % (i, code.alphabet.name(s)))
-                piece = bit_of(steer[i]) + part.head(1) + part.tail_from(2)
-            else:
-                piece = part
-        else:
-            # Chain increments have at least two bits: a one-bit increment
-            # would clash with the target table emitting that same bit.
-            if len(part) < 2:
-                raise NotInClass("f1", "table %d, symbol %s: one-bit chain "
-                                 "increment" % (i, code.alphabet.name(s)))
-            prev_word = code.code(i, decomp.chain[r - 1])
-            j = code.target(i, decomp.chain[r - 1])
-            opposite = bit_of(1 - steer[j])
-            longer = len(sets.strict_continuations(i, prev_word, 1))
-            straight = len(sets.strict_continuations(j, EMPTY, 1))
-            if longer == 2:
-                piece = opposite + part.head(1) + part.tail_from(2)
-            elif longer == 1 and straight == 1:
-                piece = opposite + ZERO + part.tail_from(2)
-            elif longer == 1 and straight == 2 and len(sets.base(j, 2)) == 2:
-                # The rewritten increment lands at the head of the whole
-                # codeword exactly when the previous chain codeword is
-                # empty; only then the filler bit is 1.
-                filler = ONE if len(prev_word) == 0 else ZERO
-                piece = opposite + filler + part.tail_from(2)
-            elif longer == 1 and straight == 2:
-                piece = part
-            else:
-                raise NotInClass("f1", "table %d, symbol %s: continuation "
-                                 "profile out of range" % (
-                                     i, code.alphabet.name(s)))
-        out = out + piece
-    return out
+    steer = [steer_bit(code, i) for i in code.table_indices()]
+
+    def head(i, s, part):
+        if len(sets.base(i, 2)) != 2 or not part:
+            return part
+        # A one-bit codeword in a two-pair table would give both pairs its
+        # head, against a next-bit set {0, 1}: the precondition rules it out.
+        if len(part) < 2:
+            raise NotInClass("f1", "table %d, symbol %s: one-bit codeword in "
+                             "a two-pair table" % (i, code.alphabet.name(s)))
+        return bit_of(steer[i]) + part.head(1) + part.tail_from(2)
+
+    def increment(i, s, prev, part):
+        prev_word = code.code(i, prev)
+        j = code.target(i, prev)
+        opposite = bit_of(1 - steer[j])
+        longer = len(sets.strict_continuations(i, prev_word, 1))
+        straight = len(sets.strict_continuations(j, EMPTY, 1))
+        if longer == 2:
+            return opposite + part.head(1) + part.tail_from(2)
+        if longer == 1 and straight == 1:
+            return opposite + ZERO + part.tail_from(2)
+        if longer == 1 and straight == 2 and len(sets.base(j, 2)) == 2:
+            # The rewritten increment lands at the head of the whole
+            # codeword exactly when the previous chain codeword is empty;
+            # only then the filler bit is 1.
+            filler = ONE if len(prev_word) == 0 else ZERO
+            return opposite + filler + part.tail_from(2)
+        if longer == 1 and straight == 2:
+            return part
+        raise NotInClass("f1", "table %d, symbol %s: continuation profile "
+                         "out of range" % (i, code.alphabet.name(s)))
+    return _rewrite_chains(code, "f1", head, increment)
 
 
 def ddot(code):
     """Reserve the pair 00 for in-codeword extensions everywhere."""
     _require_class(code, "f2")
-    tables = []
-    for i in code.table_indices():
+
+    def head(i, s, part):
         pairs = code.sets.base(i, 2)
-        codes = []
-        for s in code.alphabet:
-            decomp = prefix_chain(code, i, s)
-            out = EMPTY
-            for r, part in enumerate(decomp.parts):
-                if r > 0:
-                    if len(part) < 2:
-                        raise NotInClass("f2", "table %d, symbol %s: one-bit "
-                                         "chain increment"
-                                         % (i, code.alphabet.name(s)))
-                    piece = ZERO_PAIR + part.tail_from(2)
-                elif len(pairs) == 4 or len(part) == 0:
-                    piece = part
-                elif len(part) == 1:
-                    piece = ONE
-                else:
-                    sibling = part.head(1) + bit_of(1 - part[1])
-                    if sibling not in pairs:
-                        piece = ZERO + ONE + part.tail_from(2)
-                    else:
-                        piece = ONE + part.tail_from(1)
-                out = out + piece
-            codes.append(out)
-        tables.append(Table(tuple(codes), code.tables[i].targets))
-    return code.with_tables(tables)
+        if len(pairs) == 4 or len(part) == 0:
+            return part
+        if len(part) == 1:
+            return ONE
+        if part.head(1) + bit_of(1 - part[1]) not in pairs:  # the sibling
+            return ZERO + ONE + part.tail_from(2)
+        return ONE + part.tail_from(1)
+    return _rewrite_chains(code, "f2", head, lambda i, s, prev, part:
+                           ZERO_PAIR + part.tail_from(2))
 
 
 @dataclass(frozen=True)
@@ -300,7 +277,7 @@ def chain_to_class(code, target, dist=None):
             apply("rotate", rotate, forced_bit)
     elif target == "f2":
         limit = code.num_tables + 1
-        while two_continuation_tables(current):
+        while table_witness("f2", current):
             if len(steps) >= 2 * limit:
                 raise StepLimitExceeded(
                     "still outside f2 after %d dot-rotate rounds" % limit)

@@ -225,7 +225,7 @@ def test_08_property_suite(capsys):
         for _ in range(500):
             code = random_code_tuple(rng, max_tables=3, max_sigma=4,
                                      max_len=3)
-            sets = PrefixSetTable(code, max_k=4)
+            sets = PrefixSetTable(code)
             for i in code.table_indices():
                 for b in window_samples(code, rng):
                     for k in (1, 2):
@@ -242,7 +242,7 @@ def test_08_property_suite(capsys):
         for _ in range(200):
             code = random_code_tuple(rng, max_tables=3, max_sigma=4,
                                      max_len=3)
-            sets = PrefixSetTable(code, max_k=4)
+            sets = PrefixSetTable(code)
             for k in (1, 2, 3):
                 if not delay_decodability(code, k).ok:
                     continue

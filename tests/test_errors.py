@@ -25,8 +25,7 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
     (lambda: extend_to_two_tables(ONE_SYMBOL), "need at least two symbols"),
     (lambda: roundtrip_check(TUPLES["r3"]), "seed is required"),
     (lambda: PrefixSetTable(TUPLES["r3"]).base(0, 9), "k=9 outside 0..8"),
-    (lambda: PrefixSetTable(TUPLES["r3"], max_k=2).words(-1),
-     "k=-1 outside 0..2"),
+    (lambda: PrefixSetTable(TUPLES["r3"]).words(-1), "k=-1 outside 0..8"),
     (lambda: Alphabet(()), "alphabet is empty"),
     (lambda: Alphabet(("a", "a")), "duplicate symbol name"),
     (lambda: Alphabet(("a b",)), "bad symbol name: 'a b'"),
@@ -75,6 +74,9 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
      "max_len=0 below 1"),
     (lambda: roundtrip_check(TUPLES["r3"], max_len=-4, seed=1),
      "max_len=-4 below 1"),
+    # k is refused up front, also when no trial would read it
+    (lambda: roundtrip_check(TUPLES["r3"], k=9, trials=0, seed=1),
+     "k=9 outside 0..8"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:
@@ -123,6 +125,20 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: PrefixSetTable(TUPLES["r3"]).words("2"), "k must be int, got '2'"),
     (lambda: roundtrip_check(TUPLES["r3"], k=1.0, trials=1, seed=1),
      "k must be int, got 1.0"),
+    (lambda: roundtrip_check(TUPLES["r3"], k=2.0, trials=0, seed=1),
+     "k must be int, got 2.0"),
+    # refused before any trial is drawn, not as a raw error from range(),
+    # a comparison or random, nor as one trial for True
+    (lambda: roundtrip_check(TUPLES["r3"], trials=2.5, seed=1),
+     "trials must be int, got 2.5"),
+    (lambda: roundtrip_check(TUPLES["r3"], trials="5", seed=1),
+     "trials must be int, got '5'"),
+    (lambda: roundtrip_check(TUPLES["r3"], trials=True, seed=1),
+     "trials must be int, got True"),
+    (lambda: roundtrip_check(TUPLES["r3"], max_len=3.5, seed=1),
+     "max_len must be int, got 3.5"),
+    (lambda: roundtrip_check(TUPLES["r3"], max_len=False, seed=1),
+     "max_len must be int, got False"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:

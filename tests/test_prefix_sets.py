@@ -4,7 +4,8 @@ import pytest
 
 from codetuples import PrefixSetTable, delay_decodability, is_extendable
 from codetuples.bits import EMPTY, Bits
-from codetuples.prefix_sets import (encode_from, is_achievable_prefix,
+from codetuples.prefix_sets import (DEFAULT_MAX_K, encode_from,
+                                    is_achievable_prefix,
                                     symbols_with_codeword)
 from codetuples.reference import KEYS, TUPLES, bitset
 
@@ -81,9 +82,9 @@ def test_conditional_with_empty_window_equals_base():
 
 
 def test_k_above_cap_is_rejected():
-    sets = PrefixSetTable(TUPLES["r3"], max_k=3)
+    sets = PrefixSetTable(TUPLES["r3"])
     with pytest.raises(ValueError):
-        sets.base(0, 4)
+        sets.base(0, DEFAULT_MAX_K + 1)
     with pytest.raises(ValueError):
         sets.continuations(0, EMPTY, -1)
 

@@ -59,7 +59,7 @@ windows = st.text(alphabet="01", max_size=4).map(Bits)
 
 @given(code_tuples(), windows, st.integers(1, 3))
 def test_continuations_split_as_strict_plus_exact_matches(code, b, k):
-    sets = PrefixSetTable(code, max_k=4)
+    sets = PrefixSetTable(code)
     for i in code.table_indices():
         weak = sets.continuations(i, b, k)
         strict = sets.strict_continuations(i, b, k)
@@ -75,7 +75,7 @@ def test_continuations_split_as_strict_plus_exact_matches(code, b, k):
 def test_base_sets_extend_one_bit_at_a_time(code, k):
     # an achievable block of length k is exactly an achievable block of
     # length k-1 with one more achievable bit, when every table emits
-    sets = PrefixSetTable(code, max_k=4)
+    sets = PrefixSetTable(code)
     assume(is_extendable(code))
     for i in code.table_indices():
         shorter = {c.head(k - 1) for c in sets.base(i, k)}
@@ -137,7 +137,7 @@ def test_decoded_symbols_are_a_source_prefix(key, raw, start):
 
 @given(code_tuples(), st.integers(1, 3))
 def test_delay_violations_carry_real_witnesses(code, k):
-    sets = PrefixSetTable(code, max_k=4)
+    sets = PrefixSetTable(code)
     report = delay_decodability(code, k)
     if report.ok:
         return

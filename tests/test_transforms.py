@@ -19,7 +19,7 @@ from codetuples import (
     steer_bit,
     two_continuation_tables,
 )
-from codetuples import transforms
+from codetuples import classes, transforms
 from codetuples.bits import EMPTY
 from codetuples.errors import (
     AmbiguousChain,
@@ -27,6 +27,7 @@ from codetuples.errors import (
     NotExtendable,
     NotInClass,
     NotRegular,
+    StepLimitExceeded,
     WrongTableCount,
 )
 from codetuples.prefix_sets import encode_from
@@ -39,7 +40,7 @@ from codetuples.reference import (
     main_dist,
 )
 
-from support import random_seq
+from support import random_code_tuple, random_seq
 
 OPS = {"rotate": rotate, "dot": dot, "ddot": ddot}
 
@@ -238,6 +239,33 @@ def test_chain_to_f2_trace():
     assert trace.steps[0].table_bits == EXPECTED_STEER_BITS["r5"]
     lengths = {step.avg_len for step in trace.steps}
     assert lengths == {average_length(TUPLES["r5"], main_dist())}
+
+
+def test_f2_chain_steps_keep_two_pairs_in_every_table(monkeypatch):
+    # The f2 loop runs while the f2 clause fails (some table has fewer than
+    # three two-bit continuations).  That agrees with two_continuation_tables
+    # (some table has exactly two) as long as every dot and rotate step
+    # leaves at least two in every table, as it does from an f1 input.
+    results = []
+    for name in ("dot", "rotate"):
+        op = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name, lambda code, op=op:
+                            results.append(op(code)) or results[-1])
+    rng = random.Random(13)
+    inputs = [TUPLES["r5"]]
+    while len(inputs) < 201:
+        code = random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=3)
+        if classes.witness("f1", code) is None:
+            inputs.append(code)
+    for code in inputs:
+        try:
+            chain_to_class(code, "f2")
+        except StepLimitExceeded:
+            pass  # inputs of more than minimal cost need not terminate
+    assert len(results) > 200
+    for result in results:
+        for i in result.table_indices():
+            assert len(result.sets.base(i, 2)) >= 2, (result, i)
 
 
 def test_chain_to_f3_trace():
