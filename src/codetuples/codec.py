@@ -8,8 +8,9 @@ stops when fewer than k bits remain past the codeword, or rather than
 revisit a (table, offset) state through an empty codeword.  A step reads at
 most its table's longest codeword plus k bits, so each call memoizes steps by
 (table, those bits); ``roundtrip_check``'s trials share one call's table.
-Decoding, tail completion and the round-trip delay scan all walk the tuple's
-emission automaton, ``code.sets``, over ``str`` offsets.
+It also memoizes tails by (table, bits left) and the delay scan by what a step
+reads.  Decoding, tail completion and the round-trip delay scan all walk the
+tuple's emission automaton, ``code.sets``, over ``str`` offsets.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def _finish_lengths(graph, end, width):
     return out
 
 
-def _completions(auto, text, table, pos, cap=COMPLETION_CAP):
+def _completions(auto, tail, table, cap=COMPLETION_CAP):
     """The first ``cap`` symbol sequences, in length-then-lexicographic
-    order, that emit exactly text[pos:] from ``table``, and whether more
+    order, that emit exactly ``tail`` from ``table``, and whether more
     exist; NoConsistentCompletion when no emission even starts with it.
 
     A sequence stops at its first exact match: extending one only appends
@@ -90,15 +91,15 @@ def _completions(auto, text, table, pos, cap=COMPLETION_CAP):
     symbols left, known for a window of lengths above each state's fewest;
     the window widens until it holds cap + 1 sequences or all of them.
     """
-    graph, reaches = auto.search(text, table, pos)
+    graph, reaches = auto.search(tail, table)
     if not reaches:
         raise NoConsistentCompletion(
             "%s is not a prefix of any emission from table %d"
-            % (text[pos:], table))
-    start, width = (table, pos), 2 * cap
+            % (tail, table))
+    start, width = (table, 0), 2 * cap
     while True:
-        finish = _finish_lengths(graph, len(text), width)
-        if start not in finish or pos == len(text):
+        finish = _finish_lengths(graph, len(tail), width)
+        if start not in finish or not tail:
             return (), False
 
         def exact(st, r):
@@ -132,9 +133,10 @@ def _common_prefix(seqs):
     return next((lo[:n] for n, (a, b) in enumerate(zip(lo, hi)) if a != b), lo)
 
 
-def _decode(auto, k, start, text, steps):
+def _decode(auto, k, start, text, steps, tails):
     """Decode text from start; ``steps`` maps (table, bits read) to (more than
-    one candidate, codeword, target, symbol) or () when none fits."""
+    one candidate, codeword, target, symbol) or () when none fits, and
+    ``tails`` maps (table, bits left) to their completions."""
     rows, longest, windows = auto.rows, auto.longest, auto.words(k)
     symbols, table, pos, conflicts = [], start, 0, 0
     seen = {start}  # tables visited at this offset
@@ -160,7 +162,20 @@ def _decode(auto, k, start, text, steps):
         pos += len(w)
         table = t
 
-    completions, capped = _completions(auto, text, table, pos)
+    def complete():  # a function of (table, text[pos:]) alone
+        key = (table, text[pos:])
+        return tails.get(key) or tails.setdefault(
+            key, _completions(auto, key[1], table))
+
+    try:
+        completions, capped = complete()
+    except NoConsistentCompletion:
+        if not auto.search(text, start)[1]:
+            raise
+        raise NoConsistentCompletion(
+            "the decoder misstepped: at bit %d it reached table %d, from "
+            "which no emission starts with %s; the tuple is not decodable "
+            "with delay %d there" % (pos, table, text[pos:], k)) from None
     # With the list capped an unseen completion could disagree, so only an
     # uncapped consensus is safe to emit.
     settled = _common_prefix(completions) if not capped else ()
@@ -169,7 +184,7 @@ def _decode(auto, k, start, text, steps):
             w, table, _ = rows[table][s]
             symbols.append(s)
             pos += len(w)
-        completions, capped = _completions(auto, text, table, pos)
+        completions, capped = complete()
 
     info = DanglingInfo(Bits(text[pos:]), completions, capped, conflicts)
     return DecodeResult(tuple(symbols), start, table, info)
@@ -184,34 +199,48 @@ def decode(code, start, bits, k=2):
     the tail's settled prefix takes the cut for a codeword boundary.
 
     Raises NoConsistentCompletion if the bits cannot be a prefix of any
-    emission from the start table.
+    emission from the start table, or naming the table and bit where a
+    greedy step went wrong: the tuple is not decodable with delay k there.
     """
     check_indices(code, start)
-    return _decode(code.sets, k, start, str(bits), {})
+    return _decode(code.sets, k, start, str(bits), {}, {})
 
 
-def _delays(auto, start, seq, text):
-    rows = auto.rows
-    table, pos = start, 0
-    delays = []
+def _identify(auto, table, text):
+    """(offset, symbol) once text[:offset] leaves one symbol of ``table``
+    consistent (more bits only rule more out), or None if text never does."""
+    cands = auto.rows[table]
+    for t in range(len(text) + 1):
+        cands = [(w, j, s) for w, j, s in cands if text.startswith(w[:t])
+                 and (len(w) >= t or auto.search(text, j, len(w), t)[1])]
+        if len(cands) == 1:
+            return t, cands[0][2]
+    return None
+
+
+def _delays(auto, start, seq, text, k, memo):
+    """Identify each symbol within the bits a k-delay step reads, memoized
+    by (table, those bits, whether they end the text), else on all of it."""
+    rows, longest = auto.rows, auto.longest
+    table, pos, delays = start, 0, []
     for s in seq:
         w, nxt, _ = rows[table][s]
-        cands = rows[table]
-        for t in range(pos, len(text) + 1):
-            # consistency only shrinks as more bits are observed
-            cands = [(w2, j, s2) for w2, j, s2 in cands
-                     if text.startswith(w2[:t - pos], pos)
-                     and (len(w2) >= t - pos
-                          or auto.search(text, j, pos + len(w2), t)[1])]
-            if len(cands) == 1:
-                if cands[0][2] != s:
-                    raise NoConsistentCompletion(
-                        "the bits do not encode the sequence: the scan "
-                        "contradicts it at table %d, bit %d" % (table, t))
-                break
-        else:
+        view = text[pos:pos + longest[table] + k]
+        key = (table, view, pos + len(view) == len(text))
+        found = memo.get(key, False)
+        if found is False:
+            found = _identify(auto, table, view)
+            if found or key[2]:
+                memo[key] = found
+            else:  # more bits may yet identify the symbol
+                found = _identify(auto, table, text[pos:])
+        if found is None:
             break  # never the only explanation: the decoder's dangling tail
-        delays.append(max(0, t - pos - len(w)))
+        if found[1] != s:
+            raise NoConsistentCompletion(
+                "the bits do not encode the sequence: the scan "
+                "contradicts it at table %d, bit %d" % (table, pos + found[0]))
+        delays.append(max(0, found[0] - len(w)))
         pos += len(w)
         table = nxt
     return delays
@@ -230,7 +259,7 @@ def identification_delays(code, start, seq, bits=None):
     check_indices(code, start, seq)
     auto = code.sets
     text = auto.emit(start, seq)[0] if bits is None else str(bits)
-    return _delays(auto, start, seq, text)
+    return _delays(auto, start, seq, text, 2, {})  # any view width is exact
 
 
 @dataclass(frozen=True)
@@ -272,7 +301,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             raise InvalidArgument("%s=%r below %d" % (name, value, low))
     check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)
-    auto, steps = code.sets, {}  # the trials share one automaton and k
+    auto, steps, tails, scans = code.sets, {}, {}, {}  # shared by the trials
     failures, count, max_delay, conflicts = [], 0, 0, 0
 
     def fail(trial, start, seq, reason):
@@ -287,7 +316,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
                     for _ in range(rng.randint(1, max_len)))
         text = auto.emit(start, seq)[0]
         try:
-            result = _decode(auto, k, start, text, steps)
+            result = _decode(auto, k, start, text, steps, tails)
         except NoConsistentCompletion as exc:
             fail(trial, start, seq, "no completion: %s" % exc)
             continue
@@ -302,7 +331,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             fail(trial, start, seq, "symbol %d not decoded, though at least "
                  "%d bits follow its codeword" % (n, k))
             continue
-        delays = _delays(auto, start, seq, text)
+        delays = _delays(auto, start, seq, text, k, scans)
         if delays:
             worst = max(delays)
             max_delay = max(max_delay, worst)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 from .bits import Bits, parse as parse_bits, show as show_bits
 from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
@@ -182,6 +183,12 @@ class SourceDist:
 
     def __getitem__(self, sym):
         return self.probs[sym]
+
+    def integer_weights(self):
+        """(lcm of the denominators, each probability times it as an int)."""
+        scale = math.lcm(*(p.denominator for p in self.probs))
+        return scale, tuple(p.numerator * (scale // p.denominator)
+                            for p in self.probs)
 
     @classmethod
     def uniform(cls, alphabet):

@@ -4,13 +4,15 @@ Encoding a memoryless source walks a Markov chain on tables: from table i the
 chain moves to j with the total probability of symbols sent there.  The cost
 of a long message per symbol converges to the stationary average of the
 per-table expected codeword lengths.  Everything is exact rational
-arithmetic; rounding happens only in display helpers.
+arithmetic, solved over the integers on probabilities scaled by the lcm of
+their denominators; rounding happens only in display helpers.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+import math
 
 from .core import check_same_alphabet
 from .errors import NotRegular
@@ -29,54 +31,36 @@ def transition_matrix(code, dist):
     return tuple(rows)
 
 
-def _solve_unique(rows, n):
-    """Exact Gauss-Jordan on an augmented system; None unless the solution
-    exists and is unique."""
-    mat = [list(r) for r in rows]
-    pivot_cols = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        head = mat[rank][col]
-        mat[rank] = [v / head for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, len(mat)):
-        if mat[r][n] != 0:
-            return None
-    if rank < n:
-        return None
-    solution = [Fraction(0)] * n
-    for r, col in enumerate(pivot_cols):
-        solution[col] = mat[r][n]
-    return solution
-
-
 def stationary_distribution(code, dist):
-    """The unique row vector fixed by the transition matrix, summing to one.
+    """The unique row vector fixed by the transition matrix, summing to one,
+    by fraction-free Gauss-Jordan dividing each row by its gcd.
 
     Raises NotRegular when the fixed vector is not unique, which happens
     exactly when no table is reachable from every table.
     """
-    q = transition_matrix(code, dist)
+    check_same_alphabet(code, dist)
+    scale, weight = dist.integer_weights()
     m = code.num_tables
-    rows = []
-    for j in range(m):
-        row = [q[i][j] - (1 if i == j else 0) for i in range(m)]
-        row.append(Fraction(0))
-        rows.append(row)
-    rows.append([Fraction(1)] * m + [Fraction(1)])
-    solution = _solve_unique(rows, m)
-    if solution is None:
-        raise NotRegular("stationary distribution is not unique")
-    return tuple(solution)
+    # row j: the weight flowing into table j minus scale times its own
+    mat = [[-scale * (i == j) for i in range(m)] + [0] for j in range(m)]
+    for i, table in enumerate(code.tables):
+        for t, w in zip(table.targets, weight):
+            mat[t][i] += w
+    mat.append([1] * (m + 1))
+    for col in range(m):
+        pivot = next((r for r in range(col, m + 1) if mat[r][col]), None)
+        if pivot is None:  # a free column
+            raise NotRegular("stationary distribution is not unique")
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        top = mat[col]
+        for r, row in enumerate(mat):
+            factor = row[col]
+            if r != col and factor:
+                row = [top[col] * a - factor * b for a, b in zip(row, top)]
+                g = math.gcd(*row)  # 0 only for a row of zeros
+                mat[r] = [v // g for v in row] if g else row
+    # the balance rows sum to zero, so they never contradict the last row
+    return tuple(Fraction(row[m], row[j]) for j, row in enumerate(mat[:m]))
 
 
 def table_length(code, dist, i):

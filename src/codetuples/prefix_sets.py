@@ -162,9 +162,10 @@ def check_indices(code, start, seq=()):
     if not 0 <= start < len(code.tables):
         raise InvalidArgument("start table %r outside 0..%d"
                               % (start, len(code.tables) - 1))
-    if set(map(type, seq)) - {int, str}:
-        raise InvalidType("symbol must be int, got %r" % (
-            next(s for s in seq if type(s) not in (int, str)),))
+    if list(map(type, seq)).count(int) != len(seq):
+        odd = [s for s in seq if type(s) not in (int, str)]
+        if odd:
+            raise InvalidType("symbol must be int, got %r" % (odd[0],))
     bad = set(seq).difference(range(len(code.alphabet)))
     if bad:
         raise InvalidArgument("symbol %r outside 0..%d" % (

@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -345,8 +344,7 @@ def _combine(space, dist, scan):
     above the best are skipped before their contents are joined.
     """
     words = all_words(space.max_len)
-    scale = math.lcm(*(p.denominator for p in dist.probs))
-    weight = [p.numerator * (scale // p.denominator) for p in dist.probs]
+    scale, weight = dist.integer_weights()
     cost = {lenvec: sum(w * n for w, n in zip(weight, lenvec))
             for lenvec in itertools.product(range(space.max_len + 1),
                                             repeat=space.sigma)}

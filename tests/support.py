@@ -1,6 +1,6 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
 greedy decoder and a round trip on it, the old search scan and combine, the old aifv membership
-test, and a random tuple generator.
+test, the old rational stationary solve, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -9,6 +9,7 @@ circularity.  The decoder oracle works on ``Bits`` slices and searches
 states with its own code, independently of the codec's emission automaton.
 """
 
+from fractions import Fraction
 import itertools
 import random
 
@@ -17,7 +18,8 @@ from codetuples.bits import EMPTY, ZERO
 from codetuples.codec import (FAILURE_CAP, DanglingInfo, DecodeResult,
                               RoundTripFailure, RoundTripReport)
 from codetuples.core import CodeTuple, Table
-from codetuples.errors import NoConsistentCompletion
+from codetuples.errors import NoConsistentCompletion, NotRegular
+from codetuples.markov import transition_matrix
 from codetuples.prefix_sets import encode_from
 from codetuples.search import FULL_MASK, NONZERO_MASK, PAIR_INDEX, all_words
 
@@ -219,6 +221,11 @@ def oracle_decode(code, start, bits, k=2):
 
     tail = bits.tail_from(pos)
     if not oracle_achievable(code, table, tail):
+        if oracle_achievable(code, start, bits):
+            raise NoConsistentCompletion(
+                "the decoder misstepped: at bit %d it reached table %d, from "
+                "which no emission starts with %s; the tuple is not "
+                "decodable with delay %d there" % (pos, table, tail, k))
         raise NoConsistentCompletion(
             "%s is not a prefix of any emission from table %d"
             % (tail, table))
@@ -617,3 +624,54 @@ def oracle_is_aifv(code, sets=None):
                 "but is not a codeword or a codeword plus one bit" % (i, b))
 
     return True, None
+
+
+# --------------------------------------------------------------------------
+# The stationary solve as it stood before it moved to integer weights and
+# fraction-free elimination: Gauss-Jordan on Fractions, kept verbatim
+# (renamed) as the oracle for differential tests.
+# --------------------------------------------------------------------------
+
+
+def _oracle_solve_unique(rows, n):
+    mat = [list(r) for r in rows]
+    pivot_cols = []
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        head = mat[rank][col]
+        mat[rank] = [v / head for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    for r in range(rank, len(mat)):
+        if mat[r][n] != 0:
+            return None
+    if rank < n:
+        return None
+    solution = [Fraction(0)] * n
+    for r, col in enumerate(pivot_cols):
+        solution[col] = mat[r][n]
+    return solution
+
+
+def oracle_stationary(code, dist):
+    """``stationary_distribution`` in Fractions throughout."""
+    q = transition_matrix(code, dist)
+    m = code.num_tables
+    rows = []
+    for j in range(m):
+        row = [q[i][j] - (1 if i == j else 0) for i in range(m)]
+        row.append(Fraction(0))
+        rows.append(row)
+    rows.append([Fraction(1)] * m + [Fraction(1)])
+    solution = _oracle_solve_unique(rows, m)
+    if solution is None:
+        raise NotRegular("stationary distribution is not unique")
+    return tuple(solution)

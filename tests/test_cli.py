@@ -80,6 +80,17 @@ def test_decode_output(files, capsys):
     assert "resolved = yes" in lines
 
 
+def test_decode_names_its_own_misstep(files, capsys):
+    # encode made these bits from table 0; r3 is not 1-bit delay decodable
+    rc, lines, err = run(capsys, ["decode", "--tuple", files["r3"], "--k",
+                                  "1", "--bits", "10011101101110"])
+    assert (rc, lines) == (1, [])
+    assert err == (
+        "error: the decoder misstepped: at bit 4 it reached table 0, from "
+        "which no emission starts with 1101101110; the tuple is not "
+        "decodable with delay 1 there\n")
+
+
 def test_decode_dangling_tail(files, capsys):
     rc, lines, _ = run(capsys, ["decode", "--tuple", files["r3"],
                                 "--bits", "1000111"])
@@ -299,6 +310,8 @@ def test_repeated_calls_in_one_process_match_fresh_processes(
         ["decode", "--tuple", r3, "--roundtrip", "--seed", "1",
          "--max-len", "0"],
         ["decode", "--tuple", r3, "--bits", "10000011"],
+        ["decode", "--tuple", r3, "--k", "1", "--bits", "10011101101110"],
+        ["decode", "--tuple", r3, "--bits", "11111111"],
         ["psets", "--tuple", r3, "--k", "12"],
         ["goldens"],
         ["--help"],

@@ -69,6 +69,28 @@ def test_decode_rejects_unachievable_bits():
         decode(TUPLES["r3"], 0, Bits("11"))
 
 
+def test_decode_blames_bits_no_emission_starts_with():
+    with pytest.raises(NoConsistentCompletion) as info:
+        decode(TUPLES["r3"], 0, Bits("11111111"))
+    assert str(info.value) == \
+        "11111111 is not a prefix of any emission from table 0"
+
+
+def test_decode_names_its_own_misstep():
+    # encode made these bits from table 0, and r3 is 2-bit but not 1-bit
+    # delay decodable: at k=1 a greedy step goes wrong, not the bits
+    code, seq = TUPLES["r3"], (1, 1, 3, 3, 3, 1)
+    bits, _ = encode(code, 0, seq)
+    assert str(bits) == "10011101101110"
+    assert decode(code, 0, bits).symbols == seq
+    with pytest.raises(NoConsistentCompletion) as info:
+        decode(code, 0, bits, k=1)
+    assert str(info.value) == (
+        "the decoder misstepped: at bit 4 it reached table 0, from which no "
+        "emission starts with 1101101110; the tuple is not decodable with "
+        "delay 1 there")
+
+
 def test_decode_rejects_out_of_range_lookahead():
     with pytest.raises(ValueError):
         decode(TUPLES["r3"], 0, Bits("01"), k=99)
@@ -117,6 +139,9 @@ def test_identification_refuses_bits_of_another_sequence():
     code = TUPLES["r3"]
     with pytest.raises(NoConsistentCompletion):
         identification_delays(code, 0, (0,), Bits("10"))
+    # the contradiction is placed at its absolute bit, past the first symbol
+    with pytest.raises(NoConsistentCompletion, match="table 1, bit 3$"):
+        identification_delays(code, 0, (1, 0), Bits("1010"))
 
 
 def test_roundtrip_worked_example():

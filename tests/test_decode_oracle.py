@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from codetuples import (classify, decode, identification_delays, make_tuple,
-                        roundtrip_check)
+from codetuples import (classify, decode, delay_decodability,
+                        identification_delays, make_tuple, roundtrip_check)
 from codetuples.bits import Bits
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
@@ -99,6 +99,23 @@ AMBIGUOUS = (
     make_tuple(("a", "b", "c", "d"), [[("-", 1), ("0", 0), ("01", 1), ("1", 1)],
                                       [("0", 0), ("10", 0), ("1", 1), ("0", 1)]]),
 )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_roundtrip_memos_serve_views_that_end_a_trial_and_recur(k):
+    # short trials on tuples that are not delay-k decodable: the bits one
+    # step reads often end a trial's stream, and the same bits recur in
+    # the middle of another, where more bits may still identify the symbol
+    rng = random.Random(4405 + k)
+    tried = 0
+    while tried < 12:
+        code = random_code_tuple(rng, max_tables=3, max_sigma=3, max_len=2)
+        if has_empty_cycle(code) or \
+                delay_decodability(code, k):
+            continue
+        tried += 1
+        assert_same_roundtrip(code, k, rng.randrange(999), trials=400,
+                              max_len=6)
 
 
 @pytest.mark.parametrize("code", AMBIGUOUS)

@@ -1,12 +1,19 @@
 from fractions import Fraction
+import random
 
 import pytest
 
 from codetuples import (NotRegular, SourceDist, approx_decimal,
                         average_length, make_tuple, stationary_distribution,
                         table_length, transition_matrix)
+from codetuples.core import Alphabet
 from codetuples.reference import (STATIONARY_GOLDEN, TUPLES, main_dist)
 from codetuples.transforms import ddot, dot, rotate
+
+from support import oracle_stationary, random_code_tuple
+
+# distinct primes, so the denominators below share no factor
+PRIMES = (999983, 1000003, 1000033, 1000037, 1000039, 2147483647)
 
 
 def test_transition_matrix_worked_example():
@@ -114,3 +121,39 @@ def test_rotate_preserves_average_length():
         code = TUPLES[key]
         assert average_length(rotate(code), dist) == \
             average_length(code, dist)
+
+
+def coprime_dist(rng, alphabet):
+    """Each probability but the last over its own large prime, below
+    1/sigma so the last, over their product, stays positive."""
+    n = len(alphabet)
+    primes = rng.sample(PRIMES, n - 1)
+    probs = [Fraction(rng.randint(1, p // n), p) for p in primes]
+    return SourceDist(alphabet, tuple(probs) + (1 - sum(probs),))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotRegular as exc:
+        return "NotRegular: %s" % exc
+
+
+def test_integer_solve_matches_the_fraction_oracle():
+    rng = random.Random(1415)
+    seen = set()
+    for _ in range(300):
+        code = random_code_tuple(rng, max_tables=4, max_sigma=4, max_len=2)
+        dist = coprime_dist(rng, code.alphabet)
+        got = outcome(stationary_distribution, code, dist)
+        assert got == outcome(oracle_stationary, code, dist), (code, dist)
+        seen.add((code.num_tables, isinstance(got, str)))
+    # regular and not, on one to four tables
+    assert {m for m, _ in seen} == {1, 2, 3, 4}
+    assert {irregular for _, irregular in seen} == {False, True}
+
+
+def test_integer_weights_scale_by_the_lcm():
+    dist = SourceDist.from_values(Alphabet(("a", "b", "c")),
+                                  ("1/6", "1/4", "7/12"))
+    assert dist.integer_weights() == (12, (2, 3, 7))
