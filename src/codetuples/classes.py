@@ -8,12 +8,13 @@ aifv (two tables satisfying seven structural conditions on codewords and
 next-table choices).  f1 through f4 are defined over regular, delay-2
 decodable tuples; each family implies the previous one.
 
-Each class clause is defined once here, and ``witness`` is the one
-membership test outside ``classify``: it returns a family's first violated
-clause, or None for a member.  The search filter and the preconditions of
-the rewrites call it.  The seven aifv clauses are table-local: they read
-only one table's codewords and targets, so the search scan prunes each
-table's contents with the same functions.
+Each class clause is defined once here: ``NESTED`` is the one nesting
+order, and each family is one ``FAMILIES`` entry (its required basic
+properties and its own clause), read by ``classify`` and ``witness``.
+``witness``, a family's first violated clause or None for a member, is the
+membership test of the search filter and the rewrites.  The seven aifv
+clauses are table-local: they read only one table's codewords and targets,
+so the search scan prunes each table's contents with the same functions.
 """
 
 from __future__ import annotations
@@ -24,15 +25,10 @@ from dataclasses import dataclass, field
 from .bits import Bits, all_bits, show
 from .analysis import dead_tables, delay_decodability, is_regular
 
-CLASS_NAMES = (
-    "extendable", "regular", "decodable",
-    "f0", "f1", "f2", "f3", "f4", "aifv",
-)
-
-# Each family on the right implies the one on the left.
-HIERARCHY = (
-    ("f0", "f1"), ("f1", "f2"), ("f2", "f3"), ("f3", "f4"), ("f4", "aifv"),
-)
+# The nested families, loosest first: each implies the one before it.
+NESTED = ("f0", "f1", "f2", "f3", "f4", "aifv")
+CLASS_NAMES = ("extendable", "regular", "decodable") + NESTED
+HIERARCHY = tuple(zip(NESTED, NESTED[1:]))
 
 FULL_PAIRS = frozenset(all_bits(2))
 NONZERO_PAIRS = frozenset(b for b in all_bits(2) if b != Bits("00"))
@@ -55,11 +51,7 @@ class ClassReport:
 
     def finest(self):
         """The tightest nested family satisfied, or None outside f0."""
-        best = None
-        for name in ("f0", "f1", "f2", "f3", "f4", "aifv"):
-            if self.flags[name]:
-                best = name
-        return best
+        return next((n for n in reversed(NESTED) if self.flags[n]), None)
 
     def lines(self):
         out = []
@@ -148,19 +140,21 @@ def aifv_table_ok(i, words, targets):
                    for clause in AIFV_CLAUSES)
 
 
+def _two_tables(code):
+    if code.num_tables != 2:
+        return "needs exactly two tables, not %d" % code.num_tables
+
+
 def is_aifv(code):
     """Check the seven structural conditions; returns (ok, failing clause),
     trying each clause on table 0, then on table 1."""
-    if code.num_tables != 2:
-        return False, "needs exactly two tables, not %d" % code.num_tables
-    tables = [(i, [str(w) for w in t.codes], t.targets)
+    if reason := _two_tables(code):
+        return False, reason
+    tables = [(i, [str(w) for w in t.codes], t.targets, code.alphabet.names)
               for i, t in enumerate(code.tables)]
-    for clause in AIFV_CLAUSES:
-        for i, words, targets in tables:
-            witness = clause(i, words, targets, code.alphabet.names)
-            if witness:
-                return False, witness
-    return True, None
+    reason = next(filter(None, (clause(*table) for clause in AIFV_CLAUSES
+                                for table in tables)), None)
+    return reason is None, reason
 
 
 # The f1, f2 and f3 clauses read table i's continuation sets through the
@@ -183,8 +177,8 @@ def table_witness(name, code):
 
 
 def _f4_witness(code):
-    if code.num_tables != 2:
-        return "needs exactly two tables, not %d" % code.num_tables
+    if reason := _two_tables(code):
+        return reason
     for i, want in enumerate((FULL_PAIRS, NONZERO_PAIRS)):
         pairs = code.sets.base(i, 2)
         if pairs != want:
@@ -206,46 +200,42 @@ def _decodable(code):
     return None if report.ok else report.violations[0].describe(code)
 
 
-# Each family's clauses in the order they are tried; each reads the tuple
-# and returns a witness or None.
+# Each family: (the basic properties it requires, in the order tried; its
+# own clause, reading the tuple and returning a witness or None, if any).
 FAMILIES = {
-    "extendable": (_extendable,),
-    "regular": (_regular,),
-    "decodable": (_decodable,),
-    "f0": (_extendable, _regular, _decodable),
-    **{name: (_regular, _decodable, functools.partial(table_witness, name))
+    "extendable": ((), _extendable),
+    "regular": ((), _regular),
+    "decodable": ((), _decodable),
+    "f0": (("extendable", "regular", "decodable"), None),
+    **{name: (("regular", "decodable"), functools.partial(table_witness, name))
        for name in TABLE_CLAUSES},
-    "f4": (_regular, _decodable, _f4_witness),
-    "aifv": (lambda code: is_aifv(code)[1],),
+    "f4": (("regular", "decodable"), _f4_witness),
+    "aifv": ((), lambda code: is_aifv(code)[1]),
 }
 
 
 def witness(name, code):
-    """The first violated clause of family ``name``, or None for a member."""
-    return next(filter(None, (c(code) for c in FAMILIES[name])), None)
+    """The first violated clause of family ``name``, or None for a member:
+    a lacking requirement's own witness, else the family's own clause."""
+    requires, own = FAMILIES[name]
+    lacking = (witness(basic, code) for basic in requires)
+    return next(filter(None, lacking), None) or (own and own(code))
 
 
 def classify(code):
-    """Evaluate every family, cheap checks first; failed families carry the
-    first violated clause as a witness (f0 to f4 name the first basic
-    property they lack)."""
-    reasons = {name: witness(name, code)
-               for name in ("extendable", "regular", "decodable")}
-    lacking = [n for n in reasons if reasons[n]]
-    reasons["f0"] = "not %s" % lacking[0] if lacking else None
-    lacking = [n for n in ("regular", "decodable") if reasons[n]]
-    for name in ("f1", "f2", "f3", "f4"):
-        reasons[name] = ("not %s" % lacking[0] if lacking else
-                         FAMILIES[name][-1](code))
-    reasons["aifv"] = witness("aifv", code)
+    """Evaluate every family, cheap checks first; a failed family carries
+    "not X" for the first basic property X it lacks, else its own clause's
+    witness."""
+    reasons = {}
+    for name in CLASS_NAMES:
+        requires, own = FAMILIES[name]
+        lacking = next((b for b in requires if reasons[b]), None)
+        reasons[name] = "not %s" % lacking if lacking else (own and own(code))
     return ClassReport({n: reasons[n] is None for n in CLASS_NAMES},
                        {n: reasons[n] for n in CLASS_NAMES if reasons[n]})
 
 
 def verify_hierarchy(reports):
     """Whether every report's flags respect the implication chain."""
-    for report in reports:
-        for wider, tighter in HIERARCHY:
-            if report.flags[tighter] and not report.flags[wider]:
-                return False
-    return True
+    return all(report.flags[wider] or not report.flags[tighter]
+               for report in reports for wider, tighter in HIERARCHY)

@@ -21,10 +21,10 @@ from .errors import CodeTupleError
 from .goldens import run_goldens
 from .markov import (approx_decimal, average_length, stationary_distribution,
                      table_length)
-from .prefix_sets import DEFAULT_MAX_K
+from .prefix_sets import check_k
 from .search import (SearchSpace, enumerate_min, huffman_length)
-from .transforms import (chain_to_class, ddot, dot, forced_bit, rotate,
-                         steer_bit)
+from .transforms import (PRECEDING, chain_to_class, ddot, dot, forced_bit,
+                         rotate, steer_bit)
 
 
 def _read(path):
@@ -40,8 +40,8 @@ def _load_dist(path, alphabet=None):
     return parse_dist(_read(path), alphabet)
 
 
-def _approx(value, places=4):
-    return "%s ≈ %s" % (value, approx_decimal(value, places))
+def _approx(value):
+    return "%s ≈ %s" % (value, approx_decimal(value))
 
 
 def _show_table_list(tables):
@@ -168,10 +168,12 @@ def _cmd_transform(args, parser, out):
     else:
         bits = "-"
         result = ddot(code)
+    # an irregular result has no L: fail before any output
+    avg = average_length(result, dist) if dist is not None else None
     out("# op = %s" % args.op)
     out("# bits = %s" % bits)
-    if dist is not None:
-        out("# L = %s" % _approx(average_length(result, dist)))
+    if avg is not None:
+        out("# L = %s" % _approx(avg))
     out(serialize_code_tuple(result).rstrip("\n"))
     return 0
 
@@ -263,7 +265,7 @@ def build_parser():
     p = add("transform", "apply one rewrite or a chain into a class")
     p.add_argument("--op", required=True,
                    choices=("rotate", "dot", "ddot", "chain"))
-    p.add_argument("--target", choices=("f1", "f2", "f3"),
+    p.add_argument("--target", choices=tuple(PRECEDING),
                    help="destination class for --op chain")
     p.add_argument("--dist", metavar="FILE",
                    help="distribution file; adds L per step")
@@ -314,9 +316,7 @@ def main(argv=None):
         print(line)
 
     try:
-        k = getattr(args, "k", 0)
-        if not 0 <= k <= DEFAULT_MAX_K:  # sets grow as 2**k
-            raise ValueError("k=%d outside 0..%d" % (k, DEFAULT_MAX_K))
+        check_k(getattr(args, "k", 0))  # before any output
         if args.verb == "decode":
             return _cmd_decode(args, parser, out)
         if args.verb == "transform":

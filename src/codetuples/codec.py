@@ -80,23 +80,23 @@ def _finish_lengths(graph, end, width):
     return out
 
 
-def _completions(auto, tail, table, cap=COMPLETION_CAP):
-    """The first ``cap`` symbol sequences, in length-then-lexicographic
-    order, that emit exactly ``tail`` from ``table``, and whether more
+def _completions(auto, tail, table):
+    """The first COMPLETION_CAP symbol sequences emitting exactly ``tail``
+    from ``table``, by length then lexicographically, and whether more
     exist; NoConsistentCompletion when no emission even starts with it.
 
     A sequence stops at its first exact match: extending one only appends
     symbols that emit nothing, which the bits cannot testify to.  Each
     length is listed by a walk through states that finish in exactly the
     symbols left, known for a window of lengths above each state's fewest;
-    the window widens until it holds cap + 1 sequences or all of them.
+    the window widens until it holds one sequence over the cap or all.
     """
     graph, reaches = auto.search(tail, table)
     if not reaches:
         raise NoConsistentCompletion(
             "%s is not a prefix of any emission from table %d"
             % (tail, table))
-    start, width = (table, 0), 2 * cap
+    start, width = (table, 0), 2 * COMPLETION_CAP
     while True:
         finish = _finish_lengths(graph, len(tail), width)
         if start not in finish or not tail:
@@ -108,15 +108,15 @@ def _completions(auto, tail, table, cap=COMPLETION_CAP):
         found = []
         for length in range(finish[start][0], finish[start][0] + width):
             stack = [(start, length, None)] if exact(start, length) else []
-            while stack and len(found) <= cap:
+            while stack and len(found) <= COMPLETION_CAP:
                 st, left, path = stack.pop()  # path: (symbol, path) links
                 if not left:
                     found.append(_unlink(path))
                     continue
                 stack.extend((nxt, left - 1, (s, path)) for s, nxt
                              in reversed(graph[st]) if exact(nxt, left - 1))
-        if len(found) > cap or not finish[start][1] >> width:
-            return tuple(found[:cap]), len(found) > cap
+        if len(found) > COMPLETION_CAP or not finish[start][1] >> width:
+            return tuple(found[:COMPLETION_CAP]), len(found) > COMPLETION_CAP
         width *= 2
 
 

@@ -264,13 +264,16 @@ def _content_lines(text):
 
 def parse_code_tuple(text):
     """Parse the code-tuple file format into a CodeTuple."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty file")
-    pos = 0
+    lines = _content_lines(text)
 
-    lineno, line = lines[pos]
-    fields = line.split()
+    def take(missing):
+        """The next content line as (line number, fields); at the end of
+        the file, FormatError(missing)."""
+        for lineno, line in lines:
+            return lineno, line.split()
+        raise FormatError(missing)
+
+    lineno, fields = take("empty file")
     if fields[0] != "alphabet":
         raise FormatError("expected 'alphabet ...'", lineno)
     if len(fields) < 2:
@@ -279,34 +282,23 @@ def parse_code_tuple(text):
         alphabet = Alphabet(tuple(fields[1:]))
     except ValueError as exc:
         raise FormatError(str(exc), lineno) from None
-    pos += 1
 
-    if pos >= len(lines):
-        raise FormatError("missing 'tables N' line")
-    lineno, line = lines[pos]
-    fields = line.split()
+    lineno, fields = take("missing 'tables N' line")
     num_tables = _natural(fields[1]) if len(fields) == 2 else None
     if fields[0] != "tables" or num_tables is None:
         raise FormatError("expected 'tables N'", lineno)
     if num_tables < 1:
         raise FormatError("need at least one table", lineno)
-    pos += 1
 
     tables = []
     for i in range(num_tables):
-        if pos >= len(lines):
-            raise FormatError("missing 'table %d' block" % i)
-        lineno, line = lines[pos]
-        if line.split() != ["table", str(i)]:
+        lineno, fields = take("missing 'table %d' block" % i)
+        if fields != ["table", str(i)]:
             raise FormatError("expected 'table %d'" % i, lineno)
-        pos += 1
         codes = [None] * len(alphabet)
         targets = [None] * len(alphabet)
         for _ in range(len(alphabet)):
-            if pos >= len(lines):
-                raise FormatError("table %d is missing rows" % i)
-            lineno, line = lines[pos]
-            fields = line.split()
+            lineno, fields = take("table %d is missing rows" % i)
             if len(fields) != 3:
                 raise FormatError("expected 'symbol codeword target'", lineno)
             name, word, target = fields
@@ -326,11 +318,9 @@ def parse_code_tuple(text):
                     "next-table index %r out of range 0..%d" % (target, num_tables - 1),
                     lineno,
                 )
-            pos += 1
         tables.append(Table(tuple(codes), tuple(targets)))
 
-    if pos != len(lines):
-        lineno, line = lines[pos]
+    for lineno, line in lines:
         raise FormatError("unexpected trailing content: %r" % line, lineno)
     return CodeTuple(alphabet, tuple(tables))
 

@@ -152,6 +152,26 @@ def test_witness_is_the_one_membership_test():
                 assert reason == report.failures.get(name), (code, name)
 
 
+@pytest.mark.parametrize("rows, lacking, own_clauses_pass", [
+    ([[("0", 0), ("-", 1), ("11", 1)], [("111", 1), ("101", 0), ("01", 0)]],
+     "decodable", True),
+    ([[("0", 0), ("1", 0)], [("01", 1), ("1", 1)]], "regular", True),
+    ([[("011", 0), ("-", 0)], [("-", 1), ("000", 1)]], "regular", False),
+])
+def test_f0_to_f4_name_the_first_basic_property_they_lack(
+        rows, lacking, own_clauses_pass):
+    # the requirements come before a family's own clause, regular before
+    # decodable (the last tuple is neither)
+    code = make_tuple(("a", "b", "c")[:len(rows[0])], rows)
+    report = classify(code)
+    for name in ("f1", "f2", "f3", "f4"):
+        own = classes.FAMILIES[name][1](code)
+        assert (own is None) == own_clauses_pass
+        assert report.failures[name] == "not %s" % lacking
+        assert classes.witness(name, code) == report.failures[lacking]
+    assert report.failures["f0"] == "not %s" % lacking
+
+
 def test_aifv_verdict_builds_no_continuation_sets():
     # the aifv clauses read codewords and targets only, so the aifv verdict
     # leaves a fresh tuple without continuation sets

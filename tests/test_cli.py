@@ -151,6 +151,14 @@ def test_transform_rotate(files, capsys):
     assert body == serialize_code_tuple(TUPLES["r4"])
 
 
+def test_transform_without_l_prints_nothing(files, capsys):
+    # rotate of r2 has no unique stationary distribution, so no L
+    rc, lines, err = run(capsys, ["transform", "--tuple", files["r2"],
+                                  "--op", "rotate", "--dist", files["dist"]])
+    assert (rc, lines) == (1, [])
+    assert err == "error: stationary distribution is not unique\n"
+
+
 def test_transform_chain(files, capsys):
     rc, lines, _ = run(capsys, ["transform", "--tuple", files["r5"],
                                 "--op", "chain", "--target", "f2",

@@ -83,6 +83,36 @@ def test_parse_errors_carry_line_numbers():
         parse_code_tuple(unknown_symbol)
 
 
+WHOLE = ("# header", "alphabet a b", "tables 2", "table 0", "a 0 0", "b 1 1",
+         "", "table 1", "a 0 0", "b 1 0")
+
+
+@pytest.mark.parametrize("kept, message, line", [
+    (0, "empty file", None),
+    (1, "empty file", None),
+    (2, "missing 'tables N' line", None),
+    (3, "missing 'table 0' block", None),
+    (4, "table 0 is missing rows", None),
+    (5, "table 0 is missing rows", None),
+    (6, "missing 'table 1' block", None),
+    (7, "missing 'table 1' block", None),
+    (8, "table 1 is missing rows", None),
+    (9, "table 1 is missing rows", None),
+])
+def test_parse_names_what_a_cut_file_is_missing(kept, message, line):
+    with pytest.raises(FormatError) as err:
+        parse_code_tuple("\n".join(WHOLE[:kept]) + "\n")
+    assert (str(err.value), err.value.line) == (message, line)
+
+
+def test_parse_names_the_first_trailing_line():
+    assert parse_code_tuple("\n".join(WHOLE) + "\n").num_tables == 2
+    with pytest.raises(FormatError) as err:
+        parse_code_tuple("\n".join(WHOLE) + "\n# note\nc 1 0\ntable 2\n")
+    assert (str(err.value), err.value.line) == (
+        "line 12: unexpected trailing content: 'c 1 0'", 12)
+
+
 def test_lambda_codeword_round_trips():
     code = TUPLES["r1"]
     text = serialize_code_tuple(code)
