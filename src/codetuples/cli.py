@@ -22,7 +22,7 @@ from .goldens import run_goldens
 from .markov import (approx_decimal, average_length, stationary_distribution,
                      table_length)
 from .prefix_sets import check_k
-from .search import (SearchSpace, enumerate_min, huffman_length)
+from .search import FILTERS, SearchSpace, enumerate_min, huffman_length
 from .transforms import (PRECEDING, chain_to_class, ddot, dot, forced_bit,
                          rotate, steer_bit)
 
@@ -283,7 +283,7 @@ def build_parser():
     p.add_argument("--tables", type=int, required=True, choices=(1, 2))
     p.add_argument("--max-len", type=int, required=True,
                    help="longest codeword allowed")
-    p.add_argument("--filter", required=True, choices=("f0", "aifv"))
+    p.add_argument("--filter", required=True, choices=FILTERS)
     p.add_argument("--dist", required=True, metavar="FILE")
 
     p = add("huffman", "single-table baseline lengths", needs_tuple=False)

@@ -22,7 +22,8 @@ cycle, which the delay conditions reject), so every tuple survives under
 exactly one guess.  Costs factor the same way: the stationary weight of
 each table depends only on the next-table choices, so the tables' expected
 lengths are minimized independently per guess and target assignment (one
-table's cost is its own expected length).
+table's cost is its own expected length).  So a table's bucket (one target
+vector) keeps its first content and each length vector no other dominates.
 
 Under f0 only table 0 is walked: no f0 condition reads the table index, so
 table 1 under guess (a, b) is table 0 under (b, a) with targets flipped.
@@ -51,7 +52,7 @@ from fractions import Fraction
 
 from .bits import Bits
 from .classes import aifv_table_ok, witness
-from .core import CodeTuple, Table
+from .core import CodeTuple, SourceDist, Table
 from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
 
@@ -91,9 +92,15 @@ class SearchResult:
     examined: int
 
 
+def _typed(name, value, kind):
+    if isinstance(value, kind):
+        return value
+    raise InvalidType("%s must be %s, got %r" % (name, kind.__name__, value))
+
+
 def space_size(space):
     """Number of assignments the space contains, in closed form."""
-    words = 2 ** (space.max_len + 1) - 1
+    words = 2 ** (_typed("space", space, SearchSpace).max_len + 1) - 1
     return (words * space.tables) ** (space.sigma * space.tables)
 
 
@@ -107,10 +114,8 @@ def all_words(max_len):
 
 def canonical_key(code):
     """Sort key realizing the documented tie-break order."""
-    return tuple(
-        (len(t.codes[s]), str(t.codes[s]), t.targets[s])
-        for t in code.tables for s in code.alphabet
-    )
+    return tuple((len(t.codes[s]), str(t.codes[s]), t.targets[s])
+                 for t in code.tables for s in code.alphabet)
 
 
 def _passes_filter(code, space):
@@ -151,12 +156,13 @@ def enumerate_min_direct(space, dist):
 
 
 def _space_dist(space, dist):
-    if len(dist.alphabet) != space.sigma:
+    _typed("space", space, SearchSpace)
+    if len(_typed("dist", dist, SourceDist).alphabet) != space.sigma:
         raise InvalidSpace("distribution has %d symbols, space wants %d"
                            % (len(dist.alphabet), space.sigma))
 
 
-_SCAN_CACHE = {}
+_SCAN_CACHE = {}  # kept until the benchmark's warm reuse calls a scan API
 
 
 def enumerate_min(space, dist):
@@ -197,41 +203,56 @@ def _describe(space):
 # is the tie-break; sets of slots are int bitmasks over sid.
 
 
-def _contrib(word, mask):
-    """Two-bit blocks an emission can start with, given the target's set."""
-    if len(word) >= 2:
-        return 1 << PAIR_INDEX[word[:2]]
-    if len(word) == 1:
-        return sum(1 << PAIR_INDEX[word + bit]
-                   for bit, firsts in (("0", 0b0011), ("1", 0b1100))
-                   if mask & firsts)
-    return mask
+def _unions(parts):
+    """The union of every subset of parts, indexed by the subset's bitmask."""
+    out = [0]
+    for part in parts:
+        out += [x | part for x in out]
+    return out
 
 
 def _layout(max_len):
     words = all_words(max_len)
-    nslots = 2 * len(words)
-    lens = [len(words[sid >> 1]) for sid in range(nslots)]
-    # each word's contribution under each of the 16 sets a target may guess
-    reach = {w: [_contrib(w, mask) for mask in range(16)] for w in words}
-    contrib = [reach[words[sid >> 1]] for sid in range(nslots)]
-    # (shorter word, slot of a strict extension, the suffix's contributions)
-    extensions = [(wi, sid, reach[words[sid >> 1][len(w):]])
-                  for wi, w in enumerate(words) for sid in range(nslots)
-                  if lens[sid] > len(w) and words[sid >> 1].startswith(w)]
-    # a slot's part of the (targets, lenvec) key, and the slots sharing it
-    key_of = [2 * lens[sid] + (sid & 1) for sid in range(nslots)]
-    same_key = [sum(1 << s for s in range(nslots) if key_of[s] == key)
-                for key in key_of]
-    return words, lens, contrib, extensions, key_of, same_key
+    lens = [len(w) for w in words for _ in "01"]
+    evens = int("01" * len(words), 2)  # the target-0 slots
+    # per set a target may guess: each word's contribution (the two-bit
+    # blocks an emission can start with), and the target-0 slots meeting
+    # each set of pairs
+    reach = [[1 << PAIR_INDEX[w[:2]] if len(w) > 1 else
+              ((mask & 3 > 0) | (mask & 12 > 0) << 1) << 2 * int(w) if w
+              else mask for w in words] for mask in range(16)]
+    hits = [_unions([sum(4 ** wi for wi, c in enumerate(row) if c >> k & 1)
+                     for k in range(4)]) for row in reach]
+    # A word and its extension clash when the suffix, under the longer
+    # slot's set, meets the shorter's: by its first pair (gates 0-3), as one
+    # bit x by the longer set's first bits (gate 4 + x), or, empty, when the
+    # sets overlap (gate 6).  key[longer set][shorter set] has the open
+    # gates; up (down)[word][key] the clashing prefixes (extensions).
+    key = [[short | (reach[long][1] & short > 0) << 4
+            | (reach[long][2] & short > 0) << 5 | (long & short > 0) << 6
+            for short in range(16)] for long in range(16)]
+    up, down = ([[0] * 7 for _ in words] for _ in "ud")
+    for (ui, u), (vi, v) in itertools.product(enumerate(words), repeat=2):
+        if v.startswith(u):
+            r = v[len(u):]
+            gate = PAIR_INDEX[r[:2]] if len(r) > 1 else 4 + int(r) if r else 6
+            up[vi][gate] |= 1 << 2 * ui
+            down[ui][gate] |= 1 << 2 * vi
+    up, down = ([_unions(row) for row in rows] for rows in (up, down))
+    # a slot's part of the (targets, lenvec) key, and the slots it dominates
+    key_of = [2 * n + (sid & 1) for sid, n in enumerate(lens)]
+    tail = [evens << (sid & 1) >> lens.index(n) << lens.index(n)
+            for sid, n in enumerate(lens)]
+    return words, lens, evens, reach, hits, key, up, down, key_of, tail
 
 
 def _scan(space):
     """Per continuation-set guess and table: every passing content.
 
     Returns {guess: ({targets: {lenvec: sid tuple}}, ...)}, one dict per
-    table, where each stored sid tuple is the canonically first content
-    with its targets and codeword lengths, in ascending order.  Under f0,
+    table.  A bucket (targets) holds its first lenvec and every one that no
+    other in it dominates, each with the canonically first content with
+    those targets and codeword lengths, in ascending order.  Under f0,
     table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
     """
     layout = _layout(space.max_len)
@@ -256,34 +277,24 @@ def _scan_table(space, index, guess, layout):
     product order and the first one kept per (targets, lenvec) is the
     canonical one.  Only slots whose contribution lies inside the wanted
     set are tried, never one clashing with an earlier symbol's slot.  The
-    last symbol must complete the union to exactly the wanted set, and is
-    tried only for keys not yet found after the same head.
+    last symbol must complete the union to exactly the wanted set; per
+    target it takes only a slot shorter than any taken after the same head
+    key, since a longer one only adds a dominated lenvec.
     """
-    words, lens, by_mask, extensions, key_of, same_key = layout
-    nslots = len(key_of)
-    contrib = [row[guess[sid & 1]] for sid, row in enumerate(by_mask)]
-    # Slots that cannot share a table: one codeword with overlapping target
-    # sets, or a strict extension whose suffix can start a pair that the
-    # shorter slot's target can start too.
-    twin = 1 if guess[0] & guess[1] else 0
-    clash = [1 << sid | twin << (sid ^ 1) for sid in range(nslots)]
-    for wi, sid, reach in extensions:
-        reach = reach[guess[sid & 1]]
-        for short in (2 * wi, 2 * wi + 1):
-            if reach & guess[short & 1]:
-                clash[sid] |= 1 << short
-                clash[short] |= 1 << sid
+    words, lens, evens, reach, hits, key, up, down, key_of, tail = layout
+    contrib = [c for pair in zip(*(reach[g] for g in guess)) for c in pair]
+    # slots that cannot share a table, by the gates of _layout
+    gates = [[key[long][short] for short in guess] for long in guess]
+    clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
+             | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]]) << 1 - t
+             for wi in range(len(words)) for t in (0, 1)]
     want = guess[index]
-    allowed = sum(1 << sid for sid, c in enumerate(contrib)
-                  if not c & ~want and (sid & 1) < space.tables)
-    by_pair = {pair: sum(1 << sid for sid, c in enumerate(contrib) if c & pair)
-               for pair in (1, 2, 4, 8)}
-    cover = [allowed]  # missing pairs -> allowed slots contributing them all
-    for need in range(1, 16):
-        cover.append(cover[need & need - 1] & by_pair[need & -need])
-    aifv = space.filter == "aifv"
-    last = space.sigma - 1
-    filled = {}  # head key -> slots whose key is already found
+    hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
+    allowed = (evens if space.tables == 1 else evens * 3) & ~hit[15 & ~want]
+    cover = [allowed & ~miss  # missing pairs -> allowed slots giving them all
+             for miss in _unions([~hit[1 << k] for k in range(4)])]
+    aifv, last = space.filter == "aifv", space.sigma - 1
+    filled = {}  # head key -> slots found or dominated after it
     found = {}
 
     @functools.cache
@@ -302,12 +313,12 @@ def _scan_table(space, index, guess, layout):
                 continue
             bucket = found.setdefault(head_targets + (sid & 1,), {})
             bucket[head_lens + (lens[sid],)] = row
-            done |= same_key[sid]
+            done |= tail[sid]
             options &= ~done
         filled[head_key] = done
 
     def walk(pos, cand, union, head_key, head, head_targets, head_lens):
-        base = head_key * nslots  # base > any part
+        base = head_key * len(key_of)  # base > any part
         deeper = pos + 1 < last
         rest = cand
         while rest:
@@ -333,10 +344,11 @@ def _combine(space, dist, scan):
 
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
-    A bucket's contents ascend in dict order, so it is summarized as (min
-    cost, weight leaving, canonical content at min cost, canonical content)
-    by lookups, once per stored table: an f0 table read as table 1 leaves
-    by its own targets' ones, so one summary serves both positions.
+    A bucket keeps every lenvec that can cost least, and its contents ascend
+    in dict order, so it is summarized as (min cost, weight leaving,
+    canonical content at min cost, canonical content) by lookups, once per
+    stored table: an f0 table read as table 1 leaves by its own targets'
+    ones, so one summary serves both positions.
 
     Guesses are visited by the least bucket cost of either table, a lower
     bound on their pairs' costs, until it is strictly above the best cost;
@@ -408,12 +420,11 @@ def huffman_length(dist):
     Merging always takes the two lowest weights, breaking ties toward the
     earliest-created node, so the result is deterministic.
     """
-    n = len(dist.alphabet)
+    n = len(_typed("dist", dist, SourceDist).alphabet)
     if n == 1:
         return (0,), Fraction(0)
     nodes = [(dist.probs[s], s, (s,)) for s in dist.alphabet]
-    depth = [0] * n
-    order = n
+    depth, order = [0] * n, n
     while len(nodes) > 1:
         nodes.sort(key=lambda e: (e[0], e[1]))
         (p1, _, m1), (p2, _, m2) = nodes[0], nodes[1]
@@ -447,14 +458,13 @@ def compare_aifv_huffman(space, dist):
     is wide enough to embed the single-codeword optimum; otherwise the
     report carries a note instead of a claim.
     """
-    if space.tables != 2:
+    if _typed("space", space, SearchSpace).tables != 2:
         raise InvalidSpace("the comparison needs a two-table space")
     space = dataclasses.replace(space, filter="aifv")
     lengths, huff = huffman_length(dist)
     result = enumerate_min(space, dist)
-    note = ""
-    if max(lengths) > space.max_len:
-        note = ("length bound %d below the instant optimum's longest "
-                "codeword %d" % (space.max_len, max(lengths)))
+    note = ("length bound %d below the instant optimum's longest codeword %d"
+            % (space.max_len, max(lengths)) if max(lengths) > space.max_len
+            else "")
     return ComparisonReport(space, result.avg_len, huff, lengths,
                             huff - result.avg_len, note)

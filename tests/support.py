@@ -1,6 +1,7 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
-greedy decoder and a round trip on it, the old search scan and combine, the old aifv membership
-test, the old rational stationary solve, and a random tuple generator.
+greedy decoder and a round trip on it, the old search scan, walk and
+combine, the old aifv membership test, the old rational stationary solve,
+and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -10,11 +11,13 @@ states with its own code, independently of the codec's emission automaton.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import random
 
 from codetuples import Bits, PrefixSetTable, make_tuple
 from codetuples.bits import EMPTY, ZERO
+from codetuples.classes import aifv_table_ok
 from codetuples.codec import (FAILURE_CAP, DanglingInfo, DecodeResult,
                               RoundTripFailure, RoundTripReport)
 from codetuples.core import CodeTuple, Table
@@ -496,6 +499,37 @@ def expand_scan(space, scan):
             for guess, (tab0, tab1) in scan.items()}
 
 
+def _dominates(low, high):
+    return low != high and all(x <= y for x, y in zip(low, high))
+
+
+def assert_keeps_pareto_buckets(got, full):
+    """got holds full's guesses, tables and buckets, trimmed by dominance.
+
+    Both scans are in the oracle's shape.  Keys match in dict order.  Each
+    bucket of got is a sub-dict of full's, with the same contents in the
+    same order; it starts with full's first entry and holds every length
+    vector that no other vector of full's bucket dominates.  These are all
+    the combine reads: the first content, and per cost the first content
+    at the least cost, which only a Pareto-minimal vector can reach since
+    probabilities are positive.
+    """
+    assert list(got) == list(full)
+    for guess, tables in full.items():
+        for mine, theirs in zip(got[guess], tables, strict=True):
+            assert list(mine) == list(theirs), guess
+            for targets, bucket in theirs.items():
+                kept = mine[targets]
+                where = (guess, targets)
+                order = [list(bucket).index(v) for v in kept]
+                assert order == sorted(order), where
+                assert all(bucket[v] == row for v, row in kept.items()), where
+                assert next(iter(kept.items())) == \
+                    next(iter(bucket.items())), where
+                assert all(v in kept for v in bucket if not any(
+                    _dominates(u, v) for u in bucket)), where
+
+
 def oracle_combine(space, dist, scan):
     """Cheapest (guess, targets, contents) combo for this distribution."""
     words = all_words(space.max_len)
@@ -538,6 +572,146 @@ def oracle_combine(space, dist, scan):
         tables.append(Table(tuple(Bits(words[sid >> 1]) for sid in content),
                             tuple(sid & 1 for sid in content)))
     return (best[0], best[1], CodeTuple(dist.alphabet, tuple(tables)))
+
+
+# --------------------------------------------------------------------------
+# The f0 and aifv scan walk as it stood before it dropped a bucket's
+# dominated length vectors and read its per-guess masks from tables, kept
+# verbatim (renamed) as the oracle walk: every bucket holds the canonical
+# first content of every length vector.  Unlike oracle_scan_two_tables it
+# prunes by the guess, so it runs at four symbols too.
+# --------------------------------------------------------------------------
+
+
+def _walk_contrib(word, mask):
+    """Two-bit blocks an emission can start with, given the target's set."""
+    if len(word) >= 2:
+        return 1 << PAIR_INDEX[word[:2]]
+    if len(word) == 1:
+        return sum(1 << PAIR_INDEX[word + bit]
+                   for bit, firsts in (("0", 0b0011), ("1", 0b1100))
+                   if mask & firsts)
+    return mask
+
+
+def _walk_layout(max_len):
+    words = all_words(max_len)
+    nslots = 2 * len(words)
+    lens = [len(words[sid >> 1]) for sid in range(nslots)]
+    # each word's contribution under each of the 16 sets a target may guess
+    reach = {w: [_walk_contrib(w, mask) for mask in range(16)] for w in words}
+    contrib = [reach[words[sid >> 1]] for sid in range(nslots)]
+    # (shorter word, slot of a strict extension, the suffix's contributions)
+    extensions = [(wi, sid, reach[words[sid >> 1][len(w):]])
+                  for wi, w in enumerate(words) for sid in range(nslots)
+                  if lens[sid] > len(w) and words[sid >> 1].startswith(w)]
+    # a slot's part of the (targets, lenvec) key, and the slots sharing it
+    key_of = [2 * lens[sid] + (sid & 1) for sid in range(nslots)]
+    same_key = [sum(1 << s for s in range(nslots) if key_of[s] == key)
+                for key in key_of]
+    return words, lens, contrib, extensions, key_of, same_key
+
+
+def oracle_walk_scan(space):
+    """Per continuation-set guess and table: every passing content.
+
+    Returns {guess: ({targets: {lenvec: sid tuple}}, ...)}, one dict per
+    table, where each stored sid tuple is the canonically first content
+    with its targets and codeword lengths, in ascending order.  Under f0,
+    table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
+    """
+    layout = _walk_layout(space.max_len)
+    if space.filter == "aifv":  # two tables, and the clauses read the index
+        guess = (FULL_MASK, NONZERO_MASK)
+        tabs = tuple(_walk_table(space, i, guess, layout)
+                     for i in range(space.tables))
+        return {guess: tabs} if len(tabs) == 2 and all(tabs) else {}
+    if space.tables == 1:  # only target-0 slots, so guess[1] is never read
+        return {a: (tab,) for a in range(1, 16)
+                if (tab := _walk_table(space, 0, (a, a), layout))}
+    tab0 = {(a, b): _walk_table(space, 0, (a, b), layout)
+            for a in range(1, 16) for b in range(1, 16)}
+    return {(a, b): (tab0[a, b], tab0[b, a])
+            for a, b in tab0 if tab0[a, b] and tab0[b, a]}
+
+
+def _walk_table(space, index, guess, layout):
+    """One table's passing contents under a guess, by a depth-first walk.
+
+    Symbols take slots in ascending sid order, so contents appear in
+    product order and the first one kept per (targets, lenvec) is the
+    canonical one.  Only slots whose contribution lies inside the wanted
+    set are tried, never one clashing with an earlier symbol's slot.  The
+    last symbol must complete the union to exactly the wanted set, and is
+    tried only for keys not yet found after the same head.
+    """
+    words, lens, by_mask, extensions, key_of, same_key = layout
+    nslots = len(key_of)
+    contrib = [row[guess[sid & 1]] for sid, row in enumerate(by_mask)]
+    # Slots that cannot share a table: one codeword with overlapping target
+    # sets, or a strict extension whose suffix can start a pair that the
+    # shorter slot's target can start too.
+    twin = 1 if guess[0] & guess[1] else 0
+    clash = [1 << sid | twin << (sid ^ 1) for sid in range(nslots)]
+    for wi, sid, reach in extensions:
+        reach = reach[guess[sid & 1]]
+        for short in (2 * wi, 2 * wi + 1):
+            if reach & guess[short & 1]:
+                clash[sid] |= 1 << short
+                clash[short] |= 1 << sid
+    want = guess[index]
+    allowed = sum(1 << sid for sid, c in enumerate(contrib)
+                  if not c & ~want and (sid & 1) < space.tables)
+    by_pair = {pair: sum(1 << sid for sid, c in enumerate(contrib) if c & pair)
+               for pair in (1, 2, 4, 8)}
+    cover = [allowed]  # missing pairs -> allowed slots contributing them all
+    for need in range(1, 16):
+        cover.append(cover[need & need - 1] & by_pair[need & -need])
+    aifv = space.filter == "aifv"
+    last = space.sigma - 1
+    filled = {}  # head key -> slots whose key is already found
+    found = {}
+
+    @functools.cache
+    def verdict(slots):  # sorted: the clauses ignore symbol order
+        return aifv_table_ok(index, [words[s >> 1] for s in slots],
+                             [s & 1 for s in slots])
+
+    def finish(options, head_key, head, head_targets, head_lens):
+        done = filled.get(head_key, 0)
+        while options:
+            low = options & -options
+            sid = low.bit_length() - 1
+            row = head + (sid,)
+            if aifv and not verdict(tuple(sorted(row))):
+                options ^= low
+                continue
+            bucket = found.setdefault(head_targets + (sid & 1,), {})
+            bucket[head_lens + (lens[sid],)] = row
+            done |= same_key[sid]
+            options &= ~done
+        filled[head_key] = done
+
+    def walk(pos, cand, union, head_key, head, head_targets, head_lens):
+        base = head_key * nslots  # base > any part
+        deeper = pos + 1 < last
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sid = low.bit_length() - 1
+            key = base + key_of[sid]
+            if deeper:
+                walk(pos + 1, cand & ~clash[sid], union | contrib[sid], key,
+                     head + (sid,), head_targets + (sid & 1,),
+                     head_lens + (lens[sid],))
+            elif options := (cand & ~clash[sid] & ~filled.get(key, 0)
+                             & cover[want & ~(union | contrib[sid])]):
+                finish(options, key, head + (sid,), head_targets + (sid & 1,),
+                       head_lens + (lens[sid],))
+
+    walk(0, allowed, 0, 0, (), (), ())
+    return found
 
 
 # --------------------------------------------------------------------------

@@ -211,6 +211,19 @@ def test_search_output(files, capsys):
     assert lines[-1] == "L = 119/190 ≈ 0.6263"
 
 
+def test_search_filter_choices_are_the_search_filters():
+    import argparse
+
+    from codetuples.cli import build_parser
+    from codetuples.search import FILTERS
+
+    verbs, = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    choices = {action.dest: action.choices
+               for action in verbs.choices["search"]._actions}
+    assert tuple(choices["filter"]) == FILTERS
+
+
 def test_huffman_output(files, capsys):
     rc, lines, _ = run(capsys, ["huffman", "--dist", files["dist"]])
     assert rc == 0

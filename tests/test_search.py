@@ -16,7 +16,7 @@ from codetuples import (
 )
 from codetuples import search
 from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
-                               SearchCheckFailed)
+                               InvalidType, SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
 from support import _swapped
@@ -57,6 +57,22 @@ def test_space_errors_are_domain_errors():
             case()
         assert isinstance(info.value, CodeTupleError)
         assert isinstance(info.value, ValueError)
+    # a space or dist of the wrong type is named, not an AttributeError
+    space, dist = SearchSpace(2, 2, 1, "f0"), dist2("1/2")
+    wrong_types = (("dist", lambda: enumerate_min(space, None)),
+                   ("space", lambda: enumerate_min(None, dist)),
+                   ("space", lambda: enumerate_min((2, 2, 1, "f0"), dist)),
+                   ("dist", lambda: enumerate_min_direct(space, [0.5, 0.5])),
+                   ("space", lambda: enumerate_min_direct("space", dist)),
+                   ("dist", lambda: compare_aifv_huffman(space, None)),
+                   ("space", lambda: compare_aifv_huffman(None, dist)),
+                   ("space", lambda: space_size(None)),
+                   ("dist", lambda: huffman_length(space)))
+    for name, case in wrong_types:
+        with pytest.raises(InvalidType, match="^%s must be " % name) as info:
+            case()
+        assert isinstance(info.value, CodeTupleError)
+        assert isinstance(info.value, TypeError)
 
 
 def test_all_words_canonical_order():

@@ -4,14 +4,19 @@
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
 f0 scan shares each walked table 0 as table 1 of the swapped guess, so it
 is compared through ``support.expand_scan``, which flips a copy of every
-shared table 1 back into the oracle's shape.  The scan dicts must then be
-equal including key order and the order inside every bucket, since the
-combine's tie-break reads the first content kept, and the combine, reading
-the unexpanded scan, must pick the same cost, contents and tuple as the
-oracle combine reading the oracle's scan.  At four symbols the oracle
-scan is too slow, so both combines read the pruned scan, the oracle's
-expanded, and the order the combine relies on, contents ascending in
-every bucket, is checked on its own.  The combine stops at a bound, so it
+shared table 1 back into the oracle's shape.  The oracle keeps every length
+vector of a bucket; the scan drops the ones another vector of the bucket
+dominates, which no positive distribution can pick.  So
+``support.assert_keeps_pareto_buckets`` asks for the same guesses, tables
+and buckets in the same dict order, each bucket a sub-dict of the oracle's
+in the oracle's order, with its first entry and every Pareto-minimal
+vector; and the combine, reading the unexpanded scan, must pick the same
+cost, contents and tuple as the oracle combine reading the oracle's scan.
+At four symbols the oracle scan is too slow, so the scan is checked the
+same way against ``support.oracle_walk_scan``, the walk before it dropped
+dominated vectors, both combines read the scan, the oracle's expanded, and
+the order the combine relies on, contents ascending in every bucket, is
+checked on its own.  The combine stops at a bound, so it
 is also checked on distributions whose costs tie often and with the
 guesses in reverse order.
 """
@@ -25,7 +30,8 @@ import pytest
 
 from codetuples import Alphabet, SearchSpace, SourceDist
 from codetuples.search import _combine, _scan
-from support import expand_scan, oracle_combine, oracle_scan_two_tables
+from support import (assert_keeps_pareto_buckets, expand_scan,
+                     oracle_combine, oracle_scan_two_tables, oracle_walk_scan)
 
 SPACES = [(sigma, max_len, filt)
           for sigma, max_len in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
@@ -39,14 +45,6 @@ TIE_HEAVY = {
     + sorted(set(itertools.permutations((2, 2, 1)))),
     4: [(1, 1, 1, 1), (4, 2, 1, 1)],
 }
-
-
-def ordered(scan):
-    """Every key and bucket of a scan as nested lists, in dict order."""
-    return [(guess, [[(targets, list(bucket.items()))
-                      for targets, bucket in table.items()]
-                     for table in tables])
-            for guess, tables in scan.items()]
 
 
 def seeded_dists(sigma, seed):
@@ -67,7 +65,7 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
     space = SearchSpace(sigma, 2, max_len, filt)
     scan = _scan(space)
     expected = oracle_scan_two_tables(space)
-    assert ordered(expand_scan(space, scan)) == ordered(expected)
+    assert_keeps_pareto_buckets(expand_scan(space, scan), expected)
     for dist in seeded_dists(sigma, space):
         got = _combine(space, dist, scan)
         want = oracle_combine(space, dist, expected)
@@ -78,6 +76,13 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
 @functools.cache
 def scan_of(sigma, max_len, filt):
     return _scan(SearchSpace(sigma, 2, max_len, filt))
+
+
+@pytest.mark.parametrize("filt", ["f0", "aifv"])
+def test_scan_keeps_the_old_walk_s_pareto_buckets_at_four_symbols(filt):
+    space = SearchSpace(4, 2, 3, filt)
+    assert_keeps_pareto_buckets(expand_scan(space, scan_of(4, 3, filt)),
+                                expand_scan(space, oracle_walk_scan(space)))
 
 
 @pytest.mark.parametrize("sigma,max_len,filt",
