@@ -31,6 +31,17 @@ The scan shares that table instead of copying it, and the combine flips
 the winner's table-1 sids: a bucket's contents share their targets, so
 flipping keeps them in the ascending order the combine reads them in.
 
+Complementing every bit of every codeword keeps f0 membership, targets
+and codeword lengths, and maps guess (a, b) to its mirror, with pairs 00
+and 11 swapped and 01 and 10.  So table 0 under a guess and under its
+mirror have the same buckets and the same least costs, and the scan walks
+one guess per orbit: 117 of the 225 guesses, 9 of 15 for one table.  The
+canonical contents differ: complementing reverses the order of the words
+of one length, so a mirror's first content is the complement of its orbit
+walk's last one, which the walk does not keep.  The combine walks a
+mirror guess only when it reads its contents, for a pair at the best
+cost, and the walk stays in the cached scan for later distributions.
+
 The combine visits the guesses by a lower bound on their costs: a pair of
 tables costs a mean of their two costs weighted by the weight leaving each,
 so never less than the least bucket cost of either table.  It stops at the
@@ -61,6 +72,8 @@ FILTERS = ("f0", "aifv")
 PAIR_INDEX = {"00": 0, "01": 1, "10": 2, "11": 3}
 FULL_MASK = 0b1111
 NONZERO_MASK = 0b1110  # 01, 10, 11
+# complementing every bit swaps 00 with 11 and 01 with 10: a set's mirror
+MIRROR = [int(format(mask, "04b")[::-1], 2) for mask in range(16)]
 
 
 @dataclass(frozen=True)
@@ -246,28 +259,49 @@ def _layout(max_len):
     return words, lens, evens, reach, hits, key, up, down, key_of, tail
 
 
+class _Tables(dict):
+    """Walked tables by walk key (index, guess), walking a missing one."""
+
+    def __init__(self, space):
+        self.space, self.layout = space, _layout(space.max_len)
+
+    def __missing__(self, key):
+        table = self[key] = _scan_table(self.space, *key, self.layout)
+        return table
+
+
 def _scan(space):
     """Per continuation-set guess and table: every passing content.
 
-    Returns {guess: ({targets: {lenvec: sid tuple}}, ...)}, one dict per
-    table.  A bucket (targets) holds its first lenvec and every one that no
-    other in it dominates, each with the canonically first content with
-    those targets and codeword lengths, in ascending order.  Under f0,
-    table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
+    Returns (guesses, tables).  guesses maps each kept guess to a (key,
+    orbit key) pair per table: key (index, guess) names the walk that
+    gives the table, the orbit key the walk with the same buckets and
+    costs.  tables maps a walk key to {targets: {lenvec: sid tuple}} and
+    walks a missing key when it is first read.  A bucket (targets) holds
+    its first lenvec and every one that no other in it dominates, each
+    with the canonically first content with those targets and codeword
+    lengths, in ascending order.  Under f0, table 1 under (a, b) is the
+    table 0 under (b, a), shared, not flipped, and only the orbit keys are
+    walked here, the least guess of each complement orbit.
     """
-    layout = _layout(space.max_len)
+    tables = _Tables(space)
     if space.filter == "aifv":  # two tables, and the clauses read the index
         guess = (FULL_MASK, NONZERO_MASK)
-        tabs = tuple(_scan_table(space, i, guess, layout)
-                     for i in range(space.tables))
-        return {guess: tabs} if len(tabs) == 2 and all(tabs) else {}
+        cells = tuple(((i, guess),) * 2 for i in range(2))
+        kept = space.tables == 2 and all(tables[key] for key, _ in cells)
+        return {guess: cells} if kept else {}, tables
+
+    def cell(walk):  # an f0 table is a table 0, costed by its orbit's walk
+        mirror = (MIRROR[walk[0]], MIRROR[walk[1]])
+        return (0, walk), (0, min(walk, mirror))
+
     if space.tables == 1:  # only target-0 slots, so guess[1] is never read
-        return {a: (tab,) for a in range(1, 16)
-                if (tab := _scan_table(space, 0, (a, a), layout))}
-    tab0 = {(a, b): _scan_table(space, 0, (a, b), layout)
-            for a in range(1, 16) for b in range(1, 16)}
-    return {(a, b): (tab0[a, b], tab0[b, a])
-            for a, b in tab0 if tab0[a, b] and tab0[b, a]}
+        every = {a: (cell((a, a)),) for a in range(1, 16)}
+    else:
+        every = {(a, b): (cell((a, b)), cell((b, a)))
+                 for a in range(1, 16) for b in range(1, 16)}
+    return {guess: cells for guess, cells in every.items()
+            if all(tables[orbit] for _, orbit in cells)}, tables
 
 
 def _scan_table(space, index, guess, layout):
@@ -345,16 +379,24 @@ def _combine(space, dist, scan):
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
     A bucket keeps every lenvec that can cost least, and its contents ascend
-    in dict order, so it is summarized as (min cost, weight leaving,
-    canonical content at min cost, canonical content) by lookups, once per
-    stored table: an f0 table read as table 1 leaves by its own targets'
-    ones, so one summary serves both positions.
+    in dict order, so it is summarized as its min cost, weight leaving,
+    canonical content at min cost and canonical content, by lookups, once
+    per walked table: an f0 table read as table 1 leaves by its own
+    targets' ones, so one summary serves both positions.
+
+    Costs are read from each table's orbit walk, which has the same
+    buckets and least costs.  The pairs at the best cost are kept as
+    (key, targets, unused) parts, and only the winner's contents, the
+    least of theirs, are read, from each table's own walk: a mirror table
+    is walked there, once per scan, since its canonical contents are not
+    its orbit walk's complemented.  An unused table's cost has no weight,
+    so it takes its bucket's canonical content.
 
     Guesses are visited by the least bucket cost of either table, a lower
     bound on their pairs' costs, until it is strictly above the best cost;
-    only then is no tie left that could win on contents.  Pairs strictly
-    above the best are skipped before their contents are joined.
+    only then is no tie left that could win on contents.
     """
+    guesses, tables = scan
     words = all_words(space.max_len)
     scale, weight = dist.integer_weights()
     cost = {lenvec: sum(w * n for w, n in zip(weight, lenvec))
@@ -364,34 +406,47 @@ def _combine(space, dist, scan):
     ones = {targets: sum(w for w, t in zip(weight, targets) if t)
             for targets in itertools.product((0, 1), repeat=space.sigma)}
     flip = space.filter == "f0"  # table 1 is a table 0 with targets flipped
-    # weight leaving each table: table 0's switches, table 1's returns
-    leaving = (ones, ones if flip else
-               {targets: scale - w for targets, w in ones.items()})
-    summaries = {}  # by table identity: an f0 table serves two guesses
+    # weight leaving a table walked as table 0 (its switches) or 1 (its
+    # returns); an f0 table is always walked as table 0
+    leaving = (ones, {targets: scale - w for targets, w in ones.items()})
+    summaries = {}  # by walk key
 
-    def summarize(table, leave):  # (low, leave, at, any), least first
-        ats = ((t, b, min(b, key=cost.__getitem__)) for t, b in table.items())
-        return sorted((cost[at], leave[t], b[at], next(iter(b.values())))
-                      for t, b, at in ats)
+    def summary(key):  # (least cost, [(cost, leave, targets)], contents)
+        if key not in summaries:
+            leave, rows, contents = leaving[key[0]], [], {}
+            for t, b in tables[key].items():
+                at = min(b, key=cost.__getitem__)
+                rows.append((cost[at], leave[t], t))
+                contents[t] = (b[at], next(iter(b.values())))
+            summaries[key] = (min(rows)[0], rows, contents)
+        return summaries[key]
 
-    guesses = [(min(s[0][0] for s in sums), sums) for sums in
-               ([summaries[id(t)] if id(t) in summaries else
-                 summaries.setdefault(id(t), summarize(t, leave))
-                 for t, leave in zip(tabs, leaving)]
-                for tabs in scan.values())]
-    guesses.sort(key=lambda guess: guess[0])
-    best = (1, 0, None)  # (numerator, denominator, content); 1/0 is above all
-    for bound, sums in guesses:
+    def content(parts):  # (key, targets, unused) per table
+        out = ()
+        for i, (key, targets, unused) in enumerate(parts):
+            row = summary(key)[2][targets][unused]
+            out += tuple([sid ^ 1 for sid in row]) if i and flip else row
+        return out
+
+    order = sorted(((min(summary(orbit)[0] for _, orbit in cells), cells)
+                    for cells in guesses.values()), key=lambda guess: guess[0])
+    best = (1, 0, [])  # (numerator, denominator, tied parts); 1/0 is above all
+    for bound, cells in order:
         if bound * best[1] > best[0]:  # strictly: ties go to the contents
             break
-        if len(sums) == 1:  # all targets 0: one bucket, the table's cost
-            low, _, at, _ = sums[0][0]
+        (key0, orbit0), *rest = cells
+        if not rest:  # all targets 0: one bucket, the table's cost
+            (low, _, targets), = summary(orbit0)[1]
             ahead = low * best[1] - best[0]
-            if ahead < 0 or ahead == 0 and at < best[2]:
-                best = (low, 1, at)
+            if ahead < 0:
+                best = (low, 1, [])
+            if ahead <= 0:
+                best[2].append(((key0, targets, False),))
             continue
-        for low0, leave0, at0, any0 in sums[0]:
-            for low1, leave1, at1, any1 in sums[1]:
+        (key1, orbit1), = rest
+        rows1 = summary(orbit1)[1]
+        for low0, leave0, t0 in summary(orbit0)[1]:
+            for low1, leave1, t1 in rows1:
                 total = leave0 + leave1
                 if total == 0:
                     continue  # the two tables never mix: not regular
@@ -399,16 +454,16 @@ def _combine(space, dist, scan):
                 ahead = num * best[1] - best[0] * total
                 if ahead > 0:
                     continue
-                half = at1 if leave0 > 0 else any1
-                pick = (at0 if leave1 > 0 else any0) + \
-                    (tuple([sid ^ 1 for sid in half]) if flip else half)
-                if ahead < 0 or pick < best[2]:
-                    best = (num, total, pick)
-    if best[2] is None:
+                if ahead < 0:
+                    best = (num, total, [])
+                best[2].append(((key0, t0, leave1 == 0),
+                                (key1, t1, leave0 == 0)))
+    if not best[2]:
         return None
-    return (Fraction(best[0], best[1] * scale), best[2],
+    pick = min(map(content, best[2]))
+    return (Fraction(best[0], best[1] * scale), pick,
             _build(dist.alphabet, space.sigma,
-                   [(Bits(words[sid >> 1]), sid & 1) for sid in best[2]]))
+                   [(Bits(words[sid >> 1]), sid & 1) for sid in pick]))
 
 
 # -- baseline ----------------------------------------------------------------

@@ -477,6 +477,20 @@ def oracle_scan_two_tables(space):
     return scan
 
 
+def walk_every_table(scan):
+    """A search scan in its walked shape, {guess: tables}, every table walked.
+
+    The scan walks one f0 guess per complement orbit, and a mirror guess
+    only once the combine reads its contents.  This reads every guess's
+    own tables through the scan, which walks the missing mirrors, so a
+    test that compares contents sees each guess's own walk.  Under f0
+    table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
+    """
+    guesses, tables = scan
+    return {guess: tuple(tables[key] for key, _ in cells)
+            for guess, cells in guesses.items()}
+
+
 def _swapped(table):
     """Table 0 under guess (b, a) as f0 table 1 under (a, b), in walk order."""
     buckets = sorted([(tuple([sid ^ 1 for sid in row]), lenvec)
@@ -489,9 +503,10 @@ def _swapped(table):
 def expand_scan(space, scan):
     """A search scan in the oracle's shape, {guess: (table 0, table 1)}.
 
-    The f0 scan stores table 1 under (a, b) as the table 0 it keeps under
-    (b, a); this flips a copy of it, the way the scan itself once stored
-    it.  Other scans already have the oracle's shape.
+    It reads a scan as ``walk_every_table`` returns it.  The f0 scan
+    stores table 1 under (a, b) as the table 0 it keeps under (b, a); this
+    flips a copy of it, the way the scan itself once stored it.  Other
+    scans already have the oracle's shape.
     """
     if space.filter != "f0" or space.tables != 2:
         return scan
@@ -531,31 +546,35 @@ def assert_keeps_pareto_buckets(got, full):
 
 
 def oracle_combine(space, dist, scan):
-    """Cheapest (guess, targets, contents) combo for this distribution."""
+    """Cheapest (guess, targets, contents) combo for this distribution.
+
+    Costs and weights are ``Fraction`` sums, each taken once per call.
+    """
     words = all_words(space.max_len)
+
+    @functools.cache
+    def price(lenvec):
+        return sum(dist.probs[s] * lenvec[s] for s in range(space.sigma))
+
+    @functools.cache
+    def weight(targets, target):
+        return sum(dist.probs[s] for s in range(space.sigma)
+                   if targets[s] == target)
 
     def summarize(bucket):
         # (min cost, canonical-min content at min cost, canonical-min overall)
-        by_cost = {}
-        overall = None
-        for lenvec, content in bucket.items():
-            cost = sum(dist.probs[s] * lenvec[s] for s in range(space.sigma))
-            if cost not in by_cost or content < by_cost[cost]:
-                by_cost[cost] = content
-            if overall is None or content < overall:
-                overall = content
-        low = min(by_cost)
-        return low, by_cost[low], overall
+        low = min(map(price, bucket))
+        return (low, min(content for lenvec, content in bucket.items()
+                         if price(lenvec) == low), min(bucket.values()))
 
     best = None
     for guess, (tab0, tab1) in scan.items():
         sums0 = {t: summarize(b) for t, b in tab0.items()}
         sums1 = {t: summarize(b) for t, b in tab1.items()}
         for t0, (low0, at0, any0) in sums0.items():
-            leave0 = sum(dist.probs[s] for s in range(space.sigma) if t0[s] == 1)
+            leave0 = weight(t0, 1)
             for t1, (low1, at1, any1) in sums1.items():
-                leave1 = sum(dist.probs[s] for s in range(space.sigma)
-                             if t1[s] == 0)
+                leave1 = weight(t1, 0)
                 total = leave0 + leave1
                 if total == 0:
                     continue  # the two tables never mix: not regular

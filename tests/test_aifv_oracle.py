@@ -12,7 +12,8 @@ import random
 from codetuples import SearchSpace, is_aifv, make_tuple
 from codetuples.classes import aifv_table_ok
 from codetuples.search import _scan, all_words
-from support import _aifv_table_ok, oracle_is_aifv, random_code_tuple
+from support import (_aifv_table_ok, oracle_is_aifv, random_code_tuple,
+                     walk_every_table)
 
 SYMBOLS = ("a", "b", "c", "d")
 MUTATED = 4000
@@ -23,7 +24,7 @@ def kept_contents(space):
     """Every content the scan keeps, per table, as (codeword, target) rows."""
     words = all_words(space.max_len)
     tables = ([], [])
-    for scanned in _scan(space).values():
+    for scanned in walk_every_table(_scan(space)).values():
         for rows, table in zip(tables, scanned):
             rows.extend([(words[sid >> 1] or "-", sid & 1) for sid in content]
                         for bucket in table.values()

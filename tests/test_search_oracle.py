@@ -2,7 +2,11 @@
 
 ``support.oracle_scan_two_tables`` tries every content of every table under
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
-f0 scan shares each walked table 0 as table 1 of the swapped guess, so it
+f0 scan walks one guess per complement orbit and a mirror guess only when
+the combine reads its contents, so every test that reads contents goes
+through ``support.walk_every_table``, which walks the rest; the combine
+is compared on fresh scans, so that it walks its mirrors itself.  The f0
+scan shares each walked table 0 as table 1 of the swapped guess, so it
 is compared through ``support.expand_scan``, which flips a copy of every
 shared table 1 back into the oracle's shape.  The oracle keeps every length
 vector of a bucket; the scan drops the ones another vector of the bucket
@@ -10,7 +14,7 @@ dominates, which no positive distribution can pick.  So
 ``support.assert_keeps_pareto_buckets`` asks for the same guesses, tables
 and buckets in the same dict order, each bucket a sub-dict of the oracle's
 in the oracle's order, with its first entry and every Pareto-minimal
-vector; and the combine, reading the unexpanded scan, must pick the same
+vector; and the combine, reading a fresh scan, must pick the same
 cost, contents and tuple as the oracle combine reading the oracle's scan.
 At four symbols the oracle scan is too slow, so the scan is checked the
 same way against ``support.oracle_walk_scan``, the walk before it dropped
@@ -29,9 +33,11 @@ from fractions import Fraction
 import pytest
 
 from codetuples import Alphabet, SearchSpace, SourceDist
-from codetuples.search import _combine, _scan
+from codetuples.search import (MIRROR, PAIR_INDEX, _combine, _layout, _scan,
+                               _scan_table)
 from support import (assert_keeps_pareto_buckets, expand_scan,
-                     oracle_combine, oracle_scan_two_tables, oracle_walk_scan)
+                     oracle_combine, oracle_scan_two_tables, oracle_walk_scan,
+                     walk_every_table)
 
 SPACES = [(sigma, max_len, filt)
           for sigma, max_len in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
@@ -63,25 +69,25 @@ def seeded_dists(sigma, seed):
 @pytest.mark.parametrize("sigma,max_len,filt", SPACES)
 def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
     space = SearchSpace(sigma, 2, max_len, filt)
-    scan = _scan(space)
     expected = oracle_scan_two_tables(space)
-    assert_keeps_pareto_buckets(expand_scan(space, scan), expected)
+    assert_keeps_pareto_buckets(
+        expand_scan(space, walk_every_table(_scan(space))), expected)
     for dist in seeded_dists(sigma, space):
-        got = _combine(space, dist, scan)
+        got = _combine(space, dist, _scan(space))
         want = oracle_combine(space, dist, expected)
         assert got == want, (space, dist.probs)
         assert got is None or type(got[0]) is Fraction
 
 
 @functools.cache
-def scan_of(sigma, max_len, filt):
-    return _scan(SearchSpace(sigma, 2, max_len, filt))
+def walked_scan(sigma, max_len, filt):
+    return walk_every_table(_scan(SearchSpace(sigma, 2, max_len, filt)))
 
 
 @pytest.mark.parametrize("filt", ["f0", "aifv"])
 def test_scan_keeps_the_old_walk_s_pareto_buckets_at_four_symbols(filt):
     space = SearchSpace(4, 2, 3, filt)
-    assert_keeps_pareto_buckets(expand_scan(space, scan_of(4, 3, filt)),
+    assert_keeps_pareto_buckets(expand_scan(space, walked_scan(4, 3, filt)),
                                 expand_scan(space, oracle_walk_scan(space)))
 
 
@@ -90,7 +96,7 @@ def test_scan_keeps_the_old_walk_s_pareto_buckets_at_four_symbols(filt):
 def test_scan_contents_ascend_in_dict_order(sigma, max_len, filt):
     # the combine takes a bucket's first content, and its first at the
     # minimum cost, as the canonical ones
-    for tables in scan_of(sigma, max_len, filt).values():
+    for tables in walked_scan(sigma, max_len, filt).values():
         for table in tables:
             firsts = [next(iter(bucket.values())) for bucket in table.values()]
             assert firsts == sorted(firsts)
@@ -102,22 +108,81 @@ def test_scan_contents_ascend_in_dict_order(sigma, max_len, filt):
 @pytest.mark.parametrize("sigma", [3, 4])
 def test_f0_scan_shares_each_table_with_the_swapped_guess(sigma):
     # the f0 scan keeps one table per walked guess and shares it
-    scan = scan_of(sigma, 3, "f0")
+    scan = walked_scan(sigma, 3, "f0")
     assert scan
     for a, b in scan:
         assert scan[a, b][1] is scan[b, a][0], (a, b)
+
+
+def pareto_buckets(table):
+    """A table's bucket keys, and per bucket its Pareto-minimal lenvecs."""
+    return {targets: {v for v in bucket if not any(
+        u != v and all(x <= y for x, y in zip(u, v)) for u in bucket)}
+        for targets, bucket in table.items()}
+
+
+def test_mirror_swaps_the_complemented_pairs():
+    flip = {a: b for a, b in zip("0011", "1100")}
+    for mask in range(16):
+        pairs = {p for p, k in PAIR_INDEX.items() if mask >> k & 1}
+        assert MIRROR[mask] == sum(1 << PAIR_INDEX[flip[p[0]] + flip[p[1]]]
+                                   for p in pairs), mask
+
+
+@pytest.mark.parametrize("tables", [1, 2])
+@pytest.mark.parametrize("sigma,max_len", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                            (3, 2), (3, 3), (4, 1), (4, 2),
+                                            (4, 3)])
+def test_f0_table_zero_has_its_mirror_guess_s_buckets(sigma, max_len, tables):
+    # complementing every bit keeps f0, targets and codeword lengths, so the
+    # scan reads a mirror guess's costs from its orbit's walk
+    space = SearchSpace(sigma, tables, max_len, "f0")
+    layout = _layout(max_len)
+    for a, b in itertools.product(range(1, 16), repeat=2):
+        if tables == 1 and a != b:
+            continue
+        assert pareto_buckets(_scan_table(space, 0, (a, b), layout)) == \
+            pareto_buckets(_scan_table(space, 0, (MIRROR[a], MIRROR[b]),
+                                       layout)), (a, b)
+
+
+@pytest.mark.parametrize("tables,walked", [(1, 9), (2, 117)])
+@pytest.mark.parametrize("sigma,max_len", [(2, 2), (3, 3), (4, 2)])
+def test_cold_f0_scan_walks_one_guess_per_orbit(sigma, max_len, tables,
+                                               walked):
+    _, walks = _scan(SearchSpace(sigma, tables, max_len, "f0"))
+    assert len(walks) == walked
+    for index, (a, b) in walks:
+        assert index == 0 and (a, b) <= (MIRROR[a], MIRROR[b]), (a, b)
+
+
+@pytest.mark.parametrize("sigma,max_len", [(2, 2), (2, 3), (3, 3)])
+def test_one_table_combine_reads_each_guess_s_own_contents(sigma, max_len):
+    # a one-table winner sits under the full guess, its own mirror, so the
+    # combine is also run on each guess alone: the least (cost, content)
+    # of that guess's own table, mirror guesses walked on demand
+    space = SearchSpace(sigma, 1, max_len, "f0")
+    dist = seeded_dists(sigma, space)[1]
+    for guess, (table,) in walk_every_table(_scan(space)).items():
+        guesses, tables = _scan(space)
+        got = _combine(space, dist, ({guess: guesses[guess]}, tables))
+        want = min((sum(p * n for p, n in zip(dist.probs, lenvec)), row)
+                   for bucket in table.values()
+                   for lenvec, row in bucket.items())
+        assert got[:2] == want, guess
 
 
 @pytest.mark.parametrize("max_len,filt,count", [(2, "f0", COMBINE_DISTS),
                                                 (2, "aifv", COMBINE_DISTS),
                                                 (3, "f0", 2)])
 def test_combine_matches_the_oracle_at_four_symbols(max_len, filt, count):
-    # the oracle scan takes minutes here, so both combines read one scan
+    # the oracle scan takes minutes here, so the oracle combine reads the
+    # scan with every table walked, and the combine a fresh one each time
     space = SearchSpace(4, 2, max_len, filt)
-    scan = scan_of(4, max_len, filt)
+    expected = expand_scan(space, walked_scan(4, max_len, filt))
     for dist in seeded_dists(4, space)[:count]:
-        assert _combine(space, dist, scan) == \
-            oracle_combine(space, dist, expand_scan(space, scan)), dist.probs
+        assert _combine(space, dist, _scan(space)) == \
+            oracle_combine(space, dist, expected), dist.probs
 
 
 @pytest.mark.parametrize("sigma,max_len,filt", [(3, 2, "f0"), (3, 3, "f0"),
@@ -128,13 +193,13 @@ def test_bounded_combine_keeps_the_tie_break(sigma, max_len, filt):
     # contents come first, so neither the stop nor the visiting order may
     # change the result
     space = SearchSpace(sigma, 2, max_len, filt)
-    scan = scan_of(sigma, max_len, filt)
-    backwards = dict(reversed(scan.items()))
+    expected = expand_scan(space, walked_scan(sigma, max_len, filt))
     alphabet = Alphabet(("a", "b", "c", "d")[:sigma])
     for weights in TIE_HEAVY[sigma]:
         dist = SourceDist(alphabet, tuple(Fraction(w, sum(weights))
                                           for w in weights))
-        got = _combine(space, dist, scan)
-        assert got == oracle_combine(space, dist, expand_scan(space, scan)), \
-            dist.probs
+        got = _combine(space, dist, _scan(space))
+        assert got == oracle_combine(space, dist, expected), dist.probs
+        guesses, tables = _scan(space)
+        backwards = (dict(reversed(guesses.items())), tables)
         assert _combine(space, dist, backwards) == got, dist.probs
