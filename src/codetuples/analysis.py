@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+import itertools
+
+from .bits import Bits
+from .prefix_sets import blocks, emits
 
 
 def dead_tables(code):
@@ -62,26 +66,32 @@ class DecodabilityReport:
 
 
 def delay_decodability(code, k):
-    """Check k-bit delay decodability, collecting every violation."""
+    """Check k-bit delay decodability, collecting every violation: each
+    codeword u against each rival v = u + r of its table, which clash on the
+    blocks both u's target and r then v's target can emit.  Per table, one
+    extension violation per symbol comes first, then the equal-codeword
+    pairs; each witness is the lowest clashing block."""
     sets = code.sets
+    levels = sets.levels(k)
     violations = []
-    for i in code.table_indices():
-        for s in code.alphabet:
-            follow = sets.base(code.target(i, s), k)
-            longer = sets.strict_continuations(i, code.code(i, s), k)
-            common = follow & longer
-            if common:
-                violations.append(DelayViolation(
-                    "codeword-extension", i, (s,), min(common)))
-        for s in code.alphabet:
-            for s2 in code.alphabet:
-                if s2 <= s or code.code(i, s) != code.code(i, s2):
-                    continue
-                common = sets.base(code.target(i, s), k) \
-                    & sets.base(code.target(i, s2), k)
-                if common:
-                    violations.append(DelayViolation(
-                        "equal-codewords", i, (s, s2), min(common)))
+
+    def lowest(clash):
+        return Bits(blocks(clash, k)[0])
+
+    for i, row in enumerate(sets.rows):
+        longer, equal = [0] * len(row), []
+        for (u, tu, s), (v, tv, s2) in itertools.product(row, repeat=2):
+            if s != s2 and v.startswith(u):
+                clash = emits(v[len(u):], levels[tv], k) & levels[tu][k]
+                if len(v) > len(u):
+                    longer[s] |= clash
+                elif clash and s < s2:
+                    equal.append(DelayViolation(
+                        "equal-codewords", i, (s, s2), lowest(clash)))
+        violations += [DelayViolation("codeword-extension", i, (s,),
+                                      lowest(clash))
+                       for s, clash in enumerate(longer) if clash]
+        violations += equal
     return DecodabilityReport(k, not violations, tuple(violations))
 
 

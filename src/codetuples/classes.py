@@ -30,8 +30,9 @@ NESTED = ("f0", "f1", "f2", "f3", "f4", "aifv")
 CLASS_NAMES = ("extendable", "regular", "decodable") + NESTED
 HIERARCHY = tuple(zip(NESTED, NESTED[1:]))
 
-FULL_PAIRS = frozenset(all_bits(2))
-NONZERO_PAIRS = frozenset(b for b in all_bits(2) if b != Bits("00"))
+K = 2  # the decoding delay of every family here, and of the search
+FULL_PAIRS = frozenset(all_bits(K))
+NONZERO_PAIRS = FULL_PAIRS - {Bits("0" * K)}
 BOTH_BITS = frozenset(all_bits(1))
 
 
@@ -162,10 +163,10 @@ def is_aifv(code):
 TABLE_CLAUSES = {
     "f1": lambda base, i: None if base(i, 1) == BOTH_BITS else
     "table %d next-bit set is %s" % (i, show_set(base(i, 1))),
-    "f2": lambda base, i: None if len(base(i, 2)) >= 3 else
-    "table %d has only %d two-bit continuations" % (i, len(base(i, 2))),
-    "f3": lambda base, i: None if base(i, 2) >= NONZERO_PAIRS else
-    "table %d misses %s" % (i, show_set(NONZERO_PAIRS - base(i, 2))),
+    "f2": lambda base, i: None if len(base(i, K)) >= 3 else
+    "table %d has only %d two-bit continuations" % (i, len(base(i, K))),
+    "f3": lambda base, i: None if base(i, K) >= NONZERO_PAIRS else
+    "table %d misses %s" % (i, show_set(NONZERO_PAIRS - base(i, K))),
 }
 
 
@@ -180,7 +181,7 @@ def _f4_witness(code):
     if reason := _two_tables(code):
         return reason
     for i, want in enumerate((FULL_PAIRS, NONZERO_PAIRS)):
-        pairs = code.sets.base(i, 2)
+        pairs = code.sets.base(i, K)
         if pairs != want:
             return "table %d two-bit set is %s" % (i, show_set(pairs))
 
@@ -196,7 +197,7 @@ def _regular(code):
 
 
 def _decodable(code):
-    report = delay_decodability(code, 2)
+    report = delay_decodability(code, K)
     return None if report.ok else report.violations[0].describe(code)
 
 

@@ -203,7 +203,7 @@ def decode(code, start, bits, k=2):
     greedy step went wrong: the tuple is not decodable with delay k there.
     """
     check_indices(code, start)
-    return _decode(code.sets, k, start, str(bits), {}, {})
+    return _decode(code.sets, k, start, str(Bits(bits)), {}, {})
 
 
 def _identify(auto, table, text):
@@ -258,7 +258,7 @@ def identification_delays(code, start, seq, bits=None):
     seq = tuple(seq)
     check_indices(code, start, seq)
     auto = code.sets
-    text = auto.emit(start, seq)[0] if bits is None else str(bits)
+    text = auto.emit(start, seq)[0] if bits is None else str(Bits(bits))
     return _delays(auto, start, seq, text, 2, {})  # any view width is exact
 
 

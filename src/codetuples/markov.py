@@ -16,6 +16,7 @@ import math
 
 from .core import check_same_alphabet
 from .errors import NotRegular
+from .prefix_sets import check_indices
 
 
 def transition_matrix(code, dist):
@@ -66,6 +67,7 @@ def stationary_distribution(code, dist):
 def table_length(code, dist, i):
     """Expected codeword length of one table."""
     check_same_alphabet(code, dist)
+    check_indices(code, i)
     return sum((dist[s] * len(code.code(i, s)) for s in code.alphabet),
                Fraction(0))
 

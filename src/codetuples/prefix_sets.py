@@ -2,11 +2,15 @@
 
 For a table i and a window b, the k-bit continuation set holds every length-k
 binary string c such that some source sequence, encoded from table i with its
-first codeword extending b, emits b c ... .  The base sets (empty window)
-satisfy mutual recursion across tables whenever a codeword is empty, so they
-are computed as a least fixed point: start every table at the empty set and
-grow until stable.  A table that can never emit k bits ends with an empty
-set, which is the correct answer, not an error.
+first codeword extending b, emits b c ... .  A set of k-bit blocks is a
+2**k-bit int mask with bit int(c, 2) per block c, and ``emits`` is the one
+step from a codeword and its target's masks to the blocks an emission can
+start with: the continuation sets, the delay test and the search scan read
+it.  The base sets (empty window) satisfy mutual recursion across tables
+whenever a codeword is empty, so they are computed as a least fixed point:
+start every table at the empty set and grow until stable.  A table that can
+never emit k bits ends with an empty set, which is the correct answer, not
+an error.
 
 The same table is the tuple's emission automaton, which the codec walks.
 Sets grow like 2**k, so k is refused beyond the fixed bound DEFAULT_MAX_K.
@@ -28,9 +32,25 @@ def check_k(k):
         raise InvalidArgument("k=%d outside 0..%d" % (k, DEFAULT_MAX_K))
 
 
+def emits(word, levels, k):
+    """The k-bit blocks an emission can start with whose first codeword is
+    ``word``, with ``levels`` its target's level masks: a word of k bits or
+    more fixes one block, a shorter one heads its target's shorter blocks."""
+    if len(word) >= k:
+        return 1 << int(word[:k] or "0", 2)
+    rest = k - len(word)
+    return levels[rest] << (int(word or "0", 2) << rest)
+
+
+def blocks(mask, k):
+    """The k-bit blocks of a level-k mask as ``str``, ascending."""
+    return [bin(n | 1 << k)[3:] for n in range(1 << k) if mask >> n & 1]
+
+
 class PrefixSetTable:
     """One code tuple's emission automaton and memoized continuation sets,
-    on ``str`` codewords; a level's sets become ``Bits`` once, for ``base``.
+    on ``str`` codewords: level masks, viewed once per level as ``str``
+    (``words``) and ``Bits`` sets (``base``).
 
     An automaton state (table, offset) says a bit string up to offset is
     exactly an emission ending in that table, and each symbol whose
@@ -43,35 +63,43 @@ class PrefixSetTable:
                   in enumerate(zip(table.codes, table.targets)))
             for table in code.tables)
         self.longest = tuple(max(map(len, t.codes)) for t in code.tables)
-        self._words = {0: tuple(frozenset([""]) for _ in code.tables)}
+        self._levels = tuple([1] for _ in code.tables)  # the empty block
+        self._words = {}
         self._bases = {}
+
+    def levels(self, k):
+        """Every table's level masks 0..k, indexed [table][level]; a level
+        grows from empty to the least fixed point of the empty window's
+        ``_mask``, in which an empty codeword reads its target's level."""
+        check_k(k)
+        for n in range(len(self._levels[0]), k + 1):
+            for levels in self._levels:
+                levels.append(0)
+            changed = True
+            while changed:
+                changed = False
+                for i, levels in enumerate(self._levels):
+                    mask = self._mask(i, "", n, False)
+                    changed |= mask != levels[n]
+                    levels[n] = mask
+        return self._levels
+
+    def _mask(self, i, b, k, strict):
+        """The blocks ``emits`` gives for table i's codewords extending b
+        (strictly when ``strict``), as one mask."""
+        mask = 0
+        for c, t, _ in self.rows[i]:
+            if c.startswith(b) and (len(c) > len(b) or not strict):
+                mask |= emits(c[len(b):], self._levels[t], k)
+        return mask
 
     def words(self, k):
         """The base sets of every table at level k, as sets of ``str``."""
         check_k(k)
-        for kk in range(1, k + 1):
-            if kk not in self._words:
-                self._words[kk] = self._fixed_point(kk)
+        if k not in self._words:
+            self._words[k] = tuple(frozenset(blocks(table[k], k))
+                                   for table in self.levels(k))
         return self._words[k]
-
-    def _fixed_point(self, k):
-        cur = [set() for _ in self.rows]
-        changed = True
-        while changed:
-            changed = False
-            for j, row in enumerate(self.rows):
-                new = set()
-                for c, t, _ in row:
-                    if len(c) >= k:
-                        new.add(c[:k])
-                    elif not c:
-                        new |= cur[t]
-                    else:
-                        new.update(c + r for r in self._words[k - len(c)][t])
-                if new != cur[j]:
-                    cur[j] = new
-                    changed = True
-        return tuple(frozenset(x) for x in cur)
 
     def base(self, i, k):
         """All k-bit strings the encoder can emit next, starting in table i."""
@@ -91,19 +119,9 @@ class PrefixSetTable:
         return self._conditional(i, b, k, strict=True)
 
     def _conditional(self, i, b, k, strict):
-        check_k(k)
-        if len(b) == 0 and not strict:
-            return self.base(i, k)
-        b = str(b)
-        out = set()
-        for c, t, _ in self.rows[i]:
-            if c.startswith(b) and (len(c) > len(b) or not strict):
-                u = c[len(b):]
-                if len(u) >= k:
-                    out.add(u[:k])
-                else:
-                    out.update(u + r for r in self.words(k - len(u))[t])
-        return frozenset(map(Bits, out))
+        self.levels(k)
+        mask = self._mask(i, str(b), k, strict)
+        return frozenset(map(Bits, blocks(mask, k)))
 
     def emit(self, table, seq):
         """The codewords of seq from table joined as a str, and the table
@@ -174,10 +192,12 @@ def check_indices(code, start, seq=()):
 
 def symbols_with_codeword(code, i, b):
     """Symbols of table i whose codeword equals b exactly, in symbol order."""
+    check_indices(code, i)
     return tuple(s for s in code.alphabet if code.code(i, s) == b)
 
 
 def is_achievable_prefix(code, start, b):
     """Whether some source sequence encoded from the given table emits a
     bit stream with b as a prefix, for windows of any length."""
+    check_indices(code, start)
     return code.sets.search(str(b), start)[1]

@@ -12,8 +12,8 @@ argument below covers each assignment exactly once, even though most are
 rejected wholesale.
 
 No space is walked tuple by tuple (enumerate_min_direct does that, for the
-tests).  Instead the search guesses every table's two-bit continuation
-set and scans each table's contents independently against the guess: the
+tests).  Instead the search guesses every table's K-bit continuation set
+(K = 2) and scans each table's contents independently against the guess: the
 guessed sets make every membership condition local to one table.  A guess
 is kept only when the per-table unions reproduce it exactly and the delay
 conditions hold, and then the guess provably equals the true continuation
@@ -32,8 +32,8 @@ the winner's table-1 sids: a bucket's contents share their targets, so
 flipping keeps them in the ascending order the combine reads them in.
 
 Complementing every bit of every codeword keeps f0 membership, targets
-and codeword lengths, and maps guess (a, b) to its mirror, with pairs 00
-and 11 swapped and 01 and 10.  So table 0 under a guess and under its
+and codeword lengths, and maps guess (a, b) to its mirror, with each block
+swapped for its complement.  So table 0 under a guess and under its
 mirror have the same buckets and the same least costs, and the scan walks
 one guess per orbit: 117 of the 225 guesses, 9 of 15 for one table.  The
 canonical contents differ: complementing reverses the order of the words
@@ -62,18 +62,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits
-from .classes import aifv_table_ok, witness
+from .classes import K, aifv_table_ok, witness
 from .core import CodeTuple, SourceDist, Table
 from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
+from .prefix_sets import emits
 
 FILTERS = ("f0", "aifv")
 
-PAIR_INDEX = {"00": 0, "01": 1, "10": 2, "11": 3}
-FULL_MASK = 0b1111
-NONZERO_MASK = 0b1110  # 01, 10, 11
-# complementing every bit swaps 00 with 11 and 01 with 10: a set's mirror
-MIRROR = [int(format(mask, "04b")[::-1], 2) for mask in range(16)]
+BLOCKS = 1 << K  # the K-bit blocks a guessed set may hold
+FULL_MASK = (1 << BLOCKS) - 1
+NONZERO_MASK = FULL_MASK - 1  # every block but the all-zero one
+GUESSES = range(1, FULL_MASK + 1)  # the non-empty sets a table may guess
+# complementing every bit maps block n to BLOCKS - 1 - n: a set's mirror
+MIRROR = [int(format(mask, "0%db" % BLOCKS)[::-1], 2)
+          for mask in range(FULL_MASK + 1)]
 
 
 @dataclass(frozen=True)
@@ -208,12 +211,13 @@ def _describe(space):
                space.sigma, space.max_len))
 
 
-# -- two-table guessing scan -------------------------------------------------
+# -- guessing scan -----------------------------------------------------------
 #
-# Sets of two-bit strings are 4-bit masks over PAIR_INDEX.  Slot number sid
-# encodes (word index, target) as sid = 2 * word_index + target, so
-# ascending sid tuples are exactly the canonical order and tuple comparison
-# is the tie-break; sets of slots are int bitmasks over sid.
+# A guessed set of K-bit blocks is a mask as prefix_sets counts them, bit
+# int(c, 2) per block c.  Slot number sid encodes (word index, target) as
+# sid = 2 * word_index + target, so ascending sid tuples are exactly the
+# canonical order and tuple comparison is the tie-break; sets of slots are
+# int bitmasks over sid.
 
 
 def _unions(parts):
@@ -224,39 +228,55 @@ def _unions(parts):
     return out
 
 
+def _prefix_levels(mask):
+    """Levels 0..K of a table whose K-bit set is ``mask``: its blocks'
+    prefixes.  A member is extendable, so every shorter emission goes on to
+    K bits, and a level holds exactly those prefixes."""
+    heads = [p for p in range(BLOCKS) if mask >> p & 1]
+    return [sum(1 << q for q in {p >> K - n for p in heads})
+            for n in range(K + 1)]
+
+
+# A suffix emits what its first K bits do, its gate.  Per set a target may
+# guess, _EMITTED has what each gate emits.  A word and its extension clash
+# when the suffix's gate, under the longer slot's set, emits a block of the
+# shorter's: _CLASHING[longer set][shorter set] has those gates, the union
+# of the gates emitting each block.  None of it depends on the space.
+_GATES = {gate: n for n, gate in enumerate(all_words(K))}
+_EMITTED = [[emits(gate, levels, K) for gate in _GATES]
+            for levels in map(_prefix_levels, range(FULL_MASK + 1))]
+_CLASHING = [_unions([sum(1 << n for n, sent in enumerate(row)
+                          if sent >> b & 1) for b in range(BLOCKS)])
+             for row in _EMITTED]
+
+
 def _layout(max_len):
     words = all_words(max_len)
     lens = [len(w) for w in words for _ in "01"]
     evens = int("01" * len(words), 2)  # the target-0 slots
-    # per set a target may guess: each word's contribution (the two-bit
-    # blocks an emission can start with), and the target-0 slots meeting
-    # each set of pairs
-    reach = [[1 << PAIR_INDEX[w[:2]] if len(w) > 1 else
-              ((mask & 3 > 0) | (mask & 12 > 0) << 1) << 2 * int(w) if w
-              else mask for w in words] for mask in range(16)]
-    hits = [_unions([sum(4 ** wi for wi, c in enumerate(row) if c >> k & 1)
-                     for k in range(4)]) for row in reach]
-    # A word and its extension clash when the suffix, under the longer
-    # slot's set, meets the shorter's: by its first pair (gates 0-3), as one
-    # bit x by the longer set's first bits (gate 4 + x), or, empty, when the
-    # sets overlap (gate 6).  key[longer set][shorter set] has the open
-    # gates; up (down)[word][key] the clashing prefixes (extensions).
-    key = [[short | (reach[long][1] & short > 0) << 4
-            | (reach[long][2] & short > 0) << 5 | (long & short > 0) << 6
-            for short in range(16)] for long in range(16)]
-    up, down = ([[0] * 7 for _ in words] for _ in "ud")
+    # per set a target may guess: each word's contribution, its gate's, and
+    # the target-0 slots meeting each set of blocks, those of the words
+    # whose gates emit one
+    gate = [_GATES[w[:K]] for w in words]
+    reach = [[row[n] for n in gate] for row in _EMITTED]
+    slots = [sum(4 ** wi for wi, g in enumerate(gate) if g == n)
+             for n in _GATES.values()]
+    hits = [_unions([sum(slots[n] for n, sent in enumerate(row)
+                         if sent >> b & 1) for b in range(BLOCKS)])
+            for row in _EMITTED]
+    # up (down)[word][gates] has the prefixes (extensions) behind the gates
+    up, down = ([[0] * len(_GATES) for _ in words] for _ in "ud")
     for (ui, u), (vi, v) in itertools.product(enumerate(words), repeat=2):
         if v.startswith(u):
-            r = v[len(u):]
-            gate = PAIR_INDEX[r[:2]] if len(r) > 1 else 4 + int(r) if r else 6
-            up[vi][gate] |= 1 << 2 * ui
-            down[ui][gate] |= 1 << 2 * vi
+            n = _GATES[v[len(u):len(u) + K]]
+            up[vi][n] |= 1 << 2 * ui
+            down[ui][n] |= 1 << 2 * vi
     up, down = ([_unions(row) for row in rows] for rows in (up, down))
     # a slot's part of the (targets, lenvec) key, and the slots it dominates
     key_of = [2 * n + (sid & 1) for sid, n in enumerate(lens)]
     tail = [evens << (sid & 1) >> lens.index(n) << lens.index(n)
             for sid, n in enumerate(lens)]
-    return words, lens, evens, reach, hits, key, up, down, key_of, tail
+    return words, lens, evens, reach, hits, up, down, key_of, tail
 
 
 class _Tables(dict):
@@ -296,10 +316,10 @@ def _scan(space):
         return (0, walk), (0, min(walk, mirror))
 
     if space.tables == 1:  # only target-0 slots, so guess[1] is never read
-        every = {a: (cell((a, a)),) for a in range(1, 16)}
+        every = {a: (cell((a, a)),) for a in GUESSES}
     else:
         every = {(a, b): (cell((a, b)), cell((b, a)))
-                 for a in range(1, 16) for b in range(1, 16)}
+                 for a in GUESSES for b in GUESSES}
     return {guess: cells for guess, cells in every.items()
             if all(tables[orbit] for _, orbit in cells)}, tables
 
@@ -315,18 +335,19 @@ def _scan_table(space, index, guess, layout):
     target it takes only a slot shorter than any taken after the same head
     key, since a longer one only adds a dominated lenvec.
     """
-    words, lens, evens, reach, hits, key, up, down, key_of, tail = layout
+    words, lens, evens, reach, hits, up, down, key_of, tail = layout
     contrib = [c for pair in zip(*(reach[g] for g in guess)) for c in pair]
-    # slots that cannot share a table, by the gates of _layout
-    gates = [[key[long][short] for short in guess] for long in guess]
+    # slots that cannot share a table, by the gates that clash
+    gates = [[_CLASHING[long][short] for short in guess] for long in guess]
     clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
              | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]]) << 1 - t
              for wi in range(len(words)) for t in (0, 1)]
     want = guess[index]
     hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
-    allowed = (evens if space.tables == 1 else evens * 3) & ~hit[15 & ~want]
-    cover = [allowed & ~miss  # missing pairs -> allowed slots giving them all
-             for miss in _unions([~hit[1 << k] for k in range(4)])]
+    allowed = (evens if space.tables == 1 else evens * 3) \
+        & ~hit[FULL_MASK & ~want]
+    cover = [allowed & ~miss  # missing blocks -> allowed slots giving them all
+             for miss in _unions([~hit[1 << n] for n in range(BLOCKS)])]
     aifv, last = space.filter == "aifv", space.sigma - 1
     filled = {}  # head key -> slots found or dominated after it
     found = {}

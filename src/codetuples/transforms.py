@@ -40,7 +40,7 @@ from .errors import (
     WrongTableCount,
 )
 from .markov import average_length
-from .prefix_sets import symbols_with_codeword
+from .prefix_sets import check_indices, symbols_with_codeword
 
 ZERO_PAIR = ZERO + ZERO
 
@@ -50,6 +50,7 @@ def forced_bit(code, i):
 
     Undefined (NotExtendable) for a table that emits nothing.
     """
+    check_indices(code, i)
     first = code.sets.base(i, 1)
     if not first:
         raise NotExtendable("table %d emits no bits" % i)
@@ -100,6 +101,7 @@ def prefix_chain(code, i, s):
     Each strict-prefix codeword must belong to exactly one symbol for the
     chain to be meaningful; a shared one raises AmbiguousChain.
     """
+    check_indices(code, i, (s,))
     word = code.code(i, s)
     below = {}
     for s2 in code.alphabet:
@@ -128,6 +130,7 @@ def steer_bit(code, i):
     that table's bit; otherwise the bit is 0 exactly when 00 is an
     emittable pair.  Delegation cycles are rejected.
     """
+    check_indices(code, i)
     seen = []
     j = i
     while True:

@@ -24,9 +24,14 @@ from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion, NotRegular
 from codetuples.markov import transition_matrix
 from codetuples.prefix_sets import encode_from
-from codetuples.search import FULL_MASK, NONZERO_MASK, PAIR_INDEX, all_words
+from codetuples.search import all_words
 
 NAME_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
+# The oracle scans' own two-bit sets, 4-bit masks over PAIR_INDEX, written
+# out so that they share no constant with the scan they check.
+PAIR_INDEX = {"00": 0, "01": 1, "10": 2, "11": 3}
+FULL_MASK = 0b1111
+NONZERO_MASK = 0b1110  # 01, 10, 11
 
 
 def oracle_continuations(code, i, b, k, strict):
@@ -57,6 +62,29 @@ def oracle_continuations(code, i, b, k, strict):
             grown = (emitted + code.code(j, s)).head(need)
             stack.append((code.target(j, s), grown))
     return frozenset(out)
+
+
+def oracle_delay_violations(code, k):
+    """The delay-k violations as (kind, table, symbols, clash) tuples, by
+    the ``Bits``-set algebra over ``oracle_continuations``: per table, a
+    codeword-extension violation per symbol in order, then an
+    equal-codewords one per pair of symbols sharing a codeword, each with
+    its least common continuation as the clash."""
+    base = functools.cache(
+        lambda j: oracle_continuations(code, j, EMPTY, k, False))
+    out = []
+    for i in code.table_indices():
+        for s in code.alphabet:
+            word = code.code(i, s)
+            common = base(code.target(i, s)) & oracle_continuations(
+                code, i, word, k, True)
+            if common:
+                out.append(("codeword-extension", i, (s,), min(common)))
+        for s, s2 in itertools.combinations(code.alphabet, 2):
+            common = base(code.target(i, s)) & base(code.target(i, s2))
+            if code.code(i, s) == code.code(i, s2) and common:
+                out.append(("equal-codewords", i, (s, s2), min(common)))
+    return tuple(out)
 
 
 def random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=4):

@@ -7,7 +7,7 @@ from codetuples import (PrefixSetTable, dead_tables, delay_decodability,
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import (EXPECTED_CORE, EXPECTED_FLAGS, KEYS, TUPLES)
 
-from support import random_code_tuple
+from support import oracle_delay_violations, random_code_tuple
 
 
 def test_extendable_flags_match_reference():
@@ -61,6 +61,33 @@ def test_decodability_flags_match_reference():
     for key in KEYS:
         ok = delay_decodability(TUPLES[key], 2).ok
         assert ok == EXPECTED_FLAGS[key]["decodable"], key
+
+
+def _report(code, k):
+    report = delay_decodability(code, k)
+    assert report.k == k and report.ok == (not report.violations)
+    return tuple((v.kind, v.table, v.symbols, v.clash)
+                 for v in report.violations)
+
+
+def test_delay_report_matches_the_oracle_on_the_reference_tuples():
+    # the whole report: kinds, tables, symbols, order and witnesses
+    for key in KEYS:
+        for k in range(5):
+            assert _report(TUPLES[key], k) == \
+                oracle_delay_violations(TUPLES[key], k), (key, k)
+
+
+def test_delay_report_matches_the_oracle_on_random_tuples():
+    rng = random.Random(1818)
+    violated = 0
+    for n in range(500):
+        code = random_code_tuple(rng)
+        for k in range(5):
+            got = _report(code, k)
+            assert got == oracle_delay_violations(code, k), (n, k)
+            violated += bool(got)
+    assert 500 < violated < 2500  # both verdicts occur, often
 
 
 def test_decodability_monotone_in_k():

@@ -9,15 +9,18 @@ from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SearchSpace,
                         SourceDist, Table, UnknownSymbol, chain_to_class,
                         decode, delay_decodability, encode,
-                        extend_to_two_tables, identification_delays,
-                        make_tuple, roundtrip_check)
+                        extend_to_two_tables, forced_bit,
+                        identification_delays, make_tuple, prefix_chain,
+                        roundtrip_check, steer_bit, table_length)
 from codetuples.bits import EMPTY, bit, flip
 from codetuples.errors import InvalidType
+from codetuples.prefix_sets import is_achievable_prefix, symbols_with_codeword
 from codetuples.reference import TUPLES
 
 ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
 AB = Alphabet(("a", "b"))
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -67,6 +70,24 @@ HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
      "start table 3 outside 0..2"),
     (lambda: identification_delays(TUPLES["r3"], 0, (4,), Bits("0")),
      "symbol 4 outside 0..3"),
+    # a table index out of range is refused, not a raw IndexError, and a
+    # negative one does not answer for the table it counts back to
+    (lambda: forced_bit(TUPLES["r3"], 5), "start table 5 outside 0..2"),
+    (lambda: forced_bit(TUPLES["r3"], -1), "start table -1 outside 0..2"),
+    (lambda: steer_bit(TUPLES["r3"], 7), "start table 7 outside 0..2"),
+    (lambda: prefix_chain(TUPLES["r3"], 9, 0), "start table 9 outside 0..2"),
+    (lambda: prefix_chain(TUPLES["r3"], 0, 9), "symbol 9 outside 0..3"),
+    (lambda: symbols_with_codeword(TUPLES["r3"], 9, EMPTY),
+     "start table 9 outside 0..2"),
+    (lambda: is_achievable_prefix(TUPLES["r3"], 9, Bits("0")),
+     "start table 9 outside 0..2"),
+    (lambda: table_length(TUPLES["r3"], R3_UNIFORM, -1),
+     "start table -1 outside 0..2"),
+    # bits that are not a binary string are refused as such, not blamed
+    # for having no completion, nor read as decoding nothing
+    (lambda: decode(TUPLES["r3"], 0, 12), "not a binary string: 12"),
+    (lambda: identification_delays(TUPLES["r3"], 0, (0, 1), bits="0x1"),
+     "not a binary string: '0x1'"),
     # refused before any trial is drawn, not after a vacuous or random error
     (lambda: roundtrip_check(TUPLES["r3"], trials=-1, seed=1),
      "trials=-1 below 0"),

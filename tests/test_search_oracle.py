@@ -33,9 +33,8 @@ from fractions import Fraction
 import pytest
 
 from codetuples import Alphabet, SearchSpace, SourceDist
-from codetuples.search import (MIRROR, PAIR_INDEX, _combine, _layout, _scan,
-                               _scan_table)
-from support import (assert_keeps_pareto_buckets, expand_scan,
+from codetuples.search import MIRROR, _combine, _layout, _scan, _scan_table
+from support import (PAIR_INDEX, assert_keeps_pareto_buckets, expand_scan,
                      oracle_combine, oracle_scan_two_tables, oracle_walk_scan,
                      walk_every_table)
 
