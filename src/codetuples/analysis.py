@@ -20,7 +20,7 @@ from .prefix_sets import blocks, emits
 
 def dead_tables(code):
     """Tables that can never emit another bit, in index order."""
-    return tuple(i for i in code.table_indices() if not code.sets.base(i, 1))
+    return tuple(i for i, bits in enumerate(code.sets.words(1)) if not bits)
 
 
 def is_extendable(code):
@@ -139,4 +139,4 @@ def is_regular(code):
 def two_continuation_tables(code):
     """Tables with exactly two possible 2-bit continuations."""
     return frozenset(
-        i for i in code.table_indices() if len(code.sets.base(i, 2)) == 2)
+        i for i, pairs in enumerate(code.sets.words(2)) if len(pairs) == 2)

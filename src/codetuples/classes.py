@@ -22,8 +22,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .bits import Bits, all_bits, show
+from .bits import show
 from .analysis import dead_tables, delay_decodability, is_regular
+from .prefix_sets import blocks
 
 # The nested families, loosest first: each implies the one before it.
 NESTED = ("f0", "f1", "f2", "f3", "f4", "aifv")
@@ -31,9 +32,8 @@ CLASS_NAMES = ("extendable", "regular", "decodable") + NESTED
 HIERARCHY = tuple(zip(NESTED, NESTED[1:]))
 
 K = 2  # the decoding delay of every family here, and of the search
-FULL_PAIRS = frozenset(all_bits(K))
-NONZERO_PAIRS = FULL_PAIRS - {Bits("0" * K)}
-BOTH_BITS = frozenset(all_bits(1))
+FULL_MASK = (1 << (1 << K)) - 1  # every K-bit block, as a level-K mask
+NONZERO_MASK = FULL_MASK - 1  # every block but the all-zero one
 
 
 def show_set(bits_set):
@@ -159,31 +159,32 @@ def is_aifv(code):
 
 
 # The f1, f2 and f3 clauses read table i's continuation sets through the
-# tuple's ``sets.base``; each returns a witness or None.
+# tuple's ``sets``, ``words`` or level masks; each returns a witness or None.
 TABLE_CLAUSES = {
-    "f1": lambda base, i: None if base(i, 1) == BOTH_BITS else
-    "table %d next-bit set is %s" % (i, show_set(base(i, 1))),
-    "f2": lambda base, i: None if len(base(i, K)) >= 3 else
-    "table %d has only %d two-bit continuations" % (i, len(base(i, K))),
-    "f3": lambda base, i: None if base(i, K) >= NONZERO_PAIRS else
-    "table %d misses %s" % (i, show_set(NONZERO_PAIRS - base(i, K))),
+    "f1": lambda sets, i: None if len(sets.words(1)[i]) == 2 else
+    "table %d next-bit set is %s" % (i, show_set(sets.words(1)[i])),
+    "f2": lambda sets, i: None if len(sets.words(K)[i]) >= 3 else
+    "table %d has only %d two-bit continuations" % (i, len(sets.words(K)[i])),
+    "f3": lambda sets, i: None if not (
+        missing := NONZERO_MASK & ~sets.levels(K)[i][K]) else
+    "table %d misses %s" % (i, show_set(blocks(missing, K))),
 }
 
 
 def table_witness(name, code):
     """The first table's witness against the f1, f2 or f3 clause, or None."""
     clause = TABLE_CLAUSES[name]
-    return next(filter(None, (clause(code.sets.base, i)
+    return next(filter(None, (clause(code.sets, i)
                               for i in code.table_indices())), None)
 
 
 def _f4_witness(code):
     if reason := _two_tables(code):
         return reason
-    for i, want in enumerate((FULL_PAIRS, NONZERO_PAIRS)):
-        pairs = code.sets.base(i, K)
-        if pairs != want:
-            return "table %d two-bit set is %s" % (i, show_set(pairs))
+    for i, want in enumerate((FULL_MASK, NONZERO_MASK)):
+        if code.sets.levels(K)[i][K] != want:
+            return "table %d two-bit set is %s" % (
+                i, show_set(code.sets.words(K)[i]))
 
 
 def _extendable(code):

@@ -77,8 +77,8 @@ def _cmd_classify(args, out):
 
 def _cmd_psets(args, out):
     code = _load_tuple(args.tuple)
-    for i in code.table_indices():
-        out("P%d[%d]=%s" % (args.k, i, show_set(code.sets.base(i, args.k))))
+    for i, words in enumerate(code.sets.words(args.k)):
+        out("P%d[%d]=%s" % (args.k, i, show_set(words)))
     return 0
 
 

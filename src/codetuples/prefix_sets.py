@@ -6,11 +6,11 @@ first codeword extending b, emits b c ... .  A set of k-bit blocks is a
 2**k-bit int mask with bit int(c, 2) per block c, and ``emits`` is the one
 step from a codeword and its target's masks to the blocks an emission can
 start with: the continuation sets, the delay test and the search scan read
-it.  The base sets (empty window) satisfy mutual recursion across tables
-whenever a codeword is empty, so they are computed as a least fixed point:
-start every table at the empty set and grow until stable.  A table that can
-never emit k bits ends with an empty set, which is the correct answer, not
-an error.
+it.  The base sets (empty window) of one level read each other only through
+empty codewords, since a nonempty one reads its target's shorter levels; so
+a level is one pass, table i taking what the nonempty codewords emit in each
+table it reaches through empty codewords.  A table that can never emit k
+bits ends with an empty set, which is the correct answer, not an error.
 
 The same table is the tuple's emission automaton, which the codec walks.
 Sets grow like 2**k, so k is refused beyond the fixed bound DEFAULT_MAX_K.
@@ -48,9 +48,8 @@ def blocks(mask, k):
 
 
 class PrefixSetTable:
-    """One code tuple's emission automaton and memoized continuation sets,
-    on ``str`` codewords: level masks, viewed once per level as ``str``
-    (``words``) and ``Bits`` sets (``base``).
+    """One code tuple's emission automaton and memoized continuation sets:
+    level masks on ``str`` codewords, viewed once per level by ``words``.
 
     An automaton state (table, offset) says a bit string up to offset is
     exactly an emission ending in that table, and each symbol whose
@@ -64,31 +63,31 @@ class PrefixSetTable:
             for table in code.tables)
         self.longest = tuple(max(map(len, t.codes)) for t in code.tables)
         self._levels = tuple([1] for _ in code.tables)  # the empty block
+        self._reach = tuple(map(self._reached_rows, range(len(self.rows))))
         self._words = {}
-        self._bases = {}
+
+    def _reached_rows(self, i):
+        """The rows of the tables i reaches by empty codewords, i included."""
+        reach = [i]
+        for j in reach:  # the list grows while it is read
+            reach += {t for w, t, _ in self.rows[j] if not w} - set(reach)
+        return [row for j in reach for row in self.rows[j]]
 
     def levels(self, k):
-        """Every table's level masks 0..k, indexed [table][level]; a level
-        grows from empty to the least fixed point of the empty window's
-        ``_mask``, in which an empty codeword reads its target's level."""
+        """Every table's level masks 0..k, indexed [table][level].  Only an
+        empty codeword reads the level being built, so level n of table i is
+        what the nonempty codewords of its reached rows emit, in one pass."""
         check_k(k)
         for n in range(len(self._levels[0]), k + 1):
-            for levels in self._levels:
-                levels.append(0)
-            changed = True
-            while changed:
-                changed = False
-                for i, levels in enumerate(self._levels):
-                    mask = self._mask(i, "", n, False)
-                    changed |= mask != levels[n]
-                    levels[n] = mask
+            for levels, rows in zip(self._levels, self._reach):
+                levels.append(self._mask(rows, "", n, True))
         return self._levels
 
-    def _mask(self, i, b, k, strict):
-        """The blocks ``emits`` gives for table i's codewords extending b
-        (strictly when ``strict``), as one mask."""
+    def _mask(self, rows, b, k, strict):
+        """The blocks ``emits`` gives for the codewords of ``rows`` extending
+        b (strictly when ``strict``), as one mask."""
         mask = 0
-        for c, t, _ in self.rows[i]:
+        for c, t, _ in rows:
             if c.startswith(b) and (len(c) > len(b) or not strict):
                 mask |= emits(c[len(b):], self._levels[t], k)
         return mask
@@ -102,12 +101,9 @@ class PrefixSetTable:
         return self._words[k]
 
     def base(self, i, k):
-        """All k-bit strings the encoder can emit next, starting in table i."""
-        check_k(k)  # a cached level would answer 2.0 as 2
-        if k not in self._bases:
-            self._bases[k] = tuple(frozenset(map(Bits, words))
-                                   for words in self.words(k))
-        return self._bases[k][i]
+        """All k-bit strings table i can emit next, as ``Bits`` (``words``)."""
+        check_table(i, len(self.rows))
+        return frozenset(map(Bits, self.words(k)[i]))
 
     def continuations(self, i, b, k):
         """k-bit continuations of window b when the first codeword of the
@@ -120,7 +116,8 @@ class PrefixSetTable:
 
     def _conditional(self, i, b, k, strict):
         self.levels(k)
-        mask = self._mask(i, str(b), k, strict)
+        check_table(i, len(self.rows))
+        mask = self._mask(self.rows[i], str(Bits(b)), k, strict)
         return frozenset(map(Bits, blocks(mask, k)))
 
     def emit(self, table, seq):
@@ -170,16 +167,20 @@ def encode_from(code, start, seq):
     return Bits(text), end
 
 
+def check_table(i, count):
+    """Refuse a table index that is not an int or lies outside 0..count-1:
+    a negative one would silently index from the end."""
+    if type(i) is not int:
+        raise InvalidType("start table must be int, got %r" % (i,))
+    if not 0 <= i < count:
+        raise InvalidArgument("start table %r outside 0..%d" % (i, count - 1))
+
+
 def check_indices(code, start, seq=()):
-    """Refuse a start table or a symbol index outside the tuple (a negative
-    one would silently index from the end) or not an int: 1.0 and True
-    equal an index, and ``set((1, 1.0))`` is ``{1}``, so symbol types are
-    read one by one.  A str symbol names no index, so it is outside them."""
-    if type(start) is not int:
-        raise InvalidType("start table must be int, got %r" % (start,))
-    if not 0 <= start < len(code.tables):
-        raise InvalidArgument("start table %r outside 0..%d"
-                              % (start, len(code.tables) - 1))
+    """Refuse a start table (``check_table``) or a symbol outside the tuple
+    or not an int: 1.0 and True equal an index, and ``set((1, 1.0))`` is
+    ``{1}``, so types are read one by one; a str symbol names no index."""
+    check_table(start, len(code.tables))
     if list(map(type, seq)).count(int) != len(seq):
         odd = [s for s in seq if type(s) not in (int, str)]
         if odd:
@@ -193,6 +194,7 @@ def check_indices(code, start, seq=()):
 def symbols_with_codeword(code, i, b):
     """Symbols of table i whose codeword equals b exactly, in symbol order."""
     check_indices(code, i)
+    b = Bits(b)
     return tuple(s for s in code.alphabet if code.code(i, s) == b)
 
 
@@ -200,4 +202,4 @@ def is_achievable_prefix(code, start, b):
     """Whether some source sequence encoded from the given table emits a
     bit stream with b as a prefix, for windows of any length."""
     check_indices(code, start)
-    return code.sets.search(str(b), start)[1]
+    return code.sets.search(str(Bits(b)), start)[1]

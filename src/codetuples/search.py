@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits
-from .classes import K, aifv_table_ok, witness
+from .classes import FULL_MASK, K, NONZERO_MASK, aifv_table_ok, witness
 from .core import CodeTuple, SourceDist, Table
 from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
@@ -71,8 +71,6 @@ from .prefix_sets import emits
 FILTERS = ("f0", "aifv")
 
 BLOCKS = 1 << K  # the K-bit blocks a guessed set may hold
-FULL_MASK = (1 << BLOCKS) - 1
-NONZERO_MASK = FULL_MASK - 1  # every block but the all-zero one
 GUESSES = range(1, FULL_MASK + 1)  # the non-empty sets a table may guess
 # complementing every bit maps block n to BLOCKS - 1 - n: a set's mirror
 MIRROR = [int(format(mask, "0%db" % BLOCKS)[::-1], 2)

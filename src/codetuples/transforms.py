@@ -42,8 +42,6 @@ from .errors import (
 from .markov import average_length
 from .prefix_sets import check_indices, symbols_with_codeword
 
-ZERO_PAIR = ZERO + ZERO
-
 
 def forced_bit(code, i):
     """The single bit every emission of table i starts with, or empty.
@@ -51,10 +49,10 @@ def forced_bit(code, i):
     Undefined (NotExtendable) for a table that emits nothing.
     """
     check_indices(code, i)
-    first = code.sets.base(i, 1)
+    first = code.sets.words(1)[i]
     if not first:
         raise NotExtendable("table %d emits no bits" % i)
-    return EMPTY if len(first) == 2 else next(iter(first))
+    return EMPTY if len(first) == 2 else Bits(min(first))
 
 
 def _rewrite(code, word):
@@ -144,7 +142,7 @@ def steer_bit(code, i):
         if len(empties) == 1:
             j = code.target(j, empties[0])
             continue
-        return 0 if ZERO_PAIR in code.sets.base(j, 2) else 1
+        return 0 if "00" in code.sets.words(2)[j] else 1
 
 
 def _require_class(code, name):
@@ -178,7 +176,7 @@ def dot(code):
     steer = [steer_bit(code, i) for i in code.table_indices()]
 
     def head(i, s, part):
-        if len(sets.base(i, 2)) != 2 or not part:
+        if len(sets.words(2)[i]) != 2 or not part:
             return part
         # A one-bit codeword in a two-pair table would give both pairs its
         # head, against a next-bit set {0, 1}: the precondition rules it out.
@@ -197,7 +195,7 @@ def dot(code):
             return opposite + part.head(1) + part.tail_from(2)
         if longer == 1 and straight == 1:
             return opposite + ZERO + part.tail_from(2)
-        if longer == 1 and straight == 2 and len(sets.base(j, 2)) == 2:
+        if longer == 1 and straight == 2 and len(sets.words(2)[j]) == 2:
             # The rewritten increment lands at the head of the whole
             # codeword exactly when the previous chain codeword is empty;
             # only then the filler bit is 1.
@@ -215,16 +213,17 @@ def ddot(code):
     _require_class(code, "f2")
 
     def head(i, s, part):
-        pairs = code.sets.base(i, 2)
+        pairs = code.sets.words(2)[i]
         if len(pairs) == 4 or len(part) == 0:
             return part
         if len(part) == 1:
             return ONE
-        if part.head(1) + bit_of(1 - part[1]) not in pairs:  # the sibling
+        sibling = str(part.head(1) + bit_of(1 - part[1]))
+        if sibling not in pairs:
             return ZERO + ONE + part.tail_from(2)
         return ONE + part.tail_from(1)
     return _rewrite_chains(code, "f2", head, lambda i, s, prev, part:
-                           ZERO_PAIR + part.tail_from(2))
+                           ZERO + ZERO + part.tail_from(2))
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,24 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "start table 9 outside 0..2"),
     (lambda: table_length(TUPLES["r3"], R3_UNIFORM, -1),
      "start table -1 outside 0..2"),
+    (lambda: TUPLES["r3"].sets.base(5, 2), "start table 5 outside 0..2"),
+    (lambda: TUPLES["r3"].sets.base(-1, 2), "start table -1 outside 0..2"),
+    (lambda: TUPLES["r3"].sets.continuations(5, EMPTY, 2),
+     "start table 5 outside 0..2"),
+    (lambda: TUPLES["r3"].sets.strict_continuations(-1, Bits("0"), 2),
+     "start table -1 outside 0..2"),
+    # a window is read as Bits, so a bad one is refused, not matched by
+    # nothing
+    (lambda: TUPLES["r3"].sets.continuations(0, "0x", 2),
+     "not a binary string: '0x'"),
+    (lambda: TUPLES["r3"].sets.strict_continuations(0, 12, 2),
+     "not a binary string: 12"),
+    (lambda: is_achievable_prefix(TUPLES["r3"], 0, "12"),
+     "not a binary string: '12'"),
+    (lambda: is_achievable_prefix(TUPLES["r3"], 0, 12),
+     "not a binary string: 12"),
+    (lambda: symbols_with_codeword(TUPLES["r3"], 0, "0x"),
+     "not a binary string: '0x'"),
     # bits that are not a binary string are refused as such, not blamed
     # for having no completion, nor read as decoding nothing
     (lambda: decode(TUPLES["r3"], 0, 12), "not a binary string: 12"),
@@ -131,6 +149,10 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: identification_delays(TUPLES["r3"], 0, (0, True), Bits("0")),
      "symbol must be int, got True"),
     (lambda: encode(TUPLES["r3"], "0", (1,)),
+     "start table must be int, got '0'"),
+    (lambda: TUPLES["r3"].sets.base(1.0, 2),
+     "start table must be int, got 1.0"),
+    (lambda: TUPLES["r3"].sets.continuations("0", EMPTY, 2),
      "start table must be int, got '0'"),
     (lambda: encode(TUPLES["r3"], True, (1,)),
      "start table must be int, got True"),

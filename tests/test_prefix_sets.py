@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from codetuples import PrefixSetTable, delay_decodability, is_extendable
+from codetuples import (PrefixSetTable, delay_decodability, is_extendable,
+                        make_tuple)
 from codetuples.bits import EMPTY, Bits
 from codetuples.prefix_sets import (DEFAULT_MAX_K, encode_from,
                                     is_achievable_prefix,
@@ -40,6 +41,44 @@ def test_symbols_with_codeword():
     assert symbols_with_codeword(r1, 2, EMPTY) == (0, 1, 2, 3)
     r2 = TUPLES["r2"]
     assert symbols_with_codeword(r2, 1, Bits("0" * 8)) == ()
+
+
+def test_windows_are_read_as_bits():
+    r3 = TUPLES["r3"]
+    assert symbols_with_codeword(r3, 1, "") == (1,)
+    assert symbols_with_codeword(r3, 1, "") == symbols_with_codeword(
+        r3, 1, EMPTY)
+    assert is_achievable_prefix(r3, 0, "10000")
+    assert not is_achievable_prefix(r3, 0, "00")
+    assert r3.sets.continuations(0, "10", 2) == \
+        r3.sets.continuations(0, Bits("10"), 2)
+
+
+# Hand-built tuples whose empty codewords make the base sets of one level
+# read each other: a chain closing into a cycle, a self-loop, and a dead
+# table (only empty codewords) reached through an empty codeword.
+EMPTY_CODEWORD_TUPLES = [
+    [[("-", 1), ("0", 0)], [("-", 2), ("11", 1)], [("-", 0), ("10", 2)]],
+    [[("-", 0), ("1", 1)], [("01", 0), ("-", 0)]],
+    [[("-", 1), ("0", 0)], [("-", 1), ("-", 1)]],
+    [[("-", 1), ("01", 3)], [("-", 2), ("1", 0)], [("-", 3), ("-", 1)],
+     [("-", 3), ("-", 3)]],
+    [[("-", 1), ("-", 2), ("110", 0)], [("-", 0), ("-", 1), ("0", 2)],
+     [("-", 2), ("-", 3), ("-", 2)], [("1", 0), ("00", 3), ("-", 3)]],
+]
+
+
+@pytest.mark.parametrize("rows", EMPTY_CODEWORD_TUPLES)
+def test_base_sets_through_empty_codewords_match_the_oracle(rows):
+    code = make_tuple("abc"[:len(rows[0])], rows)
+    sets = PrefixSetTable(code)
+    for i in code.table_indices():
+        for k in range(7):
+            want = oracle_continuations(code, i, EMPTY, k, False)
+            assert sets.base(i, k) == want, (i, k)
+    # grown straight to the top level, not one level at a time
+    assert all(PrefixSetTable(code).base(i, 6) == sets.base(i, 6)
+               for i in code.table_indices())
 
 
 def test_base_sets_match_reference_tables():
