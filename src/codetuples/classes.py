@@ -135,10 +135,11 @@ AIFV_CLAUSES = (_distinct, _no_one_after, _no_zero_extension, _targets,
                 _long_enough, _no_double_zero, _one_way_windows)
 
 
-def aifv_table_ok(i, words, targets):
-    """Whether table i with these contents passes every aifv clause."""
+def aifv_table_ok(i, words, targets, clauses=AIFV_CLAUSES):
+    """Whether table i with these contents passes the aifv clauses, all of
+    them by default."""
     return not any(clause(i, words, targets, range(len(words)))
-                   for clause in AIFV_CLAUSES)
+                   for clause in clauses)
 
 
 def _two_tables(code):

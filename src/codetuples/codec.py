@@ -91,7 +91,7 @@ def _completions(auto, tail, table):
     symbols left, known for a window of lengths above each state's fewest;
     the window widens until it holds one sequence over the cap or all.
     """
-    graph, reaches = auto.search(tail, table)
+    graph, reaches = auto._search(tail, table)
     if not reaches:
         raise NoConsistentCompletion(
             "%s is not a prefix of any emission from table %d"
@@ -170,7 +170,7 @@ def _decode(auto, k, start, text, steps, tails):
     try:
         completions, capped = complete()
     except NoConsistentCompletion:
-        if not auto.search(text, start)[1]:
+        if not auto._search(text, start)[1]:
             raise
         raise NoConsistentCompletion(
             "the decoder misstepped: at bit %d it reached table %d, from "
@@ -212,7 +212,7 @@ def _identify(auto, table, text):
     cands = auto.rows[table]
     for t in range(len(text) + 1):
         cands = [(w, j, s) for w, j, s in cands if text.startswith(w[:t])
-                 and (len(w) >= t or auto.search(text, j, len(w), t)[1])]
+                 and (len(w) >= t or auto._search(text, j, len(w), t)[1])]
         if len(cands) == 1:
             return t, cands[0][2]
     return None
@@ -258,7 +258,7 @@ def identification_delays(code, start, seq, bits=None):
     seq = tuple(seq)
     check_indices(code, start, seq)
     auto = code.sets
-    text = auto.emit(start, seq)[0] if bits is None else str(Bits(bits))
+    text = auto._emit(start, seq)[0] if bits is None else str(Bits(bits))
     return _delays(auto, start, seq, text, 2, {})  # any view width is exact
 
 
@@ -314,7 +314,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
         start = rng.randrange(code.num_tables)
         seq = tuple(rng.randrange(code.sigma)
                     for _ in range(rng.randint(1, max_len)))
-        text = auto.emit(start, seq)[0]
+        text = auto._emit(start, seq)[0]
         try:
             result = _decode(auto, k, start, text, steps, tails)
         except NoConsistentCompletion as exc:
@@ -326,7 +326,7 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             continue
         conflicts += result.info.conflicts
         n = len(got)  # the cut-stream contract owes seq[n] if k bits follow
-        if n < len(seq) and len(auto.emit(start, seq[:n + 1])[0]) + k \
+        if n < len(seq) and len(auto._emit(start, seq[:n + 1])[0]) + k \
                 <= len(text):
             fail(trial, start, seq, "symbol %d not decoded, though at least "
                  "%d bits follow its codeword" % (n, k))

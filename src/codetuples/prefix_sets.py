@@ -122,7 +122,14 @@ class PrefixSetTable:
 
     def emit(self, table, seq):
         """The codewords of seq from table joined as a str, and the table
-        it ends in; the indices are not checked."""
+        it ends in."""
+        seq = tuple(seq)
+        check_table(table, len(self.rows))
+        check_symbols(seq, len(self.rows[0]))
+        return self._emit(table, seq)
+
+    def _emit(self, table, seq):
+        """``emit`` for checked arguments, as the codec passes them."""
         words = []
         for s in seq:
             w, table, _ = self.rows[table][s]
@@ -133,6 +140,19 @@ class PrefixSetTable:
         """The states reachable from (table, pos) by codewords inside
         text[pos:end], each with its edges (symbol, next state) in symbol
         order, and whether some emission has text[pos:end] as a prefix."""
+        check_table(table, len(self.rows))
+        text = str(Bits(text))
+        end = len(text) if end is None else end
+        for name, value in (("pos", pos), ("end", end)):
+            if type(value) is not int:
+                raise InvalidType("%s must be int, got %r" % (name, value))
+        if not 0 <= pos <= end <= len(text):
+            raise InvalidArgument("span %d..%d outside the text's 0..%d"
+                                  % (pos, end, len(text)))
+        return self._search(text, table, pos, end)
+
+    def _search(self, text, table, pos=0, end=None):
+        """``search`` for checked arguments, as the codec passes them."""
         end = len(text) if end is None else end
         graph = {}
         reaches = False
@@ -163,7 +183,7 @@ def encode_from(code, start, seq):
     """
     seq = tuple(seq)
     check_indices(code, start, seq)
-    text, end = code.sets.emit(start, seq)
+    text, end = code.sets._emit(start, seq)
     return Bits(text), end
 
 
@@ -176,19 +196,25 @@ def check_table(i, count):
         raise InvalidArgument("start table %r outside 0..%d" % (i, count - 1))
 
 
-def check_indices(code, start, seq=()):
-    """Refuse a start table (``check_table``) or a symbol outside the tuple
-    or not an int: 1.0 and True equal an index, and ``set((1, 1.0))`` is
-    ``{1}``, so types are read one by one; a str symbol names no index."""
-    check_table(start, len(code.tables))
+def check_symbols(seq, count):
+    """Refuse a symbol outside 0..count-1 or not an int: 1.0 and True equal
+    an index, and ``set((1, 1.0))`` is ``{1}``, so types are read one by
+    one; a str symbol names no index."""
     if list(map(type, seq)).count(int) != len(seq):
         odd = [s for s in seq if type(s) not in (int, str)]
         if odd:
             raise InvalidType("symbol must be int, got %r" % (odd[0],))
-    bad = set(seq).difference(range(len(code.alphabet)))
+    bad = set(seq).difference(range(count))
     if bad:
         raise InvalidArgument("symbol %r outside 0..%d" % (
-            next(s for s in seq if s in bad), len(code.alphabet) - 1))
+            next(s for s in seq if s in bad), count - 1))
+
+
+def check_indices(code, start, seq=()):
+    """Refuse a start table (``check_table``) or a symbol
+    (``check_symbols``) outside the tuple."""
+    check_table(start, len(code.tables))
+    check_symbols(seq, len(code.alphabet))
 
 
 def symbols_with_codeword(code, i, b):
@@ -201,5 +227,4 @@ def symbols_with_codeword(code, i, b):
 def is_achievable_prefix(code, start, b):
     """Whether some source sequence encoded from the given table emits a
     bit stream with b as a prefix, for windows of any length."""
-    check_indices(code, start)
-    return code.sets.search(str(Bits(b)), start)[1]
+    return code.sets.search(b, start)[1]

@@ -42,6 +42,12 @@ walk's last one, which the walk does not keep.  The combine walks a
 mirror guess only when it reads its contents, for a pair at the best
 cost, and the walk stays in the cached scan for later distributions.
 
+Under aifv both tables are walked under the one aifv guess, whose masks
+imply every aifv clause but two (see _LEAF_CLAUSES): clause (iv)'s demand
+that a target-1 word be a proper prefix of another word of its table, which
+the walk carries down as it carries the union, and clause (vii), which the
+leaf checks.
+
 The combine visits the guesses by a lower bound on their costs: a pair of
 tables costs a mean of their two costs weighted by the weight leaving each,
 so never less than the least bucket cost of either table.  It stops at the
@@ -62,7 +68,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits
-from .classes import FULL_MASK, K, NONZERO_MASK, aifv_table_ok, witness
+from .classes import (AIFV_CLAUSES, FULL_MASK, K, NONZERO_MASK,
+                      aifv_table_ok, witness)
 from .core import CodeTuple, SourceDist, Table
 from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
@@ -72,6 +79,7 @@ FILTERS = ("f0", "aifv")
 
 BLOCKS = 1 << K  # the K-bit blocks a guessed set may hold
 GUESSES = range(1, FULL_MASK + 1)  # the non-empty sets a table may guess
+AIFV_GUESS = (FULL_MASK, NONZERO_MASK)  # the sets an aifv tuple's tables have
 # complementing every bit maps block n to BLOCKS - 1 - n: a set's mirror
 MIRROR = [int(format(mask, "0%db" % BLOCKS)[::-1], 2)
           for mask in range(FULL_MASK + 1)]
@@ -247,6 +255,24 @@ _CLASHING = [_unions([sum(1 << n for n, sent in enumerate(row)
                           if sent >> b & 1) for b in range(BLOCKS)])
              for row in _EMITTED]
 
+# Under the aifv guess the walk's masks imply every aifv clause but the
+# target-1 half of (iv), which the walk settles, and (vii), left to the
+# leaf.  Table 0 guesses every block and table 1 every block but 00, so
+# both targets' level-1 sets are {0, 1}.  A slot (u, t) and another slot
+# whose word is u + s clash when what the other emits after u meets t's
+# set: the other target's whole set for s empty, s0 and s1 for one bit s,
+# and s[:2] for more bits.  The two sets meet, so no two slots share a
+# word: (i).  Target 0's set has every block, so its word is no other
+# word's prefix: the target-0 half of (iv), and (ii) and (iii) for it.
+# Target 1's set has every block but 00, so every word extending its word
+# u starts with u00: no word u0 (iii), and none starting u1 or u01 (ii).
+# Table 1 allows no slot that can emit 00: no word starting 00 (vi), no
+# word 0 (it emits 00 and 01) and no empty word with target 0 (it emits
+# 00); an empty word with target 1 could share the table only with words
+# starting 00, and there is another symbol: (v).  tests/test_search.py
+# pins this over every content at small sizes.
+_LEAF_CLAUSES = AIFV_CLAUSES[6:]  # (vii)
+
 
 def _layout(max_len):
     words = all_words(max_len)
@@ -270,11 +296,19 @@ def _layout(max_len):
             up[vi][n] |= 1 << 2 * ui
             down[ui][n] |= 1 << 2 * vi
     up, down = ([_unions(row) for row in rows] for rows in (up, down))
-    # a slot's part of the (targets, lenvec) key, and the slots it dominates
+    # a slot's part of the (targets, lenvec) key, the slots sharing it, and
+    # the slots it dominates
     key_of = [2 * n + (sid & 1) for sid, n in enumerate(lens)]
+    group = [sum(1 << sid for sid, part in enumerate(key_of) if part == n)
+             for n in range(2 * max_len + 2)]
     tail = [evens << (sid & 1) >> lens.index(n) << lens.index(n)
             for sid, n in enumerate(lens)]
-    return words, lens, evens, reach, hits, up, down, key_of, tail
+    # per slot the target-0 slots of its word's proper prefixes, and per word
+    # the slots strictly extending it
+    above = [up[sid >> 1][-1] & ~(1 << (sid & ~1)) for sid in range(len(lens))]
+    longer = [(down[wi][-1] & ~(1 << 2 * wi)) * 3 for wi in range(len(words))]
+    return (words, lens, evens, reach, hits, up, down, key_of, group, tail,
+            above, longer)
 
 
 class _Tables(dict):
@@ -304,10 +338,9 @@ def _scan(space):
     """
     tables = _Tables(space)
     if space.filter == "aifv":  # two tables, and the clauses read the index
-        guess = (FULL_MASK, NONZERO_MASK)
-        cells = tuple(((i, guess),) * 2 for i in range(2))
+        cells = tuple(((i, AIFV_GUESS),) * 2 for i in range(2))
         kept = space.tables == 2 and all(tables[key] for key, _ in cells)
-        return {guess: cells} if kept else {}, tables
+        return {AIFV_GUESS: cells} if kept else {}, tables
 
     def cell(walk):  # an f0 table is a table 0, costed by its orbit's walk
         mirror = (MIRROR[walk[0]], MIRROR[walk[1]])
@@ -322,6 +355,25 @@ def _scan(space):
             if all(tables[orbit] for _, orbit in cells)}, tables
 
 
+def _masks(space, index, guess, layout):
+    """Table index's masks under a guess: each slot's contribution, the
+    slots each slot clashes with, the slots allowed, and per set of missing
+    blocks the allowed slots giving them all."""
+    words, _, evens, reach, hits, up, down, *_ = layout
+    contrib = [c for pair in zip(*(reach[g] for g in guess)) for c in pair]
+    # slots that cannot share a table, by the gates that clash
+    gates = [[_CLASHING[long][short] for short in guess] for long in guess]
+    clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
+             | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]]) << 1 - t
+             for wi in range(len(words)) for t in (0, 1)]
+    hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
+    allowed = (evens if space.tables == 1 else evens * 3) \
+        & ~hit[FULL_MASK & ~guess[index]]
+    cover = [allowed & ~miss
+             for miss in _unions([~hit[1 << n] for n in range(BLOCKS)])]
+    return contrib, clash, allowed, cover
+
+
 def _scan_table(space, index, guess, layout):
     """One table's passing contents under a guess, by a depth-first walk.
 
@@ -331,32 +383,39 @@ def _scan_table(space, index, guess, layout):
     set are tried, never one clashing with an earlier symbol's slot.  The
     last symbol must complete the union to exactly the wanted set; per
     target it takes only a slot shorter than any taken after the same head
-    key, since a longer one only adds a dominated lenvec.
+    key, since a longer one only adds a dominated lenvec; once every
+    candidate is found or dominated after a head key, the heads with that
+    key are skipped, every slot of the (target, length) at once.  Under
+    aifv, walked under the aifv guess only, the walk also settles clause
+    (iv), a target-1 slot no allowed slot can extend is never tried, and
+    the leaf checks only clause (vii): see _LEAF_CLAUSES.
     """
-    words, lens, evens, reach, hits, up, down, key_of, tail = layout
-    contrib = [c for pair in zip(*(reach[g] for g in guess)) for c in pair]
-    # slots that cannot share a table, by the gates that clash
-    gates = [[_CLASHING[long][short] for short in guess] for long in guess]
-    clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
-             | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]]) << 1 - t
-             for wi in range(len(words)) for t in (0, 1)]
-    want = guess[index]
-    hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
-    allowed = (evens if space.tables == 1 else evens * 3) \
-        & ~hit[FULL_MASK & ~want]
-    cover = [allowed & ~miss  # missing blocks -> allowed slots giving them all
-             for miss in _unions([~hit[1 << n] for n in range(BLOCKS)])]
-    aifv, last = space.filter == "aifv", space.sigma - 1
+    words, lens, evens, *_, key_of, group, tail, above, longer = layout
+    contrib, clash, allowed, cover = _masks(space, index, guess, layout)
+    want, aifv, last = guess[index], space.filter == "aifv", space.sigma - 1
     filled = {}  # head key -> slots found or dominated after it
     found = {}
 
-    @functools.cache
-    def verdict(slots):  # sorted: the clauses ignore symbol order
-        return aifv_table_ok(index, [words[s >> 1] for s in slots],
-                             [s & 1 for s in slots])
+    if aifv:
+        @functools.cache
+        def verdict(slots):  # sorted: the clauses ignore symbol order
+            return aifv_table_ok(index, [words[s >> 1] for s in slots],
+                                 [s & 1 for s in slots], _LEAF_CLAUSES)
 
-    def finish(options, head_key, head, head_targets, head_lens):
-        done = filled.get(head_key, 0)
+        @functools.cache
+        def extending(owed):  # the slots strictly extending every owed word
+            out = -1
+            while owed:
+                low = owed & -owed
+                out &= longer[low.bit_length() >> 1]
+                owed ^= low
+            return out
+
+        # a target-1 word that no allowed slot can extend is never paid
+        allowed &= ~sum(1 << sid for sid in range(1, len(lens), 2)
+                        if not longer[sid >> 1] & allowed & ~clash[sid])
+
+    def finish(options, done, head_key, head, head_targets, head_lens):
         while options:
             low = options & -options
             sid = low.bit_length() - 1
@@ -370,25 +429,41 @@ def _scan_table(space, index, guess, layout):
             options &= ~done
         filled[head_key] = done
 
-    def walk(pos, cand, union, head_key, head, head_targets, head_lens):
+    # Under aifv, owed has the target-0 slots of the target-1 words that no
+    # taken word extends yet, and prefixes those of every proper prefix of
+    # a taken word: the last word must extend every owed word, and take
+    # target 1 only when it is one of the prefixes.
+    def walk(pos, cand, union, owed, prefixes, head_key, head, head_targets,
+             head_lens):
         base = head_key * len(key_of)  # base > any part
         deeper = pos + 1 < last
-        rest = cand
+        rest, now_owed, now_prefixes = cand, 0, 0
         while rest:
             low = rest & -rest
             rest ^= low
             sid = low.bit_length() - 1
             key = base + key_of[sid]
+            if aifv:
+                now_owed = (owed & ~above[sid]
+                            | (low >> 1 & ~prefixes) * (sid & 1))
+                now_prefixes = prefixes | above[sid]
             if deeper:
-                walk(pos + 1, cand & ~clash[sid], union | contrib[sid], key,
-                     head + (sid,), head_targets + (sid & 1,),
-                     head_lens + (lens[sid],))
-            elif options := (cand & ~clash[sid] & ~filled.get(key, 0)
-                             & cover[want & ~(union | contrib[sid])]):
-                finish(options, key, head + (sid,), head_targets + (sid & 1,),
-                       head_lens + (lens[sid],))
+                walk(pos + 1, cand & ~clash[sid], union | contrib[sid],
+                     now_owed, now_prefixes, key, head + (sid,),
+                     head_targets + (sid & 1,), head_lens + (lens[sid],))
+            elif cand & ~(done := filled.get(key, 0)):
+                options = (cand & ~clash[sid] & ~done
+                           & cover[want & ~(union | contrib[sid])])
+                if aifv and options:
+                    options &= (extending(now_owed)
+                                & (evens | now_prefixes << 1))
+                if options:
+                    finish(options, done, key, head + (sid,),
+                           head_targets + (sid & 1,), head_lens + (lens[sid],))
+            else:  # every candidate taken or dominated after this head key
+                rest &= ~group[key_of[sid]]
 
-    walk(0, allowed, 0, 0, (), (), ())
+    walk(0, allowed, 0, 0, 0, 0, (), (), ())
     return found
 
 

@@ -89,6 +89,16 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "start table 5 outside 0..2"),
     (lambda: TUPLES["r3"].sets.strict_continuations(-1, Bits("0"), 2),
      "start table -1 outside 0..2"),
+    # the emission automaton's readers check the table, the symbols and
+    # the text themselves, not only behind the codec's checks
+    (lambda: TUPLES["r3"].sets.search("01", 7), "start table 7 outside 0..2"),
+    (lambda: TUPLES["r3"].sets.emit(0, (9,)), "symbol 9 outside 0..3"),
+    (lambda: TUPLES["r3"].sets.emit(-1, (0,)), "start table -1 outside 0..2"),
+    (lambda: TUPLES["r3"].sets.search("0x", 0), "not a binary string: '0x'"),
+    (lambda: TUPLES["r3"].sets.search("01", 0, 1, 3),
+     "span 1..3 outside the text's 0..2"),
+    (lambda: TUPLES["r3"].sets.search("01", 0, 2, 1),
+     "span 2..1 outside the text's 0..2"),
     # a window is read as Bits, so a bad one is refused, not matched by
     # nothing
     (lambda: TUPLES["r3"].sets.continuations(0, "0x", 2),
@@ -148,6 +158,14 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: encode(TUPLES["r3"], 0, ([1],)), "symbol must be int, got [1]"),
     (lambda: identification_delays(TUPLES["r3"], 0, (0, True), Bits("0")),
      "symbol must be int, got True"),
+    (lambda: TUPLES["r3"].sets.emit(0, (1, 1.0)),
+     "symbol must be int, got 1.0"),
+    (lambda: TUPLES["r3"].sets.emit("0", (1,)),
+     "start table must be int, got '0'"),
+    (lambda: TUPLES["r3"].sets.search("01", 0, 1.0),
+     "pos must be int, got 1.0"),
+    (lambda: TUPLES["r3"].sets.search("01", 0, 0, True),
+     "end must be int, got True"),
     (lambda: encode(TUPLES["r3"], "0", (1,)),
      "start table must be int, got '0'"),
     (lambda: TUPLES["r3"].sets.base(1.0, 2),

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ from codetuples import (
     space_size,
 )
 from codetuples import search
+from codetuples.classes import AIFV_CLAUSES, aifv_table_ok
 from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
                                InvalidType, SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
@@ -144,6 +148,57 @@ def test_single_table_matches_direct_walk(sigma, max_len, filt):
                 outcomes.append((got.best, got.avg_len, got.examined))
         assert outcomes[0] == outcomes[1], dist.probs
         assert filt == "f0" or "no aifv tuple with 1 table" in outcomes[0]
+
+
+SKIPPED_AT_LEAF = [c for c in AIFV_CLAUSES if c not in search._LEAF_CLAUSES]
+
+
+@pytest.mark.parametrize("sigma,max_len", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                            (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_walk_masks_imply_the_clauses_the_leaf_skips(sigma, max_len):
+    # every content the aifv guess's masks let through (allowed slots, no
+    # clashing pair, union the wanted set) passes the clauses the leaf no
+    # longer checks exactly when its target-1 words are all extended,
+    # which the walk's owed rule decides: see search._LEAF_CLAUSES
+    space = SearchSpace(sigma, 2, max_len, "aifv")
+    layout = search._layout(max_len)
+    words = layout[0]
+    passed = 0
+    for index, want in enumerate(search.AIFV_GUESS):
+        contrib, clash, allowed, _ = search._masks(space, index,
+                                                   search.AIFV_GUESS, layout)
+        slots = [sid for sid in range(2 * len(words)) if allowed >> sid & 1]
+        for content in itertools.product(slots, repeat=sigma):
+            if any(clash[a] >> b & 1
+                   for a, b in itertools.combinations(content, 2)):
+                continue
+            if functools.reduce(operator.or_,
+                                (contrib[s] for s in content)) != want:
+                continue
+            ws = [words[s >> 1] for s in content]
+            ts = [s & 1 for s in content]
+            owed_paid = all(any(len(v) > len(w) and v.startswith(w)
+                                for v in ws) for w, t in zip(ws, ts) if t)
+            assert aifv_table_ok(index, ws, ts, SKIPPED_AT_LEAF) == \
+                owed_paid, (index, ws, ts)
+            passed += owed_paid
+    assert passed or max_len == 1
+
+
+@pytest.mark.parametrize("sigma,leaves", [(3, 44), (4, 140)])
+def test_aifv_leaf_sees_only_clause_vii_failures(monkeypatch, sigma, leaves):
+    # a counter, not a clock: every content reaching the leaf verdict has
+    # passed clauses (i)-(vi) in the walk
+    seen = []
+
+    def recording(i, words, targets, clauses):
+        seen.append((i, words, targets))
+        return aifv_table_ok(i, words, targets, clauses)
+
+    monkeypatch.setattr(search, "aifv_table_ok", recording)
+    search._scan(SearchSpace(sigma, 2, 3, "aifv"))
+    assert len(seen) == leaves
+    assert all(aifv_table_ok(i, w, t, SKIPPED_AT_LEAF) for i, w, t in seen)
 
 
 def test_winner_is_a_member():
