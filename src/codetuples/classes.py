@@ -14,7 +14,7 @@ properties and its own clause), read by ``classify`` and ``witness``.
 ``witness``, a family's first violated clause or None for a member, is the
 membership test of the search filter and the rewrites.  The seven aifv
 clauses are table-local: they read only one table's codewords and targets,
-so the search scan prunes each table's contents with the same functions.
+so the search scan decides them one table at a time, with word masks.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .bits import show
 from .analysis import dead_tables, delay_decodability, is_regular
+from .errors import InvalidArgument
 from .prefix_sets import blocks
 
 # The nested families, loosest first: each implies the one before it.
@@ -135,13 +136,6 @@ AIFV_CLAUSES = (_distinct, _no_one_after, _no_zero_extension, _targets,
                 _long_enough, _no_double_zero, _one_way_windows)
 
 
-def aifv_table_ok(i, words, targets, clauses=AIFV_CLAUSES):
-    """Whether table i with these contents passes the aifv clauses, all of
-    them by default."""
-    return not any(clause(i, words, targets, range(len(words)))
-                   for clause in clauses)
-
-
 def _two_tables(code):
     if code.num_tables != 2:
         return "needs exactly two tables, not %d" % code.num_tables
@@ -220,6 +214,9 @@ FAMILIES = {
 def witness(name, code):
     """The first violated clause of family ``name``, or None for a member:
     a lacking requirement's own witness, else the family's own clause."""
+    if name not in CLASS_NAMES:  # a tuple, so an unhashable name is refused
+        raise InvalidArgument("unknown family %r, not one of %s"
+                              % (name, ", ".join(CLASS_NAMES)))
     requires, own = FAMILIES[name]
     lacking = (witness(basic, code) for basic in requires)
     return next(filter(None, lacking), None) or (own and own(code))

@@ -114,10 +114,13 @@ class CodeTuple:
         if not self.tables:
             raise InvalidArgument("a code tuple needs at least one table")
         m = len(self.tables)
-        for t in self.tables:
+        for i, t in enumerate(self.tables):
             if len(t.codes) != len(self.alphabet):
                 raise InvalidArgument("table size does not match alphabet")
-            for j in t.targets:
+            for name, j in zip(self.alphabet.names, t.targets):
+                if type(j) is not int:  # 0.0 and True equal an index
+                    raise InvalidType("table %d, symbol %s: next-table index "
+                                      "must be int, got %r" % (i, name, j))
                 if not 0 <= j < m:
                     raise InvalidArgument("next-table index %r out of range" % (j,))
 
@@ -158,7 +161,9 @@ def make_tuple(names, rows):
     for table_rows in rows:
         codes = tuple(parse_bits(c) if isinstance(c, str) else Bits(c)
                       for c, _ in table_rows)
-        targets = tuple(int(j) for _, j in table_rows)
+        # an ASCII-digit string names its index; CodeTuple refuses the rest
+        targets = tuple(j if not isinstance(j, str) or _natural(j) is None
+                        else _natural(j) for _, j in table_rows)
         tables.append(Table(codes, targets))
     return CodeTuple(alphabet, tuple(tables))
 
@@ -205,14 +210,14 @@ class SourceDist:
         """
         probs = []
         for v in values:
+            try:  # a float nan or inf raises ValueError or OverflowError
+                p = Fraction(v)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise InvalidArgument("bad probability %r" % (v,)) from None
             if isinstance(v, float):
-                probs.append(Fraction(v).limit_denominator(MAX_FLOAT_DENOMINATOR))
+                p = p.limit_denominator(MAX_FLOAT_DENOMINATOR)
                 inexact = True
-            else:
-                try:
-                    probs.append(Fraction(v))
-                except (TypeError, ValueError, ZeroDivisionError):
-                    raise InvalidArgument("bad probability %r" % (v,)) from None
+            probs.append(p)
         defect = 1 - sum(probs)
         if defect != 0:
             if not inexact or abs(defect) > FLOAT_SUM_TOLERANCE:

@@ -222,9 +222,3 @@ def symbols_with_codeword(code, i, b):
     check_indices(code, i)
     b = Bits(b)
     return tuple(s for s in code.alphabet if code.code(i, s) == b)
-
-
-def is_achievable_prefix(code, start, b):
-    """Whether some source sequence encoded from the given table emits a
-    bit stream with b as a prefix, for windows of any length."""
-    return code.sets.search(b, start)[1]

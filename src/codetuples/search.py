@@ -43,10 +43,10 @@ mirror guess only when it reads its contents, for a pair at the best
 cost, and the walk stays in the cached scan for later distributions.
 
 Under aifv both tables are walked under the one aifv guess, whose masks
-imply every aifv clause but two (see _LEAF_CLAUSES): clause (iv)'s demand
-that a target-1 word be a proper prefix of another word of its table, which
-the walk carries down as it carries the union, and clause (vii), which the
-leaf checks.
+imply every aifv clause but (iv)'s demand that a target-1 word be a proper
+prefix of another word of its table and (vii)'s that a window with one
+possible next bit be a codeword or one plus one bit.  The walk decides both
+with word masks as it carries the union (see the proof above _layout).
 
 The combine visits the guesses by a lower bound on their costs: a pair of
 tables costs a mean of their two costs weighted by the weight leaving each,
@@ -68,8 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits
-from .classes import (AIFV_CLAUSES, FULL_MASK, K, NONZERO_MASK,
-                      aifv_table_ok, witness)
+from .classes import FULL_MASK, K, NONZERO_MASK, witness
 from .core import CodeTuple, SourceDist, Table
 from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
@@ -255,23 +254,23 @@ _CLASHING = [_unions([sum(1 << n for n, sent in enumerate(row)
                           if sent >> b & 1) for b in range(BLOCKS)])
              for row in _EMITTED]
 
-# Under the aifv guess the walk's masks imply every aifv clause but the
-# target-1 half of (iv), which the walk settles, and (vii), left to the
-# leaf.  Table 0 guesses every block and table 1 every block but 00, so
-# both targets' level-1 sets are {0, 1}.  A slot (u, t) and another slot
-# whose word is u + s clash when what the other emits after u meets t's
-# set: the other target's whole set for s empty, s0 and s1 for one bit s,
-# and s[:2] for more bits.  The two sets meet, so no two slots share a
-# word: (i).  Target 0's set has every block, so its word is no other
-# word's prefix: the target-0 half of (iv), and (ii) and (iii) for it.
+# Under the aifv guess the guess masks and clash decide five aifv clauses
+# and half of a sixth.  Table 0 guesses every block and table 1 every block
+# but 00, so both targets' level-1 sets are {0, 1}.  A slot (u, t) and
+# another slot whose word is u + s clash when what the other emits after u
+# meets t's set: the other target's whole set for s empty, s0 and s1 for
+# one bit s, and s[:2] for more bits.  The two sets meet, so no two slots
+# share a word: (i).  Target 0's set has every block, so its word is no
+# other word's prefix: the target-0 half of (iv), and (ii) and (iii) for it.
 # Target 1's set has every block but 00, so every word extending its word
 # u starts with u00: no word u0 (iii), and none starting u1 or u01 (ii).
 # Table 1 allows no slot that can emit 00: no word starting 00 (vi), no
 # word 0 (it emits 00 and 01) and no empty word with target 0 (it emits
 # 00); an empty word with target 1 could share the table only with words
-# starting 00, and there is another symbol: (v).  tests/test_search.py
-# pins this over every content at small sizes.
-_LEAF_CLAUSES = AIFV_CLAUSES[6:]  # (vii)
+# starting 00, and there is another symbol: (v).  The walk decides the
+# rest with _layout's word masks: the target-1 half of (iv) by the words it
+# owes an extension, and (vii) by the one-way windows that follow marks,
+# which near must cover.  tests/test_search.py pins this at small sizes.
 
 
 def _layout(max_len):
@@ -303,12 +302,17 @@ def _layout(max_len):
              for n in range(2 * max_len + 2)]
     tail = [evens << (sid & 1) >> lens.index(n) << lens.index(n)
             for sid, n in enumerate(lens)]
-    # per slot the target-0 slots of its word's proper prefixes, and per word
-    # the slots strictly extending it
-    above = [up[sid >> 1][-1] & ~(1 << (sid & ~1)) for sid in range(len(lens))]
+    # per word: the slots strictly extending it; per proper prefix p, bit
+    # 2 * index(p) + the bit after p in the word; and the target-0 slots of
+    # it and of it plus one bit, the windows (vii) lets be one-way
     longer = [(down[wi][-1] & ~(1 << 2 * wi)) * 3 for wi in range(len(words))]
+    at = {w: 2 * wi for wi, w in enumerate(words)}
+    follow = [sum(1 << at[w[:n]] + int(w[n]) for n in range(len(w)))
+              for w in words]
+    near = [sum(1 << at[v] for v in (w, w + "0", w + "1") if v in at)
+            for w in words]
     return (words, lens, evens, reach, hits, up, down, key_of, group, tail,
-            above, longer)
+            longer, follow, near)
 
 
 class _Tables(dict):
@@ -386,11 +390,11 @@ def _scan_table(space, index, guess, layout):
     key, since a longer one only adds a dominated lenvec; once every
     candidate is found or dominated after a head key, the heads with that
     key are skipped, every slot of the (target, length) at once.  Under
-    aifv, walked under the aifv guess only, the walk also settles clause
-    (iv), a target-1 slot no allowed slot can extend is never tried, and
-    the leaf checks only clause (vii): see _LEAF_CLAUSES.
+    aifv, walked under the aifv guess only, the walk also decides clauses
+    (iv) and (vii), and a target-1 slot no allowed slot can extend is
+    never tried: see the proof above _layout.
     """
-    words, lens, evens, *_, key_of, group, tail, above, longer = layout
+    lens, evens, *_, key_of, group, tail, longer, follow, near = layout[1:]
     contrib, clash, allowed, cover = _masks(space, index, guess, layout)
     want, aifv, last = guess[index], space.filter == "aifv", space.sigma - 1
     filled = {}  # head key -> slots found or dominated after it
@@ -398,17 +402,23 @@ def _scan_table(space, index, guess, layout):
 
     if aifv:
         @functools.cache
-        def verdict(slots):  # sorted: the clauses ignore symbol order
-            return aifv_table_ok(index, [words[s >> 1] for s in slots],
-                                 [s & 1 for s in slots], _LEAF_CLAUSES)
-
-        @functools.cache
         def extending(owed):  # the slots strictly extending every owed word
             out = -1
             while owed:
                 low = owed & -owed
                 out &= longer[low.bit_length() >> 1]
                 owed ^= low
+            return out
+
+        def windows_near(options, after, covered):  # (vii): see walk
+            out = options
+            while options:
+                low = options & -options
+                options ^= low
+                wi = low.bit_length() - 1 >> 1
+                ahead = after | follow[wi]
+                if (ahead ^ ahead >> 1) & evens & ~(covered | near[wi]):
+                    out ^= low
             return out
 
         # a target-1 word that no allowed slot can extend is never paid
@@ -420,50 +430,53 @@ def _scan_table(space, index, guess, layout):
             low = options & -options
             sid = low.bit_length() - 1
             row = head + (sid,)
-            if aifv and not verdict(tuple(sorted(row))):
-                options ^= low
-                continue
             bucket = found.setdefault(head_targets + (sid & 1,), {})
             bucket[head_lens + (lens[sid],)] = row
             done |= tail[sid]
             options &= ~done
         filled[head_key] = done
 
-    # Under aifv, owed has the target-0 slots of the target-1 words that no
-    # taken word extends yet, and prefixes those of every proper prefix of
-    # a taken word: the last word must extend every owed word, and take
-    # target 1 only when it is one of the prefixes.
-    def walk(pos, cand, union, owed, prefixes, head_key, head, head_targets,
-             head_lens):
+    # Under aifv, owed has the target-0 slots of the target-1 words no taken
+    # word extends yet, after the OR of their follow masks and covered that
+    # of their near masks, and window 0 in table 1.  The last word must
+    # extend every owed word, take target 1 only on a proper prefix of a
+    # taken word, (after | after >> 1) & evens, and leave each one-way
+    # window, (after ^ after >> 1) & evens, covered.
+    def walk(pos, cand, union, owed, after, covered, head_key, head,
+             head_targets, head_lens):
         base = head_key * len(key_of)  # base > any part
         deeper = pos + 1 < last
-        rest, now_owed, now_prefixes = cand, 0, 0
+        rest, now_owed, now_after, now_covered = cand, 0, 0, 0
         while rest:
             low = rest & -rest
             rest ^= low
             sid = low.bit_length() - 1
             key = base + key_of[sid]
             if aifv:
-                now_owed = (owed & ~above[sid]
-                            | (low >> 1 & ~prefixes) * (sid & 1))
-                now_prefixes = prefixes | above[sid]
+                ahead = follow[sid >> 1]
+                now_owed = (owed & ~(ahead | ahead >> 1)
+                            | (low >> 1 & ~(after | after >> 1)) * (sid & 1))
+                now_after = after | ahead
+                now_covered = covered | near[sid >> 1]
             if deeper:
                 walk(pos + 1, cand & ~clash[sid], union | contrib[sid],
-                     now_owed, now_prefixes, key, head + (sid,),
+                     now_owed, now_after, now_covered, key, head + (sid,),
                      head_targets + (sid & 1,), head_lens + (lens[sid],))
             elif cand & ~(done := filled.get(key, 0)):
                 options = (cand & ~clash[sid] & ~done
                            & cover[want & ~(union | contrib[sid])])
                 if aifv and options:
-                    options &= (extending(now_owed)
-                                & (evens | now_prefixes << 1))
+                    options = windows_near(
+                        options & extending(now_owed)
+                        & (evens | (now_after | now_after >> 1) << 1),
+                        now_after, now_covered)
                 if options:
                     finish(options, done, key, head + (sid,),
                            head_targets + (sid & 1,), head_lens + (lens[sid],))
             else:  # every candidate taken or dominated after this head key
                 rest &= ~group[key_of[sid]]
 
-    walk(0, allowed, 0, 0, 0, 0, (), (), ())
+    walk(0, allowed, 0, 0, 0, 4 * index, 0, (), (), ())  # window 0: word 1
     return found
 
 

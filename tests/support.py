@@ -1,7 +1,7 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
 greedy decoder and a round trip on it, the old search scan, walk and
-combine, the old aifv membership test, the old rational stationary solve,
-and a random tuple generator.
+combine, the old aifv membership test, a per-table verdict from the aifv
+clauses, the old rational stationary solve, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -17,7 +17,7 @@ import random
 
 from codetuples import Bits, PrefixSetTable, make_tuple
 from codetuples.bits import EMPTY, ZERO
-from codetuples.classes import aifv_table_ok
+from codetuples.classes import AIFV_CLAUSES
 from codetuples.codec import (FAILURE_CAP, DanglingInfo, DecodeResult,
                               RoundTripFailure, RoundTripReport)
 from codetuples.core import CodeTuple, Table
@@ -385,6 +385,12 @@ def _contrib(word, target, pair_masks):
             out |= 1 << PAIR_INDEX[word + "1"]
         return out
     return pair_masks[target]
+
+
+def aifv_table_ok(i, words, targets):
+    """Whether table i with these contents passes the seven aifv clauses."""
+    return not any(clause(i, words, targets, range(len(words)))
+                   for clause in AIFV_CLAUSES)
 
 
 def _aifv_table_ok(table_index, words, targets):

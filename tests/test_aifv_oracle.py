@@ -3,17 +3,17 @@
 ``support.oracle_is_aifv`` reads the clauses off continuation sets through
 PrefixSetTable; ``support._aifv_table_ok`` is the scan's old per-table
 predicate.  ``classes.is_aifv`` must give the same verdict and the same
-witness text, and ``classes.aifv_table_ok`` the same per-table verdict.
+witness text, and the clauses one table at a time
+(``support.aifv_table_ok``) the same per-table verdict.
 """
 
 import itertools
 import random
 
 from codetuples import SearchSpace, is_aifv, make_tuple
-from codetuples.classes import aifv_table_ok
 from codetuples.search import _scan, all_words
-from support import (_aifv_table_ok, oracle_is_aifv, random_code_tuple,
-                     walk_every_table)
+from support import (_aifv_table_ok, aifv_table_ok, oracle_is_aifv,
+                     random_code_tuple, walk_every_table)
 
 SYMBOLS = ("a", "b", "c", "d")
 MUTATED = 4000

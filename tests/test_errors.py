@@ -13,8 +13,9 @@ from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         identification_delays, make_tuple, prefix_chain,
                         roundtrip_check, steer_bit, table_length)
 from codetuples.bits import EMPTY, bit, flip
+from codetuples.classes import witness
 from codetuples.errors import InvalidType
-from codetuples.prefix_sets import is_achievable_prefix, symbols_with_codeword
+from codetuples.prefix_sets import symbols_with_codeword
 from codetuples.reference import TUPLES
 
 ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
@@ -49,6 +50,13 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     (lambda: SourceDist.from_values(AB, (None, 1)), "bad probability None"),
     (lambda: SourceDist.from_values(AB, ("1/0", "1")),
      "bad probability '1/0'"),
+    # Fraction raises ValueError on a float nan and OverflowError on inf
+    (lambda: SourceDist.from_values(AB, (float("nan"), 0.5)),
+     "bad probability nan"),
+    (lambda: SourceDist.from_values(AB, (float("inf"), 0.5)),
+     "bad probability inf"),
+    (lambda: witness("nope", TUPLES["r3"]), "unknown family 'nope', not one "
+     "of extendable, regular, decodable, f0, f1, f2, f3, f4, aifv"),
     (lambda: Bits("012"), "not a binary string: '012'"),
     (lambda: EMPTY.drop_first(), "empty bit string has no first bit"),
     (lambda: EMPTY.drop_last(), "empty bit string has no last bit"),
@@ -79,7 +87,7 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     (lambda: prefix_chain(TUPLES["r3"], 0, 9), "symbol 9 outside 0..3"),
     (lambda: symbols_with_codeword(TUPLES["r3"], 9, EMPTY),
      "start table 9 outside 0..2"),
-    (lambda: is_achievable_prefix(TUPLES["r3"], 9, Bits("0")),
+    (lambda: TUPLES["r3"].sets.search(Bits("0"), 9),
      "start table 9 outside 0..2"),
     (lambda: table_length(TUPLES["r3"], R3_UNIFORM, -1),
      "start table -1 outside 0..2"),
@@ -105,9 +113,9 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "not a binary string: '0x'"),
     (lambda: TUPLES["r3"].sets.strict_continuations(0, 12, 2),
      "not a binary string: 12"),
-    (lambda: is_achievable_prefix(TUPLES["r3"], 0, "12"),
+    (lambda: TUPLES["r3"].sets.search("12", 0),
      "not a binary string: '12'"),
-    (lambda: is_achievable_prefix(TUPLES["r3"], 0, 12),
+    (lambda: TUPLES["r3"].sets.search(12, 0),
      "not a binary string: 12"),
     (lambda: symbols_with_codeword(TUPLES["r3"], 0, "0x"),
      "not a binary string: '0x'"),
@@ -145,6 +153,17 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Table(("0",), (0,)), "codeword must be Bits, got '0'"),
+    # a next-table index equal to an index but of another type is refused
+    # where the tuple is built, not truncated nor met later as a raw error
+    (lambda: CodeTuple(AB, (Table((Bits("0"), Bits("1")), (0.0, 0)),)),
+     "table 0, symbol a: next-table index must be int, got 0.0"),
+    (lambda: CodeTuple(AB, (Table((Bits("0"), Bits("1")), (0, True)),)),
+     "table 0, symbol b: next-table index must be int, got True"),
+    (lambda: make_tuple(("a", "b"), [[("0", 0.7), ("1", 0)]]),
+     "table 0, symbol a: next-table index must be int, got 0.7"),
+    (lambda: make_tuple(("a", "b"), [[("0", 0), ("1", 1)],
+                                     [("0", 0), ("1", "x")]]),
+     "table 1, symbol b: next-table index must be int, got 'x'"),
     (lambda: SourceDist(AB, (0.5, HALF)),
      "probability must be Fraction, got 0.5"),
     (lambda: SearchSpace("3", 2, 3, "f0"), "sigma must be int, got '3'"),
@@ -207,3 +226,10 @@ def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     assert isinstance(info.value, CodeTupleError)
     assert isinstance(info.value, TypeError)
     assert str(info.value) == message
+
+
+def test_make_tuple_reads_int_and_digit_string_targets():
+    code = make_tuple(("a", "b"), [[("0", "1"), ("1", 0)],
+                                   [("0", 0), ("1", "01")]])
+    assert [t.targets for t in code.tables] == [(1, 0), (0, 1)]
+    assert all(type(j) is int for t in code.tables for j in t.targets)

@@ -6,7 +6,6 @@ from codetuples import (PrefixSetTable, delay_decodability, is_extendable,
                         make_tuple)
 from codetuples.bits import EMPTY, Bits
 from codetuples.prefix_sets import (DEFAULT_MAX_K, encode_from,
-                                    is_achievable_prefix,
                                     symbols_with_codeword)
 from codetuples.reference import KEYS, TUPLES, bitset
 
@@ -48,8 +47,8 @@ def test_windows_are_read_as_bits():
     assert symbols_with_codeword(r3, 1, "") == (1,)
     assert symbols_with_codeword(r3, 1, "") == symbols_with_codeword(
         r3, 1, EMPTY)
-    assert is_achievable_prefix(r3, 0, "10000")
-    assert not is_achievable_prefix(r3, 0, "00")
+    assert r3.sets.search("10000", 0)[1]
+    assert not r3.sets.search("00", 0)[1]
     assert r3.sets.continuations(0, "10", 2) == \
         r3.sets.continuations(0, Bits("10"), 2)
 
@@ -130,9 +129,9 @@ def test_k_above_cap_is_rejected():
 
 def test_achievable_prefix_examples():
     code = TUPLES["r3"]
-    assert is_achievable_prefix(code, 0, Bits("10000"))
-    assert is_achievable_prefix(code, 0, EMPTY)
-    assert not is_achievable_prefix(code, 0, Bits("00"))
+    assert code.sets.search(Bits("10000"), 0)[1]
+    assert code.sets.search(EMPTY, 0)[1]
+    assert not code.sets.search(Bits("00"), 0)[1]
 
 
 def test_achievable_prefix_agrees_with_base_sets():
@@ -144,9 +143,9 @@ def test_achievable_prefix_agrees_with_base_sets():
             for k in range(0, 4):
                 level = sets.base(i, k)
                 for word in level:
-                    assert is_achievable_prefix(code, i, word)
+                    assert code.sets.search(word, i)[1]
                 for word in set(map(Bits, _all_words(k))) - level:
-                    assert not is_achievable_prefix(code, i, word)
+                    assert not code.sets.search(word, i)[1]
 
 
 def _all_words(k):

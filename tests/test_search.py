@@ -18,12 +18,11 @@ from codetuples import (
     space_size,
 )
 from codetuples import search
-from codetuples.classes import AIFV_CLAUSES, aifv_table_ok
 from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
                                InvalidType, SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
-from support import _swapped
+from support import _swapped, aifv_table_ok
 
 AB2 = Alphabet(("a", "b"))
 
@@ -150,20 +149,21 @@ def test_single_table_matches_direct_walk(sigma, max_len, filt):
         assert filt == "f0" or "no aifv tuple with 1 table" in outcomes[0]
 
 
-SKIPPED_AT_LEAF = [c for c in AIFV_CLAUSES if c not in search._LEAF_CLAUSES]
-
-
 @pytest.mark.parametrize("sigma,max_len", [(2, 1), (2, 2), (2, 3), (3, 1),
                                             (3, 2), (3, 3), (4, 1), (4, 2)])
-def test_walk_masks_imply_the_clauses_the_leaf_skips(sigma, max_len):
+def test_walk_masks_decide_the_aifv_clauses(sigma, max_len):
     # every content the aifv guess's masks let through (allowed slots, no
-    # clashing pair, union the wanted set) passes the clauses the leaf no
-    # longer checks exactly when its target-1 words are all extended,
-    # which the walk's owed rule decides: see search._LEAF_CLAUSES
+    # clashing pair, union the wanted set) passes all seven aifv clauses
+    # exactly when its last slot passes the walk's rules over _layout's word
+    # masks, folded over the head as the walk folds them: the owed rule
+    # (extend every target-1 word no head word extends), the window rule
+    # (target 1 only on a proper prefix of a head word) and the (vii) test
+    # (every one-way window near a word, window 0 exempt in table 1); see
+    # the proof above search._layout
     space = SearchSpace(sigma, 2, max_len, "aifv")
     layout = search._layout(max_len)
-    words = layout[0]
-    passed = 0
+    words, _, evens, *_, longer, follow, near = layout
+    passed = only_vii = 0
     for index, want in enumerate(search.AIFV_GUESS):
         contrib, clash, allowed, _ = search._masks(space, index,
                                                    search.AIFV_GUESS, layout)
@@ -175,30 +175,27 @@ def test_walk_masks_imply_the_clauses_the_leaf_skips(sigma, max_len):
             if functools.reduce(operator.or_,
                                 (contrib[s] for s in content)) != want:
                 continue
-            ws = [words[s >> 1] for s in content]
-            ts = [s & 1 for s in content]
-            owed_paid = all(any(len(v) > len(w) and v.startswith(w)
-                                for v in ws) for w, t in zip(ws, ts) if t)
-            assert aifv_table_ok(index, ws, ts, SKIPPED_AT_LEAF) == \
-                owed_paid, (index, ws, ts)
-            passed += owed_paid
+            *head, last = content
+            owed, after, covered = 0, 0, 4 * index
+            for sid in head:
+                ahead = follow[sid >> 1]
+                owed = (owed & ~(ahead | ahead >> 1)
+                        | (1 << sid >> 1 & ~(after | after >> 1)) * (sid & 1))
+                after |= ahead
+                covered |= near[sid >> 1]
+            rules = (all(longer[w] >> last & 1 for w in range(len(words))
+                         if owed >> 2 * w & 1)
+                     and (evens | (after | after >> 1) << 1) >> last & 1)
+            wi = last >> 1
+            ahead = after | follow[wi]
+            vii = not (ahead ^ ahead >> 1) & evens & ~(covered | near[wi])
+            ok = aifv_table_ok(index, [words[s >> 1] for s in content],
+                               [s & 1 for s in content])
+            assert (rules and vii) == ok, (index, content)
+            passed += ok
+            only_vii += rules and not vii
     assert passed or max_len == 1
-
-
-@pytest.mark.parametrize("sigma,leaves", [(3, 44), (4, 140)])
-def test_aifv_leaf_sees_only_clause_vii_failures(monkeypatch, sigma, leaves):
-    # a counter, not a clock: every content reaching the leaf verdict has
-    # passed clauses (i)-(vi) in the walk
-    seen = []
-
-    def recording(i, words, targets, clauses):
-        seen.append((i, words, targets))
-        return aifv_table_ok(i, words, targets, clauses)
-
-    monkeypatch.setattr(search, "aifv_table_ok", recording)
-    search._scan(SearchSpace(sigma, 2, 3, "aifv"))
-    assert len(seen) == leaves
-    assert all(aifv_table_ok(i, w, t, SKIPPED_AT_LEAF) for i, w, t in seen)
+    assert only_vii or max_len < 3
 
 
 def test_winner_is_a_member():
