@@ -23,8 +23,8 @@ from .markov import (approx_decimal, average_length, stationary_distribution,
                      table_length)
 from .prefix_sets import check_k
 from .search import FILTERS, SearchSpace, enumerate_min, huffman_length
-from .transforms import (PRECEDING, chain_to_class, ddot, dot, forced_bit,
-                         rotate, steer_bit)
+from .transforms import (PRECEDING, TransformStep, chain_to_class, ddot, dot,
+                         forced_bit, rotate, steer_bit)
 
 
 def _read(path):
@@ -48,86 +48,75 @@ def _show_table_list(tables):
     return " ".join(str(i) for i in sorted(tables)) if tables else "-"
 
 
-def _cmd_check(args, out):
+def _cmd_check(args, parser):
     code = _load_tuple(args.tuple)
-    out("tables = %d" % code.num_tables)
-    out("symbols = %d" % code.sigma)
-    out("k = %d" % args.k)
+    print("tables = %d" % code.num_tables)
+    print("symbols = %d" % code.sigma)
+    print("k = %d" % args.k)
     dead = dead_tables(code)
-    out("extendable = %s" % ("yes" if not dead else "no"))
-    out("dead = %s" % _show_table_list(dead))
+    print("extendable = %s" % ("yes" if not dead else "no"))
+    print("dead = %s" % _show_table_list(dead))
     report = reachable_tables(code)
-    out("regular = %s" % ("yes" if report.core else "no"))
-    out("core = %s" % _show_table_list(report.core))
+    print("regular = %s" % ("yes" if report.core else "no"))
+    print("core = %s" % _show_table_list(report.core))
     dec = delay_decodability(code, args.k)
-    out("decodable = %s" % ("yes" if dec.ok else "no"))
+    print("decodable = %s" % ("yes" if dec.ok else "no"))
     for violation in dec.violations:
-        out("violation = %s" % violation.describe(code))
-    return 0
+        print("violation = %s" % violation.describe(code))
 
 
-def _cmd_classify(args, out):
-    code = _load_tuple(args.tuple)
-    report = classify(code)
+def _cmd_classify(args, parser):
+    report = classify(_load_tuple(args.tuple))
     for line in report.lines():
-        out(line)
-    out("finest = %s" % (report.finest() or "-"))
-    return 0
+        print(line)
+    print("finest = %s" % (report.finest() or "-"))
 
 
-def _cmd_psets(args, out):
+def _cmd_psets(args, parser):
     code = _load_tuple(args.tuple)
     for i, words in enumerate(code.sets.words(args.k)):
-        out("P%d[%d]=%s" % (args.k, i, show_set(words)))
-    return 0
+        print("P%d[%d]=%s" % (args.k, i, show_set(words)))
 
 
-def _cmd_encode(args, out):
+def _cmd_encode(args, parser):
     code = _load_tuple(args.tuple)
-    seq = code.alphabet.seq(args.symbols)
-    bits, end = encode(code, args.start, seq)
-    out("bits = %s" % show_bits(bits))
-    out("end_table = %d" % end)
-    return 0
+    bits, end = encode(code, args.start, code.alphabet.seq(args.symbols))
+    print("bits = %s" % show_bits(bits))
+    print("end_table = %d" % end)
 
 
-def _read_bits(args):
-    if args.bits is not None:
-        text = args.bits
-    else:
-        text = _read(args.bits_file)
-    return parse_bits("".join(text.split()) or "-")
-
-
-def _cmd_decode(args, parser, out):
+def _cmd_decode(args, parser):
     code = _load_tuple(args.tuple)
     if args.roundtrip:
         if args.seed is None:
             parser.error("--roundtrip requires --seed")
         report = roundtrip_check(code, k=args.k, trials=args.trials,
                                  max_len=args.max_len, seed=args.seed)
-        out("trials = %d" % report.trials)
-        out("failures = %d" % report.failure_count)
-        out("max_delay = %d" % report.max_delay)
-        out("conflicts = %d" % report.conflicts)
+        print("trials = %d" % report.trials)
+        print("failures = %d" % report.failure_count)
+        print("max_delay = %d" % report.max_delay)
+        print("conflicts = %d" % report.conflicts)
         for failure in report.failures:
-            out("failure = trial %d start %d %s: %s" % (
+            print("failure = trial %d start %d %s: %s" % (
                 failure.trial, failure.start,
                 code.alphabet.render(failure.seq), failure.reason))
         return 0 if report.ok else 1
-    if args.bits is None and args.bits_file is None:
+    if args.bits is not None:
+        text = args.bits
+    elif args.bits_file is not None:
+        text = _read(args.bits_file)
+    else:
         parser.error("decode needs --bits or --bits-file")
-    bits = _read_bits(args)
-    result = decode(code, args.start, bits, k=args.k)
-    out("decoded = %s" % (code.alphabet.render(result.symbols) or "-"))
-    out("end_table = %d" % result.end_table)
-    out("TAIL")
-    out("bits = %s" % show_bits(result.info.tail))
-    out("resolved = %s" % ("yes" if result.info.resolved else "no"))
+    result = decode(code, args.start, parse_bits("".join(text.split()) or "-"),
+                    k=args.k)
+    print("decoded = %s" % (code.alphabet.render(result.symbols) or "-"))
+    print("end_table = %d" % result.end_table)
+    print("TAIL")
+    print("bits = %s" % show_bits(result.info.tail))
+    print("resolved = %s" % ("yes" if result.info.resolved else "no"))
     for completion in result.info.completions:
-        out("completion = %s" % code.alphabet.render(completion))
-    out("capped = %s" % ("yes" if result.info.capped else "no"))
-    return 0
+        print("completion = %s" % code.alphabet.render(completion))
+    print("capped = %s" % ("yes" if result.info.capped else "no"))
 
 
 def _trace_bits(step):
@@ -138,87 +127,77 @@ def _trace_bits(step):
     return " ".join(show_bits(b) for b in step.table_bits)
 
 
-def _cmd_transform(args, parser, out):
+def _print_step(title, step):
+    print("# %s = %s" % (title, step.op))
+    print("# bits = %s" % _trace_bits(step))
+    if step.avg_len is not None:
+        print("# L = %s" % _approx(step.avg_len))
+    print(serialize_code_tuple(step.result), end="")
+
+
+# --op name: (rewrite, the per-table bit it reads or None)
+_REWRITES = {"rotate": (rotate, forced_bit), "dot": (dot, steer_bit),
+             "ddot": (ddot, None)}
+
+
+def _cmd_transform(args, parser):
     code = _load_tuple(args.tuple)
     dist = _load_dist(args.dist, code.alphabet) if args.dist else None
     if args.op == "chain":
         if args.target is None:
             parser.error("--op chain requires --target")
         trace = chain_to_class(code, args.target, dist)
-        out("# target = %s" % args.target)
-        out("# steps = %d" % len(trace.steps))
+        print("# target = %s" % args.target)
+        print("# steps = %d" % len(trace.steps))
         for n, step in enumerate(trace.steps, start=1):
-            out("")
-            out("# step %d op = %s" % (n, step.op))
-            out("# bits = %s" % _trace_bits(step))
-            if step.avg_len is not None:
-                out("# L = %s" % _approx(step.avg_len))
-            out(serialize_code_tuple(step.result).rstrip("\n"))
+            print()
+            _print_step("step %d op" % n, step)
         if not trace.steps:
-            out(serialize_code_tuple(code).rstrip("\n"))
-        return 0
-    if args.op == "rotate":
-        bits = " ".join(show_bits(forced_bit(code, i))
-                        for i in code.table_indices())
-        result = rotate(code)
-    elif args.op == "dot":
-        bits = " ".join(str(steer_bit(code, i))
-                        for i in code.table_indices())
-        result = dot(code)
-    else:
-        bits = "-"
-        result = ddot(code)
+            print(serialize_code_tuple(code), end="")
+        return
+    rewrite, table_bit = _REWRITES[args.op]
+    bits = tuple(table_bit(code, i)
+                 for i in code.table_indices()) if table_bit else ()
+    result = rewrite(code)
     # an irregular result has no L: fail before any output
     avg = average_length(result, dist) if dist is not None else None
-    out("# op = %s" % args.op)
-    out("# bits = %s" % bits)
-    if avg is not None:
-        out("# L = %s" % _approx(avg))
-    out(serialize_code_tuple(result).rstrip("\n"))
-    return 0
+    _print_step("op", TransformStep(args.op, result, bits, avg))
 
 
-def _cmd_stationary(args, out):
+def _cmd_stationary(args, parser):
     code = _load_tuple(args.tuple)
     dist = _load_dist(args.dist, code.alphabet)
-    pi = stationary_distribution(code, dist)
-    for i, value in enumerate(pi):
-        out("pi[%d] = %s" % (i, _approx(value)))
+    for i, value in enumerate(stationary_distribution(code, dist)):
+        print("pi[%d] = %s" % (i, _approx(value)))
     for i in code.table_indices():
-        out("len[%d] = %s" % (i, _approx(table_length(code, dist, i))))
-    return 0
+        print("len[%d] = %s" % (i, _approx(table_length(code, dist, i))))
 
 
-def _cmd_avglen(args, out):
+def _cmd_avglen(args, parser):
     code = _load_tuple(args.tuple)
     dist = _load_dist(args.dist, code.alphabet)
-    out("L = %s" % _approx(average_length(code, dist)))
-    return 0
+    print("L = %s" % _approx(average_length(code, dist)))
 
 
-def _cmd_search(args, out):
+def _cmd_search(args, parser):
     space = SearchSpace(sigma=args.sigma, tables=args.tables,
                         max_len=args.max_len, filter=args.filter)
-    dist = _load_dist(args.dist)
-    result = enumerate_min(space, dist)
-    out(serialize_code_tuple(result.best).rstrip("\n"))
-    out("examined = %d" % result.examined)
-    out("L = %s" % _approx(result.avg_len))
-    return 0
+    result = enumerate_min(space, _load_dist(args.dist))
+    print(serialize_code_tuple(result.best), end="")
+    print("examined = %d" % result.examined)
+    print("L = %s" % _approx(result.avg_len))
 
 
-def _cmd_huffman(args, out):
-    dist = _load_dist(args.dist)
-    lengths, avg = huffman_length(dist)
-    out("lengths = %s" % " ".join(str(n) for n in lengths))
-    out("L = %s" % _approx(avg))
-    return 0
+def _cmd_huffman(args, parser):
+    lengths, avg = huffman_length(_load_dist(args.dist))
+    print("lengths = %s" % " ".join(str(n) for n in lengths))
+    print("L = %s" % _approx(avg))
 
 
-def _cmd_goldens(args, out):
+def _cmd_goldens(args, parser):
     results = run_goldens()
     for check in results:
-        out(check.line())
+        print(check.line())
     return 0 if all(check.ok for check in results) else 1
 
 
@@ -229,8 +208,9 @@ def build_parser():
         description="Analyze, rewrite, and search binary code-tuples.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def add(name, help_text, needs_tuple=True, needs_k=False):
+    def add(name, run, help_text, needs_tuple=True, needs_k=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if needs_tuple:
             p.add_argument("--tuple", required=True, metavar="FILE",
                            help="code-tuple file")
@@ -239,18 +219,20 @@ def build_parser():
                            help="decoding delay bound (default 2)")
         return p
 
-    add("check", "basic properties: extendable, regular, decodable",
+    add("check", _cmd_check,
+        "basic properties: extendable, regular, decodable", needs_k=True)
+    add("classify", _cmd_classify,
+        "class memberships with PASS/FAIL per class")
+    add("psets", _cmd_psets, "k-bit continuation sets per table",
         needs_k=True)
-    add("classify", "class memberships with PASS/FAIL per class")
-    add("psets", "k-bit continuation sets per table", needs_k=True)
 
-    p = add("encode", "encode a source sequence")
+    p = add("encode", _cmd_encode, "encode a source sequence")
     p.add_argument("--start", type=int, default=0, help="start table")
     p.add_argument("--symbols", required=True,
                    help="source sequence, e.g. 'badb' or 'b a d b'")
 
-    p = add("decode", "decode a bit string (or check random round trips)",
-            needs_k=True)
+    p = add("decode", _cmd_decode,
+            "decode a bit string (or check random round trips)", needs_k=True)
     p.add_argument("--start", type=int, default=0, help="start table")
     p.add_argument("--bits", help="bit string, e.g. 1000001111110")
     p.add_argument("--bits-file", metavar="FILE",
@@ -262,7 +244,8 @@ def build_parser():
                    help="longest random sequence")
     p.add_argument("--seed", type=int, help="required with --roundtrip")
 
-    p = add("transform", "apply one rewrite or a chain into a class")
+    p = add("transform", _cmd_transform,
+            "apply one rewrite or a chain into a class")
     p.add_argument("--op", required=True,
                    choices=("rotate", "dot", "ddot", "chain"))
     p.add_argument("--target", choices=tuple(PRECEDING),
@@ -270,13 +253,14 @@ def build_parser():
     p.add_argument("--dist", metavar="FILE",
                    help="distribution file; adds L per step")
 
-    p = add("stationary", "stationary table distribution and table lengths")
+    p = add("stationary", _cmd_stationary,
+            "stationary table distribution and table lengths")
     p.add_argument("--dist", required=True, metavar="FILE")
 
-    p = add("avglen", "average codeword length")
+    p = add("avglen", _cmd_avglen, "average codeword length")
     p.add_argument("--dist", required=True, metavar="FILE")
 
-    p = add("search", "exhaustive minimum over a bounded space",
+    p = add("search", _cmd_search, "exhaustive minimum over a bounded space",
             needs_tuple=False)
     p.add_argument("--sigma", type=int, required=True,
                    help="alphabet size")
@@ -286,42 +270,22 @@ def build_parser():
     p.add_argument("--filter", required=True, choices=FILTERS)
     p.add_argument("--dist", required=True, metavar="FILE")
 
-    p = add("huffman", "single-table baseline lengths", needs_tuple=False)
+    p = add("huffman", _cmd_huffman, "single-table baseline lengths",
+            needs_tuple=False)
     p.add_argument("--dist", required=True, metavar="FILE")
 
-    add("goldens", "replay the built-in reference expectations",
+    add("goldens", _cmd_goldens, "replay the built-in reference expectations",
         needs_tuple=False)
 
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "classify": _cmd_classify,
-    "psets": _cmd_psets,
-    "encode": _cmd_encode,
-    "stationary": _cmd_stationary,
-    "avglen": _cmd_avglen,
-    "search": _cmd_search,
-    "huffman": _cmd_huffman,
-    "goldens": _cmd_goldens,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    def out(line):
-        print(line)
-
     try:
         check_k(getattr(args, "k", 0))  # before any output
-        if args.verb == "decode":
-            return _cmd_decode(args, parser, out)
-        if args.verb == "transform":
-            return _cmd_transform(args, parser, out)
-        return _HANDLERS[args.verb](args, out)
+        return args.run(args, parser) or 0
     except (CodeTupleError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

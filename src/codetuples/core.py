@@ -3,7 +3,8 @@
 A code tuple is a finite family of code tables over one alphabet.  Table i
 assigns every symbol a binary codeword (possibly empty) and a next-table
 index; encoding starts in a chosen table and hops tables after every symbol.
-All values here are immutable and hashable; a tuple builds its emission
+All values here are immutable and hashable, with their sequence fields
+stored as tuples whatever sequence built them; a tuple builds its emission
 automaton and continuation sets on first use and keeps them
 (``CodeTuple.sets``).  Symbol order is the order of first appearance in the
 alphabet line; every iteration in the package follows that order.
@@ -21,6 +22,7 @@ from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
 from .prefix_sets import PrefixSetTable
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
+MAX_DECIMAL_EXPONENT = 1000
 FLOAT_SUM_TOLERANCE = Fraction(1, 10 ** 12)
 
 
@@ -31,6 +33,7 @@ class Alphabet:
     names: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise InvalidArgument("alphabet is empty")
         if len(set(self.names)) != len(self.names):
@@ -84,6 +87,8 @@ class Table:
     targets: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "codes", tuple(self.codes))
+        object.__setattr__(self, "targets", tuple(self.targets))
         if len(self.codes) != len(self.targets):
             raise InvalidArgument("codes and targets differ in length")
         for c in self.codes:
@@ -111,6 +116,7 @@ class CodeTuple:
     tables: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "tables", tuple(self.tables))
         if not self.tables:
             raise InvalidArgument("a code tuple needs at least one table")
         m = len(self.tables)
@@ -145,7 +151,7 @@ class CodeTuple:
         return max(len(c) for t in self.tables for c in t.codes)
 
     def with_tables(self, tables):
-        return CodeTuple(self.alphabet, tuple(tables))
+        return CodeTuple(self.alphabet, tables)
 
     sets = _Sets()  # this tuple's continuation sets
 
@@ -156,16 +162,24 @@ def make_tuple(names, rows):
     ``rows`` is a sequence of tables; each table is a sequence of
     (codeword string, target index) pairs in symbol order.
     """
-    alphabet = Alphabet(tuple(names))
+    alphabet = Alphabet(names)
     tables = []
-    for table_rows in rows:
-        codes = tuple(parse_bits(c) if isinstance(c, str) else Bits(c)
-                      for c, _ in table_rows)
+    for i, table_rows in enumerate(rows):
+        pairs = tuple(table_rows)
+        if len(pairs) != len(alphabet):
+            raise InvalidArgument("table size does not match alphabet")
+        for name, pair in zip(alphabet.names, pairs):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InvalidArgument("table %d, symbol %s: expected a "
+                                      "(codeword, target) pair, got %r"
+                                      % (i, name, pair))
+        codes = [parse_bits(c) if isinstance(c, str) else Bits(c)
+                 for c, _ in pairs]
         # an ASCII-digit string names its index; CodeTuple refuses the rest
-        targets = tuple(j if not isinstance(j, str) or _natural(j) is None
-                        else _natural(j) for _, j in table_rows)
+        targets = [j if not isinstance(j, str) or _natural(j) is None
+                   else _natural(j) for _, j in pairs]
         tables.append(Table(codes, targets))
-    return CodeTuple(alphabet, tuple(tables))
+    return CodeTuple(alphabet, tables)
 
 
 @dataclass(frozen=True)
@@ -176,6 +190,7 @@ class SourceDist:
     probs: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "probs", tuple(self.probs))
         if len(self.probs) != len(self.alphabet):
             raise InvalidArgument("distribution size does not match alphabet")
         for p in self.probs:
@@ -211,7 +226,7 @@ class SourceDist:
         probs = []
         for v in values:
             try:  # a float nan or inf raises ValueError or OverflowError
-                p = Fraction(v)
+                p = _fraction(v)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 raise InvalidArgument("bad probability %r" % (v,)) from None
             if isinstance(v, float):
@@ -228,7 +243,7 @@ class SourceDist:
                 raise InvalidArgument("probabilities sum to %s, not 1" % total)
             top = probs.index(max(probs))
             probs[top] += defect
-        return cls(alphabet, tuple(probs))
+        return cls(alphabet, probs)
 
 
 def check_same_alphabet(code, dist):
@@ -284,7 +299,7 @@ def parse_code_tuple(text):
     if len(fields) < 2:
         raise FormatError("alphabet needs at least one symbol", lineno)
     try:
-        alphabet = Alphabet(tuple(fields[1:]))
+        alphabet = Alphabet(fields[1:])
     except ValueError as exc:
         raise FormatError(str(exc), lineno) from None
 
@@ -323,11 +338,11 @@ def parse_code_tuple(text):
                     "next-table index %r out of range 0..%d" % (target, num_tables - 1),
                     lineno,
                 )
-        tables.append(Table(tuple(codes), tuple(targets)))
+        tables.append(Table(codes, targets))
 
     for lineno, line in lines:
         raise FormatError("unexpected trailing content: %r" % line, lineno)
-    return CodeTuple(alphabet, tuple(tables))
+    return CodeTuple(alphabet, tables)
 
 
 def serialize_code_tuple(code):
@@ -344,16 +359,22 @@ def serialize_code_tuple(code):
     return "\n".join(out) + "\n"
 
 
+def _fraction(value):
+    """``Fraction(value)``; a string's decimal exponent is bounded first, since
+    Fraction builds 10**exponent (ValueError past MAX_DECIMAL_EXPONENT)."""
+    if isinstance(value, str):
+        exponent = value.lower().partition("e")[2]
+        if exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(value)
+    return Fraction(value)
+
+
 def _parse_probability(token, lineno):
     try:
         if "/" in token:
             return Fraction(token), False
         if "." in token or "e" in token or "E" in token:
-            # bound the exponent before Fraction builds 10**exponent
-            exponent = token.lower().partition("e")[2]
-            if exponent and abs(int(exponent)) > 1000:
-                raise ValueError(token)
-            return Fraction(token), True
+            return _fraction(token), True
         return Fraction(int(token)), False
     except (ValueError, ZeroDivisionError):
         raise FormatError("bad probability %r" % token, lineno) from None
@@ -378,7 +399,7 @@ def parse_dist(text, alphabet=None):
     if not names:
         raise FormatError("empty distribution file")
     if alphabet is None:
-        alphabet = Alphabet(tuple(names))
+        alphabet = Alphabet(names)
         ordered = probs
     else:
         if set(names) != set(alphabet.names):

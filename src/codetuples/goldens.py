@@ -1,8 +1,9 @@
 """Replay the hand-tabulated expectations against the real machinery.
 
-Each check recomputes one family of reference values and compares.  The
-CLI exposes this as the ``goldens`` verb; a fresh checkout should pass
-every line.
+Each check recomputes one family of reference values and yields them as
+(item, computed, expected) triples; ``run_goldens`` compares them and
+reports the first pair that differs.  The CLI exposes this as the
+``goldens`` verb; a fresh checkout should pass every line.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from . import reference as ref
 from .analysis import (delay_decodability, is_extendable, is_regular,
                        reachable_tables, two_continuation_tables)
-from .bits import Bits, parse as parse_bits
-from .classes import classify, show_set, verify_hierarchy
+from .bits import Bits, parse as parse_bits, show
+from .classes import classify, verify_hierarchy
 from .codec import decode, encode
 from .markov import (average_length, stationary_distribution, table_length,
                      transition_matrix)
@@ -33,169 +34,139 @@ class GoldenCheck:
         return "FAIL %s (%s)" % (self.name, self.detail)
 
 
-def _check_continuation_sets():
+def _continuation_sets():
     for key in ref.KEYS:
         code = ref.TUPLES[key]
         for i in code.table_indices():
             for k, table in ((1, ref.EXPECTED_NEXT_BITS),
                              (2, ref.EXPECTED_NEXT_PAIRS)):
-                want = ref.bitset(table[key][i])
-                got = code.sets.base(i, k)
-                if got != want:
-                    return "%s table %d k=%d: computed %s, expected %s" % (
-                        key, i, k, show_set(got), show_set(want))
-    return ""
+                yield ("%s table %d k=%d" % (key, i, k), code.sets.base(i, k),
+                       ref.bitset(table[key][i]))
 
 
-def _check_strict_pairs():
+def _strict_pairs():
     code = ref.TUPLES["r3"]
     for s, row in enumerate(ref.SYMBOLS):
         for i in code.table_indices():
-            want = ref.bitset(ref.EXPECTED_STRICT_PAIRS_R3[row][i])
-            got = code.sets.strict_continuations(i, code.code(i, s), 2)
-            if got != want:
-                return "r3 symbol %s table %d: computed %s, expected %s" % (
-                    row, i, show_set(got), show_set(want))
-    return ""
+            yield ("r3 symbol %s table %d" % (row, i),
+                   code.sets.strict_continuations(i, code.code(i, s), 2),
+                   ref.bitset(ref.EXPECTED_STRICT_PAIRS_R3[row][i]))
 
 
-def _check_cores():
+def _cores():
     for key in ref.KEYS:
-        report = reachable_tables(ref.TUPLES[key])
-        if report.core != ref.EXPECTED_CORE[key]:
-            return "%s: computed core %s, expected %s" % (
-                key, sorted(report.core), sorted(ref.EXPECTED_CORE[key]))
-    return ""
+        yield ("%s core" % key, reachable_tables(ref.TUPLES[key]).core,
+               ref.EXPECTED_CORE[key])
 
 
-def _check_classes():
-    reports = {}
+def _classes():
+    reports = []
     for key in ref.KEYS:
-        report = classify(ref.TUPLES[key])
-        reports[key] = report
+        reports.append(classify(ref.TUPLES[key]))
         for name, want in ref.EXPECTED_FLAGS[key].items():
-            if report[name] != want:
-                return "%s %s: computed %s, expected %s" % (
-                    key, name, report[name], want)
-    if not verify_hierarchy(reports.values()):
-        return "class hierarchy violated"
-    return ""
+            yield "%s %s" % (key, name), reports[-1][name], want
+    yield "class hierarchy holds", verify_hierarchy(reports), True
 
 
-def _check_stationary():
+def _properties():
+    # Cross-check the flag table against the individual predicates.
+    for key in ref.KEYS:
+        code = ref.TUPLES[key]
+        flags = ref.EXPECTED_FLAGS[key]
+        yield "%s extendable" % key, is_extendable(code), flags["extendable"]
+        yield "%s regular" % key, is_regular(code), flags["regular"]
+        yield ("%s decodable" % key, delay_decodability(code, 2).ok,
+               flags["decodable"])
+    for key, want in (("r3", {0}), ("r5", {0}), ("r7", set())):
+        yield ("%s two-continuation tables" % key,
+               set(two_continuation_tables(ref.TUPLES[key])), want)
+
+
+def _stationary():
     golden = ref.STATIONARY_GOLDEN
     code = ref.TUPLES[golden["name"]]
     dist = ref.main_dist()
-    matrix = transition_matrix(code, dist)
-    if matrix != golden["matrix"]:
-        return "transition matrix mismatch: %s" % (matrix,)
-    pi = stationary_distribution(code, dist)
-    if pi != golden["pi"]:
-        return "stationary distribution mismatch: %s" % (pi,)
-    lengths = tuple(table_length(code, dist, i) for i in code.table_indices())
-    if lengths != golden["table_lengths"]:
-        return "per-table lengths mismatch: %s" % (lengths,)
-    avg = average_length(code, dist)
-    if avg != golden["avg_len"]:
-        return "average length mismatch: %s" % (avg,)
-    return ""
+    yield ("transition matrix", transition_matrix(code, dist),
+           golden["matrix"])
+    yield ("stationary distribution", stationary_distribution(code, dist),
+           golden["pi"])
+    yield ("per-table lengths", tuple(table_length(code, dist, i)
+                                      for i in code.table_indices()),
+           golden["table_lengths"])
+    yield "average length", average_length(code, dist), golden["avg_len"]
 
 
-def _check_encode_decode():
+def _encode_decode():
     key, start, text, bits_text, end = ref.ENCODE_GOLDEN
     code = ref.TUPLES[key]
     seq = code.alphabet.seq(text)
-    bits, out_table = encode(code, start, seq)
-    if bits != Bits(bits_text) or out_table != end:
-        return "encode(%s, %d, %s) gave (%s, %d)" % (
-            key, start, text, bits, out_table)
+    yield ("encode(%s, %d, %s)" % (key, start, text),
+           encode(code, start, seq), (Bits(bits_text), end))
     result = decode(code, start, parse_bits(bits_text))
-    if tuple(result.symbols) != tuple(seq) or not result.info.resolved:
-        return "decode did not invert encode: %s tail %s" % (
-            code.alphabet.render(result.symbols), result.info.tail)
-    return ""
+    yield ("decode(%s, %d, %s) symbols and resolved" % (key, start, bits_text),
+           (tuple(result.symbols), result.info.resolved), (seq, True))
 
 
-def _check_chain():
+def _chain():
     ops = {"rotate": rotate, "dot": dot, "ddot": ddot}
     dist = ref.main_dist()
     for src, op, dst in ref.CHAIN:
         before = ref.TUPLES[src]
         after = ops[op](before)
-        want = ref.TUPLES[dst]
-        if after.tables != want.tables:
-            return "%s(%s) differs from %s" % (op, src, dst)
-        gap = average_length(after, dist) - average_length(before, dist)
-        if gap != 0:
-            return "%s(%s) changed the average length by %s" % (op, src, gap)
-    return ""
+        yield "%s(%s) tables" % (op, src), after.tables, ref.TUPLES[dst].tables
+        yield ("%s(%s) average length change" % (op, src),
+               average_length(after, dist) - average_length(before, dist), 0)
 
 
-def _check_bit_choices():
+def _bit_choices():
     for key, want in ref.EXPECTED_FORCED_BITS.items():
         code = ref.TUPLES[key]
-        got = tuple(str(forced_bit(code, i)) if forced_bit(code, i) else "-"
-                    for i in code.table_indices())
-        if got != want:
-            return "%s forced bits: computed %s, expected %s" % (
-                key, got, want)
+        yield ("%s forced bits" % key, tuple(
+            show(forced_bit(code, i)) for i in code.table_indices()), want)
     for key, want in ref.EXPECTED_STEER_BITS.items():
         code = ref.TUPLES[key]
-        got = tuple(steer_bit(code, i) for i in code.table_indices())
-        if got != want:
-            return "%s steer bits: computed %s, expected %s" % (
-                key, got, want)
-    return ""
+        yield ("%s steer bits" % key, tuple(
+            steer_bit(code, i) for i in code.table_indices()), want)
 
 
-def _check_properties():
-    # Cross-check the flag table against the individual predicates.
-    for key in ref.KEYS:
-        code = ref.TUPLES[key]
-        flags = ref.EXPECTED_FLAGS[key]
-        if is_extendable(code) != flags["extendable"]:
-            return "%s extendable predicate disagrees" % key
-        if is_regular(code) != flags["regular"]:
-            return "%s regular predicate disagrees" % key
-        if delay_decodability(code, 2).ok != flags["decodable"]:
-            return "%s decodability predicate disagrees" % key
-    want = {"r3": {0}, "r5": {0}, "r7": set()}
-    for key, expected in want.items():
-        got = set(two_continuation_tables(ref.TUPLES[key]))
-        if got != expected:
-            return "%s two-continuation tables: computed %s, expected %s" % (
-                key, sorted(got), sorted(expected))
-    return ""
-
-
-def _check_huffman():
+def _huffman():
     lengths, avg = huffman_length(ref.main_dist())
-    golden = ref.HUFFMAN_GOLDEN
-    if lengths != golden["lengths"] or avg != golden["avg_len"]:
-        return "computed (%s, %s), expected (%s, %s)" % (
-            lengths, avg, golden["lengths"], golden["avg_len"])
-    return ""
+    yield "lengths", lengths, ref.HUFFMAN_GOLDEN["lengths"]
+    yield "average length", avg, ref.HUFFMAN_GOLDEN["avg_len"]
 
 
 CHECKS = (
-    ("continuation-sets", _check_continuation_sets),
-    ("strict-continuations", _check_strict_pairs),
-    ("reachable-cores", _check_cores),
-    ("class-flags", _check_classes),
-    ("basic-properties", _check_properties),
-    ("stationary-lengths", _check_stationary),
-    ("encode-decode", _check_encode_decode),
-    ("rewrite-chain", _check_chain),
-    ("bit-choices", _check_bit_choices),
-    ("huffman-lengths", _check_huffman),
+    ("continuation-sets", _continuation_sets),
+    ("strict-continuations", _strict_pairs),
+    ("reachable-cores", _cores),
+    ("class-flags", _classes),
+    ("basic-properties", _properties),
+    ("stationary-lengths", _stationary),
+    ("encode-decode", _encode_decode),
+    ("rewrite-chain", _chain),
+    ("bit-choices", _bit_choices),
+    ("huffman-lengths", _huffman),
 )
 
 
+def _show(value):
+    """A set sorted in braces, codewords as ``show`` prints them."""
+    if isinstance(value, (set, frozenset)):
+        return "{%s}" % ",".join(show(v) if isinstance(v, Bits) else str(v)
+                                 for v in sorted(value))
+    return str(value)
+
+
 def run_goldens():
+    """One GoldenCheck per check: FAIL names the first item whose computed
+    value differs from the expected one, or the exception the check raised."""
     results = []
-    for name, fn in CHECKS:
+    for name, triples in CHECKS:
         try:
-            detail = fn()
+            detail = next(("%s: computed %s, expected %s"
+                           % (item, _show(got), _show(want))
+                           for item, got, want in triples() if got != want),
+                          "")
         except Exception as exc:
             detail = "raised %s: %s" % (type(exc).__name__, exc)
         results.append(GoldenCheck(name, not detail, detail))

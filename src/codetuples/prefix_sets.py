@@ -32,6 +32,13 @@ def check_k(k):
         raise InvalidArgument("k=%d outside 0..%d" % (k, DEFAULT_MAX_K))
 
 
+def check_type(name, value, kind):
+    """``value`` if it is a ``kind``, else InvalidType naming ``name``."""
+    if isinstance(value, kind):
+        return value
+    raise InvalidType("%s must be %s, got %r" % (name, kind.__name__, value))
+
+
 def emits(word, levels, k):
     """The k-bit blocks an emission can start with whose first codeword is
     ``word``, with ``levels`` its target's level masks: a word of k bits or

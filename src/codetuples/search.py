@@ -72,7 +72,7 @@ from .classes import FULL_MASK, K, NONZERO_MASK, witness
 from .core import CodeTuple, SourceDist, Table
 from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
 from .markov import average_length
-from .prefix_sets import emits
+from .prefix_sets import check_type, emits
 
 FILTERS = ("f0", "aifv")
 
@@ -113,15 +113,9 @@ class SearchResult:
     examined: int
 
 
-def _typed(name, value, kind):
-    if isinstance(value, kind):
-        return value
-    raise InvalidType("%s must be %s, got %r" % (name, kind.__name__, value))
-
-
 def space_size(space):
     """Number of assignments the space contains, in closed form."""
-    words = 2 ** (_typed("space", space, SearchSpace).max_len + 1) - 1
+    words = 2 ** (check_type("space", space, SearchSpace).max_len + 1) - 1
     return (words * space.tables) ** (space.sigma * space.tables)
 
 
@@ -177,8 +171,8 @@ def enumerate_min_direct(space, dist):
 
 
 def _space_dist(space, dist):
-    _typed("space", space, SearchSpace)
-    if len(_typed("dist", dist, SourceDist).alphabet) != space.sigma:
+    check_type("space", space, SearchSpace)
+    if len(check_type("dist", dist, SourceDist).alphabet) != space.sigma:
         raise InvalidSpace("distribution has %d symbols, space wants %d"
                            % (len(dist.alphabet), space.sigma))
 
@@ -582,7 +576,7 @@ def huffman_length(dist):
     Merging always takes the two lowest weights, breaking ties toward the
     earliest-created node, so the result is deterministic.
     """
-    n = len(_typed("dist", dist, SourceDist).alphabet)
+    n = len(check_type("dist", dist, SourceDist).alphabet)
     if n == 1:
         return (0,), Fraction(0)
     nodes = [(dist.probs[s], s, (s,)) for s in dist.alphabet]
@@ -620,7 +614,7 @@ def compare_aifv_huffman(space, dist):
     is wide enough to embed the single-codeword optimum; otherwise the
     report carries a note instead of a claim.
     """
-    if _typed("space", space, SearchSpace).tables != 2:
+    if check_type("space", space, SearchSpace).tables != 2:
         raise InvalidSpace("the comparison needs a two-table space")
     space = dataclasses.replace(space, filter="aifv")
     lengths, huff = huffman_length(dist)

@@ -237,6 +237,30 @@ def test_goldens_pass(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_goldens_fail_names_the_differing_item(monkeypatch, capsys):
+    from codetuples import reference
+
+    monkeypatch.setitem(reference.EXPECTED_CORE, "r3", frozenset({1}))
+    rc, lines, _ = run(capsys, ["goldens"])
+    assert rc == 1
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert len(lines) == 10 and len(failed) == 1
+    assert failed[0].startswith("FAIL reachable-cores (r3")
+    assert "raised" not in failed[0]
+    assert failed[0].split("expected")[1].strip(" ()[]{}") == "1"
+
+
+def test_goldens_fail_names_the_exception_a_check_raised(monkeypatch,
+                                                         capsys):
+    from codetuples import reference
+
+    monkeypatch.delitem(reference.HUFFMAN_GOLDEN, "avg_len")
+    rc, lines, _ = run(capsys, ["goldens"])
+    assert rc == 1
+    assert lines[:9] == [line for line in lines if line.startswith("PASS ")]
+    assert lines[9] == "FAIL huffman-lengths (raised KeyError: 'avg_len')"
+
+
 def test_missing_file_is_a_domain_error(capsys):
     rc, lines, err = run(capsys, ["classify", "--tuple", "/nonexistent.ct"])
     assert rc == 1

@@ -8,10 +8,11 @@ import pytest
 from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SearchSpace,
                         SourceDist, Table, UnknownSymbol, chain_to_class,
-                        decode, delay_decodability, encode,
+                        classify, decode, delay_decodability, encode,
                         extend_to_two_tables, forced_bit,
-                        identification_delays, make_tuple, prefix_chain,
-                        roundtrip_check, steer_bit, table_length)
+                        identification_delays, is_aifv, make_tuple,
+                        prefix_chain, roundtrip_check, steer_bit,
+                        table_length)
 from codetuples.bits import EMPTY, bit, flip
 from codetuples.classes import witness
 from codetuples.errors import InvalidType
@@ -55,6 +56,16 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "bad probability nan"),
     (lambda: SourceDist.from_values(AB, (float("inf"), 0.5)),
      "bad probability inf"),
+    # refused before Fraction builds 10**100000, as a distribution file is
+    (lambda: SourceDist.from_values(AB, ("1e100000", "1")),
+     "bad probability '1e100000'"),
+    # an entry that is not a (codeword, target) pair, not a raw unpack error
+    (lambda: make_tuple(("a", "b"), [[("0", 0), ("1",)]]),
+     "table 0, symbol b: expected a (codeword, target) pair, got ('1',)"),
+    (lambda: make_tuple(("a", "b"), [[("0", 0), ("1", 0)], [("0", 0), "10"]]),
+     "table 1, symbol b: expected a (codeword, target) pair, got '10'"),
+    (lambda: make_tuple(("a", "b"), [[("0", 0), ("1", 0), 5]]),
+     "table size does not match alphabet"),
     (lambda: witness("nope", TUPLES["r3"]), "unknown family 'nope', not one "
      "of extendable, regular, decodable, f0, f1, f2, f3, f4, aifv"),
     (lambda: Bits("012"), "not a binary string: '012'"),
@@ -219,6 +230,10 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
      "max_len must be int, got 3.5"),
     (lambda: roundtrip_check(TUPLES["r3"], max_len=False, seed=1),
      "max_len must be int, got False"),
+    # the class entry points check their argument, not a raw AttributeError
+    (lambda: classify(5), "code must be CodeTuple, got 5"),
+    (lambda: is_aifv(5), "code must be CodeTuple, got 5"),
+    (lambda: witness("f0", 5), "code must be CodeTuple, got 5"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:
@@ -233,3 +248,16 @@ def test_make_tuple_reads_int_and_digit_string_targets():
                                    [("0", 0), ("1", "01")]])
     assert [t.targets for t in code.tables] == [(1, 0), (0, 1)]
     assert all(type(j) is int for t in code.tables for j in t.targets)
+
+
+def test_list_built_values_hash_and_compare_as_tuple_built_ones():
+    table = Table((Bits("0"), Bits("1")), (0, 0))
+    pairs = [
+        (Table([Bits("0"), Bits("1")], [0, 0]), table),
+        (Alphabet(["a", "b"]), AB),
+        (SourceDist(AB, [HALF, HALF]), SourceDist(AB, (HALF, HALF))),
+        (CodeTuple(AB, [table]), CodeTuple(AB, (table,))),
+    ]
+    for built, want in pairs:
+        assert built == want
+        assert hash(built) == hash(want)
