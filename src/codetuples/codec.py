@@ -7,7 +7,8 @@ unique once the window is fully available, so the scan never misreads; it
 stops when fewer than k bits remain past the codeword, or rather than
 revisit a (table, offset) state through an empty codeword.  A step reads at
 most its table's longest codeword plus k bits, so each call memoizes steps by
-(table, those bits); ``roundtrip_check``'s trials share one call's table.
+those bits in one dict per table; ``roundtrip_check``'s trials share one
+call's dicts.
 It also memoizes tails by (table, bits left) and the delay scan by what a step
 reads.  Decoding, tail completion and the round-trip delay scan all walk the
 tuple's emission automaton, ``code.sets``, over ``str`` offsets.
@@ -134,33 +135,39 @@ def _common_prefix(seqs):
 
 
 def _decode(auto, k, start, text, steps, tails):
-    """Decode text from start; ``steps`` maps (table, bits read) to (more than
-    one candidate, codeword, target, symbol) or () when none fits, and
-    ``tails`` maps (table, bits left) to their completions."""
-    rows, longest, windows = auto.rows, auto.longest, auto.words(k)
+    """Decode text from start; ``steps[i]`` maps the bits a step reads in
+    table i to (symbol, codeword length, target, more than one candidate) or
+    () when none fits, and ``tails`` maps (table, bits left) to their
+    completions."""
+    rows, windows = auto.rows, auto.words(k)
+    widths = [n + k for n in auto.longest]
     symbols, table, pos, conflicts = [], start, 0, 0
-    seen = {start}  # tables visited at this offset
+    memo, width = steps[start], widths[start]
+    seen = set()  # (table, offset) states left by an empty codeword
     while True:
-        view = text[pos:pos + longest[table] + k]
-        step = steps.get((table, view))
+        view = text[pos:pos + width]
+        step = memo.get(view)
         if step is None:
-            cands = [(w, t, s) for w, t, s in rows[table]
-                     if view.startswith(w) and len(w) + k <= len(view)
-                     and view[len(w):len(w) + k] in windows[t]]
-            step = (len(cands) > 1,) + cands[0] if cands else ()
-            steps[table, view] = step
+            step = ()  # the first candidate; a second only flags a conflict
+            for w, t, s in rows[table]:
+                n = len(w)  # a k-bit window is there only if k bits follow
+                if view.startswith(w) and view[n:n + k] in windows[t]:
+                    if step:
+                        step = step[:3] + (True,)
+                        break
+                    step = (s, n, t, False)
+            memo[view] = step
         if not step:
             break
-        conflict, w, t, s = step
+        s, n, t, conflict = step
         conflicts += conflict
-        if w:
-            seen = set()
-        elif t in seen:
-            break
-        seen.add(t)
+        if not n:  # stop rather than revisit a state by empty codewords
+            seen.add((table, pos))
+            if (t, pos) in seen:
+                break
         symbols.append(s)
-        pos += len(w)
-        table = t
+        pos += n
+        table, memo, width = t, steps[t], widths[t]
 
     def complete():  # a function of (table, text[pos:]) alone
         key = (table, text[pos:])
@@ -203,7 +210,8 @@ def decode(code, start, bits, k=2):
     greedy step went wrong: the tuple is not decodable with delay k there.
     """
     check_indices(code, start)
-    return _decode(code.sets, k, start, str(Bits(bits)), {}, {})
+    steps = [{} for _ in code.tables]
+    return _decode(code.sets, k, start, str(Bits(bits)), steps, {})
 
 
 def _identify(auto, table, text):
@@ -301,7 +309,8 @@ def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
             raise InvalidArgument("%s=%r below %d" % (name, value, low))
     check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)
-    auto, steps, tails, scans = code.sets, {}, {}, {}  # shared by the trials
+    auto, tails, scans = code.sets, {}, {}  # shared by the trials
+    steps = [{} for _ in code.tables]
     failures, count, max_delay, conflicts = [], 0, 0, 0
 
     def fail(trial, start, seq, reason):

@@ -12,18 +12,32 @@ alphabet line; every iteration in the package follows that order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 import math
 
 from .bits import Bits, parse as parse_bits, show as show_bits
 from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
                      InvalidType, UnknownSymbol)
-from .prefix_sets import PrefixSetTable
+from .prefix_sets import PrefixSetTable, check_type
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
 MAX_DECIMAL_EXPONENT = 1000
 FLOAT_SUM_TOLERANCE = Fraction(1, 10 ** 12)
+
+
+def _store_tuple(value, field):
+    """Store a frozen value's sequence field as a tuple; InvalidType naming
+    the field when it is not Iterable."""
+    items = getattr(value, field)
+    if type(items) is not tuple:
+        try:
+            object.__setattr__(value, field, tuple(items))
+        except TypeError:
+            check_type(field, items, Iterable)
+            raise
 
 
 @dataclass(frozen=True)
@@ -33,7 +47,7 @@ class Alphabet:
     names: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
+        _store_tuple(self, "names")
         if not self.names:
             raise InvalidArgument("alphabet is empty")
         if len(set(self.names)) != len(self.names):
@@ -87,8 +101,8 @@ class Table:
     targets: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", tuple(self.codes))
-        object.__setattr__(self, "targets", tuple(self.targets))
+        _store_tuple(self, "codes")
+        _store_tuple(self, "targets")
         if len(self.codes) != len(self.targets):
             raise InvalidArgument("codes and targets differ in length")
         for c in self.codes:
@@ -116,11 +130,13 @@ class CodeTuple:
     tables: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(self.tables))
+        _store_tuple(self, "tables")
         if not self.tables:
             raise InvalidArgument("a code tuple needs at least one table")
         m = len(self.tables)
         for i, t in enumerate(self.tables):
+            if not isinstance(t, Table):
+                raise InvalidType("table %d must be Table, got %r" % (i, t))
             if len(t.codes) != len(self.alphabet):
                 raise InvalidArgument("table size does not match alphabet")
             for name, j in zip(self.alphabet.names, t.targets):
@@ -190,7 +206,7 @@ class SourceDist:
     probs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(self.probs))
+        _store_tuple(self, "probs")
         if len(self.probs) != len(self.alphabet):
             raise InvalidArgument("distribution size does not match alphabet")
         for p in self.probs:
@@ -360,12 +376,18 @@ def serialize_code_tuple(code):
 
 
 def _fraction(value):
-    """``Fraction(value)``; a string's decimal exponent is bounded first, since
-    Fraction builds 10**exponent (ValueError past MAX_DECIMAL_EXPONENT)."""
+    """``Fraction(value)``; a decimal exponent is bounded first, since
+    Fraction builds 10**exponent (ValueError past MAX_DECIMAL_EXPONENT): a
+    string's ``e`` part, or a finite Decimal's exponent less its digit count,
+    which a Decimal's fraction digits add to its exponent."""
+    exponent = 0
     if isinstance(value, str):
-        exponent = value.lower().partition("e")[2]
-        if exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(value)
+        exponent = abs(int(value.lower().partition("e")[2] or 0))
+    elif isinstance(value, Decimal) and value.is_finite():
+        _, digits, exponent = value.as_tuple()
+        exponent = abs(exponent) - len(digits)
+    if exponent > MAX_DECIMAL_EXPONENT:
+        raise ValueError(value)
     return Fraction(value)
 
 

@@ -5,7 +5,7 @@ the decoder and delay scan as they stood on ``Bits`` slices, with their own
 state searches.  Every field of the result must agree: symbols, end table,
 tail, completions, capped and conflicts, or both must refuse the bits.
 ``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
-decoder per trial, against the codec's table of steps shared by the trials.
+decoder per trial, against the codec's dicts of steps shared by the trials.
 """
 
 import itertools
@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from codetuples import (classify, decode, delay_decodability,
+from codetuples import (CodeTuple, classify, decode, delay_decodability,
                         identification_delays, make_tuple, roundtrip_check)
 from codetuples.bits import Bits
+from codetuples.codec import _decode
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import TUPLES
@@ -140,6 +141,41 @@ def test_long_reference_streams_decode_like_the_oracle(key):
         bits, _ = encode_from(code, start, seq)
     assert_same_decode(code, start, bits)
     assert_same_decode(code, start, bits.head(len(bits) - rng.randint(1, 16)))
+
+
+EMPTY_LOOP = make_tuple(("a", "b", "c"), [[("-", 0), ("0", 0), ("1", 0)]])
+
+
+def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
+    # one process decodes the same tuples at k = 2, 1 and 2 again; dicts of
+    # steps shared by every stream of a tuple, as roundtrip_check shares them
+    # across its trials, must change no result
+    rng = random.Random(4406)
+    cases = []
+    for code in [TUPLES[key] for key in STREAM_KEYS] + [EMPTY_LOOP]:
+        start, seq, bits = rng.randrange(code.num_tables), [], Bits()
+        while len(bits) < 1024:
+            seq.extend(random_seq(rng, code, 256))
+            bits, _ = encode_from(code, start, seq)
+        cases.append((code, start, bits))
+        cases.append((code, start, bits.head(len(bits) - rng.randint(1, 16))))
+    oracle = {}
+    for k in (2, 1, 2):
+        shared = {}
+        for n, (code, start, bits) in enumerate(cases):
+            fresh = CodeTuple(code.alphabet, code.tables)
+            assert fresh.sets is not code.sets
+            want = outcome(decode, fresh, start, bits, k)
+            if not has_empty_cycle(code):  # which the oracle cannot run
+                if (n, k) not in oracle:
+                    oracle[n, k] = outcome(oracle_decode, code, start, bits, k)
+                assert want == oracle[n, k], (code, start, bits, k)
+            assert outcome(decode, code, start, bits, k) == want
+            steps = shared.setdefault(code, [{} for _ in code.tables])
+            assert outcome(_decode, code.sets, k, start, str(bits), steps,
+                           {}) == want
+            for memo, longest in zip(steps, code.sets.longest):
+                assert len(memo) <= 2 ** (longest + k + 1)
 
 
 def test_identification_delays_match_the_oracle():

@@ -1,6 +1,7 @@
 """Argument errors are domain errors and still ValueErrors (TypeErrors for
 a value of the wrong type), with their messages unchanged."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,15 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     # refused before Fraction builds 10**100000, as a distribution file is
     (lambda: SourceDist.from_values(AB, ("1e100000", "1")),
      "bad probability '1e100000'"),
+    # so is a Decimal's, also a negative one; nan and infinity as before
+    (lambda: SourceDist.from_values(AB, (Decimal("1e20000000"), "1")),
+     "bad probability Decimal('1E+20000000')"),
+    (lambda: SourceDist.from_values(AB, (Decimal("1e-20000000"), "1")),
+     "bad probability Decimal('1E-20000000')"),
+    (lambda: SourceDist.from_values(AB, (Decimal("NaN"), "1")),
+     "bad probability Decimal('NaN')"),
+    (lambda: SourceDist.from_values(AB, (Decimal("-Infinity"), "1")),
+     "bad probability Decimal('-Infinity')"),
     # an entry that is not a (codeword, target) pair, not a raw unpack error
     (lambda: make_tuple(("a", "b"), [[("0", 0), ("1",)]]),
      "table 0, symbol b: expected a (codeword, target) pair, got ('1',)"),
@@ -234,6 +244,13 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: classify(5), "code must be CodeTuple, got 5"),
     (lambda: is_aifv(5), "code must be CodeTuple, got 5"),
     (lambda: witness("f0", 5), "code must be CodeTuple, got 5"),
+    # a value type's field names itself, not a raw error from tuple() or len()
+    (lambda: Table(5, 5), "codes must be Iterable, got 5"),
+    (lambda: Table((Bits("0"),), 5), "targets must be Iterable, got 5"),
+    (lambda: SourceDist(AB, 5), "probs must be Iterable, got 5"),
+    (lambda: Alphabet(5), "names must be Iterable, got 5"),
+    (lambda: CodeTuple(AB, 5), "tables must be Iterable, got 5"),
+    (lambda: CodeTuple(AB, (5,)), "table 0 must be Table, got 5"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:
@@ -241,6 +258,16 @@ def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     assert isinstance(info.value, CodeTupleError)
     assert isinstance(info.value, TypeError)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("values", [
+    # many fraction digits are no large exponent, as a Decimal or a string
+    (Decimal("0.5" + "0" * 1000), "0.5"),
+    ("0.5" + "0" * 1000, Decimal("0.5")),
+    (Decimal("5" + "0" * 2000 + "e-2001"), Fraction(1, 2)),
+])
+def test_long_decimal_probabilities_are_read(values):
+    assert SourceDist.from_values(AB, values).probs == (HALF, HALF)
 
 
 def test_make_tuple_reads_int_and_digit_string_targets():
