@@ -22,10 +22,10 @@ class Bits:
     def __init__(self, bits=""):
         if isinstance(bits, Bits):
             s = bits._s
-        else:
-            s = str(bits)
-            if s.strip("01"):
-                raise InvalidArgument("not a binary string: %r" % (bits,))
+        elif isinstance(bits, str) and not bits.strip("01"):
+            s = bits
+        else:  # also an int whose digits are all 0s and 1s
+            raise InvalidArgument("not a binary string: %r" % (bits,))
         object.__setattr__(self, "_s", s)
 
     def __setattr__(self, name, value):

@@ -26,14 +26,13 @@ from .bits import show
 from .analysis import dead_tables, delay_decodability, is_regular
 from .core import CodeTuple
 from .errors import InvalidArgument
-from .prefix_sets import blocks, check_type
+from .prefix_sets import K, blocks, check_type
 
 # The nested families, loosest first: each implies the one before it.
 NESTED = ("f0", "f1", "f2", "f3", "f4", "aifv")
 CLASS_NAMES = ("extendable", "regular", "decodable") + NESTED
 HIERARCHY = tuple(zip(NESTED, NESTED[1:]))
 
-K = 2  # the decoding delay of every family here, and of the search
 FULL_MASK = (1 << (1 << K)) - 1  # every K-bit block, as a level-K mask
 NONZERO_MASK = FULL_MASK - 1  # every block but the all-zero one
 

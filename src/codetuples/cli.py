@@ -21,10 +21,9 @@ from .errors import CodeTupleError
 from .goldens import run_goldens
 from .markov import (approx_decimal, average_length, stationary_distribution,
                      table_length)
-from .prefix_sets import check_k
+from .prefix_sets import K, check_k
 from .search import FILTERS, SearchSpace, enumerate_min, huffman_length
-from .transforms import (PRECEDING, TransformStep, chain_to_class, ddot, dot,
-                         forced_bit, rotate, steer_bit)
+from .transforms import PRECEDING, REWRITES, chain_to_class, rewrite_step
 
 
 def _read(path):
@@ -119,12 +118,9 @@ def _cmd_decode(args, parser):
     print("capped = %s" % ("yes" if result.info.capped else "no"))
 
 
-def _trace_bits(step):
-    if not step.table_bits:
-        return "-"
-    if step.op == "dot":
-        return " ".join(str(b) for b in step.table_bits)
-    return " ".join(show_bits(b) for b in step.table_bits)
+def _trace_bits(step):  # dot reads int steer bits, rotate Bits
+    show = str if step.op == "dot" else show_bits
+    return " ".join(map(show, step.table_bits)) or "-"
 
 
 def _print_step(title, step):
@@ -133,11 +129,6 @@ def _print_step(title, step):
     if step.avg_len is not None:
         print("# L = %s" % _approx(step.avg_len))
     print(serialize_code_tuple(step.result), end="")
-
-
-# --op name: (rewrite, the per-table bit it reads or None)
-_REWRITES = {"rotate": (rotate, forced_bit), "dot": (dot, steer_bit),
-             "ddot": (ddot, None)}
 
 
 def _cmd_transform(args, parser):
@@ -155,13 +146,8 @@ def _cmd_transform(args, parser):
         if not trace.steps:
             print(serialize_code_tuple(code), end="")
         return
-    rewrite, table_bit = _REWRITES[args.op]
-    bits = tuple(table_bit(code, i)
-                 for i in code.table_indices()) if table_bit else ()
-    result = rewrite(code)
     # an irregular result has no L: fail before any output
-    avg = average_length(result, dist) if dist is not None else None
-    _print_step("op", TransformStep(args.op, result, bits, avg))
+    _print_step("op", rewrite_step(code, args.op, dist))
 
 
 def _cmd_stationary(args, parser):
@@ -215,8 +201,8 @@ def build_parser():
             p.add_argument("--tuple", required=True, metavar="FILE",
                            help="code-tuple file")
         if needs_k:
-            p.add_argument("--k", type=int, default=2,
-                           help="decoding delay bound (default 2)")
+            p.add_argument("--k", type=int, default=K,
+                           help="decoding delay bound (default %d)" % K)
         return p
 
     add("check", _cmd_check,
@@ -247,7 +233,7 @@ def build_parser():
     p = add("transform", _cmd_transform,
             "apply one rewrite or a chain into a class")
     p.add_argument("--op", required=True,
-                   choices=("rotate", "dot", "ddot", "chain"))
+                   choices=REWRITES + ("chain",))
     p.add_argument("--target", choices=tuple(PRECEDING),
                    help="destination class for --op chain")
     p.add_argument("--dist", metavar="FILE",

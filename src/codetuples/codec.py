@@ -21,7 +21,7 @@ import random
 
 from .bits import Bits
 from .errors import InvalidArgument, InvalidType, NoConsistentCompletion
-from .prefix_sets import check_indices, check_k, encode_from
+from .prefix_sets import K, check_indices, check_k, encode_from
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
@@ -197,7 +197,7 @@ def _decode(auto, k, start, text, steps, tails):
     return DecodeResult(tuple(symbols), start, table, info)
 
 
-def decode(code, start, bits, k=2):
+def decode(code, start, bits, k=K):
     """Decode as much of ``bits`` as the k-bit lookahead determines.
 
     For a tuple decodable with delay k, every symbol decoded from a whole
@@ -291,7 +291,7 @@ class RoundTripReport:
         return self.failure_count == 0
 
 
-def roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):
+def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
     """Encode random sequences, decode, and measure identification delays.
 
     A trial fails when the decoder output is not a prefix of the source,

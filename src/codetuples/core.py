@@ -166,9 +166,6 @@ class CodeTuple:
     def max_code_len(self):
         return max(len(c) for t in self.tables for c in t.codes)
 
-    def with_tables(self, tables):
-        return CodeTuple(self.alphabet, tables)
-
     sets = _Sets()  # this tuple's continuation sets
 
 
@@ -189,8 +186,7 @@ def make_tuple(names, rows):
                 raise InvalidArgument("table %d, symbol %s: expected a "
                                       "(codeword, target) pair, got %r"
                                       % (i, name, pair))
-        codes = [parse_bits(c) if isinstance(c, str) else Bits(c)
-                 for c, _ in pairs]
+        codes = [parse_bits(c) for c, _ in pairs]
         # an ASCII-digit string names its index; CodeTuple refuses the rest
         targets = [j if not isinstance(j, str) or _natural(j) is None
                    else _natural(j) for _, j in pairs]
@@ -263,6 +259,9 @@ class SourceDist:
 
 
 def check_same_alphabet(code, dist):
+    """Refuse a wrong-typed code or dist, or two different alphabets."""
+    check_type("code", code, CodeTuple)
+    check_type("dist", dist, SourceDist)
     if code.alphabet != dist.alphabet:
         raise AlphabetMismatch("code tuple and distribution use different alphabets")
 
@@ -391,17 +390,6 @@ def _fraction(value):
     return Fraction(value)
 
 
-def _parse_probability(token, lineno):
-    try:
-        if "/" in token:
-            return Fraction(token), False
-        if "." in token or "e" in token or "E" in token:
-            return _fraction(token), True
-        return Fraction(int(token)), False
-    except (ValueError, ZeroDivisionError):
-        raise FormatError("bad probability %r" % token, lineno) from None
-
-
 def parse_dist(text, alphabet=None):
     """Parse a distribution file; optionally check it against an alphabet."""
     names = []
@@ -414,10 +402,13 @@ def parse_dist(text, alphabet=None):
         name, token = fields
         if name in names:
             raise FormatError("duplicate symbol %r" % name, lineno)
-        p, from_decimal = _parse_probability(token, lineno)
+        try:
+            probs.append(_fraction(token))
+        except (ValueError, ZeroDivisionError):
+            raise FormatError("bad probability %r" % token, lineno) from None
         names.append(name)
-        probs.append(p)
-        inexact = inexact or from_decimal
+        if "/" not in token and any(c in token for c in ".eE"):
+            inexact = True
     if not names:
         raise FormatError("empty distribution file")
     if alphabet is None:

@@ -12,12 +12,12 @@ from . import reference as ref
 from .analysis import (delay_decodability, is_extendable, is_regular,
                        reachable_tables, two_continuation_tables)
 from .bits import Bits, parse as parse_bits, show
-from .classes import classify, verify_hierarchy
+from .classes import K, classify, verify_hierarchy
 from .codec import decode, encode
 from .markov import (average_length, stationary_distribution, table_length,
                      transition_matrix)
 from .search import huffman_length
-from .transforms import ddot, dot, forced_bit, rotate, steer_bit
+from .transforms import forced_bit, rewrite_step, steer_bit
 
 
 class GoldenCheck:
@@ -75,7 +75,7 @@ def _properties():
         flags = ref.EXPECTED_FLAGS[key]
         yield "%s extendable" % key, is_extendable(code), flags["extendable"]
         yield "%s regular" % key, is_regular(code), flags["regular"]
-        yield ("%s decodable" % key, delay_decodability(code, 2).ok,
+        yield ("%s decodable" % key, delay_decodability(code, K).ok,
                flags["decodable"])
     for key, want in (("r3", {0}), ("r5", {0}), ("r7", set())):
         yield ("%s two-continuation tables" % key,
@@ -108,14 +108,14 @@ def _encode_decode():
 
 
 def _chain():
-    ops = {"rotate": rotate, "dot": dot, "ddot": ddot}
     dist = ref.main_dist()
     for src, op, dst in ref.CHAIN:
         before = ref.TUPLES[src]
-        after = ops[op](before)
-        yield "%s(%s) tables" % (op, src), after.tables, ref.TUPLES[dst].tables
+        after = rewrite_step(before, op, dist)
+        yield ("%s(%s) tables" % (op, src), after.result.tables,
+               ref.TUPLES[dst].tables)
         yield ("%s(%s) average length change" % (op, src),
-               average_length(after, dist) - average_length(before, dist), 0)
+               after.avg_len - average_length(before, dist), 0)
 
 
 def _bit_choices():

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from numbers import Rational
 import math
 
 from .core import check_same_alphabet
 from .errors import NotRegular
-from .prefix_sets import check_indices
+from .prefix_sets import check_indices, check_type
 
 
 def transition_matrix(code, dist):
@@ -81,5 +82,7 @@ def average_length(code, dist):
 
 def approx_decimal(x, places=4):
     """Round an exact rational for display, ties to even."""
+    check_type("x", x, Rational)
+    check_type("places", places, int)
     value = Decimal(x.numerator) / Decimal(x.denominator)
     return str(value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))

@@ -22,6 +22,7 @@ from .bits import Bits
 from .errors import InvalidArgument, InvalidType
 
 DEFAULT_MAX_K = 8
+K = 2  # the decoding delay of the paper's families, and every default k
 
 
 def check_k(k):
@@ -127,39 +128,25 @@ class PrefixSetTable:
         mask = self._mask(self.rows[i], str(Bits(b)), k, strict)
         return frozenset(map(Bits, blocks(mask, k)))
 
-    def emit(self, table, seq):
-        """The codewords of seq from table joined as a str, and the table
-        it ends in."""
-        seq = tuple(seq)
-        check_table(table, len(self.rows))
-        check_symbols(seq, len(self.rows[0]))
-        return self._emit(table, seq)
-
     def _emit(self, table, seq):
-        """``emit`` for checked arguments, as the codec passes them."""
+        """The codewords of seq from table joined as a str, and the table
+        it ends in; ``encode_from`` and the codec check the arguments."""
         words = []
         for s in seq:
             w, table, _ = self.rows[table][s]
             words.append(w)
         return "".join(words), table
 
-    def search(self, text, table, pos=0, end=None):
-        """The states reachable from (table, pos) by codewords inside
-        text[pos:end], each with its edges (symbol, next state) in symbol
-        order, and whether some emission has text[pos:end] as a prefix."""
+    def search(self, text, table):
+        """The states reachable from (table, 0) by codewords inside text,
+        each with its edges (symbol, next state) in symbol order, and
+        whether some emission has text as a prefix."""
         check_table(table, len(self.rows))
-        text = str(Bits(text))
-        end = len(text) if end is None else end
-        for name, value in (("pos", pos), ("end", end)):
-            if type(value) is not int:
-                raise InvalidType("%s must be int, got %r" % (name, value))
-        if not 0 <= pos <= end <= len(text):
-            raise InvalidArgument("span %d..%d outside the text's 0..%d"
-                                  % (pos, end, len(text)))
-        return self._search(text, table, pos, end)
+        return self._search(str(Bits(text)), table)
 
     def _search(self, text, table, pos=0, end=None):
-        """``search`` for checked arguments, as the codec passes them."""
+        """``search`` from (table, pos) inside text[pos:end], for checked
+        arguments, as the codec passes them."""
         end = len(text) if end is None else end
         graph = {}
         reaches = False

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .bits import EMPTY, ONE, ZERO, Bits, bit as bit_of
 from .analysis import reachable_tables
-from .classes import table_witness, witness
+from .classes import HIERARCHY, TABLE_CLAUSES, table_witness, witness
 from .core import CodeTuple, Table
 from .errors import (
     AmbiguousChain,
@@ -40,7 +40,7 @@ from .errors import (
     WrongTableCount,
 )
 from .markov import average_length
-from .prefix_sets import check_indices, symbols_with_codeword
+from .prefix_sets import check_indices, check_type, symbols_with_codeword
 
 
 def forced_bit(code, i):
@@ -57,9 +57,9 @@ def forced_bit(code, i):
 
 def _rewrite(code, word):
     """Codeword (i, s) replaced by ``word(i, s)``; the targets are kept."""
-    return code.with_tables(
+    return CodeTuple(code.alphabet, tuple(
         Table(tuple(word(i, s) for s in code.alphabet), code.tables[i].targets)
-        for i in code.table_indices())
+        for i in code.table_indices()))
 
 
 def rotate(code):
@@ -245,7 +245,33 @@ class TransformTrace:
         return self.steps[-1].result if self.steps else self.start
 
 
-PRECEDING = {"f1": "f0", "f2": "f1", "f3": "f2"}
+def _rewrites():  # per call, so a rebound module attribute is called
+    """Each rewrite by name, with the bit it reads per table or None."""
+    return {"rotate": (rotate, forced_bit), "dot": (dot, steer_bit),
+            "ddot": (ddot, None)}
+
+
+REWRITES = tuple(_rewrites())
+
+
+def rewrite_step(code, op, dist=None):
+    """One rewrite of ``code`` by its ``REWRITES`` name, as a TransformStep:
+    the bit the op reads per table (none for ddot), the result, and the
+    result's average length under ``dist`` when one is given."""
+    check_type("code", code, CodeTuple)
+    if op not in REWRITES:  # a tuple, so an unhashable op is refused
+        raise InvalidArgument("unknown rewrite %r" % (op,))
+    rewrite, table_bit = _rewrites()[op]
+    bits = tuple(table_bit(code, i)
+                 for i in code.table_indices()) if table_bit else ()
+    result = rewrite(code)
+    avg = average_length(result, dist) if dist is not None else None
+    return TransformStep(op, result, bits, avg)
+
+
+# Each chain target, a family with a table clause, from the one before it.
+PRECEDING = {tighter: wider for wider, tighter in HIERARCHY
+             if tighter in TABLE_CLAUSES}
 
 
 def chain_to_class(code, target, dist=None):
@@ -256,37 +282,25 @@ def chain_to_class(code, target, dist=None):
     explicit because termination is only guaranteed for inputs of minimal
     cost.
     """
-    if target not in PRECEDING:
+    if target not in tuple(PRECEDING):  # an unhashable target is refused
         raise InvalidArgument("unknown target class %r" % (target,))
     _require_class(code, PRECEDING[target])
-    current = code
-    steps = []
-
-    def apply(op, rewrite, table_bit=None):
-        nonlocal current
-        bits = tuple(table_bit(current, i)
-                     for i in current.table_indices()) if table_bit else ()
-        current = rewrite(current)
-        avg = average_length(current, dist) if dist is not None else None
-        steps.append(TransformStep(op, current, bits, avg))
-
-    if target == "f1":
-        limit = 2 * code.max_code_len() + 2
-        while table_witness("f1", current):
-            if len(steps) >= limit:
-                raise StepLimitExceeded(
-                    "still outside f1 after %d rotations" % limit)
-            apply("rotate", rotate, forced_bit)
-    elif target == "f2":
-        limit = code.num_tables + 1
-        while table_witness("f2", current):
-            if len(steps) >= 2 * limit:
-                raise StepLimitExceeded(
-                    "still outside f2 after %d dot-rotate rounds" % limit)
-            apply("dot", dot, steer_bit)
-            apply("rotate", rotate, forced_bit)
-    else:
-        apply("ddot", ddot)
+    current, steps = code, []
+    if target == "f3":
+        steps.append(rewrite_step(code, "ddot", dist))
+        current = steps[-1].result
+    else:  # rounds of ops while a table fails the clause, at most limit
+        ops, limit, unit = {
+            "f1": (("rotate",), 2 * code.max_code_len() + 2, "rotations"),
+            "f2": (("dot", "rotate"), code.num_tables + 1,
+                   "dot-rotate rounds")}[target]
+        while table_witness(target, current):
+            if len(steps) >= len(ops) * limit:
+                raise StepLimitExceeded("still outside %s after %d %s"
+                                        % (target, limit, unit))
+            for op in ops:
+                steps.append(rewrite_step(current, op, dist))
+                current = steps[-1].result
     reason = witness(target, current)
     if reason:
         raise StepLimitExceeded(

@@ -211,17 +211,32 @@ def test_search_output(files, capsys):
     assert lines[-1] == "L = 119/190 ≈ 0.6263"
 
 
-def test_search_filter_choices_are_the_search_filters():
+def _verb_actions(verb):
+    """The argparse actions of one verb's subparser, by destination."""
     import argparse
 
     from codetuples.cli import build_parser
-    from codetuples.search import FILTERS
 
     verbs, = [action for action in build_parser()._actions
               if isinstance(action, argparse._SubParsersAction)]
-    choices = {action.dest: action.choices
-               for action in verbs.choices["search"]._actions}
-    assert tuple(choices["filter"]) == FILTERS
+    return {action.dest: action for action in verbs.choices[verb]._actions}
+
+
+def test_search_filter_choices_are_the_search_filters():
+    from codetuples.search import FILTERS
+
+    assert tuple(_verb_actions("search")["filter"].choices) == FILTERS
+
+
+def test_transform_choices_and_k_default_read_their_definitions():
+    from codetuples.prefix_sets import K
+    from codetuples.transforms import PRECEDING, REWRITES
+
+    transform = _verb_actions("transform")
+    assert transform["op"].choices == REWRITES + ("chain",)
+    assert transform["target"].choices == tuple(PRECEDING)
+    for verb in ("check", "psets", "decode"):
+        assert _verb_actions(verb)["k"].default == K == 2
 
 
 def test_huffman_output(files, capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,47 @@ def test_parse_dist_rejects_bad_total_and_zero():
         parse_dist("a 1\nb 0\n")
     with pytest.raises(FormatError):
         parse_dist("")
+
+
+# Fraction reads PEP 515 underscores in a string from Python 3.11 on
+UNDERSCORES = sys.version_info >= (3, 11)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("1/2", Fraction(1, 2)),
+    ("0.5", Fraction(1, 2)),
+    ("5E-1", Fraction(1, 2)),
+    (".5", Fraction(1, 2)),
+    ("+0.5", Fraction(1, 2)),
+    ("1_0/20", Fraction(1, 2) if UNDERSCORES else None),
+    ("5_0e-2", Fraction(1, 2) if UNDERSCORES else None),
+    ("\u0663/6", Fraction(1, 2)),  # an Arabic-Indic 3
+    ("1/2e0", None),
+    ("inf", None),
+    ("1e", None),
+    ("1/0", None),
+])
+def test_parse_dist_reads_each_probability_token_shape(token, value):
+    text = "a %s\nb 1/2\n" % token
+    if value is None:
+        with pytest.raises(FormatError) as err:
+            parse_dist(text)
+        assert str(err.value) == "line 1: bad probability %r" % token
+    else:
+        assert parse_dist(text).probs == (value, Fraction(1, 2))
+
+
+def test_parse_dist_absorbs_rounding_only_of_decimal_files():
+    # a token without '/' but with '.', 'e' or 'E' may be rounded, so a
+    # defect up to 10**-12 goes into the largest entry; p/q is exact
+    third = "0.3333333333333"
+    dist = parse_dist("a %s\nb %s\nc %s\n" % (third, third, third))
+    assert dist.probs == (1 - 2 * Fraction(third), Fraction(third),
+                          Fraction(third))
+    assert parse_dist("a 1/2\nb 5e-1\n").probs == (Fraction(1, 2),) * 2
+    with pytest.raises(FormatError) as err:
+        parse_dist("a 1/2\nb %d/%d\n" % (5 * 10 ** 12 - 1, 10 ** 13))
+    assert "not 1" in str(err.value)
 
 
 def test_dist_serialize_roundtrip():

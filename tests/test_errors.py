@@ -8,17 +8,19 @@ import pytest
 
 from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SearchSpace,
-                        SourceDist, Table, UnknownSymbol, chain_to_class,
-                        classify, decode, delay_decodability, encode,
-                        extend_to_two_tables, forced_bit,
-                        identification_delays, is_aifv, make_tuple,
-                        prefix_chain, roundtrip_check, steer_bit,
-                        table_length)
+                        SourceDist, Table, UnknownSymbol, approx_decimal,
+                        average_length, chain_to_class, classify, decode,
+                        delay_decodability, encode, extend_to_two_tables,
+                        forced_bit, identification_delays, is_aifv,
+                        make_tuple, prefix_chain, roundtrip_check,
+                        stationary_distribution, steer_bit, table_length,
+                        transition_matrix)
 from codetuples.bits import EMPTY, bit, flip
 from codetuples.classes import witness
 from codetuples.errors import InvalidType
 from codetuples.prefix_sets import symbols_with_codeword
 from codetuples.reference import TUPLES
+from codetuples.transforms import rewrite_step
 
 ONE_SYMBOL = make_tuple(("a",), [[("0", 0)]])
 AB = Alphabet(("a", "b"))
@@ -28,6 +30,11 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
 
 @pytest.mark.parametrize("call, message", [
     (lambda: chain_to_class(TUPLES["r5"], "f9"), "unknown target class 'f9'"),
+    # a target or op is looked up in a tuple, so an unhashable one is refused
+    (lambda: chain_to_class(TUPLES["r3"], ["f1"]),
+     "unknown target class ['f1']"),
+    (lambda: rewrite_step(TUPLES["r3"], "chain"), "unknown rewrite 'chain'"),
+    (lambda: rewrite_step(TUPLES["r3"], ["dot"]), "unknown rewrite ['dot']"),
     (lambda: extend_to_two_tables(ONE_SYMBOL), "need at least two symbols"),
     (lambda: roundtrip_check(TUPLES["r3"]), "seed is required"),
     (lambda: PrefixSetTable(TUPLES["r3"]).base(0, 9), "k=9 outside 0..8"),
@@ -118,16 +125,10 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "start table 5 outside 0..2"),
     (lambda: TUPLES["r3"].sets.strict_continuations(-1, Bits("0"), 2),
      "start table -1 outside 0..2"),
-    # the emission automaton's readers check the table, the symbols and
-    # the text themselves, not only behind the codec's checks
+    # the emission automaton's search checks the table and the text
+    # itself, not only behind the codec's checks
     (lambda: TUPLES["r3"].sets.search("01", 7), "start table 7 outside 0..2"),
-    (lambda: TUPLES["r3"].sets.emit(0, (9,)), "symbol 9 outside 0..3"),
-    (lambda: TUPLES["r3"].sets.emit(-1, (0,)), "start table -1 outside 0..2"),
     (lambda: TUPLES["r3"].sets.search("0x", 0), "not a binary string: '0x'"),
-    (lambda: TUPLES["r3"].sets.search("01", 0, 1, 3),
-     "span 1..3 outside the text's 0..2"),
-    (lambda: TUPLES["r3"].sets.search("01", 0, 2, 1),
-     "span 2..1 outside the text's 0..2"),
     # a window is read as Bits, so a bad one is refused, not matched by
     # nothing
     (lambda: TUPLES["r3"].sets.continuations(0, "0x", 2),
@@ -143,6 +144,16 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     # bits that are not a binary string are refused as such, not blamed
     # for having no completion, nor read as decoding nothing
     (lambda: decode(TUPLES["r3"], 0, 12), "not a binary string: 12"),
+    # nor are an int's digits read as bits, though they are 0s and 1s
+    (lambda: Bits(10), "not a binary string: 10"),
+    (lambda: Bits(101), "not a binary string: 101"),
+    (lambda: decode(TUPLES["r3"], 0, 1000001111110),
+     "not a binary string: 1000001111110"),
+    (lambda: make_tuple(("a", "b"), [[(10, 0), (11, 0)]]),
+     "not a binary string: 10"),
+    (lambda: TUPLES["r3"].sets.continuations(0, 10, 2),
+     "not a binary string: 10"),
+    (lambda: TUPLES["r3"].sets.search(101, 0), "not a binary string: 101"),
     (lambda: identification_delays(TUPLES["r3"], 0, (0, 1), bits="0x1"),
      "not a binary string: '0x1'"),
     # refused before any trial is drawn, not after a vacuous or random error
@@ -198,14 +209,6 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: encode(TUPLES["r3"], 0, ([1],)), "symbol must be int, got [1]"),
     (lambda: identification_delays(TUPLES["r3"], 0, (0, True), Bits("0")),
      "symbol must be int, got True"),
-    (lambda: TUPLES["r3"].sets.emit(0, (1, 1.0)),
-     "symbol must be int, got 1.0"),
-    (lambda: TUPLES["r3"].sets.emit("0", (1,)),
-     "start table must be int, got '0'"),
-    (lambda: TUPLES["r3"].sets.search("01", 0, 1.0),
-     "pos must be int, got 1.0"),
-    (lambda: TUPLES["r3"].sets.search("01", 0, 0, True),
-     "end must be int, got True"),
     (lambda: encode(TUPLES["r3"], "0", (1,)),
      "start table must be int, got '0'"),
     (lambda: TUPLES["r3"].sets.base(1.0, 2),
@@ -244,6 +247,21 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: classify(5), "code must be CodeTuple, got 5"),
     (lambda: is_aifv(5), "code must be CodeTuple, got 5"),
     (lambda: witness("f0", 5), "code must be CodeTuple, got 5"),
+    (lambda: rewrite_step(5, "rotate"), "code must be CodeTuple, got 5"),
+    # so do the Markov entry points, through their alphabet check
+    (lambda: average_length(TUPLES["r3"], 5), "dist must be SourceDist, got 5"),
+    (lambda: stationary_distribution(5, R3_UNIFORM),
+     "code must be CodeTuple, got 5"),
+    (lambda: table_length(TUPLES["r3"], 5, 0),
+     "dist must be SourceDist, got 5"),
+    (lambda: transition_matrix(TUPLES["r3"], None),
+     "dist must be SourceDist, got None"),
+    (lambda: chain_to_class(TUPLES["r3"], "f1", 5),
+     "dist must be SourceDist, got 5"),
+    (lambda: rewrite_step(TUPLES["r3"], "rotate", 5),
+     "dist must be SourceDist, got 5"),
+    (lambda: approx_decimal(0.5), "x must be Rational, got 0.5"),
+    (lambda: approx_decimal(HALF, places="x"), "places must be int, got 'x'"),
     # a value type's field names itself, not a raw error from tuple() or len()
     (lambda: Table(5, 5), "codes must be Iterable, got 5"),
     (lambda: Table((Bits("0"),), 5), "targets must be Iterable, got 5"),

@@ -241,6 +241,40 @@ def test_chain_to_f2_trace():
     assert lengths == {average_length(TUPLES["r5"], main_dist())}
 
 
+def test_rewrite_step_is_each_op_with_its_table_bits_and_length():
+    assert transforms.REWRITES == ("rotate", "dot", "ddot")
+    dist = main_dist()
+    for src, op, dst in CHAIN:
+        code = TUPLES[src]
+        step = transforms.rewrite_step(code, op, dist)
+        assert (step.op, step.result) == (op, TUPLES[dst])
+        assert step.avg_len == average_length(code, dist)
+        table_bit = {"rotate": forced_bit, "dot": steer_bit}.get(op)
+        assert step.table_bits == (tuple(
+            table_bit(code, i) for i in code.table_indices())
+            if table_bit else ())
+        assert transforms.rewrite_step(code, op).avg_len is None
+
+
+def test_chain_targets_follow_the_nesting_order():
+    assert list(transforms.PRECEDING.items()) == [
+        ("f1", "f0"), ("f2", "f1"), ("f3", "f2")]
+
+
+def test_chains_call_the_module_rewrites_at_call_time(monkeypatch):
+    # a wrapper bound to the module attribute, as a tracer binds one, sees
+    # every rotation of a chain and of a single step
+    calls = []
+    monkeypatch.setattr(transforms, "rotate", lambda code, op=rotate:
+                        calls.append(code) or op(code))
+    trace = chain_to_class(TUPLES["r3"], "f1")
+    assert calls == [TUPLES["r3"], TUPLES["r4"]]
+    assert [step.result for step in trace.steps] == [TUPLES["r4"],
+                                                     TUPLES["r5"]]
+    transforms.rewrite_step(TUPLES["r5"], "rotate")
+    assert len(calls) == 3
+
+
 def test_f2_chain_steps_keep_two_pairs_in_every_table(monkeypatch):
     # The f2 loop runs while the f2 clause fails (some table has fewer than
     # three two-bit continuations).  That agrees with two_continuation_tables
