@@ -5,13 +5,22 @@ unread bits start with and whose next k bits are an emittable k-bit block
 of the next table.  For a tuple decodable with delay k that candidate is
 unique once the window is fully available, so the scan never misreads; it
 stops when fewer than k bits remain past the codeword, or rather than
-revisit a (table, offset) state through an empty codeword.  A step reads at
-most its table's longest codeword plus k bits, so each call memoizes steps by
-those bits in one dict per table; ``roundtrip_check``'s trials share one
-call's dicts.
-It also memoizes tails by (table, bits left) and the delay scan by what a step
-reads.  Decoding, tail completion and the round-trip delay scan all walk the
-tuple's emission automaton, ``code.sets``, over ``str`` offsets.
+revisit a (table, offset) state through an empty codeword.
+
+Each memo is keyed by the bits that decide its answer:
+- a greedy step by the bits it reads, at most its table's longest codeword
+  plus k, in one dict per table and call (``roundtrip_check``'s trials share
+  one call's dicts).  A missed view probes the automaton's ``fits(k)``, keyed
+  by each codeword plus a k-bit window its target can emit: a row fits
+  exactly when one of its keys is a prefix of the view.
+- a tail's completions by (table, bits left).
+- a symbol's identification by (table, its identifying prefix) and by
+  (table, the bits a step reads): until one symbol is left, the scan reads
+  no bit past the offset it has reached, so every view starting with that
+  prefix is identified there alike.  A view that identifies nothing is
+  stored as such, under itself alone.
+Decoding, tail completion and the round-trip delay scan all walk the tuple's
+emission automaton, ``code.sets``, over ``str`` offsets.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from dataclasses import dataclass
 import random
 
 from .bits import Bits
+from .core import CodeTuple
 from .errors import InvalidArgument, InvalidType, NoConsistentCompletion
-from .prefix_sets import K, check_indices, check_k, encode_from
+from .prefix_sets import K, check_indices, check_k, check_type, encode_from
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
@@ -82,8 +92,8 @@ def _finish_lengths(graph, end, width):
 
 
 def _completions(auto, tail, table):
-    """The first COMPLETION_CAP symbol sequences emitting exactly ``tail``
-    from ``table``, by length then lexicographically, and whether more
+    """The first COMPLETION_CAP symbol sequences emitting exactly a nonempty
+    ``tail`` from ``table``, by length then lexicographically, and whether more
     exist; NoConsistentCompletion when no emission even starts with it.
 
     A sequence stops at its first exact match: extending one only appends
@@ -100,15 +110,16 @@ def _completions(auto, tail, table):
     start, width = (table, 0), 2 * COMPLETION_CAP
     while True:
         finish = _finish_lengths(graph, len(tail), width)
-        if start not in finish or not tail:
+        if start not in finish:
             return (), False
 
         def exact(st, r):
             d, mask = finish.get(st, (r + 1, 0))
             return 0 <= r - d < width and mask >> (r - d) & 1
         found = []
-        for length in range(finish[start][0], finish[start][0] + width):
-            stack = [(start, length, None)] if exact(start, length) else []
+        d, mask = finish[start]
+        for length in [d + i for i in range(width) if mask >> i & 1]:
+            stack = [(start, length, None)]
             while stack and len(found) <= COMPLETION_CAP:
                 st, left, path = stack.pop()  # path: (symbol, path) links
                 if not left:
@@ -136,10 +147,10 @@ def _common_prefix(seqs):
 
 def _decode(auto, k, start, text, steps, tails):
     """Decode text from start; ``steps[i]`` maps the bits a step reads in
-    table i to (symbol, codeword length, target, more than one candidate) or
-    () when none fits, and ``tails`` maps (table, bits left) to their
-    completions."""
-    rows, windows = auto.rows, auto.words(k)
+    table i to (symbol, codeword length, target, more than one row fits) for
+    the lowest fitting symbol, or () when none fits, and ``tails`` maps
+    (table, bits left) to their completions."""
+    rows, fits = auto.rows, auto.fits(k)
     widths = [n + k for n in auto.longest]
     symbols, table, pos, conflicts = [], start, 0, 0
     memo, width = steps[start], widths[start]
@@ -147,15 +158,15 @@ def _decode(auto, k, start, text, steps, tails):
     while True:
         view = text[pos:pos + width]
         step = memo.get(view)
-        if step is None:
-            step = ()  # the first candidate; a second only flags a conflict
-            for w, t, s in rows[table]:
-                n = len(w)  # a k-bit window is there only if k bits follow
-                if view.startswith(w) and view[n:n + k] in windows[t]:
-                    if step:
-                        step = step[:3] + (True,)
-                        break
-                    step = (s, n, t, False)
+        if step is None:  # probe the prefixes that ``fits`` keys
+            keys, lengths = fits[table]
+            if len(view) < width:  # a row fits only when k bits follow it
+                lengths = [n for n in lengths if n <= len(view)]
+            step = ()
+            for n in lengths:
+                fit = keys.get(view[:n])
+                if fit:  # a second row only flags a conflict
+                    step = min(step, fit)[:3] + (True,) if step else fit
             memo[view] = step
         if not step:
             break
@@ -170,6 +181,8 @@ def _decode(auto, k, start, text, steps, tails):
         table, memo, width = t, steps[t], widths[t]
 
     def complete():  # a function of (table, text[pos:]) alone
+        if pos == len(text):
+            return (), False
         key = (table, text[pos:])
         return tails.get(key) or tails.setdefault(
             key, _completions(auto, key[1], table))
@@ -209,6 +222,7 @@ def decode(code, start, bits, k=K):
     emission from the start table, or naming the table and bit where a
     greedy step went wrong: the tuple is not decodable with delay k there.
     """
+    check_type("code", code, CodeTuple)
     check_indices(code, start)
     steps = [{} for _ in code.tables]
     return _decode(code.sets, k, start, str(Bits(bits)), steps, {})
@@ -227,22 +241,29 @@ def _identify(auto, table, text):
 
 
 def _delays(auto, start, seq, text, k, memo):
-    """Identify each symbol within the bits a k-delay step reads, memoized
-    by (table, those bits, whether they end the text), else on all of it."""
+    """Identify each symbol within the bits a k-delay step reads, else on
+    all of it.  ``memo`` maps (table, bits) to the (offset, symbol) that
+    ``_identify`` finds on any bits starting with them, or to () when the
+    bits alone identify nothing; None is never stored.  Up to the offset
+    the scan reads only the bits before it, so a found one is stored under
+    its identifying prefix and under the bits read."""
     rows, longest = auto.rows, auto.longest
     table, pos, delays = start, 0, []
     for s in seq:
         w, nxt, _ = rows[table][s]
         view = text[pos:pos + longest[table] + k]
-        key = (table, view, pos + len(view) == len(text))
-        found = memo.get(key, False)
-        if found is False:
-            found = _identify(auto, table, view)
-            if found or key[2]:
-                memo[key] = found
-            else:  # more bits may yet identify the symbol
-                found = _identify(auto, table, text[pos:])
+        found = memo.get((table, view))
         if found is None:
+            found = next(filter(None, (memo.get((table, view[:n]))
+                                       for n in range(len(view)))), None)
+            if found is None:
+                found = _identify(auto, table, view) or ()
+                if found:
+                    memo[table, view[:found[0]]] = found
+            memo[table, view] = found
+        if not found and pos + len(view) < len(text):  # more bits may tell
+            found = _identify(auto, table, text[pos:])
+        if not found:
             break  # never the only explanation: the decoder's dangling tail
         if found[1] != s:
             raise NoConsistentCompletion(
@@ -263,6 +284,7 @@ def identification_delays(code, start, seq, bits=None):
     stream never pins down are not measured; they are exactly the ones the
     decoder reports as dangling.
     """
+    check_type("code", code, CodeTuple)
     seq = tuple(seq)
     check_indices(code, start, seq)
     auto = code.sets
@@ -300,6 +322,7 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
     more than k bits of delay to identify.  ``seed`` is required so runs are
     reproducible.
     """
+    check_type("code", code, CodeTuple)
     if seed is None:
         raise InvalidArgument("seed is required")
     for name, value, low in (("trials", trials, 0), ("max_len", max_len, 1)):
@@ -309,6 +332,7 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
             raise InvalidArgument("%s=%r below %d" % (name, value, low))
     check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)
+    randrange, sigma = rng.randrange, code.sigma
     auto, tails, scans = code.sets, {}, {}  # shared by the trials
     steps = [{} for _ in code.tables]
     failures, count, max_delay, conflicts = [], 0, 0, 0
@@ -320,9 +344,8 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
             failures.append(RoundTripFailure(trial, start, tuple(seq), reason))
 
     for trial in range(trials):
-        start = rng.randrange(code.num_tables)
-        seq = tuple(rng.randrange(code.sigma)
-                    for _ in range(rng.randint(1, max_len)))
+        start = randrange(code.num_tables)
+        seq = tuple(randrange(sigma) for _ in range(rng.randint(1, max_len)))
         text = auto._emit(start, seq)[0]
         try:
             result = _decode(auto, k, start, text, steps, tails)

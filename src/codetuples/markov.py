@@ -10,13 +10,13 @@ their denominators; rounding happens only in display helpers.
 
 from __future__ import annotations
 
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 import math
 
-from .core import check_same_alphabet
-from .errors import NotRegular
+from .core import MAX_DECIMAL_EXPONENT, check_same_alphabet
+from .errors import InvalidArgument, NotRegular
 from .prefix_sets import check_indices, check_type
 
 
@@ -81,8 +81,14 @@ def average_length(code, dist):
 
 
 def approx_decimal(x, places=4):
-    """Round an exact rational for display, ties to even."""
+    """Round an exact rational for display, ties to even, in exact
+    arithmetic: every digit is kept, however many.  ``places`` is bounded
+    like a parsed decimal exponent, by MAX_DECIMAL_EXPONENT."""
     check_type("x", x, Rational)
     check_type("places", places, int)
-    value = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+    if abs(places) > MAX_DECIMAL_EXPONENT:
+        raise InvalidArgument("places=%d outside -%d..%d" % (
+            places, MAX_DECIMAL_EXPONENT, MAX_DECIMAL_EXPONENT))
+    n = round(Fraction(x) * Fraction(10) ** places)  # ties to even
+    digits = Decimal(abs(n)).as_tuple().digits
+    return str(Decimal((int(x < 0), digits, -places)))

@@ -12,7 +12,8 @@ a level is one pass, table i taking what the nonempty codewords emit in each
 table it reaches through empty codewords.  A table that can never emit k
 bits ends with an empty set, which is the correct answer, not an error.
 
-The same table is the tuple's emission automaton, which the codec walks.
+The same table is the tuple's emission automaton, which the codec walks;
+``fits`` keys its greedy steps by a codeword and the k-bit window after it.
 Sets grow like 2**k, so k is refused beyond the fixed bound DEFAULT_MAX_K.
 """
 
@@ -73,6 +74,7 @@ class PrefixSetTable:
         self._levels = tuple([1] for _ in code.tables)  # the empty block
         self._reach = tuple(map(self._reached_rows, range(len(self.rows))))
         self._words = {}
+        self._fits = {}
 
     def _reached_rows(self, i):
         """The rows of the tables i reaches by empty codewords, i included."""
@@ -108,6 +110,27 @@ class PrefixSetTable:
                                    for table in self.levels(k))
         return self._words[k]
 
+    def fits(self, k):
+        """Per table, (keys, lengths): ``keys`` maps each codeword followed
+        by a k-bit block of its target's base set to (symbol, codeword
+        length, target, more than one row gives it), first row first, and
+        ``lengths`` lists the keys' lengths ascending.  A row fits bits
+        exactly when one of its keys is their prefix, so a greedy step
+        probes the prefixes of those lengths, at most sigma * 2**k keys."""
+        check_k(k)  # before the lookup, which finds 2 for 2.0
+        if k not in self._fits:
+            words, tables = self.words(k), []
+            for rows in self.rows:
+                keys = {}
+                for w, t, s in rows:
+                    for c in words[t]:
+                        key = w + c
+                        keys[key] = keys[key][:3] + (True,) if key in keys \
+                            else (s, len(w), t, False)
+                tables.append((keys, sorted(set(map(len, keys)))))
+            self._fits[k] = tuple(tables)
+        return self._fits[k]
+
     def base(self, i, k):
         """All k-bit strings table i can emit next, as ``Bits`` (``words``)."""
         check_table(i, len(self.rows))
@@ -131,10 +154,11 @@ class PrefixSetTable:
     def _emit(self, table, seq):
         """The codewords of seq from table joined as a str, and the table
         it ends in; ``encode_from`` and the codec check the arguments."""
-        words = []
+        rows, words = self.rows, []
+        append = words.append
         for s in seq:
-            w, table, _ = self.rows[table][s]
-            words.append(w)
+            w, table, _ = rows[table][s]
+            append(w)
         return "".join(words), table
 
     def search(self, text, table):
@@ -174,7 +198,11 @@ def encode_from(code, start, seq):
     """Concatenate the codewords of seq starting in the given table.
 
     Returns (bits, end_table); the empty sequence returns (empty, start).
+    A code tuple is known by its automaton, since ``core``, which defines
+    CodeTuple, imports this module.
     """
+    if not isinstance(getattr(code, "sets", None), PrefixSetTable):
+        raise InvalidType("code must be CodeTuple, got %r" % (code,))
     seq = tuple(seq)
     check_indices(code, start, seq)
     text, end = code.sets._emit(start, seq)

@@ -6,8 +6,11 @@ state searches.  Every field of the result must agree: symbols, end table,
 tail, completions, capped and conflicts, or both must refuse the bits.
 ``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
 decoder per trial, against the codec's dicts of steps shared by the trials.
+``scan_step`` is a greedy step as a scan of every row, against which the
+steps probed from ``fits`` are checked.
 """
 
+import copy
 import itertools
 import random
 
@@ -16,7 +19,7 @@ import pytest
 from codetuples import (CodeTuple, classify, decode, delay_decodability,
                         identification_delays, make_tuple, roundtrip_check)
 from codetuples.bits import Bits
-from codetuples.codec import _decode
+from codetuples.codec import _decode, _delays
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import TUPLES
@@ -159,10 +162,11 @@ def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
             bits, _ = encode_from(code, start, seq)
         cases.append((code, start, bits))
         cases.append((code, start, bits.head(len(bits) - rng.randint(1, 16))))
-    oracle = {}
+    oracle, fits = {}, {}
     for k in (2, 1, 2):
         shared = {}
         for n, (code, start, bits) in enumerate(cases):
+            fits.setdefault((code, k), copy.deepcopy(code.sets.fits(k)))
             fresh = CodeTuple(code.alphabet, code.tables)
             assert fresh.sets is not code.sets
             want = outcome(decode, fresh, start, bits, k)
@@ -176,6 +180,82 @@ def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
                            {}) == want
             for memo, longest in zip(steps, code.sets.longest):
                 assert len(memo) <= 2 ** (longest + k + 1)
+    # the step keys are the tuple's, at most sigma * 2**k per table, and
+    # decoding never grows them
+    for (code, k), want in fits.items():
+        assert code.sets.fits(k) == want
+        assert all(len(keys) <= code.sigma * 2 ** k for keys, _ in want)
+
+
+def scan_step(code, k, table, view):
+    """The greedy step by a scan of every row: the lowest symbol whose
+    codeword the view goes on with by k bits its target can emit next, and
+    whether a second row does too."""
+    words = code.sets.words(k)
+    fit = [(s, len(w), t) for s, (w, t) in enumerate(
+               (str(code.code(table, s)), code.target(table, s))
+               for s in code.alphabet)
+           if view.startswith(w) and view[len(w):len(w) + k] in words[t]
+           and len(view) >= len(w) + k]
+    return fit[0] + (len(fit) > 1,) if fit else ()
+
+
+class NoTails(dict):
+    """A tails memo that answers every tail with no completion, for tests
+    of the greedy steps alone."""
+
+    def get(self, key, default=None):
+        return (), False
+
+
+def test_fitted_steps_match_a_scan_of_every_row():
+    # every view of up to longest + k bits is the first view of a decode
+    # from its table; every step any decode memoized must be the scan's
+    rng = random.Random(4408)
+    codes = list(AMBIGUOUS) + [
+        random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=2)
+        for _ in range(200)]
+    seen = set()  # the cases a probe by prefix could get wrong
+    for code in codes:
+        if not all(itertools.chain(*(t.codes for t in code.tables))):
+            seen.add("empty codeword")
+        for k in range(5):
+            steps, tails = [{} for _ in code.tables], NoTails()
+            for table, (keys, lengths) in enumerate(code.sets.fits(k)):
+                if any(fit[3] for fit in keys.values()):
+                    seen.add("two rows give one key")
+                if any(a != b and b.startswith(a) for a in keys for b in keys):
+                    seen.add("one key a prefix of another")
+                if any(len(key) > min(lengths) for key in keys):
+                    seen.add("a view shorter than a key")
+                width = code.sets.longest[table] + k
+                for n in range(width + 1):
+                    for bits in itertools.product("01", repeat=n):
+                        view = "".join(bits)
+                        _decode(code.sets, k, table, view, steps, tails)
+                        assert view in steps[table]
+            for table, memo in enumerate(steps):
+                for view, step in memo.items():
+                    assert step == scan_step(code, k, table, view), \
+                        (code, k, table, view)
+    assert len(seen) == 4, seen
+
+
+def test_one_identification_memo_serves_many_texts():
+    # as roundtrip_check shares one memo across its trials: here across
+    # texts and view widths, keyed also by identifying prefixes
+    rng = random.Random(4409)
+    for _ in range(60):
+        code = random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=3)
+        memo = {}
+        for k in (0, 1, 2, 3) * 8:
+            start = rng.randrange(code.num_tables)
+            seq = random_seq(rng, code, 8)
+            text = code.sets._emit(start, seq)[0]
+            assert _delays(code.sets, start, seq, text, k, memo) == \
+                identification_delays(code, start, seq) == \
+                oracle_identification_delays(code, start, seq), (code, seq)
+        assert None not in memo.values()
 
 
 def test_identification_delays_match_the_oracle():

@@ -91,6 +91,10 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     (lambda: Bits("1").strip_prefix(Bits("0")),
      "Bits('0') is not a prefix of Bits('1')"),
     (lambda: bit(2), "bit must be 0 or 1"),
+    # as many digits as any parsed decimal exponent, not a raw decimal error
+    (lambda: approx_decimal(THIRD, 10 ** 6),
+     "places=1000000 outside -1000..1000"),
+    (lambda: approx_decimal(THIRD, -1001), "places=-1001 outside -1000..1000"),
     (lambda: flip(-1), "bit must be 0 or 1"),
     # a negative index would silently count from the end
     (lambda: encode(TUPLES["r3"], 0, (9,)), "symbol 9 outside 0..3"),
@@ -248,6 +252,12 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: is_aifv(5), "code must be CodeTuple, got 5"),
     (lambda: witness("f0", 5), "code must be CodeTuple, got 5"),
     (lambda: rewrite_step(5, "rotate"), "code must be CodeTuple, got 5"),
+    # so do the codec's, before they read a table
+    (lambda: decode(5, 0, "01"), "code must be CodeTuple, got 5"),
+    (lambda: encode(5, 0, (0,)), "code must be CodeTuple, got 5"),
+    (lambda: identification_delays(5, 0, (0,)),
+     "code must be CodeTuple, got 5"),
+    (lambda: roundtrip_check(5, seed=1), "code must be CodeTuple, got 5"),
     # so do the Markov entry points, through their alphabet check
     (lambda: average_length(TUPLES["r3"], 5), "dist must be SourceDist, got 5"),
     (lambda: stationary_distribution(5, R3_UNIFORM),

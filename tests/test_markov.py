@@ -90,6 +90,18 @@ def test_approx_decimal_rounds_half_even():
     assert str(approx_decimal(Fraction(19, 10))) == "1.9000"
 
 
+def test_approx_decimal_keeps_every_digit_exactly():
+    # more digits than a default decimal context holds, and no rounding
+    # before the rounding to places
+    assert approx_decimal(Fraction(1, 3), 30) == "0." + "3" * 30
+    assert approx_decimal(Fraction(-2, 3), 40) == "-0." + "6" * 39 + "7"
+    assert approx_decimal(10 ** 40 + Fraction(1, 4), 1) == \
+        "1" + "0" * 40 + ".2"
+    assert approx_decimal(Fraction(1, 2) + Fraction(1, 10 ** 40), 0) == "1"
+    assert approx_decimal(Fraction(-1, 10 ** 5)) == "-0.0000"
+    assert approx_decimal(Fraction(123), -1) == "1.2E+2"
+
+
 def test_positivity_matches_core_membership():
     dist = main_dist()
     for key in ("r1", "r3", "r9", "r10"):
