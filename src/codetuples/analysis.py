@@ -10,17 +10,17 @@ from every table, so long encodings forget where they started.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 import itertools
 
 from .bits import Bits
-from .prefix_sets import blocks, emits
+from .prefix_sets import blocks, check_code, emits
 
 
 def dead_tables(code):
     """Tables that can never emit another bit, in index order."""
-    return tuple(i for i, bits in enumerate(code.sets.words(1)) if not bits)
+    return tuple(i for i, bits in enumerate(check_code(code).sets.words(1))
+                 if not bits)
 
 
 def is_extendable(code):
@@ -71,7 +71,7 @@ def delay_decodability(code, k):
     blocks both u's target and r then v's target can emit.  Per table, one
     extension violation per symbol comes first, then the equal-codeword
     pairs; each witness is the lowest clashing block."""
-    sets = code.sets
+    sets = check_code(code).sets
     levels = sets.levels(k)
     violations = []
 
@@ -97,38 +97,22 @@ def delay_decodability(code, k):
 
 @dataclass
 class ReachabilityReport:
-    """Per-table reach sets, their intersection, and shortest witnesses.
-
-    witnesses[i][j] is a shortest source sequence x with the table walk from
-    i ending at j; ties go to earlier symbols.  Every table reaches itself
-    via the empty sequence.
-    """
+    """Per-table reach sets and their intersection; every table reaches
+    itself."""
 
     reach: tuple
     core: frozenset
-    witnesses: tuple
-
-    def witness(self, start, target):
-        return self.witnesses[start][target]
 
 
 def reachable_tables(code):
     reach = []
-    witnesses = []
-    for start in code.table_indices():
-        found = {start: ()}
-        queue = deque([start])
-        while queue:
-            j = queue.popleft()
-            for s in code.alphabet:
-                t = code.target(j, s)
-                if t not in found:
-                    found[t] = found[j] + (s,)
-                    queue.append(t)
+    for start in check_code(code).table_indices():
+        found = [start]
+        for j in found:  # the list grows while it is read
+            found += set(code.tables[j].targets) - set(found)
         reach.append(frozenset(found))
-        witnesses.append(found)
     core = frozenset.intersection(*reach)
-    return ReachabilityReport(tuple(reach), core, tuple(witnesses))
+    return ReachabilityReport(tuple(reach), core)
 
 
 def is_regular(code):
@@ -139,4 +123,5 @@ def is_regular(code):
 def two_continuation_tables(code):
     """Tables with exactly two possible 2-bit continuations."""
     return frozenset(
-        i for i, pairs in enumerate(code.sets.words(2)) if len(pairs) == 2)
+        i for i, pairs in enumerate(check_code(code).sets.words(2))
+        if len(pairs) == 2)

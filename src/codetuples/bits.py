@@ -92,11 +92,6 @@ class Bits:
             raise InvalidArgument("empty bit string has no first bit")
         return Bits(self._s[1:])
 
-    def drop_last(self):
-        if not self._s:
-            raise InvalidArgument("empty bit string has no last bit")
-        return Bits(self._s[:-1])
-
     def strip_prefix(self, prefix):
         """The remainder after removing ``prefix``; requires prefix <= self."""
         if not prefix.is_prefix_of(self):
@@ -114,20 +109,6 @@ def bit(value):
     if value not in (0, 1):
         raise InvalidArgument("bit must be 0 or 1")
     return ONE if value else ZERO
-
-
-def flip(value):
-    """Negate a single bit given as int 0/1."""
-    if value not in (0, 1):
-        raise InvalidArgument("bit must be 0 or 1")
-    return 1 - value
-
-
-def all_bits(length):
-    """All Bits of exactly the given length, lexicographic."""
-    if length == 0:
-        return [EMPTY]
-    return [Bits(format(v, "0%db" % length)) for v in range(1 << length)]
 
 
 def show(b):

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 from .bits import show
 from .analysis import dead_tables, delay_decodability, is_regular
-from .core import CodeTuple
 from .errors import InvalidArgument
-from .prefix_sets import K, blocks, check_type
+from .prefix_sets import K, blocks, check_code
 
 # The nested families, loosest first: each implies the one before it.
 NESTED = ("f0", "f1", "f2", "f3", "f4", "aifv")
@@ -144,7 +143,7 @@ def _two_tables(code):
 def is_aifv(code):
     """Check the seven structural conditions; returns (ok, failing clause),
     trying each clause on table 0, then on table 1."""
-    if reason := _two_tables(check_type("code", code, CodeTuple)):
+    if reason := _two_tables(check_code(code)):
         return False, reason
     tables = [(i, [str(w) for w in t.codes], t.targets, code.alphabet.names)
               for i, t in enumerate(code.tables)]
@@ -217,7 +216,7 @@ def witness(name, code):
     if name not in CLASS_NAMES:  # a tuple, so an unhashable name is refused
         raise InvalidArgument("unknown family %r, not one of %s"
                               % (name, ", ".join(CLASS_NAMES)))
-    check_type("code", code, CodeTuple)
+    check_code(code)
     requires, own = FAMILIES[name]
     lacking = (witness(basic, code) for basic in requires)
     return next(filter(None, lacking), None) or (own and own(code))
@@ -227,7 +226,7 @@ def classify(code):
     """Evaluate every family, cheap checks first; a failed family carries
     "not X" for the first basic property X it lacks, else its own clause's
     witness."""
-    check_type("code", code, CodeTuple)
+    check_code(code)
     reasons = {}
     for name in CLASS_NAMES:
         requires, own = FAMILIES[name]

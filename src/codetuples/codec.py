@@ -13,7 +13,7 @@ Each memo is keyed by the bits that decide its answer:
   one call's dicts).  A missed view probes the automaton's ``fits(k)``, keyed
   by each codeword plus a k-bit window its target can emit: a row fits
   exactly when one of its keys is a prefix of the view.
-- a tail's completions by (table, bits left).
+- a tail's completions, or that it has none, by (table, bits left).
 - a symbol's identification by (table, its identifying prefix) and by
   (table, the bits a step reads): until one symbol is left, the scan reads
   no bit past the offset it has reached, so every view starting with that
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import random
 
 from .bits import Bits
-from .core import CodeTuple
-from .errors import InvalidArgument, InvalidType, NoConsistentCompletion
-from .prefix_sets import K, check_indices, check_k, check_type, encode_from
+from .errors import InvalidArgument, NoConsistentCompletion
+from .prefix_sets import (K, check_code, check_indices, check_int, check_k,
+                          encode_from)
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
@@ -94,7 +94,7 @@ def _finish_lengths(graph, end, width):
 def _completions(auto, tail, table):
     """The first COMPLETION_CAP symbol sequences emitting exactly a nonempty
     ``tail`` from ``table``, by length then lexicographically, and whether more
-    exist; NoConsistentCompletion when no emission even starts with it.
+    exist; None when no emission even starts with it.
 
     A sequence stops at its first exact match: extending one only appends
     symbols that emit nothing, which the bits cannot testify to.  Each
@@ -104,9 +104,7 @@ def _completions(auto, tail, table):
     """
     graph, reaches = auto._search(tail, table)
     if not reaches:
-        raise NoConsistentCompletion(
-            "%s is not a prefix of any emission from table %d"
-            % (tail, table))
+        return None
     start, width = (table, 0), 2 * COMPLETION_CAP
     while True:
         finish = _finish_lengths(graph, len(tail), width)
@@ -149,7 +147,8 @@ def _decode(auto, k, start, text, steps, tails):
     """Decode text from start; ``steps[i]`` maps the bits a step reads in
     table i to (symbol, codeword length, target, more than one row fits) for
     the lowest fitting symbol, or () when none fits, and ``tails`` maps
-    (table, bits left) to their completions."""
+    (table, bits left) to their completions, or to None when no emission
+    starts with the bits left."""
     rows, fits = auto.rows, auto.fits(k)
     widths = [n + k for n in auto.longest]
     symbols, table, pos, conflicts = [], start, 0, 0
@@ -184,8 +183,14 @@ def _decode(auto, k, start, text, steps, tails):
         if pos == len(text):
             return (), False
         key = (table, text[pos:])
-        return tails.get(key) or tails.setdefault(
-            key, _completions(auto, key[1], table))
+        found = tails.get(key, False)  # a stored tail holds None or a pair
+        if found is False:
+            found = tails[key] = _completions(auto, key[1], table)
+        if found is None:
+            raise NoConsistentCompletion(
+                "%s is not a prefix of any emission from table %d"
+                % (key[1], table))
+        return found
 
     try:
         completions, capped = complete()
@@ -222,7 +227,6 @@ def decode(code, start, bits, k=K):
     emission from the start table, or naming the table and bit where a
     greedy step went wrong: the tuple is not decodable with delay k there.
     """
-    check_type("code", code, CodeTuple)
     check_indices(code, start)
     steps = [{} for _ in code.tables]
     return _decode(code.sets, k, start, str(Bits(bits)), steps, {})
@@ -284,9 +288,7 @@ def identification_delays(code, start, seq, bits=None):
     stream never pins down are not measured; they are exactly the ones the
     decoder reports as dangling.
     """
-    check_type("code", code, CodeTuple)
-    seq = tuple(seq)
-    check_indices(code, start, seq)
+    seq = check_indices(code, start, seq)
     auto = code.sets
     text = auto._emit(start, seq)[0] if bits is None else str(Bits(bits))
     return _delays(auto, start, seq, text, 2, {})  # any view width is exact
@@ -319,16 +321,15 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
     A trial fails when the decoder output is not a prefix of the source,
     when it leaves out a symbol whose codeword is followed by at least k
     bits, when the bits admit no completion, or when some symbol needed
-    more than k bits of delay to identify.  ``seed`` is required so runs are
-    reproducible.
+    more than k bits of delay to identify.  ``seed``, an int, is required so
+    runs are reproducible.
     """
-    check_type("code", code, CodeTuple)
+    check_code(code)
     if seed is None:
         raise InvalidArgument("seed is required")
+    check_int("seed", seed)
     for name, value, low in (("trials", trials, 0), ("max_len", max_len, 1)):
-        if type(value) is not int:  # a float or str would fail mid-trial
-            raise InvalidType("%s must be int, got %r" % (name, value))
-        if value < low:
+        if check_int(name, value) < low:  # a float or str would fail mid-trial
             raise InvalidArgument("%s=%r below %d" % (name, value, low))
     check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)

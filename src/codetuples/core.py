@@ -20,8 +20,8 @@ import math
 
 from .bits import Bits, parse as parse_bits, show as show_bits
 from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
-                     InvalidType, UnknownSymbol)
-from .prefix_sets import PrefixSetTable, check_type
+                     UnknownSymbol)
+from .prefix_sets import _Sets, check_code, check_int, check_type
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
 MAX_DECIMAL_EXPONENT = 1000
@@ -50,11 +50,12 @@ class Alphabet:
         _store_tuple(self, "names")
         if not self.names:
             raise InvalidArgument("alphabet is empty")
+        for name in self.names:  # str first, since set() hashes them
+            if not check_type("symbol name", name, str) or any(
+                    ch.isspace() for ch in name):
+                raise InvalidArgument("bad symbol name: %r" % (name,))
         if len(set(self.names)) != len(self.names):
             raise InvalidArgument("duplicate symbol name")
-        for name in self.names:
-            if not name or any(ch.isspace() for ch in name):
-                raise InvalidArgument("bad symbol name: %r" % (name,))
 
     def __len__(self):
         return len(self.names)
@@ -106,20 +107,7 @@ class Table:
         if len(self.codes) != len(self.targets):
             raise InvalidArgument("codes and targets differ in length")
         for c in self.codes:
-            if not isinstance(c, Bits):
-                raise InvalidType("codeword must be Bits, got %r" % (c,))
-
-
-class _Sets:
-    """``CodeTuple.sets``, built on first read and then stored on the tuple
-    with ``object.__setattr__``: unlike ``functools.cached_property``'s
-    write to ``__dict__``, that keeps CPython 3.11's inline attributes."""
-
-    def __get__(self, code, owner=None):
-        if code is None:
-            return self
-        object.__setattr__(code, "sets", PrefixSetTable(code))
-        return code.sets
+            check_type("codeword", c, Bits)
 
 
 @dataclass(frozen=True)
@@ -130,19 +118,17 @@ class CodeTuple:
     tables: tuple
 
     def __post_init__(self):
+        check_type("alphabet", self.alphabet, Alphabet)
         _store_tuple(self, "tables")
         if not self.tables:
             raise InvalidArgument("a code tuple needs at least one table")
         m = len(self.tables)
         for i, t in enumerate(self.tables):
-            if not isinstance(t, Table):
-                raise InvalidType("table %d must be Table, got %r" % (i, t))
+            check_type("table %d" % i, t, Table)
             if len(t.codes) != len(self.alphabet):
                 raise InvalidArgument("table size does not match alphabet")
             for name, j in zip(self.alphabet.names, t.targets):
-                if type(j) is not int:  # 0.0 and True equal an index
-                    raise InvalidType("table %d, symbol %s: next-table index "
-                                      "must be int, got %r" % (i, name, j))
+                check_int("table %d, symbol %s: next-table index", j, i, name)
                 if not 0 <= j < m:
                     raise InvalidArgument("next-table index %r out of range" % (j,))
 
@@ -177,7 +163,7 @@ def make_tuple(names, rows):
     """
     alphabet = Alphabet(names)
     tables = []
-    for i, table_rows in enumerate(rows):
+    for i, table_rows in enumerate(check_type("rows", rows, Iterable)):
         pairs = tuple(table_rows)
         if len(pairs) != len(alphabet):
             raise InvalidArgument("table size does not match alphabet")
@@ -202,13 +188,12 @@ class SourceDist:
     probs: tuple
 
     def __post_init__(self):
+        check_type("alphabet", self.alphabet, Alphabet)
         _store_tuple(self, "probs")
         if len(self.probs) != len(self.alphabet):
             raise InvalidArgument("distribution size does not match alphabet")
         for p in self.probs:
-            if not isinstance(p, Fraction):
-                raise InvalidType("probability must be Fraction, got %r" % (p,))
-            if p <= 0:
+            if check_type("probability", p, Fraction) <= 0:
                 raise InvalidArgument("probabilities must be positive")
         if sum(self.probs) != 1:
             raise InvalidArgument("probabilities sum to %s, not 1" % (sum(self.probs),))
@@ -260,7 +245,7 @@ class SourceDist:
 
 def check_same_alphabet(code, dist):
     """Refuse a wrong-typed code or dist, or two different alphabets."""
-    check_type("code", code, CodeTuple)
+    check_code(code)
     check_type("dist", dist, SourceDist)
     if code.alphabet != dist.alphabet:
         raise AlphabetMismatch("code tuple and distribution use different alphabets")
@@ -299,7 +284,7 @@ def _content_lines(text):
 
 def parse_code_tuple(text):
     """Parse the code-tuple file format into a CodeTuple."""
-    lines = _content_lines(text)
+    lines = _content_lines(check_type("text", text, str))
 
     def take(missing):
         """The next content line as (line number, fields); at the end of
@@ -362,7 +347,7 @@ def parse_code_tuple(text):
 
 def serialize_code_tuple(code):
     """Render a CodeTuple in the file format (round-trips with the parser)."""
-    out = ["alphabet " + " ".join(code.alphabet.names)]
+    out = ["alphabet " + " ".join(check_code(code).alphabet.names)]
     out.append("tables %d" % code.num_tables)
     for i, table in enumerate(code.tables):
         out.append("table %d" % i)
@@ -392,6 +377,9 @@ def _fraction(value):
 
 def parse_dist(text, alphabet=None):
     """Parse a distribution file; optionally check it against an alphabet."""
+    check_type("text", text, str)
+    if alphabet is not None:
+        check_type("alphabet", alphabet, Alphabet)
     names = []
     probs = []
     inexact = False
@@ -429,6 +417,6 @@ def parse_dist(text, alphabet=None):
 
 def serialize_dist(dist):
     out = []
-    for sym in dist.alphabet:
+    for sym in check_type("dist", dist, SourceDist).alphabet:
         out.append("%s %s" % (dist.alphabet.name(sym), dist.probs[sym]))
     return "\n".join(out) + "\n"

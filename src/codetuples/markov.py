@@ -17,7 +17,7 @@ import math
 
 from .core import MAX_DECIMAL_EXPONENT, check_same_alphabet
 from .errors import InvalidArgument, NotRegular
-from .prefix_sets import check_indices, check_type
+from .prefix_sets import check_indices, check_int, check_type
 
 
 def transition_matrix(code, dist):
@@ -85,7 +85,7 @@ def approx_decimal(x, places=4):
     arithmetic: every digit is kept, however many.  ``places`` is bounded
     like a parsed decimal exponent, by MAX_DECIMAL_EXPONENT."""
     check_type("x", x, Rational)
-    check_type("places", places, int)
+    check_int("places", places)
     if abs(places) > MAX_DECIMAL_EXPONENT:
         raise InvalidArgument("places=%d outside -%d..%d" % (
             places, MAX_DECIMAL_EXPONENT, MAX_DECIMAL_EXPONENT))

@@ -15,9 +15,13 @@ bits ends with an empty set, which is the correct answer, not an error.
 The same table is the tuple's emission automaton, which the codec walks;
 ``fits`` keys its greedy steps by a codeword and the k-bit window after it.
 Sets grow like 2**k, so k is refused beyond the fixed bound DEFAULT_MAX_K.
+Each argument kind has one guard here, which every public entry point
+reaches: ``check_code`` for a code tuple and ``check_int`` for an int.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .bits import Bits
 from .errors import InvalidArgument, InvalidType
@@ -26,10 +30,18 @@ DEFAULT_MAX_K = 8
 K = 2  # the decoding delay of the paper's families, and every default k
 
 
+def check_int(name, value, *args):
+    """``value`` if it is an int and not a bool, else InvalidType naming
+    ``name``, formatted with ``args`` only then: 2.0 and True equal an
+    int, and would pass a range test or index a table."""
+    if type(value) is int:
+        return value
+    raise InvalidType("%s must be int, got %r" % (name % args, value))
+
+
 def check_k(k):
     """Refuse a k that is not an int or lies outside 0..DEFAULT_MAX_K."""
-    if type(k) is not int:  # 2.0 and True would pass the range test
-        raise InvalidType("k must be int, got %r" % (k,))
+    check_int("k", k)
     if not 0 <= k <= DEFAULT_MAX_K:
         raise InvalidArgument("k=%d outside 0..%d" % (k, DEFAULT_MAX_K))
 
@@ -66,6 +78,7 @@ class PrefixSetTable:
     (codeword, target, symbol); ``longest[i]``: its longest codeword."""
 
     def __init__(self, code):
+        check_code(code)
         self.rows = tuple(
             tuple((str(w), t, s) for s, (w, t)
                   in enumerate(zip(table.codes, table.targets)))
@@ -194,17 +207,33 @@ class PrefixSetTable:
         return graph, reaches
 
 
+class _Sets:
+    """``CodeTuple.sets``, built on first read and then stored on the tuple
+    with ``object.__setattr__``: unlike ``functools.cached_property``'s
+    write to ``__dict__``, that keeps CPython 3.11's inline attributes."""
+
+    def __get__(self, code, owner=None):
+        if code is None:
+            return self
+        object.__setattr__(code, "sets", PrefixSetTable(code))
+        return code.sets
+
+
+def check_code(code):
+    """``code`` if it is a code tuple, else InvalidType.  ``core``, which
+    defines CodeTuple, imports this module, so a tuple is known by the
+    ``sets`` descriptor on its type; reading ``code.sets`` would build it."""
+    if isinstance(getattr(type(code), "sets", None), _Sets):
+        return code
+    raise InvalidType("code must be CodeTuple, got %r" % (code,))
+
+
 def encode_from(code, start, seq):
     """Concatenate the codewords of seq starting in the given table.
 
     Returns (bits, end_table); the empty sequence returns (empty, start).
-    A code tuple is known by its automaton, since ``core``, which defines
-    CodeTuple, imports this module.
     """
-    if not isinstance(getattr(code, "sets", None), PrefixSetTable):
-        raise InvalidType("code must be CodeTuple, got %r" % (code,))
-    seq = tuple(seq)
-    check_indices(code, start, seq)
+    seq = check_indices(code, start, seq)
     text, end = code.sets._emit(start, seq)
     return Bits(text), end
 
@@ -212,8 +241,7 @@ def encode_from(code, start, seq):
 def check_table(i, count):
     """Refuse a table index that is not an int or lies outside 0..count-1:
     a negative one would silently index from the end."""
-    if type(i) is not int:
-        raise InvalidType("start table must be int, got %r" % (i,))
+    check_int("start table", i)
     if not 0 <= i < count:
         raise InvalidArgument("start table %r outside 0..%d" % (i, count - 1))
 
@@ -233,10 +261,13 @@ def check_symbols(seq, count):
 
 
 def check_indices(code, start, seq=()):
-    """Refuse a start table (``check_table``) or a symbol
-    (``check_symbols``) outside the tuple."""
-    check_table(start, len(code.tables))
+    """``seq`` as a tuple, once ``code`` is a tuple (``check_code``) and the
+    start table (``check_table``) and each symbol (``check_symbols``) lie
+    inside it."""
+    check_table(start, len(check_code(code).tables))
+    seq = tuple(check_type("seq", seq, Iterable))
     check_symbols(seq, len(code.alphabet))
+    return seq
 
 
 def symbols_with_codeword(code, i, b):

@@ -70,9 +70,9 @@ from fractions import Fraction
 from .bits import Bits
 from .classes import FULL_MASK, K, NONZERO_MASK, witness
 from .core import CodeTuple, SourceDist, Table
-from .errors import EmptySpace, InvalidSpace, InvalidType, SearchCheckFailed
+from .errors import EmptySpace, InvalidSpace, SearchCheckFailed
 from .markov import average_length
-from .prefix_sets import check_type, emits
+from .prefix_sets import check_int, check_type, emits
 
 FILTERS = ("f0", "aifv")
 
@@ -93,9 +93,7 @@ class SearchSpace:
 
     def __post_init__(self):
         for name in ("sigma", "tables", "max_len"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidType("%s must be int, got %r" % (name, value))
+            check_int(name, getattr(self, name))
         if self.sigma < 2:
             raise InvalidSpace("need at least two symbols")
         if self.tables not in (1, 2):

@@ -40,7 +40,7 @@ from .errors import (
     WrongTableCount,
 )
 from .markov import average_length
-from .prefix_sets import check_indices, check_type, symbols_with_codeword
+from .prefix_sets import check_code, check_indices, symbols_with_codeword
 
 
 def forced_bit(code, i):
@@ -64,7 +64,7 @@ def _rewrite(code, word):
 
 def rotate(code):
     """Move each table's forced first bit across codeword boundaries."""
-    forced = [forced_bit(code, i) for i in code.table_indices()]
+    forced = [forced_bit(code, i) for i in check_code(code).table_indices()]
 
     def word(i, s):  # an empty codeword inherits its target's forced bit
         w = code.code(i, s) + forced[code.target(i, s)]
@@ -258,7 +258,7 @@ def rewrite_step(code, op, dist=None):
     """One rewrite of ``code`` by its ``REWRITES`` name, as a TransformStep:
     the bit the op reads per table (none for ddot), the result, and the
     result's average length under ``dist`` when one is given."""
-    check_type("code", code, CodeTuple)
+    check_code(code)
     if op not in REWRITES:  # a tuple, so an unhashable op is refused
         raise InvalidArgument("unknown rewrite %r" % (op,))
     rewrite, table_bit = _rewrites()[op]
@@ -325,7 +325,7 @@ def prune_to_reachable(code):
 def extend_to_two_tables(code):
     """Pair a single-table tuple with a fresh second table that always
     hands control back, emitting 01, 10, 110, ..., 1...1 over the alphabet."""
-    if code.num_tables != 1:
+    if check_code(code).num_tables != 1:
         raise WrongTableCount("expected a single table, got %d" % code.num_tables)
     sigma = code.sigma
     if sigma < 2:

@@ -843,7 +843,7 @@ def oracle_is_aifv(code, sets=None):
                 continue
             if i == 1 and b == ZERO:
                 continue
-            stubs = {b} | ({b.drop_last()} if len(b) else set())
+            stubs = {b, b[:-1]}
             if any(code.code(i, s) in stubs for s in code.alphabet):
                 continue
             return False, (

@@ -36,7 +36,6 @@ from codetuples import (
     table_length,
     transition_matrix,
 )
-from codetuples.bits import all_bits
 from codetuples.markov import approx_decimal
 from codetuples.prefix_sets import encode_from, symbols_with_codeword
 from codetuples.reference import (
@@ -55,6 +54,7 @@ from codetuples.reference import (
     bitset,
     main_dist,
 )
+from codetuples.search import all_words
 
 from support import (
     oracle_continuations,
@@ -65,7 +65,7 @@ from support import (
 
 OPS = {"rotate": rotate, "dot": dot, "ddot": ddot}
 
-WINDOWS_TO_SIX = tuple(b for n in range(7) for b in all_bits(n))
+WINDOWS_TO_SIX = tuple(map(Bits, all_words(6)))
 
 # distributions for the bounded searches; the skewed pair heads each list
 SEARCH_DISTS = {

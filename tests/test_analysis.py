@@ -148,39 +148,19 @@ def test_cores_match_reference():
         assert is_regular(TUPLES[key]) == EXPECTED_FLAGS[key]["regular"]
 
 
-def test_reach_witnesses_verify():
-    for key in KEYS:
-        code = TUPLES[key]
-        report = reachable_tables(code)
-        for start in code.table_indices():
-            assert report.witness(start, start) == ()
-            for target, seq in report.witnesses[start].items():
-                _, end = encode_from(code, start, seq)
-                assert end == target
-
-
-def test_witnesses_are_shortest():
+def test_reach_sets_are_the_end_tables_of_short_sequences():
+    # a table reachable at all is reachable by fewer symbols than tables
     rng = random.Random(8)
-    for _ in range(50):
-        code = random_code_tuple(rng)
+    codes = [TUPLES[key] for key in KEYS]
+    codes += [random_code_tuple(rng) for _ in range(50)]
+    for code in codes:
         report = reachable_tables(code)
         for start in code.table_indices():
-            best = {start: 0}
-            frontier = [start]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt = []
-                for j in frontier:
-                    for s in code.alphabet:
-                        t = code.target(j, s)
-                        if t not in best:
-                            best[t] = depth
-                            nxt.append(t)
-                frontier = nxt
-            assert set(best) == set(report.witnesses[start])
-            for target, seq in report.witnesses[start].items():
-                assert len(seq) == best[target]
+            ends = {encode_from(code, start, seq)[1]
+                    for n in range(code.num_tables)
+                    for seq in product(code.alphabet, repeat=n)}
+            assert report.reach[start] == ends
+        assert report.core == frozenset.intersection(*report.reach)
 
 
 def test_two_continuation_tables():

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from codetuples.bits import (EMPTY, ONE, ZERO, Bits, all_bits, bit, flip,
-                             parse, show)
+from codetuples.bits import EMPTY, ONE, ZERO, Bits, bit, parse, show
 
 bit_strings = st.text(alphabet="01", max_size=12)
 
@@ -49,7 +48,7 @@ def test_head_tail_strip():
     assert b.tail_from(2) == Bits("10")
     assert b.tail_from(9) == EMPTY
     assert b.drop_first() == Bits("110")
-    assert b.drop_last() == Bits("011")
+    assert b[:-1] == Bits("011")
     assert b.strip_prefix(Bits("01")) == Bits("10")
     with pytest.raises(ValueError):
         b.strip_prefix(Bits("10"))
@@ -63,9 +62,6 @@ def test_order_is_length_then_lex():
 
 def test_helpers():
     assert bit(0) == ZERO and bit(1) == ONE
-    assert flip(0) == 1 and flip(1) == 0
-    assert all_bits(2) == [Bits("00"), Bits("01"), Bits("10"), Bits("11")]
-    assert all_bits(0) == [EMPTY]
     assert show(EMPTY) == "-"
     assert show(Bits("01")) == "01"
     assert parse("-") == EMPTY

@@ -19,6 +19,7 @@ import pytest
 from codetuples import (CodeTuple, classify, decode, delay_decodability,
                         identification_delays, make_tuple, roundtrip_check)
 from codetuples.bits import Bits
+from codetuples import codec
 from codetuples.codec import _decode, _delays
 from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
@@ -185,6 +186,30 @@ def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
     for (code, k), want in fits.items():
         assert code.sets.fits(k) == want
         assert all(len(keys) <= code.sigma * 2 ** k for keys, _ in want)
+
+
+def test_a_shared_tails_dict_searches_each_tail_once(monkeypatch):
+    # a tail that no emission starts with is stored like a found completion,
+    # so decodes sharing one dict, as a round trip's trials do, give the
+    # same answer from it without searching again
+    code, k = TUPLES["r3"], 1  # r3 is not decodable with delay 1
+    texts = ("10011101101110", "11111111", "01")  # misstep, refused, a tail
+
+    def answer(fn, *args):
+        try:
+            return fn(*args)
+        except NoConsistentCompletion as exc:
+            return str(exc)
+    want = [answer(decode, code, 0, Bits(text), k) for text in texts]
+    searched, search = [], codec._completions
+    monkeypatch.setattr(codec, "_completions", lambda auto, tail, table: (
+        searched.append((table, tail)) or search(auto, tail, table)))
+    steps, tails = [{} for _ in code.tables], {}
+    for _ in range(3):
+        assert [answer(_decode, code.sets, k, 0, text, steps, tails)
+                for text in texts] == want
+    assert searched == [(0, "1101101110"), (0, "11111111"), (0, "01")]
+    assert tails[0, "11111111"] is None
 
 
 def scan_step(code, k, table, view):

@@ -1,11 +1,18 @@
 """Argument errors are domain errors and still ValueErrors (TypeErrors for
-a value of the wrong type), with their messages unchanged."""
+a value of the wrong type), with their messages unchanged; every public
+callable and the CLI keep to that contract on generated wrong arguments."""
 
+import contextlib
+import inspect
+import io
+import signal
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+import codetuples
 from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         InvalidArgument, PrefixSetTable, SearchSpace,
                         SourceDist, Table, UnknownSymbol, approx_decimal,
@@ -13,9 +20,11 @@ from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         delay_decodability, encode, extend_to_two_tables,
                         forced_bit, identification_delays, is_aifv,
                         make_tuple, prefix_chain, roundtrip_check,
+                        serialize_code_tuple, serialize_dist,
                         stationary_distribution, steer_bit, table_length,
                         transition_matrix)
-from codetuples.bits import EMPTY, bit, flip
+from codetuples.bits import EMPTY, bit
+from codetuples.cli import main
 from codetuples.classes import witness
 from codetuples.errors import InvalidType
 from codetuples.prefix_sets import symbols_with_codeword
@@ -87,7 +96,6 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "of extendable, regular, decodable, f0, f1, f2, f3, f4, aifv"),
     (lambda: Bits("012"), "not a binary string: '012'"),
     (lambda: EMPTY.drop_first(), "empty bit string has no first bit"),
-    (lambda: EMPTY.drop_last(), "empty bit string has no last bit"),
     (lambda: Bits("1").strip_prefix(Bits("0")),
      "Bits('0') is not a prefix of Bits('1')"),
     (lambda: bit(2), "bit must be 0 or 1"),
@@ -95,7 +103,6 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     (lambda: approx_decimal(THIRD, 10 ** 6),
      "places=1000000 outside -1000..1000"),
     (lambda: approx_decimal(THIRD, -1001), "places=-1001 outside -1000..1000"),
-    (lambda: flip(-1), "bit must be 0 or 1"),
     # a negative index would silently count from the end
     (lambda: encode(TUPLES["r3"], 0, (9,)), "symbol 9 outside 0..3"),
     (lambda: encode(TUPLES["r3"], 0, (0, -1)), "symbol -1 outside 0..3"),
@@ -272,6 +279,38 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
      "dist must be SourceDist, got 5"),
     (lambda: approx_decimal(0.5), "x must be Rational, got 0.5"),
     (lambda: approx_decimal(HALF, places="x"), "places must be int, got 'x'"),
+    (lambda: approx_decimal(THIRD, True), "places must be int, got True"),
+    # the CLI's --seed is an int; another seed is refused before a trial
+    (lambda: roundtrip_check(TUPLES["r3"], trials=2, seed=[1]),
+     "seed must be int, got [1]"),
+    (lambda: roundtrip_check(TUPLES["r3"], trials=2, seed="x"),
+     "seed must be int, got 'x'"),
+    # every entry point that takes a tuple refuses anything else up front
+    *((lambda call=call: call(5), "code must be CodeTuple, got 5")
+      for call in (codetuples.PrefixSetTable, codetuples.dead_tables,
+                   lambda code: delay_decodability(code, 2),
+                   extend_to_two_tables, lambda code: forced_bit(code, 0),
+                   codetuples.is_extendable, codetuples.is_regular,
+                   lambda code: prefix_chain(code, 0, 0),
+                   codetuples.prune_to_reachable, codetuples.reachable_tables,
+                   codetuples.rotate, serialize_code_tuple,
+                   lambda code: steer_bit(code, 0),
+                   codetuples.two_continuation_tables)),
+    (lambda: codetuples.parse_code_tuple(5), "text must be str, got 5"),
+    (lambda: codetuples.parse_dist(b"a 1\n"),
+     "text must be str, got b'a 1\\n'"),
+    (lambda: codetuples.parse_dist("a 1\n", ("a",)),
+     "alphabet must be Alphabet, got ('a',)"),
+    (lambda: serialize_dist(5), "dist must be SourceDist, got 5"),
+    (lambda: encode(TUPLES["r3"], 0, 5), "seq must be Iterable, got 5"),
+    (lambda: identification_delays(TUPLES["r3"], 0, None),
+     "seq must be Iterable, got None"),
+    (lambda: CodeTuple(5, (Table((Bits("0"),), (0,)),)),
+     "alphabet must be Alphabet, got 5"),
+    (lambda: SourceDist(None, (HALF, HALF)),
+     "alphabet must be Alphabet, got None"),
+    (lambda: make_tuple(("a", "b"), None), "rows must be Iterable, got None"),
+    (lambda: Alphabet((5,)), "symbol name must be str, got 5"),
     # a value type's field names itself, not a raw error from tuple() or len()
     (lambda: Table(5, 5), "codes must be Iterable, got 5"),
     (lambda: Table((Bits("0"),), 5), "targets must be Iterable, got 5"),
@@ -316,3 +355,189 @@ def test_list_built_values_hash_and_compare_as_tuple_built_ones():
     for built, want in pairs:
         assert built == want
         assert hash(built) == hash(want)
+
+
+# -- the contract on generated arguments --------------------------------------
+
+# One valid value per parameter name of the public callables, under
+# "Owner.name" where a name means something else there.  A new parameter
+# name needs an entry here before its callable passes the sweep.
+SWEEP_CODE = make_tuple(("a", "b"), [[("-", 1), ("00", 0)],
+                                     [("1", 0), ("01", 0)]])
+SWEEP_DIST = SourceDist(SWEEP_CODE.alphabet, (Fraction(9, 10),
+                                              Fraction(1, 10)))
+VALID = {
+    "alphabet": SWEEP_CODE.alphabet,
+    "bits": "0101",
+    "code": SWEEP_CODE,
+    "codes": (Bits("0"), Bits("1")),
+    "dist": SWEEP_DIST,
+    "filter": "f0",
+    "i": 0,
+    "k": 2,
+    "max_len": 2,
+    "names": ("a", "b"),
+    "places": 4,
+    "probs": (HALF, HALF),
+    "rows": [[("0", 0), ("1", 0)]],
+    "s": 0,
+    "seed": 1,
+    "seq": (0, 1, 0, 1),  # emits "0101" from table 0
+    "sigma": 2,
+    "space": SearchSpace(2, 2, 1, "f0"),
+    "start": 0,
+    "tables": (Table((Bits("0"), Bits("1")), (0, 0)),),
+    "SearchSpace.tables": 2,
+    "target": "f1",
+    "targets": (0, 0),
+    "text": serialize_code_tuple(SWEEP_CODE),
+    "parse_dist.text": serialize_dist(SWEEP_DIST),
+    "trials": 20,
+    "x": THIRD,
+}
+WRONG = (5, None, "x", 1.5, object())
+# result records: dataclasses the package returns, which check nothing
+RECORDS = ("ChainDecomposition", "ClassReport", "ComparisonReport",
+           "DanglingInfo", "DecodabilityReport", "DecodeResult",
+           "ReachabilityReport", "RoundTripReport", "SearchResult",
+           "TransformStep", "TransformTrace")
+PUBLIC = sorted(
+    name for name in codetuples.__all__
+    if callable(getattr(codetuples, name)) and name not in RECORDS
+    and not (isinstance(getattr(codetuples, name), type)
+             and issubclass(getattr(codetuples, name), BaseException)))
+CALL_SECONDS = 5
+
+
+class Overran(BaseException):
+    """Raised in a call that ran past CALL_SECONDS; no ``except
+    Exception`` in the package can take it for a domain error."""
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    def overrun(signum, frame):
+        raise Overran("still running after %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def outcome(func, kwargs):
+    """None for a result or a CodeTupleError, else what went wrong."""
+    try:
+        with time_bound(CALL_SECONDS):
+            func(**kwargs)
+    except CodeTupleError:
+        pass
+    except (Exception, Overran) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return None
+
+
+def test_every_public_callable_is_swept():
+    assert len(PUBLIC) > 40
+    assert {"decode", "rotate", "CodeTuple", "run_goldens"} <= set(PUBLIC)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_callables_refuse_wrong_arguments(name):
+    """Each parameter swapped, one at a time, for each WRONG value gives a
+    result or a CodeTupleError within CALL_SECONDS, as the valid call does;
+    never a raw error from inside the package."""
+    func = getattr(codetuples, name)
+    params = list(inspect.signature(func).parameters)
+    missing = [p for p in params
+               if "%s.%s" % (name, p) not in VALID and p not in VALID]
+    if missing:
+        pytest.fail("no valid value in VALID for %s(%s)"
+                    % (name, ", ".join(missing)))
+    valid = {p: VALID.get("%s.%s" % (name, p), VALID.get(p)) for p in params}
+    bad = ["%s(valid): %s" % (name, outcome(func, valid))]
+    for param in params:
+        for wrong in WRONG:
+            got = outcome(func, dict(valid, **{param: wrong}))
+            bad.append("%s(%s=%r): %s" % (name, param, wrong, got))
+    assert [line for line in bad if not line.endswith(": None")] == []
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Each file token by name: tuples, distributions, a bits file, bytes
+    that are not UTF-8, a directory and a missing path."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "code.ct").write_text(serialize_code_tuple(TUPLES["r5"]))
+    (root / "two.ct").write_text(serialize_code_tuple(SWEEP_CODE))
+    (root / "main.dist").write_text(serialize_dist(R3_UNIFORM))
+    (root / "two.dist").write_text(serialize_dist(SWEEP_DIST))
+    (root / "stream.bits").write_text("0101\n")
+    (root / "binary").write_bytes(bytes(range(256)))
+    (root / "dir").mkdir()
+    return {name: str(root / name) for name in (
+        "code.ct", "two.ct", "main.dist", "two.dist", "stream.bits",
+        "binary", "dir", "missing")}
+
+
+# each verb's flags, and per flag the values a working run would pass
+VERB_FLAGS = {
+    "check": ("--tuple", "--k"), "classify": ("--tuple",),
+    "psets": ("--tuple", "--k"),
+    "encode": ("--tuple", "--start", "--symbols"),
+    "decode": ("--tuple", "--k", "--start", "--bits", "--bits-file",
+               "--roundtrip", "--trials", "--max-len", "--seed"),
+    "transform": ("--tuple", "--op", "--target", "--dist"),
+    "stationary": ("--tuple", "--dist"), "avglen": ("--tuple", "--dist"),
+    "search": ("--sigma", "--tables", "--max-len", "--filter", "--dist"),
+    "huffman": ("--dist",), "goldens": (),
+}
+GOOD = {
+    "--tuple": ("code.ct", "two.ct"), "--dist": ("main.dist", "two.dist"),
+    "--bits-file": ("stream.bits",), "--k": ("0", "1", "2"),
+    "--start": ("0", "1"), "--symbols": ("ab", "b a", "abcd"),
+    "--bits": ("0101", "1000001111110"), "--seed": ("1",),
+    "--op": ("rotate", "dot", "ddot", "chain"), "--target": ("f1", "f2", "f3"),
+    "--sigma": ("2", "4"), "--tables": ("1", "2"), "--filter": ("f0", "aifv"),
+    "--trials": ("3",), "--max-len": ("1", "3"),
+}
+# any other token: missing, binary, a directory, huge and negative numbers
+OTHER = ("binary", "dir", "missing", "-1", "9", "-" + "9" * 40,
+         "1" + "0" * 40, "1.5", "1e5", "x", "", "-", "01x", "zz", "f4")
+# --trials and --max-len size the work itself, and a huge one is a long
+# run rather than a wrong argument, so they are drawn small
+SIZES = ("-1", "0", "x", "2.5")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_0_1_or_2_without_a_traceback(cli_files, data):
+    """argv from a verb's own flags, each left out a quarter of the time
+    and given another token a quarter of the time, now and then with one
+    stray flag or token."""
+    def value(flag):
+        odd = SIZES if flag in ("--trials", "--max-len") else OTHER
+        good = data.draw(st.integers(0, 3))
+        token = data.draw(st.sampled_from(GOOD[flag] if good else odd))
+        return cli_files.get(token, token)
+    verb = data.draw(st.sampled_from(tuple(VERB_FLAGS)))
+    argv = [verb]
+    for flag in data.draw(st.permutations(VERB_FLAGS[verb])):
+        if data.draw(st.integers(0, 3)):
+            argv += [flag] if flag == "--roundtrip" else [flag, value(flag)]
+    if not data.draw(st.integers(0, 4)):
+        stray = data.draw(st.sampled_from(tuple(GOOD) + OTHER))
+        argv += [stray, value(stray)] if stray in GOOD else [stray]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with time_bound(60):
+                status = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        status = exc.code
+    event("exit %s" % status)
+    assert status in (0, 1, 2), (argv, status)
+    assert "Traceback" not in err.getvalue(), argv
