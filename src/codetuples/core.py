@@ -21,7 +21,8 @@ import math
 from .bits import Bits, parse as parse_bits, show as show_bits
 from .errors import (AlphabetMismatch, FormatError, InvalidArgument,
                      UnknownSymbol)
-from .prefix_sets import _Sets, check_code, check_int, check_type
+from .prefix_sets import (_Sets, check_code, check_int, check_symbols,
+                          check_table, check_type)
 
 MAX_FLOAT_DENOMINATOR = 10 ** 6
 MAX_DECIMAL_EXPONENT = 1000
@@ -70,7 +71,12 @@ class Alphabet:
             raise UnknownSymbol("unknown symbol: %r" % (name,)) from None
 
     def name(self, sym):
-        return self.names[sym]
+        try:
+            if sym >= 0:
+                return self.names[sym]
+        except (IndexError, TypeError):
+            pass
+        check_symbols((sym,), len(self.names))  # refuses every other sym
 
     def seq(self, text):
         """Parse a source sequence.
@@ -86,11 +92,13 @@ class Alphabet:
             ):
                 tokens = list(tokens[0])
         else:
-            tokens = list(text)
+            tokens = list(check_type("text", text, Iterable))
         return tuple(self.index(t) for t in tokens)
 
     def render(self, seq):
         """Render a source sequence as space-separated names."""
+        seq = tuple(check_type("seq", seq, Iterable))
+        check_symbols(seq, len(self.names))
         return " ".join(self.names[s] for s in seq)
 
 
@@ -140,11 +148,24 @@ class CodeTuple:
     def sigma(self):
         return len(self.alphabet)
 
+    # code and target run in the transforms' loops: a valid pair pays one test
     def code(self, i, sym):
-        return self.tables[i].codes[sym]
+        try:
+            if i | sym >= 0:
+                return self.tables[i].codes[sym]
+        except (IndexError, TypeError):
+            pass
+        check_table(i, len(self.tables), "table")
+        check_symbols((sym,), len(self.alphabet))
 
     def target(self, i, sym):
-        return self.tables[i].targets[sym]
+        try:
+            if i | sym >= 0:
+                return self.tables[i].targets[sym]
+        except (IndexError, TypeError):
+            pass
+        check_table(i, len(self.tables), "table")
+        check_symbols((sym,), len(self.alphabet))
 
     def table_indices(self):
         return range(len(self.tables))
@@ -164,7 +185,7 @@ def make_tuple(names, rows):
     alphabet = Alphabet(names)
     tables = []
     for i, table_rows in enumerate(check_type("rows", rows, Iterable)):
-        pairs = tuple(table_rows)
+        pairs = tuple(check_type("rows[%d]" % i, table_rows, Iterable))
         if len(pairs) != len(alphabet):
             raise InvalidArgument("table size does not match alphabet")
         for name, pair in zip(alphabet.names, pairs):
@@ -199,7 +220,12 @@ class SourceDist:
             raise InvalidArgument("probabilities sum to %s, not 1" % (sum(self.probs),))
 
     def __getitem__(self, sym):
-        return self.probs[sym]
+        try:
+            if sym >= 0:
+                return self.probs[sym]
+        except (IndexError, TypeError):
+            pass
+        check_symbols((sym,), len(self.probs))  # refuses every other sym
 
     def integer_weights(self):
         """(lcm of the denominators, each probability times it as an int)."""
@@ -209,7 +235,7 @@ class SourceDist:
 
     @classmethod
     def uniform(cls, alphabet):
-        n = len(alphabet)
+        n = len(check_type("alphabet", alphabet, Alphabet))
         return cls(alphabet, tuple(Fraction(1, n) for _ in range(n)))
 
     @classmethod
@@ -221,7 +247,7 @@ class SourceDist:
         up to 10**-12 goes into the largest entry so they sum to one exactly.
         """
         probs = []
-        for v in values:
+        for v in check_type("values", values, Iterable):
             try:  # a float nan or inf raises ValueError or OverflowError
                 p = _fraction(v)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):

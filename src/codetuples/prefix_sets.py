@@ -238,12 +238,12 @@ def encode_from(code, start, seq):
     return Bits(text), end
 
 
-def check_table(i, count):
+def check_table(i, count, name="start table"):
     """Refuse a table index that is not an int or lies outside 0..count-1:
     a negative one would silently index from the end."""
-    check_int("start table", i)
+    check_int(name, i)
     if not 0 <= i < count:
-        raise InvalidArgument("start table %r outside 0..%d" % (i, count - 1))
+        raise InvalidArgument("%s %r outside 0..%d" % (name, i, count - 1))
 
 
 def check_symbols(seq, count):

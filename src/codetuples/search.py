@@ -52,7 +52,10 @@ The combine visits the guesses by a lower bound on their costs: a pair of
 tables costs a mean of their two costs weighted by the weight leaving each,
 so never less than the least bucket cost of either table.  It stops at the
 first guess whose bound is strictly above the best cost: a guess whose
-bound equals it may still hold a tie whose contents come first below.
+bound equals it may still hold a tie whose contents come first below.  A
+guess is joined only when its rows, priced at the best cost as in the cost
+parameter of Yamamoto, Tsuchihashi and Honda's AIFV iteration (Dinkelbach's
+method), can reach it (_reaches); contents are read only at the tie-break.
 
 Ties are broken canonically: tables in index order, symbols in alphabet
 order, codewords compared by length then lexicographically, then the
@@ -417,17 +420,6 @@ def _scan_table(space, index, guess, layout):
         allowed &= ~sum(1 << sid for sid in range(1, len(lens), 2)
                         if not longer[sid >> 1] & allowed & ~clash[sid])
 
-    def finish(options, done, head_key, head, head_targets, head_lens):
-        while options:
-            low = options & -options
-            sid = low.bit_length() - 1
-            row = head + (sid,)
-            bucket = found.setdefault(head_targets + (sid & 1,), {})
-            bucket[head_lens + (lens[sid],)] = row
-            done |= tail[sid]
-            options &= ~done
-        filled[head_key] = done
-
     # Under aifv, owed has the target-0 slots of the target-1 words no taken
     # word extends yet, after the OR of their follow masks and covered that
     # of their near masks, and window 0 in table 1.  The last word must
@@ -462,9 +454,14 @@ def _scan_table(space, index, guess, layout):
                         options & extending(now_owed)
                         & (evens | (now_after | now_after >> 1) << 1),
                         now_after, now_covered)
-                if options:
-                    finish(options, done, key, head + (sid,),
-                           head_targets + (sid & 1,), head_lens + (lens[sid],))
+                while options:  # store each option, shortest first
+                    low = options & -options
+                    end = low.bit_length() - 1
+                    found.setdefault(head_targets + (sid & 1, end & 1), {})[
+                        head_lens + (lens[sid], lens[end])] = head + (sid, end)
+                    done |= tail[end]
+                    options &= ~done
+                filled[key] = done
             else:  # every candidate taken or dominated after this head key
                 rest &= ~group[key_of[sid]]
 
@@ -472,28 +469,43 @@ def _scan_table(space, index, guess, layout):
     return found
 
 
+def _reaches(rows0, rows1, num, den):
+    """Whether a pair of rows (cost, weight leaving, targets), one per
+    table, costs at most num / den.  Priced at a = cost * den - num, it
+    does when l1 * a0 + l0 * a1 <= 0 < l0 + l1, the join's test: for two
+    leaving rows a0 / l0 + a1 / l1 <= 0, which the least a / l of each
+    table decide, and for a staying one (l0 = 0) a0 <= 0."""
+    ends = []
+    for rows in (rows0, rows1):
+        a, l, stays = 1, 0, False  # least a / l over leaving rows, from 1/0
+        for cost, leave, _ in rows:
+            price = cost * den - num
+            if not leave:
+                stays = stays or price <= 0
+            elif price * l < a * leave:
+                a, l = price, leave
+        ends.append((a, l, stays))
+    (a0, l0, s0), (a1, l1, s1) = ends
+    return (s0 and l1 > 0 or s1 and l0 > 0
+            or l0 > 0 and l1 > 0 and a0 * l1 + a1 * l0 <= 0)
+
+
 def _combine(space, dist, scan):
     """Cheapest (guess, targets, contents) combo for this distribution.
 
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
-    A bucket keeps every lenvec that can cost least, and its contents ascend
-    in dict order, so it is summarized as its min cost, weight leaving,
-    canonical content at min cost and canonical content, by lookups, once
-    per walked table: an f0 table read as table 1 leaves by its own
-    targets' ones, so one summary serves both positions.
-
-    Costs are read from each table's orbit walk, which has the same
-    buckets and least costs.  The pairs at the best cost are kept as
-    (key, targets, unused) parts, and only the winner's contents, the
-    least of theirs, are read, from each table's own walk: a mirror table
-    is walked there, once per scan, since its canonical contents are not
-    its orbit walk's complemented.  An unused table's cost has no weight,
-    so it takes its bucket's canonical content.
-
+    A walked table is summarized once, per bucket as its least cost, weight
+    leaving and targets, and read for its orbit (same buckets and least
+    costs); an f0 table read as table 1 leaves by its own targets' ones.
     Guesses are visited by the least bucket cost of either table, a lower
-    bound on their pairs' costs, until it is strictly above the best cost;
-    only then is no tie left that could win on contents.
+    bound on their pairs' costs, until it is strictly above the best cost,
+    and joined only when the price test (_reaches) passes.  The pairs at
+    the best cost are kept as (key, targets, unused) parts, read only at
+    the tie-break, table 0's first and table 1's only for the ties whose
+    table 0 is least: from each table's own walk (a mirror is walked there,
+    once per scan), the bucket's first content at the least cost, or its
+    first when the table is unused.
     """
     guesses, tables = scan
     words = all_words(space.max_len)
@@ -510,22 +522,12 @@ def _combine(space, dist, scan):
     leaving = (ones, {targets: scale - w for targets, w in ones.items()})
     summaries = {}  # by walk key
 
-    def summary(key):  # (least cost, [(cost, leave, targets)], contents)
+    def summary(key):  # (least cost, [(cost, leave, targets)] per bucket)
         if key not in summaries:
-            leave, rows, contents = leaving[key[0]], [], {}
-            for t, b in tables[key].items():
-                at = min(b, key=cost.__getitem__)
-                rows.append((cost[at], leave[t], t))
-                contents[t] = (b[at], next(iter(b.values())))
-            summaries[key] = (min(rows)[0], rows, contents)
+            rows = [(min(map(cost.__getitem__, b)), leaving[key[0]][t], t)
+                    for t, b in tables[key].items()]
+            summaries[key] = (min(rows)[0], rows)
         return summaries[key]
-
-    def content(parts):  # (key, targets, unused) per table
-        out = ()
-        for i, (key, targets, unused) in enumerate(parts):
-            row = summary(key)[2][targets][unused]
-            out += tuple([sid ^ 1 for sid in row]) if i and flip else row
-        return out
 
     order = sorted(((min(summary(orbit)[0] for _, orbit in cells), cells)
                     for cells in guesses.values()), key=lambda guess: guess[0])
@@ -543,8 +545,10 @@ def _combine(space, dist, scan):
                 best[2].append(((key0, targets, False),))
             continue
         (key1, orbit1), = rest
-        rows1 = summary(orbit1)[1]
-        for low0, leave0, t0 in summary(orbit0)[1]:
+        rows0, rows1 = summary(orbit0)[1], summary(orbit1)[1]
+        if not _reaches(rows0, rows1, best[0], best[1]):
+            continue
+        for low0, leave0, t0 in rows0:
             for low1, leave1, t1 in rows1:
                 total = leave0 + leave1
                 if total == 0:
@@ -559,7 +563,17 @@ def _combine(space, dist, scan):
                                 (key1, t1, leave0 == 0)))
     if not best[2]:
         return None
-    pick = min(map(content, best[2]))
+    pick, tied = (), best[2]
+    for i in range(len(tied[0])):  # table by table, each part read once
+        read = dict.fromkeys(part[i] for part in tied)
+        for key, targets, unused in read:
+            bucket = tables[key][targets]
+            row = bucket[next(iter(bucket)) if unused
+                         else min(bucket, key=cost.__getitem__)]
+            read[key, targets, unused] = \
+                tuple([sid ^ 1 for sid in row]) if i and flip else row
+        pick += (least := min(read.values()))
+        tied = [part for part in tied if read[part[i]] == least]
     return (Fraction(best[0], best[1] * scale), pick,
             _build(dist.alphabet, space.sigma,
                    [(Bits(words[sid >> 1]), sid & 1) for sid in pick]))

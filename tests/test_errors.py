@@ -6,6 +6,7 @@ import contextlib
 import inspect
 import io
 import signal
+import types
 from decimal import Decimal
 from fractions import Fraction
 
@@ -177,6 +178,20 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     # k is refused up front, also when no trial would read it
     (lambda: roundtrip_check(TUPLES["r3"], k=9, trials=0, seed=1),
      "k=9 outside 0..8"),
+    # the value types' lookups name the index, and a negative one does not
+    # count back from the end
+    (lambda: TUPLES["r3"].code(9, 0), "table 9 outside 0..2"),
+    (lambda: TUPLES["r3"].code(-1, 0), "table -1 outside 0..2"),
+    (lambda: TUPLES["r3"].code(0, -1), "symbol -1 outside 0..3"),
+    (lambda: TUPLES["r3"].target(0, 9), "symbol 9 outside 0..3"),
+    (lambda: TUPLES["r3"].target(-2, 0), "table -2 outside 0..2"),
+    (lambda: AB.name(9), "symbol 9 outside 0..1"),
+    (lambda: AB.name(-1), "symbol -1 outside 0..1"),
+    (lambda: AB.render([0, 9]), "symbol 9 outside 0..1"),
+    (lambda: AB.render([-1]), "symbol -1 outside 0..1"),
+    (lambda: R3_UNIFORM[9], "symbol 9 outside 0..3"),
+    (lambda: R3_UNIFORM[-1], "symbol -1 outside 0..3"),
+    (lambda: R3_UNIFORM["a"], "symbol 'a' outside 0..3"),
 ])
 def test_argument_errors_are_domain_errors(call, message):
     with pytest.raises(InvalidArgument) as info:
@@ -318,6 +333,16 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: Alphabet(5), "names must be Iterable, got 5"),
     (lambda: CodeTuple(AB, 5), "tables must be Iterable, got 5"),
     (lambda: CodeTuple(AB, (5,)), "table 0 must be Table, got 5"),
+    # so do the value types' methods and classmethods
+    (lambda: SourceDist.from_values(AB, 5), "values must be Iterable, got 5"),
+    (lambda: SourceDist.uniform(5), "alphabet must be Alphabet, got 5"),
+    (lambda: AB.seq(5), "text must be Iterable, got 5"),
+    (lambda: AB.render(5), "seq must be Iterable, got 5"),
+    (lambda: make_tuple(("a", "b"), [5]), "rows[0] must be Iterable, got 5"),
+    (lambda: TUPLES["r3"].code(None, 0), "table must be int, got None"),
+    (lambda: TUPLES["r3"].target(0, 1.0), "symbol must be int, got 1.0"),
+    (lambda: AB.name(None), "symbol must be int, got None"),
+    (lambda: R3_UNIFORM[1.5], "symbol must be int, got 1.5"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:
@@ -374,8 +399,10 @@ VALID = {
     "dist": SWEEP_DIST,
     "filter": "f0",
     "i": 0,
+    "inexact": False,
     "k": 2,
     "max_len": 2,
+    "name": "a",
     "names": ("a", "b"),
     "places": 4,
     "probs": (HALF, HALF),
@@ -384,6 +411,7 @@ VALID = {
     "seed": 1,
     "seq": (0, 1, 0, 1),  # emits "0101" from table 0
     "sigma": 2,
+    "sym": 1,
     "space": SearchSpace(2, 2, 1, "f0"),
     "start": 0,
     "tables": (Table((Bits("0"), Bits("1")), (0, 0)),),
@@ -391,8 +419,10 @@ VALID = {
     "target": "f1",
     "targets": (0, 0),
     "text": serialize_code_tuple(SWEEP_CODE),
+    "Alphabet.seq.text": "b a",
     "parse_dist.text": serialize_dist(SWEEP_DIST),
     "trials": 20,
+    "values": ("9/10", 0.1),
     "x": THIRD,
 }
 WRONG = (5, None, "x", 1.5, object())
@@ -406,6 +436,15 @@ PUBLIC = sorted(
     if callable(getattr(codetuples, name)) and name not in RECORDS
     and not (isinstance(getattr(codetuples, name), type)
              and issubclass(getattr(codetuples, name), BaseException)))
+# the value types' public methods and classmethods, and the item lookup
+# of SourceDist, each on a valid instance
+INSTANCES = {"Alphabet": SWEEP_CODE.alphabet, "Table": SWEEP_CODE.tables[0],
+             "CodeTuple": SWEEP_CODE, "SourceDist": SWEEP_DIST}
+METHODS = sorted(
+    "%s.%s" % (owner, name) for owner, value in INSTANCES.items()
+    for name, attr in vars(type(value)).items()
+    if (name == "__getitem__" or not name.startswith("_"))
+    and isinstance(attr, (types.FunctionType, classmethod)))
 CALL_SECONDS = 5
 
 
@@ -442,14 +481,18 @@ def outcome(func, kwargs):
 def test_every_public_callable_is_swept():
     assert len(PUBLIC) > 40
     assert {"decode", "rotate", "CodeTuple", "run_goldens"} <= set(PUBLIC)
+    assert {"Alphabet.name", "CodeTuple.code", "SourceDist.__getitem__",
+            "SourceDist.from_values", "SourceDist.uniform"} <= set(METHODS)
 
 
-@pytest.mark.parametrize("name", PUBLIC)
+@pytest.mark.parametrize("name", PUBLIC + METHODS)
 def test_public_callables_refuse_wrong_arguments(name):
     """Each parameter swapped, one at a time, for each WRONG value gives a
     result or a CodeTupleError within CALL_SECONDS, as the valid call does;
     never a raw error from inside the package."""
-    func = getattr(codetuples, name)
+    owner, _, method = name.partition(".")
+    func = getattr(INSTANCES[owner], method) if method else \
+        getattr(codetuples, name)
     params = list(inspect.signature(func).parameters)
     missing = [p for p in params
                if "%s.%s" % (name, p) not in VALID and p not in VALID]

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codetuples import (
     Alphabet,
@@ -293,3 +294,25 @@ def test_strict_and_loose_filters_reach_the_same_minimum():
 def test_distribution_size_must_match_space():
     with pytest.raises(ValueError):
         enumerate_min(SearchSpace(3, 2, 2, "f0"), dist2("1/2"))
+
+
+# summary rows (least cost, weight leaving, targets): small ranges so that
+# staying rows (weight 0), equal prices and single rows come up often
+SUMMARY_ROWS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4),
+                                  st.just(())), min_size=1, max_size=4)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rows0=SUMMARY_ROWS, rows1=SUMMARY_ROWS,
+       best=st.tuples(st.integers(0, 60), st.integers(0, 8)) | st.just((1, 0)))
+def test_price_test_keeps_a_guess_exactly_when_the_join_would(rows0, rows1,
+                                                              best):
+    # the combine's join of every pair, a mix of the two costs weighted by
+    # the weight leaving each: a pair counts at or below the best cost
+    num, den = best
+    joined = any(
+        leave0 + leave1 > 0
+        and (leave1 * cost0 + leave0 * cost1) * den - num * (leave0 + leave1)
+        <= 0
+        for cost0, leave0, _ in rows0 for cost1, leave1, _ in rows1)
+    assert search._reaches(rows0, rows1, num, den) is joined
