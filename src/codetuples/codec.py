@@ -74,8 +74,10 @@ def _finish_lengths(graph, end, width):
     do (i < width), and bit ``width`` stands for any longer count."""
     out = {st: (0, 1) for st in graph if st[1] == end}
     order = sorted((st for st in graph if st[1] < end), key=lambda st: -st[1])
+    # one pass is final unless an empty codeword joins states at one offset
+    again = any(nxt[1] == st[1] for st in order for _, nxt in graph[st])
     changed = True
-    while changed:  # passes repeat only around cycles of empty codewords
+    while changed:
         changed = False
         for st in order:
             succ = [out[nxt] for _, nxt in graph[st] if nxt in out]
@@ -87,7 +89,7 @@ def _finish_lengths(graph, end, width):
                 if mask >> width > 1:
                     mask = mask & ((1 << width) - 1) | 1 << width
                 if out.get(st) != (d, mask):
-                    out[st], changed = (d, mask), True
+                    out[st], changed = (d, mask), again
     return out
 
 

@@ -72,9 +72,9 @@ class Alphabet:
 
     def name(self, sym):
         try:
-            if sym >= 0:
+            if type(sym) is int and sym >= 0:
                 return self.names[sym]
-        except (IndexError, TypeError):
+        except IndexError:
             pass
         check_symbols((sym,), len(self.names))  # refuses every other sym
 
@@ -148,21 +148,21 @@ class CodeTuple:
     def sigma(self):
         return len(self.alphabet)
 
-    # code and target run in the transforms' loops: a valid pair pays one test
+    # code and target run in the transforms' loops: a type and a sign test
     def code(self, i, sym):
         try:
-            if i | sym >= 0:
+            if type(i) is type(sym) is int and i | sym >= 0:
                 return self.tables[i].codes[sym]
-        except (IndexError, TypeError):
+        except IndexError:
             pass
         check_table(i, len(self.tables), "table")
         check_symbols((sym,), len(self.alphabet))
 
     def target(self, i, sym):
         try:
-            if i | sym >= 0:
+            if type(i) is type(sym) is int and i | sym >= 0:
                 return self.tables[i].targets[sym]
-        except (IndexError, TypeError):
+        except IndexError:
             pass
         check_table(i, len(self.tables), "table")
         check_symbols((sym,), len(self.alphabet))
@@ -214,24 +214,23 @@ class SourceDist:
         if len(self.probs) != len(self.alphabet):
             raise InvalidArgument("distribution size does not match alphabet")
         for p in self.probs:
-            if check_type("probability", p, Fraction) <= 0:
+            if check_type("probability", p, Fraction).numerator <= 0:
                 raise InvalidArgument("probabilities must be positive")
-        if sum(self.probs) != 1:
-            raise InvalidArgument("probabilities sum to %s, not 1" % (sum(self.probs),))
+        object.__setattr__(self, "_weights", _scaled(self.probs))
+        if sum(self._weights[1]) != self._weights[0]:
+            raise _sum_error(*self._weights)
 
     def __getitem__(self, sym):
         try:
-            if sym >= 0:
+            if type(sym) is int and sym >= 0:
                 return self.probs[sym]
-        except (IndexError, TypeError):
+        except IndexError:
             pass
         check_symbols((sym,), len(self.probs))  # refuses every other sym
 
     def integer_weights(self):
         """(lcm of the denominators, each probability times it as an int)."""
-        scale = math.lcm(*(p.denominator for p in self.probs))
-        return scale, tuple(p.numerator * (scale // p.denominator)
-                            for p in self.probs)
+        return self._weights
 
     @classmethod
     def uniform(cls, alphabet):
@@ -249,24 +248,34 @@ class SourceDist:
         probs = []
         for v in check_type("values", values, Iterable):
             try:  # a float nan or inf raises ValueError or OverflowError
-                p = _fraction(v)
+                p = v if type(v) is Fraction else _fraction(v)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 raise InvalidArgument("bad probability %r" % (v,)) from None
             if isinstance(v, float):
                 p = p.limit_denominator(MAX_FLOAT_DENOMINATOR)
                 inexact = True
             probs.append(p)
-        defect = 1 - sum(probs)
-        if defect != 0:
+        scale, weights = _scaled(probs)
+        if sum(weights) != scale:
+            defect = 1 - Fraction(sum(weights), scale)
             if not inexact or abs(defect) > FLOAT_SUM_TOLERANCE:
-                try:
-                    total = str(sum(probs))
-                except ValueError:  # past the interpreter's digit limit
-                    total = "a value too long to print"
-                raise InvalidArgument("probabilities sum to %s, not 1" % total)
-            top = probs.index(max(probs))
-            probs[top] += defect
+                raise _sum_error(scale, weights)
+            probs[weights.index(max(weights))] += defect
         return cls(alphabet, probs)
+
+
+def _scaled(probs):
+    """(lcm of the denominators, each probability times it as an int)."""
+    scale = math.lcm(*(p.denominator for p in probs))
+    return scale, tuple(p.numerator * (scale // p.denominator) for p in probs)
+
+
+def _sum_error(scale, weights):
+    try:
+        total = str(Fraction(sum(weights), scale))
+    except ValueError:  # past the interpreter's digit limit
+        total = "a value too long to print"
+    return InvalidArgument("probabilities sum to %s, not 1" % total)
 
 
 def check_same_alphabet(code, dist):
@@ -427,12 +436,10 @@ def parse_dist(text, alphabet=None):
         raise FormatError("empty distribution file")
     if alphabet is None:
         alphabet = Alphabet(names)
-        ordered = probs
-    else:
-        if set(names) != set(alphabet.names):
-            raise FormatError("distribution symbols do not match the alphabet")
-        by_name = dict(zip(names, probs))
-        ordered = [by_name[n] for n in alphabet.names]
+    elif set(names) != set(alphabet.names):
+        raise FormatError("distribution symbols do not match the alphabet")
+    by_name = dict(zip(names, probs))
+    ordered = [by_name[n] for n in alphabet.names]
     # Decimal entries are exact rationals already; only a written-out
     # rounding of a repeating expansion can miss, by the tolerance at most.
     try:

@@ -3,9 +3,9 @@
 Encoding a memoryless source walks a Markov chain on tables: from table i the
 chain moves to j with the total probability of symbols sent there.  The cost
 of a long message per symbol converges to the stationary average of the
-per-table expected codeword lengths.  Everything is exact rational
-arithmetic, solved over the integers on probabilities scaled by the lcm of
-their denominators; rounding happens only in display helpers.
+per-table expected codeword lengths.  Everything is exact and runs on the
+distribution's integer weights (``SourceDist.integer_weights``), with one
+Fraction per returned value; rounding happens only in ``approx_decimal``.
 """
 
 from __future__ import annotations
@@ -15,22 +15,30 @@ from fractions import Fraction
 from numbers import Rational
 import math
 
-from .core import MAX_DECIMAL_EXPONENT, check_same_alphabet
+from .core import MAX_DECIMAL_EXPONENT, _scaled, check_same_alphabet
 from .errors import InvalidArgument, NotRegular
 from .prefix_sets import check_indices, check_int, check_type
+
+
+def _flows(code, weights):
+    """Per table, the weight it sends to each table, as ints."""
+    rows = [[0] * code.num_tables for _ in code.tables]
+    for row, table in zip(rows, code.tables):
+        for t, w in zip(table.targets, weights):
+            row[t] += w
+    return rows
+
+
+def _weighted_length(table, weights):
+    return sum(w * len(c) for w, c in zip(weights, table.codes))
 
 
 def transition_matrix(code, dist):
     """Row-stochastic table-to-table matrix induced by the symbol weights."""
     check_same_alphabet(code, dist)
-    m = code.num_tables
-    rows = []
-    for i in code.table_indices():
-        row = [Fraction(0)] * m
-        for s in code.alphabet:
-            row[code.target(i, s)] += dist[s]
-        rows.append(tuple(row))
-    return tuple(rows)
+    scale, weights = dist.integer_weights()
+    return tuple(tuple(Fraction(v, scale) for v in row)
+                 for row in _flows(code, weights))
 
 
 def stationary_distribution(code, dist):
@@ -41,13 +49,12 @@ def stationary_distribution(code, dist):
     exactly when no table is reachable from every table.
     """
     check_same_alphabet(code, dist)
-    scale, weight = dist.integer_weights()
+    scale, weights = dist.integer_weights()
     m = code.num_tables
     # row j: the weight flowing into table j minus scale times its own
-    mat = [[-scale * (i == j) for i in range(m)] + [0] for j in range(m)]
-    for i, table in enumerate(code.tables):
-        for t, w in zip(table.targets, weight):
-            mat[t][i] += w
+    flows = _flows(code, weights)
+    mat = [[flows[i][j] - scale * (i == j) for i in range(m)] + [0]
+           for j in range(m)]
     mat.append([1] * (m + 1))
     for col in range(m):
         pivot = next((r for r in range(col, m + 1) if mat[r][col]), None)
@@ -69,15 +76,16 @@ def table_length(code, dist, i):
     """Expected codeword length of one table."""
     check_same_alphabet(code, dist)
     check_indices(code, i)
-    return sum((dist[s] * len(code.code(i, s)) for s in code.alphabet),
-               Fraction(0))
+    scale, weights = dist.integer_weights()
+    return Fraction(_weighted_length(code.tables[i], weights), scale)
 
 
 def average_length(code, dist):
     """Stationary per-symbol expected codeword length, as an exact Fraction."""
-    pi = stationary_distribution(code, dist)
-    return sum((pi[i] * table_length(code, dist, i)
-                for i in code.table_indices()), Fraction(0))
+    den, pi = _scaled(stationary_distribution(code, dist))
+    scale, weights = dist.integer_weights()
+    return Fraction(sum(p * _weighted_length(table, weights)
+                        for p, table in zip(pi, code.tables)), den * scale)
 
 
 def approx_decimal(x, places=4):
@@ -89,6 +97,8 @@ def approx_decimal(x, places=4):
     if abs(places) > MAX_DECIMAL_EXPONENT:
         raise InvalidArgument("places=%d outside -%d..%d" % (
             places, MAX_DECIMAL_EXPONENT, MAX_DECIMAL_EXPONENT))
-    n = round(Fraction(x) * Fraction(10) ** places)  # ties to even
+    den = x.denominator * 10 ** max(-places, 0)
+    n, rem = divmod(x.numerator * 10 ** max(places, 0), den)
+    n += 2 * rem + (n & 1) > den  # past half, or at half from odd: to even
     digits = Decimal(abs(n)).as_tuple().digits
     return str(Decimal((int(x < 0), digits, -places)))

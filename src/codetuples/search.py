@@ -589,20 +589,18 @@ def huffman_length(dist):
     earliest-created node, so the result is deterministic.
     """
     n = len(check_type("dist", dist, SourceDist).alphabet)
-    if n == 1:
-        return (0,), Fraction(0)
-    nodes = [(dist.probs[s], s, (s,)) for s in dist.alphabet]
+    scale, weights = dist.integer_weights()
+    nodes = [(w, s, (s,)) for s, w in enumerate(weights)]
     depth, order = [0] * n, n
     while len(nodes) > 1:
-        nodes.sort(key=lambda e: (e[0], e[1]))
+        nodes.sort()  # by weight, then creation order, which is unique
         (p1, _, m1), (p2, _, m2) = nodes[0], nodes[1]
         for s in m1 + m2:
             depth[s] += 1
         nodes = nodes[2:] + [(p1 + p2, order, m1 + m2)]
         order += 1
-    lengths = tuple(depth)
-    cost = sum(dist.probs[s] * lengths[s] for s in dist.alphabet)
-    return lengths, cost
+    cost = sum(w * d for w, d in zip(weights, depth))
+    return tuple(depth), Fraction(cost, scale)
 
 
 @dataclass(frozen=True)

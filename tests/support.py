@@ -1,7 +1,10 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
 greedy decoder and a round trip on it, the old search scan, walk and
 combine, the old aifv membership test, a per-table verdict from the aifv
-clauses, the old rational stationary solve, and a random tuple generator.
+clauses, the old rational stationary solve, the old Fraction-summed costs
+(transition matrix, table and average lengths, the Huffman cost) and
+rounding, the old repeated sweep of the codec's finishing lengths, and a
+random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -10,6 +13,7 @@ circularity.  The decoder oracle works on ``Bits`` slices and searches
 states with its own code, independently of the codec's emission automaton.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 import functools
 import itertools
@@ -22,7 +26,6 @@ from codetuples.codec import (FAILURE_CAP, DanglingInfo, DecodeResult,
                               RoundTripFailure, RoundTripReport)
 from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion, NotRegular
-from codetuples.markov import transition_matrix
 from codetuples.prefix_sets import encode_from
 from codetuples.search import all_words
 
@@ -888,9 +891,60 @@ def _oracle_solve_unique(rows, n):
     return solution
 
 
+def oracle_transition_matrix(code, dist):
+    """``transition_matrix`` as a Fraction sum per entry."""
+    m = code.num_tables
+    rows = []
+    for i in code.table_indices():
+        row = [Fraction(0)] * m
+        for s in code.alphabet:
+            row[code.target(i, s)] += dist[s]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def oracle_table_length(code, dist, i):
+    """``table_length`` as a Fraction sum over the symbols."""
+    return sum((dist[s] * len(code.code(i, s)) for s in code.alphabet),
+               Fraction(0))
+
+
+def oracle_average_length(code, dist):
+    """``average_length`` as a Fraction sum over the oracle stationary
+    vector and the oracle table lengths."""
+    pi = oracle_stationary(code, dist)
+    return sum((pi[i] * oracle_table_length(code, dist, i)
+                for i in code.table_indices()), Fraction(0))
+
+
+def oracle_huffman_length(dist):
+    """``huffman_length`` merging Fraction weights, with a Fraction cost."""
+    n = len(dist.alphabet)
+    if n == 1:
+        return (0,), Fraction(0)
+    nodes = [(dist.probs[s], s, (s,)) for s in dist.alphabet]
+    depth, order = [0] * n, n
+    while len(nodes) > 1:
+        nodes.sort(key=lambda e: (e[0], e[1]))
+        (p1, _, m1), (p2, _, m2) = nodes[0], nodes[1]
+        for s in m1 + m2:
+            depth[s] += 1
+        nodes = nodes[2:] + [(p1 + p2, order, m1 + m2)]
+        order += 1
+    return tuple(depth), sum(dist.probs[s] * depth[s] for s in dist.alphabet)
+
+
+def oracle_approx_decimal(x, places=4):
+    """``approx_decimal`` scaling a Fraction by Fraction(10) ** places and
+    rounding it with ``round``, ties to even."""
+    n = round(Fraction(x) * Fraction(10) ** places)
+    digits = Decimal(abs(n)).as_tuple().digits
+    return str(Decimal((int(x < 0), digits, -places)))
+
+
 def oracle_stationary(code, dist):
     """``stationary_distribution`` in Fractions throughout."""
-    q = transition_matrix(code, dist)
+    q = oracle_transition_matrix(code, dist)
     m = code.num_tables
     rows = []
     for j in range(m):
@@ -902,3 +956,24 @@ def oracle_stationary(code, dist):
     if solution is None:
         raise NotRegular("stationary distribution is not unique")
     return tuple(solution)
+
+
+def oracle_finish_lengths(graph, end, width):
+    """``codec._finish_lengths`` sweeping until a pass changes nothing."""
+    out = {st: (0, 1) for st in graph if st[1] == end}
+    order = sorted((st for st in graph if st[1] < end), key=lambda st: -st[1])
+    changed = True
+    while changed:
+        changed = False
+        for st in order:
+            succ = [out[nxt] for _, nxt in graph[st] if nxt in out]
+            if succ:
+                d = 1 + min(e for e, _ in succ)
+                mask = 0
+                for e, m in succ:
+                    mask |= m << (e + 1 - d)
+                if mask >> width > 1:
+                    mask = mask & ((1 << width) - 1) | 1 << width
+                if out.get(st) != (d, mask):
+                    out[st], changed = (d, mask), True
+    return out

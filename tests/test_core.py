@@ -238,6 +238,57 @@ def test_parse_dist_total_too_long_to_print():
         parse_dist(text)
 
 
+AB = Alphabet(("a", "b"))
+HUGE = ("1/" + "9" * 4000, "1/" + "9" * 3999 + "7")
+THIRD_ROUNDED = ("1/3", "0.6666666666667")  # 10**-13 / 3 above one
+
+
+@pytest.mark.parametrize("values, inexact, message", [
+    (("1/2", "1/3"), False, "probabilities sum to 5/6, not 1"),
+    (("1/2", "2/3"), False, "probabilities sum to 7/6, not 1"),
+    (("1/2",), False, "probabilities sum to 1/2, not 1"),
+    ((), False, "probabilities sum to 0, not 1"),
+    (("1/2", "1/4", "1/4"), False, "distribution size does not match alphabet"),
+    ((0, 1), False, "probabilities must be positive"),
+    (("-1/2", "3/2"), False, "probabilities must be positive"),
+    # the sum is tested first, and the sign only for a sum of one
+    (("-1/2", "1/2"), False, "probabilities sum to 0, not 1"),
+    (("1/2", 0), False, "probabilities sum to 1/2, not 1"),
+    (THIRD_ROUNDED, False,
+     "probabilities sum to 30000000000001/30000000000000, not 1"),
+    (("1/3", "0.666666"), True, "probabilities sum to 1499999/1500000, not 1"),
+    ((0.1, 0.2), False, "probabilities sum to 3/10, not 1"),
+    (HUGE, False, "probabilities sum to a value too long to print, not 1"),
+])
+def test_from_values_refuses_as_before(values, inexact, message):
+    with pytest.raises(ValueError) as err:
+        SourceDist.from_values(AB, values, inexact)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("values, message", [
+    (("1/2", "1/3"), "probabilities sum to 5/6, not 1"),
+    (("1/2",), "distribution size does not match alphabet"),
+    ((0, 1), "probabilities must be positive"),
+    (("-1/2", "1/2"), "probabilities must be positive"),
+    (THIRD_ROUNDED, "probabilities sum to 30000000000001/30000000000000, "
+                    "not 1"),
+    (HUGE, "probabilities sum to a value too long to print, not 1"),
+])
+def test_source_dist_refuses_as_from_values(values, message):
+    with pytest.raises(ValueError) as err:
+        SourceDist(AB, tuple(Fraction(v) for v in values))
+    assert str(err.value) == message
+
+
+def test_from_values_puts_a_small_defect_into_the_largest_entry():
+    third = SourceDist.from_values(AB, THIRD_ROUNDED, inexact=True)
+    assert third.probs == (Fraction(1, 3), Fraction(2, 3))
+    assert third.integer_weights() == (3, (1, 2))
+    floats = SourceDist.from_values(AB, (0.25, 0.75 - 1e-13))
+    assert floats.probs == (Fraction(1, 4), Fraction(3, 4))
+
+
 FUZZ_TOKENS = ("0", "1", "-", "01", "2", "10", "\u00b2", "\u0663", "1e999999",
                "1e-999999", "1/0", "0/0", "nan", "inf", "-1", "+1", "1_0",
                "9" * 5000, "1/3", "0.5", "1e", "e5", ".", "/", "#", "a", "b",

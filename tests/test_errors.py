@@ -343,6 +343,12 @@ def test_unknown_symbol_is_a_domain_error_and_a_key_error():
     (lambda: TUPLES["r3"].target(0, 1.0), "symbol must be int, got 1.0"),
     (lambda: AB.name(None), "symbol must be int, got None"),
     (lambda: R3_UNIFORM[1.5], "symbol must be int, got 1.5"),
+    # a bool equals an int to indexing and to ``|``, but names no index
+    (lambda: TUPLES["r3"].code(True, 0), "table must be int, got True"),
+    (lambda: TUPLES["r3"].target(True, 0), "table must be int, got True"),
+    (lambda: TUPLES["r3"].code(0, True), "symbol must be int, got True"),
+    (lambda: AB.name(True), "symbol must be int, got True"),
+    (lambda: R3_UNIFORM[True], "symbol must be int, got True"),
 ])
 def test_wrong_types_are_domain_errors_and_type_errors(call, message):
     with pytest.raises(InvalidType) as info:

@@ -4,13 +4,17 @@ import random
 import pytest
 
 from codetuples import (NotRegular, SourceDist, approx_decimal,
-                        average_length, make_tuple, stationary_distribution,
-                        table_length, transition_matrix)
+                        average_length, huffman_length, make_tuple,
+                        stationary_distribution, table_length,
+                        transition_matrix)
 from codetuples.core import Alphabet
 from codetuples.reference import (STATIONARY_GOLDEN, TUPLES, main_dist)
 from codetuples.transforms import ddot, dot, rotate
 
-from support import oracle_stationary, random_code_tuple
+from support import (oracle_approx_decimal, oracle_average_length,
+                     oracle_huffman_length, oracle_stationary,
+                     oracle_table_length, oracle_transition_matrix,
+                     random_code_tuple)
 
 # distinct primes, so the denominators below share no factor
 PRIMES = (999983, 1000003, 1000033, 1000037, 1000039, 2147483647)
@@ -151,12 +155,18 @@ def outcome(fn, *args):
         return "NotRegular: %s" % exc
 
 
-def test_integer_solve_matches_the_fraction_oracle():
+def seeded_cases():
+    """300 seeded tuples of one to four tables, irregular ones included,
+    each with a distribution over coprime denominators."""
     rng = random.Random(1415)
-    seen = set()
     for _ in range(300):
         code = random_code_tuple(rng, max_tables=4, max_sigma=4, max_len=2)
-        dist = coprime_dist(rng, code.alphabet)
+        yield code, coprime_dist(rng, code.alphabet)
+
+
+def test_integer_solve_matches_the_fraction_oracle():
+    seen = set()
+    for code, dist in seeded_cases():
         got = outcome(stationary_distribution, code, dist)
         assert got == outcome(oracle_stationary, code, dist), (code, dist)
         seen.add((code.num_tables, isinstance(got, str)))
@@ -169,3 +179,54 @@ def test_integer_weights_scale_by_the_lcm():
     dist = SourceDist.from_values(Alphabet(("a", "b", "c")),
                                   ("1/6", "1/4", "7/12"))
     assert dist.integer_weights() == (12, (2, 3, 7))
+
+
+def exactly(value, expected):
+    """Equal values, each returned as a Fraction."""
+    return type(value) is Fraction and value == expected
+
+
+def test_integer_costs_match_the_fraction_oracles():
+    irregular = 0
+    for code, dist in seeded_cases():
+        got, want = (transition_matrix(code, dist),
+                     oracle_transition_matrix(code, dist))
+        assert got == want and all(exactly(v, w) for row, oracle in zip(
+            got, want) for v, w in zip(row, oracle)), (code, dist)
+        for i in code.table_indices():
+            assert exactly(table_length(code, dist, i),
+                           oracle_table_length(code, dist, i)), (code, dist)
+        avg = outcome(average_length, code, dist)
+        assert avg == outcome(oracle_average_length, code, dist), (code, dist)
+        irregular += isinstance(avg, str)
+        assert type(avg) in (Fraction, str)
+        lengths, cost = huffman_length(dist)
+        assert (lengths, cost) == oracle_huffman_length(dist), dist
+        assert type(cost) is Fraction
+        values = [cost, -cost, dist[0], 1 - dist[0] * 3]
+        values += [avg, -avg, avg * 7 / 3] if not isinstance(avg, str) else []
+        for x in values:
+            for places in range(-3, 41):
+                assert approx_decimal(x, places) == \
+                    oracle_approx_decimal(x, places), (x, places)
+    assert 0 < irregular < 300
+
+
+def test_approx_decimal_matches_the_fraction_oracle_at_ties():
+    for places in range(-3, 41):
+        for n in range(-12, 13):
+            for x in (Fraction(2 * n + 1, 2) / Fraction(10) ** places,
+                      Fraction(n) / Fraction(10) ** places, n):
+                assert approx_decimal(x, places) == \
+                    oracle_approx_decimal(x, places), (x, places)
+
+
+def test_huffman_ties_match_the_fraction_oracle():
+    # small weights tie often, within a merge and against a merged node
+    rng = random.Random(33)
+    for _ in range(300):
+        alphabet = Alphabet(tuple("abcdefgh"[:rng.randint(1, 8)]))
+        weights = [rng.randint(1, 3) for _ in alphabet]
+        dist = SourceDist(alphabet, tuple(Fraction(w, sum(weights))
+                                          for w in weights))
+        assert huffman_length(dist) == oracle_huffman_length(dist), dist
