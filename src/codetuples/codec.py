@@ -68,76 +68,42 @@ class DecodeResult:
     info: DanglingInfo
 
 
-def _finish_lengths(graph, end, width):
-    """Per state that reaches offset ``end``: (d, mask), where d is the
-    fewest symbols that get there, bit i of mask is set when exactly d + i
-    do (i < width), and bit ``width`` stands for any longer count."""
-    out = {st: (0, 1) for st in graph if st[1] == end}
-    order = sorted((st for st in graph if st[1] < end), key=lambda st: -st[1])
-    # one pass is final unless an empty codeword joins states at one offset
-    again = any(nxt[1] == st[1] for st in order for _, nxt in graph[st])
-    changed = True
-    while changed:
-        changed = False
-        for st in order:
-            succ = [out[nxt] for _, nxt in graph[st] if nxt in out]
-            if succ:
-                d = 1 + min(e for e, _ in succ)
-                mask = 0
-                for e, m in succ:
-                    mask |= m << (e + 1 - d)
-                if mask >> width > 1:
-                    mask = mask & ((1 << width) - 1) | 1 << width
-                if out.get(st) != (d, mask):
-                    out[st], changed = (d, mask), again
-    return out
-
-
 def _completions(auto, tail, table):
     """The first COMPLETION_CAP symbol sequences emitting exactly a nonempty
     ``tail`` from ``table``, by length then lexicographically, and whether more
     exist; None when no emission even starts with it.
 
     A sequence stops at its first exact match: extending one only appends
-    symbols that emit nothing, which the bits cannot testify to.  Each
-    length is listed by a walk through states that finish in exactly the
-    symbols left, known for a window of lengths above each state's fewest;
-    the window widens until it holds one sequence over the cap or all.
+    symbols that emit nothing, which the bits cannot testify to.  Layer r
+    holds the states that finish in exactly r symbols: layer 0 those at the
+    tail's end, layer r + 1 every state with an edge into layer r.  Each
+    length whose layer holds the start is listed by a walk that steps from
+    layer to layer down to 0.  A cycle of states is made of empty codewords
+    at one offset, and each layer follows from the one before; so once a
+    layer repeats an earlier one with the start in no layer since, the
+    layers only cycle and no length is left to list.
     """
     graph, reaches = auto._search(tail, table)
     if not reaches:
         return None
-    start, width = (table, 0), 2 * COMPLETION_CAP
-    while True:
-        finish = _finish_lengths(graph, len(tail), width)
-        if start not in finish:
-            return (), False
-
-        def exact(st, r):
-            d, mask = finish.get(st, (r + 1, 0))
-            return 0 <= r - d < width and mask >> (r - d) & 1
-        found = []
-        d, mask = finish[start]
-        for length in [d + i for i in range(width) if mask >> i & 1]:
-            stack = [(start, length, None)]
+    start, layers, seen, last, found = (table, 0), [], {}, -1, []
+    layer = frozenset(st for st in graph if st[1] == len(tail))
+    while len(found) <= COMPLETION_CAP and seen.get(layer, last) <= last:
+        seen[layer] = len(layers)  # its latest index
+        layers.append(layer)
+        if start in layer:
+            last = len(layers) - 1
+            stack = [(start, last, ())]
             while stack and len(found) <= COMPLETION_CAP:
-                st, left, path = stack.pop()  # path: (symbol, path) links
+                st, left, seq = stack.pop()
                 if not left:
-                    found.append(_unlink(path))
+                    found.append(seq)
                     continue
-                stack.extend((nxt, left - 1, (s, path)) for s, nxt
-                             in reversed(graph[st]) if exact(nxt, left - 1))
-        if len(found) > COMPLETION_CAP or not finish[start][1] >> width:
-            return tuple(found[:COMPLETION_CAP]), len(found) > COMPLETION_CAP
-        width *= 2
-
-
-def _unlink(path):
-    seq = []
-    while path:
-        s, path = path
-        seq.append(s)
-    return tuple(reversed(seq))
+                stack.extend((nxt, left - 1, seq + (s,)) for s, nxt
+                             in reversed(graph[st]) if nxt in layers[left - 1])
+        layer = frozenset(st for st, edges in graph.items()
+                          if any(nxt in layer for _, nxt in edges))
+    return tuple(found[:COMPLETION_CAP]), len(found) > COMPLETION_CAP
 
 
 def _common_prefix(seqs):

@@ -51,11 +51,13 @@ class Alphabet:
         _store_tuple(self, "names")
         if not self.names:
             raise InvalidArgument("alphabet is empty")
-        for name in self.names:  # str first, since set() hashes them
+        for name in self.names:  # str first, since the index hashes them
             if not check_type("symbol name", name, str) or any(
                     ch.isspace() for ch in name):
                 raise InvalidArgument("bad symbol name: %r" % (name,))
-        if len(set(self.names)) != len(self.names):
+        object.__setattr__(self, "_index",
+                           {name: i for i, name in enumerate(self.names)})
+        if len(self._index) != len(self.names):
             raise InvalidArgument("duplicate symbol name")
 
     def __len__(self):
@@ -66,8 +68,8 @@ class Alphabet:
 
     def index(self, name):
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise UnknownSymbol("unknown symbol: %r" % (name,)) from None
 
     def name(self, sym):
@@ -87,7 +89,7 @@ class Alphabet:
         """
         if isinstance(text, str):
             tokens = text.split()
-            if len(tokens) == 1 and tokens[0] not in self.names and all(
+            if len(tokens) == 1 and tokens[0] not in self._index and all(
                 len(n) == 1 for n in self.names
             ):
                 tokens = list(tokens[0])
@@ -415,31 +417,28 @@ def parse_dist(text, alphabet=None):
     check_type("text", text, str)
     if alphabet is not None:
         check_type("alphabet", alphabet, Alphabet)
-    names = []
-    probs = []
+    probs = {}  # by name, in file order
     inexact = False
     for lineno, line in _content_lines(text):
         fields = line.split()
         if len(fields) != 2:
             raise FormatError("expected 'symbol probability'", lineno)
         name, token = fields
-        if name in names:
+        if name in probs:
             raise FormatError("duplicate symbol %r" % name, lineno)
         try:
-            probs.append(_fraction(token))
+            probs[name] = _fraction(token)
         except (ValueError, ZeroDivisionError):
             raise FormatError("bad probability %r" % token, lineno) from None
-        names.append(name)
         if "/" not in token and any(c in token for c in ".eE"):
             inexact = True
-    if not names:
+    if not probs:
         raise FormatError("empty distribution file")
     if alphabet is None:
-        alphabet = Alphabet(names)
-    elif set(names) != set(alphabet.names):
+        alphabet = Alphabet(tuple(probs))
+    elif probs.keys() != set(alphabet.names):
         raise FormatError("distribution symbols do not match the alphabet")
-    by_name = dict(zip(names, probs))
-    ordered = [by_name[n] for n in alphabet.names]
+    ordered = [probs[n] for n in alphabet.names]
     # Decimal entries are exact rationals already; only a written-out
     # rounding of a repeating expansion can miss, by the tolerance at most.
     try:

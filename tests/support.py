@@ -3,8 +3,8 @@ greedy decoder and a round trip on it, the old search scan, walk and
 combine, the old aifv membership test, a per-table verdict from the aifv
 clauses, the old rational stationary solve, the old Fraction-summed costs
 (transition matrix, table and average lengths, the Huffman cost) and
-rounding, the old repeated sweep of the codec's finishing lengths, and a
-random tuple generator.
+rounding, the codec's old tail completions on a repeated sweep of
+finishing lengths, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -22,8 +22,8 @@ import random
 from codetuples import Bits, PrefixSetTable, make_tuple
 from codetuples.bits import EMPTY, ZERO
 from codetuples.classes import AIFV_CLAUSES
-from codetuples.codec import (FAILURE_CAP, DanglingInfo, DecodeResult,
-                              RoundTripFailure, RoundTripReport)
+from codetuples.codec import (COMPLETION_CAP, FAILURE_CAP, DanglingInfo,
+                              DecodeResult, RoundTripFailure, RoundTripReport)
 from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion, NotRegular
 from codetuples.prefix_sets import encode_from
@@ -959,7 +959,10 @@ def oracle_stationary(code, dist):
 
 
 def oracle_finish_lengths(graph, end, width):
-    """``codec._finish_lengths`` sweeping until a pass changes nothing."""
+    """Per state that reaches offset ``end``: (d, mask), where d is the
+    fewest symbols that get there, bit i of mask is set when exactly d + i
+    do (i < width), and bit ``width`` stands for any longer count; swept
+    until a pass changes nothing."""
     out = {st: (0, 1) for st in graph if st[1] == end}
     order = sorted((st for st in graph if st[1] < end), key=lambda st: -st[1])
     changed = True
@@ -977,3 +980,45 @@ def oracle_finish_lengths(graph, end, width):
                 if out.get(st) != (d, mask):
                     out[st], changed = (d, mask), True
     return out
+
+
+def oracle_completions(auto, tail, table):
+    """``codec._completions`` as it was: each length is listed by a walk
+    through states that finish in exactly the symbols left, known from
+    ``oracle_finish_lengths`` for a window of lengths above each state's
+    fewest; the window doubles until it holds one sequence over the cap or
+    all of them."""
+    graph, reaches = auto._search(tail, table)
+    if not reaches:
+        return None
+    start, width = (table, 0), 2 * COMPLETION_CAP
+    while True:
+        finish = oracle_finish_lengths(graph, len(tail), width)
+        if start not in finish:
+            return (), False
+
+        def exact(st, r):
+            d, mask = finish.get(st, (r + 1, 0))
+            return 0 <= r - d < width and mask >> (r - d) & 1
+        found = []
+        d, mask = finish[start]
+        for length in [d + i for i in range(width) if mask >> i & 1]:
+            stack = [(start, length, None)]
+            while stack and len(found) <= COMPLETION_CAP:
+                st, left, path = stack.pop()  # path: (symbol, path) links
+                if not left:
+                    found.append(_oracle_unlink(path))
+                    continue
+                stack.extend((nxt, left - 1, (s, path)) for s, nxt
+                             in reversed(graph[st]) if exact(nxt, left - 1))
+        if len(found) > COMPLETION_CAP or not finish[start][1] >> width:
+            return tuple(found[:COMPLETION_CAP]), len(found) > COMPLETION_CAP
+        width *= 2
+
+
+def _oracle_unlink(path):
+    seq = []
+    while path:
+        s, path = path
+        seq.append(s)
+    return tuple(reversed(seq))

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import codetuples
-from codetuples import codec
 from codetuples import (
     Bits,
     decode,
@@ -20,7 +19,7 @@ from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import ENCODE_GOLDEN, KEYS, TUPLES
 
-from support import oracle_finish_lengths, random_code_tuple
+from support import random_code_tuple
 
 TWO_DECODABLE = [k for k in KEYS if k != "r2"]
 
@@ -248,42 +247,3 @@ def test_cut_streams_keep_the_symbols_followed_by_k_bits():
             covered = sum(1 for end in ends if end + k <= cut)
             assert len(got) >= covered
             assert got[:covered] == seq[:covered], (key, start, seq, cut)
-
-
-def random_graph(rng):
-    """A graph shaped as ``PrefixSetTable._search`` builds them: states
-    (table, offset) reached from (0, 0), each with (symbol, next state)
-    edges that move 0 to 2 offsets on, up to the end; a move of 0 stands
-    for an empty codeword, and can close a cycle."""
-    m, end = rng.randint(1, 3), rng.randint(0, 6)
-    graph, stack = {}, [(0, 0)]
-    while stack:
-        st = stack.pop()
-        if st in graph:
-            continue
-        edges = graph[st] = []
-        for s in range(rng.randint(0, 4) if st[1] < end else 0):
-            nxt = (rng.randrange(m), min(end, st[1] + rng.choice((0, 0, 1, 2))))
-            edges.append((s, nxt))
-            stack.append(nxt)
-    return graph, end
-
-
-def test_finish_lengths_match_the_repeated_sweep():
-    rng = random.Random(71)
-    graphs = [random_graph(rng) for _ in range(1500)]
-    for _ in range(300):
-        code = random_code_tuple(rng, max_len=3)
-        tail = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
-        graphs.append((code.sets._search(tail, 0)[0], len(tail)))
-    same_offset = cycles = 0
-    for graph, end in graphs:
-        links = [(st, nxt) for st, edges in graph.items() for _, nxt in edges
-                 if nxt[1] == st[1]]
-        same_offset += bool(links)
-        cycles += any(st == nxt for st, nxt in links)
-        for width in (1, 2, 4, 8):
-            assert codec._finish_lengths(graph, end, width) == \
-                oracle_finish_lengths(graph, end, width), (graph, end, width)
-    # one-pass graphs, and empty-codeword links and cycles among the rest
-    assert 0 < cycles < same_offset < len(graphs)

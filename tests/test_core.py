@@ -5,9 +5,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codetuples import (Alphabet, FormatError, SourceDist, make_tuple,
-                        parse_code_tuple, parse_dist, serialize_code_tuple,
-                        serialize_dist)
+from codetuples import (Alphabet, FormatError, SourceDist, UnknownSymbol,
+                        make_tuple, parse_code_tuple, parse_dist,
+                        serialize_code_tuple, serialize_dist)
 from codetuples.bits import Bits
 from codetuples.reference import KEYS, TUPLES, main_dist
 
@@ -27,6 +27,15 @@ def test_alphabet_rejects_duplicates_and_blank():
         Alphabet(("a", "a"))
     with pytest.raises(ValueError):
         Alphabet(("a", ""))
+
+
+def test_alphabet_index_refuses_an_unhashable_name():
+    al = Alphabet(("c", "a", "b"))
+    assert [al.index(name) for name in ("a", "b", "c")] == [1, 2, 0]
+    for call in (lambda: al.index(["a"]), lambda: al.seq([["a"]])):
+        with pytest.raises(UnknownSymbol) as info:
+            call()
+        assert str(info.value) == "unknown symbol: ['a']"
 
 
 def test_make_tuple_and_accessors():
@@ -152,6 +161,15 @@ def test_parse_dist_against_alphabet_reorders():
     assert dist.probs == (Fraction(3, 4), Fraction(1, 4))
     with pytest.raises(FormatError):
         parse_dist("a 1/2\nz 1/2\n", al)
+
+
+def test_parse_dist_names_the_duplicate_line_and_keeps_file_order():
+    with pytest.raises(FormatError) as info:
+        parse_dist("b 1/4\na 1/4\n# c\nb 1/2\n")
+    assert str(info.value) == "line 4: duplicate symbol 'b'"
+    dist = parse_dist("c 1/2\na 1/8\nb 3/8\n")
+    assert dist.alphabet.names == ("c", "a", "b")
+    assert dist.probs == (Fraction(1, 2), Fraction(1, 8), Fraction(3, 8))
 
 
 def test_parse_dist_rejects_bad_total_and_zero():

@@ -7,7 +7,9 @@ tail, completions, capped and conflicts, or both must refuse the bits.
 ``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
 decoder per trial, against the codec's dicts of steps shared by the trials.
 ``scan_step`` is a greedy step as a scan of every row, against which the
-steps probed from ``fits`` are checked.
+steps probed from ``fits`` are checked.  ``support.oracle_completions`` is
+the tail listing on a repeated sweep of finishing lengths, against which
+the codec's layers are checked.
 """
 
 import copy
@@ -25,8 +27,9 @@ from codetuples.errors import NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import TUPLES
 
-from support import (oracle_decode, oracle_identification_delays,
-                     oracle_roundtrip_check, random_code_tuple, random_seq)
+from support import (NAME_POOL, oracle_completions, oracle_decode,
+                     oracle_identification_delays, oracle_roundtrip_check,
+                     random_code_tuple, random_seq)
 
 STREAM_KEYS = ("r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10")
 
@@ -210,6 +213,56 @@ def test_a_shared_tails_dict_searches_each_tail_once(monkeypatch):
                 for text in texts] == want
     assert searched == [(0, "1101101110"), (0, "11111111"), (0, "01")]
     assert tails[0, "11111111"] is None
+
+
+def test_completions_match_the_repeated_sweep():
+    # empty codewords are drawn twice as often as each other length, so
+    # states at one offset link up and close cycles; every answer, None
+    # and capped included, must be the old listing's
+    rng = random.Random(4409)
+    answers, cyclic = {}, 0
+    for _ in range(500):  # 5,000 cases
+        sigma, m = rng.randint(1, 4), rng.randint(1, 3)
+        code = make_tuple(NAME_POOL[:sigma], [
+            [("".join(rng.choice("01") for _ in range(
+                rng.choice((0, 0, 1, 2, 3)))) or "-", rng.randrange(m))
+             for _ in range(sigma)] for _ in range(m)])
+        cyclic += has_empty_cycle(code)
+        for _ in range(10):
+            tail = "".join(rng.choice("01")
+                           for _ in range(rng.randint(1, 14)))
+            table = rng.randrange(m)
+            want = oracle_completions(code.sets, tail, table)
+            assert codec._completions(code.sets, tail, table) == want, \
+                (code, tail, table)
+            kind = "none" if want is None else "capped" if want[1] else \
+                "empty" if not want[0] else "listed"
+            answers[kind] = answers.get(kind, 0) + 1
+    assert cyclic > 250 and min(answers.values()) > 150, (cyclic, answers)
+
+
+# empty codewords a, a cycle between the tables: a tail from table 0 is
+# finished by 0, 2, 4, ... a's and then one b
+ENDLESS = make_tuple(("a", "b"), [[("-", 1), ("0", 0)], [("-", 0), ("1", 1)]])
+# a, b cycle through the tables, from which only b's codeword 00 starts
+# with 0, and it emits too much
+UNFINISHED = make_tuple(("a", "b"), [[("00", 0), ("-", 1)],
+                                     [("-", 0), ("1", 1)]])
+
+
+def test_a_cycle_through_the_start_lists_the_cap_and_stops():
+    want = tuple((0,) * 2 * n + (1,) for n in range(codec.COMPLETION_CAP))
+    assert codec._completions(ENDLESS.sets, "0", 0) == (want, True)
+    info = decode(ENDLESS, 0, Bits("0")).info
+    assert (info.tail, info.completions, info.capped) == (Bits("0"), want,
+                                                         True)
+
+
+def test_a_cycle_the_start_never_finishes_through_lists_nothing():
+    assert codec._completions(UNFINISHED.sets, "0", 0) == ((), False)
+    result = decode(UNFINISHED, 0, Bits("0"))
+    assert (result.symbols, result.info.tail, result.info.completions,
+            result.info.capped) == ((), Bits("0"), (), False)
 
 
 def scan_step(code, k, table, view):
