@@ -31,6 +31,9 @@ class Bits:
     def __setattr__(self, name, value):
         raise AttributeError("Bits is immutable")
 
+    def __reduce__(self):  # copy and pickle call Bits, not __setattr__
+        return (Bits, (self._s,))
+
     def __len__(self):
         return len(self._s)
 

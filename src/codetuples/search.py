@@ -23,7 +23,10 @@ exactly one guess.  Costs factor the same way: the stationary weight of
 each table depends only on the next-table choices, so the tables' expected
 lengths are minimized independently per guess and target assignment (one
 table's cost is its own expected length).  So a table's bucket (one target
-vector) keeps its first content and each length vector no other dominates.
+vector) keeps its first content and each length vector no other dominates,
+and the dominated ones the walk cannot drop cheaply: (3,2,3,f0) stores
+6,757 entries, of which 3,450 are a bucket's first or Pareto-minimal.
+The scan packs targets, length vectors and contents into ints (see _scan).
 
 Under f0 only table 0 is walked: no f0 condition reads the table index, so
 table 1 under guess (a, b) is table 0 under (b, a) with targets flipped.
@@ -217,7 +220,19 @@ def _describe(space):
 # int(c, 2) per block c.  Slot number sid encodes (word index, target) as
 # sid = 2 * word_index + target, so ascending sid tuples are exactly the
 # canonical order and tuple comparison is the tie-break; sets of slots are
-# int bitmasks over sid.
+# int bitmasks over sid.  The scan packs contents, target vectors and
+# length vectors into ints (see _scan).
+
+
+def _width(max_len):
+    """Bits per sid in a packed content: enough for the largest sid."""
+    return (2 * (2 ** (max_len + 1) - 1) - 1).bit_length()
+
+
+def _unpack(row, sigma, width):
+    """The sid tuple of a packed content."""
+    return tuple(row >> width * pos & (1 << width) - 1
+                 for pos in reversed(range(sigma)))
 
 
 def _unions(parts):
@@ -327,13 +342,19 @@ def _scan(space):
     Returns (guesses, tables).  guesses maps each kept guess to a (key,
     orbit key) pair per table: key (index, guess) names the walk that
     gives the table, the orbit key the walk with the same buckets and
-    costs.  tables maps a walk key to {targets: {lenvec: sid tuple}} and
-    walks a missing key when it is first read.  A bucket (targets) holds
-    its first lenvec and every one that no other in it dominates, each
-    with the canonically first content with those targets and codeword
-    lengths, in ascending order.  Under f0, table 1 under (a, b) is the
-    table 0 under (b, a), shared, not flipped, and only the orbit keys are
-    walked here, the least guess of each complement orbit.
+    costs.  tables maps a walk key to {targets: {lenvec: content}} and
+    walks a missing key when it is first read.  All three are packed ints:
+    targets bit i is symbol i's target, a lenvec is the sum of l_i *
+    (max_len + 1) ** i, and a content holds symbol i's sid in _width bits
+    from bit width * (sigma - 1 - i), so contents compare as their sid
+    tuples do.  A bucket (targets) holds, per lengths of the first
+    sigma - 1 symbols, each last length shorter than every one stored
+    before it with them: its first lenvec, every one that no other in it
+    dominates, and some that a vector with other head lengths dominates.
+    Each comes with the canonically first content with those targets and
+    codeword lengths, in ascending order.  Under f0, table 1 under (a, b)
+    is the table 0 under (b, a), shared, not flipped, and only the orbit
+    keys are walked here, the least guess of each complement orbit.
     """
     tables = _Tables(space)
     if space.filter == "aifv":  # two tables, and the clauses read the index
@@ -392,6 +413,9 @@ def _scan_table(space, index, guess, layout):
     lens, evens, *_, key_of, group, tail, longer, follow, near = layout[1:]
     contrib, clash, allowed, cover = _masks(space, index, guess, layout)
     want, aifv, last = guess[index], space.filter == "aifv", space.sigma - 1
+    width = _width(space.max_len)
+    place = [(space.max_len + 1) ** pos for pos in range(space.sigma)]
+    last_lens = [n * place[last] for n in lens]
     filled = {}  # head key -> slots found or dominated after it
     found = {}
 
@@ -444,8 +468,9 @@ def _scan_table(space, index, guess, layout):
                 now_covered = covered | near[sid >> 1]
             if deeper:
                 walk(pos + 1, cand & ~clash[sid], union | contrib[sid],
-                     now_owed, now_after, now_covered, key, head + (sid,),
-                     head_targets + (sid & 1,), head_lens + (lens[sid],))
+                     now_owed, now_after, now_covered, key,
+                     head << width | sid, head_targets | (sid & 1) << pos,
+                     head_lens + lens[sid] * place[pos])
             elif cand & ~(done := filled.get(key, 0)):
                 options = (cand & ~clash[sid] & ~done
                            & cover[want & ~(union | contrib[sid])])
@@ -454,18 +479,22 @@ def _scan_table(space, index, guess, layout):
                         options & extending(now_owed)
                         & (evens | (now_after | now_after >> 1) << 1),
                         now_after, now_covered)
+                if options:  # one row, targets and lenvec per head slot
+                    row = (head << width | sid) << width
+                    targets = head_targets | (sid & 1) << pos
+                    lenvec = head_lens + lens[sid] * place[pos]
                 while options:  # store each option, shortest first
                     low = options & -options
                     end = low.bit_length() - 1
-                    found.setdefault(head_targets + (sid & 1, end & 1), {})[
-                        head_lens + (lens[sid], lens[end])] = head + (sid, end)
+                    found.setdefault(targets | (end & 1) << last, {})[
+                        lenvec + last_lens[end]] = row | end
                     done |= tail[end]
                     options &= ~done
                 filled[key] = done
             else:  # every candidate taken or dominated after this head key
                 rest &= ~group[key_of[sid]]
 
-    walk(0, allowed, 0, 0, 0, 4 * index, 0, (), (), ())  # window 0: word 1
+    walk(0, allowed, 0, 0, 0, 4 * index, 0, 0, 0, 0)  # window 0: word 1
     return found
 
 
@@ -495,6 +524,11 @@ def _combine(space, dist, scan):
 
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
+    The scan's keys are packed ints (see _scan), so a lenvec's cost and a
+    target vector's weight sent to table 1 are list entries, built a
+    digit (a bit) per symbol, and an f0 table 1's contents are its table
+    0's with each sid's low bit flipped by one XOR; only the winner's
+    contents are unpacked, into the sid tuple returned as pick.
     A walked table is summarized once, per bucket as its least cost, weight
     leaving and targets, and read for its orbit (same buckets and least
     costs); an f0 table read as table 1 leaves by its own targets' ones.
@@ -510,16 +544,19 @@ def _combine(space, dist, scan):
     guesses, tables = scan
     words = all_words(space.max_len)
     scale, weight = dist.integer_weights()
-    cost = {lenvec: sum(w * n for w, n in zip(weight, lenvec))
-            for lenvec in itertools.product(range(space.max_len + 1),
-                                            repeat=space.sigma)}
-    # weight sent to table 1 per target vector; the weights sum to scale
-    ones = {targets: sum(w for w, t in zip(weight, targets) if t)
-            for targets in itertools.product((0, 1), repeat=space.sigma)}
-    flip = space.filter == "f0"  # table 1 is a table 0 with targets flipped
+    # cost per packed lenvec, and weight sent to table 1 per packed target
+    # vector, a digit (a bit) per symbol; the weights sum to scale
+    cost, ones = [0], [0]
+    for w in weight:
+        cost = [c + w * n for n in range(space.max_len + 1) for c in cost]
+        ones += [o + w for o in ones]
+    width = _width(space.max_len)
+    # an f0 table 1 is a table 0 with targets flipped: each sid's low bit
+    flip = (sum(1 << width * pos for pos in range(space.sigma))
+            if space.filter == "f0" else 0)
     # weight leaving a table walked as table 0 (its switches) or 1 (its
     # returns); an f0 table is always walked as table 0
-    leaving = (ones, {targets: scale - w for targets, w in ones.items()})
+    leaving = (ones, [scale - w for w in ones])
     summaries = {}  # by walk key
 
     def summary(key):  # (least cost, [(cost, leave, targets)] per bucket)
@@ -570,9 +607,8 @@ def _combine(space, dist, scan):
             bucket = tables[key][targets]
             row = bucket[next(iter(bucket)) if unused
                          else min(bucket, key=cost.__getitem__)]
-            read[key, targets, unused] = \
-                tuple([sid ^ 1 for sid in row]) if i and flip else row
-        pick += (least := min(read.values()))
+            read[key, targets, unused] = row ^ flip if i else row
+        pick += _unpack(least := min(read.values()), space.sigma, width)
         tied = [part for part in tied if read[part[i]] == least]
     return (Fraction(best[0], best[1] * scale), pick,
             _build(dist.alphabet, space.sigma,

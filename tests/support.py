@@ -514,8 +514,28 @@ def oracle_scan_two_tables(space):
     return scan
 
 
+def unpack_table(space, table):
+    """A walked table, packed into ints, as {targets: {lenvec: sid tuple}}.
+
+    The scan keys a table by packed ints: targets with bit i for symbol
+    i's target, a length vector as the digits l_i of base max_len + 1, and
+    a content as each symbol's sid in as many bits as the largest sid
+    needs, symbol 0 most significant.  This reads them back into tuples,
+    keeping the dict order, with field sizes worked out here.
+    """
+    sigma, base = space.sigma, space.max_len + 1
+    width = (2 * len(all_words(space.max_len)) - 1).bit_length()
+    targets = [tuple(t >> i & 1 for i in range(sigma)) for t in table]
+    return {bits: {tuple(v // base ** i % base for i in range(sigma)):
+                   tuple(row >> width * (sigma - 1 - i) & (1 << width) - 1
+                         for i in range(sigma))
+                   for v, row in bucket.items()}
+            for bits, bucket in zip(targets, table.values())}
+
+
 def walk_every_table(scan):
-    """A search scan in its walked shape, {guess: tables}, every table walked.
+    """A search scan in its walked shape, {guess: tables}, every table walked
+    and unpacked by ``unpack_table``.
 
     The scan walks one f0 guess per complement orbit, and a mirror guess
     only once the combine reads its contents.  This reads every guess's
@@ -524,7 +544,9 @@ def walk_every_table(scan):
     table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
     """
     guesses, tables = scan
-    return {guess: tuple(tables[key] for key, _ in cells)
+    keys = dict.fromkeys(key for cells in guesses.values() for key, _ in cells)
+    plain = {key: unpack_table(tables.space, tables[key]) for key in keys}
+    return {guess: tuple(plain[key] for key, _ in cells)
             for guess, cells in guesses.items()}
 
 

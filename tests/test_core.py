@@ -1,12 +1,14 @@
+import copy
 from fractions import Fraction
+import pickle
 import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codetuples import (Alphabet, FormatError, SourceDist, UnknownSymbol,
-                        make_tuple, parse_code_tuple, parse_dist,
+from codetuples import (Alphabet, CodeTuple, FormatError, SourceDist,
+                        UnknownSymbol, decode, encode, make_tuple, parse_code_tuple, parse_dist,
                         serialize_code_tuple, serialize_dist)
 from codetuples.bits import Bits
 from codetuples.reference import KEYS, TUPLES, main_dist
@@ -46,6 +48,29 @@ def test_make_tuple_and_accessors():
     assert code.target(0, 3) == 2
     assert code.max_code_len() == 6
     assert tuple(code.table_indices()) == (0, 1, 2)
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_values_copy_and_pickle(how):
+    # a copy is rebuilt, not set slot by slot, so immutable values survive
+    duplicate = COPIES[how]
+    for value in (Bits("01"), Bits(""), TUPLES["r3"].tables[0], main_dist()):
+        twin = duplicate(value)
+        assert twin == value and type(twin) is type(value), value
+    for sets_built in (False, True):
+        code = CodeTuple(TUPLES["r3"].alphabet, TUPLES["r3"].tables)
+        if sets_built:
+            code.sets
+        bits = encode(code, 0, (0, 1, 2, 3, 2, 1))[0]
+        twin = duplicate(code)
+        assert twin == code and hash(twin) == hash(code), sets_built
+        for cut in (len(bits), len(bits) - 1):
+            assert decode(twin, 0, bits.head(cut)) == \
+                decode(code, 0, bits.head(cut)), (sets_built, cut)
 
 
 def test_make_tuple_rejects_bad_target():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
                                InvalidType, SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
-from support import _swapped, aifv_table_ok
+from support import _swapped, aifv_table_ok, unpack_table
 
 AB2 = Alphabet(("a", "b"))
 
@@ -121,8 +122,10 @@ def test_f0_table_one_is_table_zero_under_the_swapped_guess(sigma, max_len):
 
     for a in range(1, 16):
         for b in range(1, 16):
-            direct = search._scan_table(space, 1, (a, b), layout)
-            derived = _swapped(search._scan_table(space, 0, (b, a), layout))
+            direct = unpack_table(
+                space, search._scan_table(space, 1, (a, b), layout))
+            derived = _swapped(unpack_table(
+                space, search._scan_table(space, 0, (b, a), layout)))
             assert ordered(direct) == ordered(derived), (a, b)
 
 
@@ -316,3 +319,41 @@ def test_price_test_keeps_a_guess_exactly_when_the_join_would(rows0, rows1,
         <= 0
         for cost0, leave0, _ in rows0 for cost1, leave1, _ in rows1)
     assert search._reaches(rows0, rows1, num, den) is joined
+
+
+@st.composite
+def packed_fields(draw):
+    """sigma, max_len, two sid tuples, targets and lengths, and the first
+    sid tuple with one sid made the largest."""
+    sigma, max_len = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    top = 2 * len(all_words(max_len)) - 1  # the largest sid
+    fields = [st.lists(st.integers(0, high), min_size=sigma, max_size=sigma)
+              for high in (top, top, 1, max_len)]
+    sids, other, targets, lens = (tuple(draw(f)) for f in fields)
+    at = draw(st.integers(0, sigma - 1))
+    return (sigma, max_len, sids, other, targets, lens,
+            sids[:at] + (top,) + sids[at + 1:])
+
+
+@settings(max_examples=500, deadline=None)
+@given(packed_fields())
+def test_unpacking_inverts_the_scan_s_packing(case):
+    # the walk packs a stored option a symbol at a time: contents by
+    # shifting in each sid, targets by bit, length vectors by digit
+    sigma, max_len, sids, other, targets, lens, topped = case
+    space = types.SimpleNamespace(sigma=sigma, max_len=max_len)
+    width = search._width(max_len)
+
+    def pack(content):
+        return functools.reduce(lambda row, sid: row << width | sid,
+                                content, 0)
+
+    packed_targets = sum(t << pos for pos, t in enumerate(targets))
+    lenvec = sum(n * (max_len + 1) ** pos for pos, n in enumerate(lens))
+    for content in (sids, other, topped):
+        table = {packed_targets: {lenvec: pack(content)}}
+        assert unpack_table(space, table) == {targets: {lens: content}}
+        assert search._unpack(pack(content), sigma, width) == content
+    # numeric order is tuple order, also with the largest sid
+    for a, b in ((sids, other), (sids, topped), (topped, other)):
+        assert (pack(a) < pack(b)) == (a < b), (a, b)

@@ -4,7 +4,8 @@
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
 f0 scan walks one guess per complement orbit and a mirror guess only when
 the combine reads its contents, so every test that reads contents goes
-through ``support.walk_every_table``, which walks the rest; the combine
+through ``support.walk_every_table``, which walks the rest and unpacks the
+scan's packed ints into tuples (``support.unpack_table``); the combine
 is compared on fresh scans, so that it walks its mirrors itself.  The f0
 scan shares each walked table 0 as table 1 of the swapped guess, so it
 is compared through ``support.expand_scan``, which flips a copy of every
@@ -36,7 +37,7 @@ from codetuples import Alphabet, SearchSpace, SourceDist
 from codetuples.search import MIRROR, _combine, _layout, _scan, _scan_table
 from support import (PAIR_INDEX, assert_keeps_pareto_buckets, expand_scan,
                      oracle_combine, oracle_scan_two_tables, oracle_walk_scan,
-                     walk_every_table)
+                     unpack_table, walk_every_table)
 
 SPACES = [(sigma, max_len, filt)
           for sigma, max_len in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
@@ -140,9 +141,9 @@ def test_f0_table_zero_has_its_mirror_guess_s_buckets(sigma, max_len, tables):
     for a, b in itertools.product(range(1, 16), repeat=2):
         if tables == 1 and a != b:
             continue
-        assert pareto_buckets(_scan_table(space, 0, (a, b), layout)) == \
-            pareto_buckets(_scan_table(space, 0, (MIRROR[a], MIRROR[b]),
-                                       layout)), (a, b)
+        walks = [unpack_table(space, _scan_table(space, 0, guess, layout))
+                 for guess in ((a, b), (MIRROR[a], MIRROR[b]))]
+        assert pareto_buckets(walks[0]) == pareto_buckets(walks[1]), (a, b)
 
 
 @pytest.mark.parametrize("tables,walked", [(1, 9), (2, 117)])
