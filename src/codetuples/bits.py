@@ -82,36 +82,8 @@ class Bits:
     def is_proper_prefix_of(self, other):
         return len(self._s) < len(other._s) and other._s.startswith(self._s)
 
-    def head(self, k):
-        """The first k bits (all bits if fewer than k)."""
-        return Bits(self._s[:k])
-
-    def tail_from(self, k):
-        """Everything after the first k bits."""
-        return Bits(self._s[k:])
-
-    def drop_first(self):
-        if not self._s:
-            raise InvalidArgument("empty bit string has no first bit")
-        return Bits(self._s[1:])
-
-    def strip_prefix(self, prefix):
-        """The remainder after removing ``prefix``; requires prefix <= self."""
-        if not prefix.is_prefix_of(self):
-            raise InvalidArgument("%r is not a prefix of %r" % (prefix, self))
-        return Bits(self._s[len(prefix._s):])
-
 
 EMPTY = Bits("")
-ZERO = Bits("0")
-ONE = Bits("1")
-
-
-def bit(value):
-    """A single-bit Bits from an int 0/1."""
-    if value not in (0, 1):
-        raise InvalidArgument("bit must be 0 or 1")
-    return ONE if value else ZERO
 
 
 def show(b):

@@ -35,6 +35,7 @@ from .prefix_sets import (K, check_code, check_indices, check_int, check_k,
 
 COMPLETION_CAP = 16
 FAILURE_CAP = 10
+ROUNDTRIP_SYMBOL_CAP = 10 ** 6  # trials * max_len, the most symbols drawn
 
 encode = encode_from
 
@@ -74,35 +75,44 @@ def _completions(auto, tail, table):
     exist; None when no emission even starts with it.
 
     A sequence stops at its first exact match: extending one only appends
-    symbols that emit nothing, which the bits cannot testify to.  Layer r
-    holds the states that finish in exactly r symbols: layer 0 those at the
-    tail's end, layer r + 1 every state with an edge into layer r.  Each
-    length whose layer holds the start is listed by a walk that steps from
-    layer to layer down to 0.  A cycle of states is made of empty codewords
-    at one offset, and each layer follows from the one before; so once a
-    layer repeats an earlier one with the start in no layer since, the
-    layers only cycle and no length is left to list.
+    symbols that emit nothing, which the bits cannot testify to.  A backward
+    BFS gives each state its fewest symbols to the tail's end; a step's
+    slack, 1 + fewest[next] - fewest[state], is never negative, so a
+    sequence is fewest[start] plus its total slack long.  Slack budgets are
+    walked depth first in symbol order within the slack left, each listing
+    one length: 0 first, then the least budget that takes a step the last
+    walk cut.  A longer sequence's first step past the budget is cut, so no
+    sequence lies between, and a walk that cut none leaves none.  A walk
+    ends one path per sequence found so far: linear in the tail's length.
     """
     graph, reaches = auto._search(tail, table)
     if not reaches:
         return None
-    start, layers, seen, last, found = (table, 0), [], {}, -1, []
-    layer = frozenset(st for st in graph if st[1] == len(tail))
-    while len(found) <= COMPLETION_CAP and seen.get(layer, last) <= last:
-        seen[layer] = len(layers)  # its latest index
-        layers.append(layer)
-        if start in layer:
-            last = len(layers) - 1
-            stack = [(start, last, ())]
-            while stack and len(found) <= COMPLETION_CAP:
-                st, left, seq = stack.pop()
-                if not left:
-                    found.append(seq)
-                    continue
-                stack.extend((nxt, left - 1, seq + (s,)) for s, nxt
-                             in reversed(graph[st]) if nxt in layers[left - 1])
-        layer = frozenset(st for st, edges in graph.items()
-                          if any(nxt in layer for _, nxt in edges))
+    fewest, back = {st: 0 for st in graph if st[1] == len(tail)}, {}
+    for st, edges in graph.items():
+        for _, nxt in edges:
+            back.setdefault(nxt, []).append(st)
+    queue = list(fewest)
+    for st in queue:  # the list grows while it is read
+        for prev in set(back.get(st, ())).difference(fewest):
+            fewest[prev] = fewest[st] + 1
+            queue.append(prev)
+    found, budget = [], 0 if (table, 0) in fewest else None
+    while budget is not None and len(found) <= COMPLETION_CAP:
+        path, lacks, stack = [], set(), [(0, None, (table, 0), budget)]
+        while stack and len(found) <= COMPLETION_CAP:
+            depth, s, st, left = stack.pop()
+            path[depth:] = [s]
+            if not fewest[st] and not left:
+                found.append(tuple(path[1:]))  # path[0] holds no symbol
+            for s, nxt in reversed(graph[st]):
+                if nxt in fewest:  # lack: the slack the step needs beyond left
+                    lack = 1 + fewest[nxt] - fewest[st] - left
+                    if lack > 0:
+                        lacks.add(lack)
+                    else:
+                        stack.append((depth + 1, s, nxt, -lack))
+        budget = budget + min(lacks) if lacks else None
     return tuple(found[:COMPLETION_CAP]), len(found) > COMPLETION_CAP
 
 
@@ -290,7 +300,8 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
     when it leaves out a symbol whose codeword is followed by at least k
     bits, when the bits admit no completion, or when some symbol needed
     more than k bits of delay to identify.  ``seed``, an int, is required so
-    runs are reproducible.
+    runs are reproducible; trials * max_len may not pass
+    ROUNDTRIP_SYMBOL_CAP.
     """
     check_code(code)
     if seed is None:
@@ -299,6 +310,9 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
     for name, value, low in (("trials", trials, 0), ("max_len", max_len, 1)):
         if check_int(name, value) < low:  # a float or str would fail mid-trial
             raise InvalidArgument("%s=%r below %d" % (name, value, low))
+    if trials * max_len > ROUNDTRIP_SYMBOL_CAP:
+        raise InvalidArgument("trials=%d times max_len=%d is above %d" % (
+            trials, max_len, ROUNDTRIP_SYMBOL_CAP))
     check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)
     randrange, sigma = rng.randrange, code.sigma

@@ -269,9 +269,3 @@ def check_indices(code, start, seq=()):
     check_symbols(seq, len(code.alphabet))
     return seq
 
-
-def symbols_with_codeword(code, i, b):
-    """Symbols of table i whose codeword equals b exactly, in symbol order."""
-    check_indices(code, i)
-    b = Bits(b)
-    return tuple(s for s in code.alphabet if code.code(i, s) == b)

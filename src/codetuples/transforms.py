@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import EMPTY, ONE, ZERO, Bits, bit as bit_of
+from .bits import EMPTY, Bits
 from .analysis import reachable_tables
 from .classes import HIERARCHY, TABLE_CLAUSES, table_witness, witness
 from .core import CodeTuple, Table
@@ -40,7 +40,7 @@ from .errors import (
     WrongTableCount,
 )
 from .markov import average_length
-from .prefix_sets import check_code, check_indices, symbols_with_codeword
+from .prefix_sets import check_code, check_indices
 
 
 def forced_bit(code, i):
@@ -56,19 +56,22 @@ def forced_bit(code, i):
 
 
 def _rewrite(code, word):
-    """Codeword (i, s) replaced by ``word(i, s)``; the targets are kept."""
+    """Codeword (i, s) replaced by the ``str`` ``word(i, s)``; the targets
+    are kept."""
     return CodeTuple(code.alphabet, tuple(
-        Table(tuple(word(i, s) for s in code.alphabet), code.tables[i].targets)
-        for i in code.table_indices()))
+        Table(tuple(Bits(word(i, s)) for s in code.alphabet),
+              code.tables[i].targets) for i in code.table_indices()))
 
 
 def rotate(code):
     """Move each table's forced first bit across codeword boundaries."""
-    forced = [forced_bit(code, i) for i in check_code(code).table_indices()]
+    forced = [str(forced_bit(code, i))
+              for i in check_code(code).table_indices()]
+    rows = code.sets.rows
 
-    def word(i, s):  # an empty codeword inherits its target's forced bit
-        w = code.code(i, s) + forced[code.target(i, s)]
-        return w.drop_first() if forced[i] else w
+    def word(i, s):  # append the target's forced bit, drop the table's own
+        w, t, _ = rows[i][s]
+        return (w + forced[t])[len(forced[i]):]
     return _rewrite(code, word)
 
 
@@ -87,10 +90,7 @@ class ChainDecomposition:
 
     @property
     def codeword(self):
-        out = EMPTY
-        for p in self.parts:
-            out = out + p
-        return out
+        return Bits("".join(map(str, self.parts)))
 
 
 def prefix_chain(code, i, s):
@@ -100,25 +100,21 @@ def prefix_chain(code, i, s):
     chain to be meaningful; a shared one raises AmbiguousChain.
     """
     check_indices(code, i, (s,))
-    word = code.code(i, s)
-    below = {}
-    for s2 in code.alphabet:
-        c = code.code(i, s2)
-        if c.is_proper_prefix_of(word):
+    rows = code.sets.rows[i]
+    word, below = rows[s][0], {}
+    for c, _, s2 in rows:
+        if len(c) < len(word) and word.startswith(c):
             if c in below:
                 raise AmbiguousChain(
                     "table %d: codeword %r of %s is shared by %s" % (
-                        i, str(c), code.alphabet.name(s2),
+                        i, c, code.alphabet.name(s2),
                         code.alphabet.name(below[c])))
             below[c] = s2
     order = sorted(below, key=len)
-    chain = tuple(below[c] for c in order) + (s,)
-    parts = []
-    prev = EMPTY
-    for c in order + [word]:
-        parts.append(c.strip_prefix(prev))
-        prev = c
-    return ChainDecomposition(i, chain, tuple(parts))
+    ends = [len(c) for c in order] + [len(word)]
+    parts = (word[a:b] for a, b in zip([0] + ends, ends))
+    return ChainDecomposition(i, tuple(map(below.get, order)) + (s,),
+                              tuple(map(Bits, parts)))
 
 
 def steer_bit(code, i):
@@ -138,9 +134,9 @@ def steer_bit(code, i):
                 "empty-codeword delegation cycle through tables %s"
                 % "->".join(str(t) for t in cycle))
         seen.append(j)
-        empties = symbols_with_codeword(code, j, EMPTY)
+        empties = [t for w, t, _ in code.sets.rows[j] if not w]
         if len(empties) == 1:
-            j = code.target(j, empties[0])
+            j = empties[0]
             continue
         return 0 if "00" in code.sets.words(2)[j] else 1
 
@@ -159,12 +155,13 @@ def _rewrite_chains(code, family, head, increment):
     the target table emitting that same bit, so it is refused."""
     def word(i, s):
         decomp = prefix_chain(code, i, s)
-        out = head(i, s, decomp.parts[0])
-        for prev, part in zip(decomp.chain, decomp.parts[1:]):
+        parts = list(map(str, decomp.parts))
+        out = head(i, s, parts[0])
+        for prev, part in zip(decomp.chain, parts[1:]):
             if len(part) < 2:
                 raise NotInClass(family, "table %d, symbol %s: one-bit chain "
                                  "increment" % (i, code.alphabet.name(s)))
-            out = out + increment(i, s, prev, part)
+            out += increment(i, s, prev, part)
         return out
     return _rewrite(code, word)
 
@@ -183,24 +180,22 @@ def dot(code):
         if len(part) < 2:
             raise NotInClass("f1", "table %d, symbol %s: one-bit codeword in "
                              "a two-pair table" % (i, code.alphabet.name(s)))
-        return bit_of(steer[i]) + part.head(1) + part.tail_from(2)
+        return str(steer[i]) + part[0] + part[2:]
 
     def increment(i, s, prev, part):
-        prev_word = code.code(i, prev)
-        j = code.target(i, prev)
-        opposite = bit_of(1 - steer[j])
+        prev_word, j, _ = sets.rows[i][prev]
+        opposite = str(1 - steer[j])
         longer = len(sets.strict_continuations(i, prev_word, 1))
-        straight = len(sets.strict_continuations(j, EMPTY, 1))
+        straight = len(sets.strict_continuations(j, "", 1))
         if longer == 2:
-            return opposite + part.head(1) + part.tail_from(2)
+            return opposite + part[0] + part[2:]
         if longer == 1 and straight == 1:
-            return opposite + ZERO + part.tail_from(2)
+            return opposite + "0" + part[2:]
         if longer == 1 and straight == 2 and len(sets.words(2)[j]) == 2:
             # The rewritten increment lands at the head of the whole
             # codeword exactly when the previous chain codeword is empty;
             # only then the filler bit is 1.
-            filler = ONE if len(prev_word) == 0 else ZERO
-            return opposite + filler + part.tail_from(2)
+            return opposite + ("0" if prev_word else "1") + part[2:]
         if longer == 1 and straight == 2:
             return part
         raise NotInClass("f1", "table %d, symbol %s: continuation profile "
@@ -217,13 +212,12 @@ def ddot(code):
         if len(pairs) == 4 or len(part) == 0:
             return part
         if len(part) == 1:
-            return ONE
-        sibling = str(part.head(1) + bit_of(1 - part[1]))
-        if sibling not in pairs:
-            return ZERO + ONE + part.tail_from(2)
-        return ONE + part.tail_from(1)
+            return "1"
+        if part[0] + "10"[int(part[1])] not in pairs:  # its sibling pair
+            return "01" + part[2:]
+        return "1" + part[1:]
     return _rewrite_chains(code, "f2", head, lambda i, s, prev, part:
-                           ZERO + ZERO + part.tail_from(2))
+                           "00" + part[2:])
 
 
 @dataclass(frozen=True)
@@ -330,13 +324,6 @@ def extend_to_two_tables(code):
     sigma = code.sigma
     if sigma < 2:
         raise InvalidArgument("need at least two symbols")
-    codes = []
-    for r in range(1, sigma + 1):
-        if r == 1:
-            codes.append(ZERO + ONE)
-        elif r < sigma:
-            codes.append(Bits("1" * (r - 1) + "0"))
-        else:
-            codes.append(Bits("1" * (sigma - 1)))
-    second = Table(tuple(codes), tuple(0 for _ in range(sigma)))
+    codes = ["01"] + ["1" * r + "0" for r in range(1, sigma - 1)]
+    second = Table(map(Bits, codes + ["1" * (sigma - 1)]), (0,) * sigma)
     return CodeTuple(code.alphabet, (code.tables[0], second))

@@ -20,7 +20,7 @@ import itertools
 import random
 
 from codetuples import Bits, PrefixSetTable, make_tuple
-from codetuples.bits import EMPTY, ZERO
+from codetuples.bits import EMPTY
 from codetuples.classes import AIFV_CLAUSES
 from codetuples.codec import (COMPLETION_CAP, FAILURE_CAP, DanglingInfo,
                               DecodeResult, RoundTripFailure, RoundTripReport)
@@ -52,17 +52,17 @@ def oracle_continuations(code, i, b, k, strict):
         first = code.code(i, s)
         ok = b.is_proper_prefix_of(first) if strict else b.is_prefix_of(first)
         if ok:
-            stack.append((code.target(i, s), first.head(need)))
+            stack.append((code.target(i, s), first[:need]))
     while stack:
         j, emitted = stack.pop()
         if len(emitted) >= need:
-            out.add(emitted.tail_from(len(b)))
+            out.add(emitted[len(b):])
             continue
         if (j, emitted) in seen:
             continue
         seen.add((j, emitted))
         for s in code.alphabet:
-            grown = (emitted + code.code(j, s)).head(need)
+            grown = (emitted + code.code(j, s))[:need]
             stack.append((code.target(j, s), grown))
     return frozenset(out)
 
@@ -154,7 +154,7 @@ def oracle_achievable(code, start, b):
         seen.add((j, p))
         if p == len(b):
             return True
-        rest = b.tail_from(p)
+        rest = b[p:]
         for s in code.alphabet:
             c = code.code(j, s)
             if c.is_prefix_of(rest):
@@ -168,7 +168,7 @@ def _oracle_exact_emitters(code, tail):
     n = len(tail)
     exact = [[u == n for _ in code.table_indices()] for u in range(n + 1)]
     for u in range(n - 1, -1, -1):
-        rest = tail.tail_from(u)
+        rest = tail[u:]
         changed = True
         while changed:
             changed = False
@@ -196,7 +196,7 @@ def _oracle_completions(code, start, tail, cap=ORACLE_COMPLETION_CAP):
                 if len(found) > cap:
                     break
                 continue
-            rest = tail.tail_from(used)
+            rest = tail[used:]
             for s in code.alphabet:
                 w = code.code(table, s)
                 j = code.target(table, s)
@@ -208,13 +208,13 @@ def _oracle_completions(code, start, tail, cap=ORACLE_COMPLETION_CAP):
 
 
 def _oracle_greedy_step(code, sets, k, table, bits, pos):
-    rest = bits.tail_from(pos)
+    rest = bits[pos:]
     out = []
     for s in code.alphabet:
         w = code.code(table, s)
         if not w.is_prefix_of(rest):
             continue
-        window = rest.tail_from(len(w)).head(k)
+        window = rest[len(w):][:k]
         if len(window) < k:
             continue
         if window in sets.base(code.target(table, s), k):
@@ -253,7 +253,7 @@ def oracle_decode(code, start, bits, k=2):
         pos += len(code.code(table, s))
         table = code.target(table, s)
 
-    tail = bits.tail_from(pos)
+    tail = bits[pos:]
     if not oracle_achievable(code, table, tail):
         if oracle_achievable(code, start, bits):
             raise NoConsistentCompletion(
@@ -270,7 +270,7 @@ def oracle_decode(code, start, bits, k=2):
             symbols.append(s)
             pos += len(code.code(table, s))
             table = code.target(table, s)
-        tail = bits.tail_from(pos)
+        tail = bits[pos:]
         completions, capped = _oracle_completions(code, table, tail)
     if not tail:
         completions, capped = (), False
@@ -285,7 +285,7 @@ def _oracle_consistent(code, table, s, obs):
         return True
     if w.is_prefix_of(obs):
         return oracle_achievable(code, code.target(table, s),
-                                 obs.strip_prefix(w))
+                                 obs[len(w):])
     return False
 
 
@@ -810,7 +810,7 @@ def _proper_codeword_prefixes(code, i):
     for s in code.alphabet:
         c = code.code(i, s)
         for n in range(len(c)):
-            seen.add(c.head(n))
+            seen.add(c[:n])
     return sorted(seen)
 
 
@@ -831,7 +831,7 @@ def oracle_is_aifv(code, sets=None):
     for i in code.table_indices():
         for s in code.alphabet:
             c = code.code(i, s)
-            for window in (c, c + ZERO):
+            for window in (c, c + "0"):
                 if Bits("1") in sets.strict_continuations(i, window, 1):
                     return False, (
                         "(ii) table %d, symbol %s: bit 1 can follow window %s "
@@ -840,7 +840,7 @@ def oracle_is_aifv(code, sets=None):
     for i in code.table_indices():
         for s in code.alphabet:
             for s2 in code.alphabet:
-                if code.code(i, s2) == code.code(i, s) + ZERO:
+                if code.code(i, s2) == code.code(i, s) + "0":
                     return False, "(iii) table %d: codeword of %s is that of %s plus 0" % (
                         i, name(s2), name(s))
 
@@ -855,18 +855,18 @@ def oracle_is_aifv(code, sets=None):
                     % (i, name(s), required, "is" if extended else "is not"))
 
     for s in code.alphabet:
-        if code.code(1, s) in (EMPTY, ZERO):
+        if code.code(1, s) in (EMPTY, Bits("0")):
             return False, "(v) table 1, symbol %s: codeword %r is too short" % (
                 name(s), str(code.code(1, s)))
 
-    if ZERO in sets.strict_continuations(1, ZERO, 1):
+    if Bits("0") in sets.strict_continuations(1, "0", 1):
         return False, "(vi) bit 0 can follow window 0 inside a longer codeword of table 1"
 
     for i in code.table_indices():
         for b in _proper_codeword_prefixes(code, i):
             if len(sets.strict_continuations(i, b, 1)) != 1:
                 continue
-            if i == 1 and b == ZERO:
+            if i == 1 and b == Bits("0"):
                 continue
             stubs = {b, b[:-1]}
             if any(code.code(i, s) in stubs for s in code.alphabet):

@@ -37,7 +37,7 @@ from codetuples import (
     transition_matrix,
 )
 from codetuples.markov import approx_decimal
-from codetuples.prefix_sets import encode_from, symbols_with_codeword
+from codetuples.prefix_sets import encode_from
 from codetuples.reference import (
     CHAIN,
     ENCODE_GOLDEN,
@@ -251,8 +251,8 @@ def test_08_property_suite(capsys):
                     for b in WINDOWS_TO_SIX:
                         lhs = len(sets.continuations(i, b, k))
                         rhs = len(sets.strict_continuations(i, b, k)) + sum(
-                            len(sets.base(code.target(i, s), k))
-                            for s in symbols_with_codeword(code, i, b))
+                            len(sets.base(t, k))
+                            for w, t, _ in sets.rows[i] if w == str(b))
                         assert lhs == rhs, (code, i, b, k)
         assert split_cases >= 20
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from codetuples.bits import EMPTY, ONE, ZERO, Bits, bit, parse, show
+from codetuples.bits import EMPTY, Bits, parse, show
 
 bit_strings = st.text(alphabet="01", max_size=12)
 
@@ -27,8 +27,8 @@ def test_indexing_and_iteration():
 def test_concat_and_equality():
     assert Bits("01") + Bits("10") == Bits("0110")
     assert Bits("01") + "10" == Bits("0110")
-    assert EMPTY + Bits("1") == ONE
-    assert ZERO != ONE
+    assert EMPTY + Bits("1") == Bits("1")
+    assert Bits("0") != Bits("1")
     assert hash(Bits("01")) == hash(Bits("01"))
 
 
@@ -41,17 +41,16 @@ def test_prefix_predicates():
     assert not Bits("0110").is_proper_prefix_of(Bits("0110"))
 
 
-def test_head_tail_strip():
+def test_slicing():
     b = Bits("0110")
-    assert b.head(2) == Bits("01")
-    assert b.head(9) == b
-    assert b.tail_from(2) == Bits("10")
-    assert b.tail_from(9) == EMPTY
-    assert b.drop_first() == Bits("110")
+    assert b[:2] == Bits("01")
+    assert b[:9] == b
+    assert b[2:] == Bits("10")
+    assert b[9:] == EMPTY
+    assert b[1:] == Bits("110")
     assert b[:-1] == Bits("011")
-    assert b.strip_prefix(Bits("01")) == Bits("10")
-    with pytest.raises(ValueError):
-        b.strip_prefix(Bits("10"))
+    assert EMPTY[1:] == EMPTY and EMPTY[:3] == EMPTY
+    assert all(isinstance(c, Bits) for c in (b[:0], b[3:], EMPTY[1:]))
 
 
 def test_order_is_length_then_lex():
@@ -61,7 +60,6 @@ def test_order_is_length_then_lex():
 
 
 def test_helpers():
-    assert bit(0) == ZERO and bit(1) == ONE
     assert show(EMPTY) == "-"
     assert show(Bits("01")) == "01"
     assert parse("-") == EMPTY
@@ -91,4 +89,4 @@ def test_empty_is_least(x):
 def test_concat_respects_prefix(x, y):
     x, y = Bits(x), Bits(y)
     assert x.is_prefix_of(x + y)
-    assert (x + y).strip_prefix(x) == y
+    assert (x + y)[len(x):] == y and (x + y)[:len(x)] == x

@@ -308,6 +308,10 @@ def test_k_out_of_range_is_refused_before_any_output(files, capsys, extra, k):
 @pytest.mark.parametrize("extra, message", [
     (["--trials", "-1"], "trials=-1 below 0"),
     (["--max-len", "0"], "max_len=0 below 1"),
+    (["--trials", "1000001", "--max-len", "1"],
+     "trials=1000001 times max_len=1 is above 1000000"),
+    (["--trials", "10" + "0" * 30], "trials=10%s times max_len=12 is above "
+     "1000000" % ("0" * 30)),
 ])
 def test_bad_roundtrip_sizes_are_refused_before_any_output(
         files, capsys, extra, message):

@@ -243,7 +243,7 @@ def test_cut_streams_keep_the_symbols_followed_by_k_bits():
                 table = code.target(table, s)
                 ends.append(pos)
             cut = len(bits) - rng.randint(1, 12)
-            got = decode(code, start, bits.head(cut), k).symbols
+            got = decode(code, start, bits[:cut], k).symbols
             covered = sum(1 for end in ends if end + k <= cut)
             assert len(got) >= covered
             assert got[:covered] == seq[:covered], (key, start, seq, cut)

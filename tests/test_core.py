@@ -69,8 +69,8 @@ def test_values_copy_and_pickle(how):
         twin = duplicate(code)
         assert twin == code and hash(twin) == hash(code), sets_built
         for cut in (len(bits), len(bits) - 1):
-            assert decode(twin, 0, bits.head(cut)) == \
-                decode(code, 0, bits.head(cut)), (sets_built, cut)
+            assert decode(twin, 0, bits[:cut]) == \
+                decode(code, 0, bits[:cut]), (sets_built, cut)
 
 
 def test_make_tuple_rejects_bad_target():

@@ -9,7 +9,8 @@ decoder per trial, against the codec's dicts of steps shared by the trials.
 ``scan_step`` is a greedy step as a scan of every row, against which the
 steps probed from ``fits`` are checked.  ``support.oracle_completions`` is
 the tail listing on a repeated sweep of finishing lengths, against which
-the codec's layers are checked.
+the codec's walk by slack budgets is checked; its work is counted in reads
+of the emission graph, which must grow linearly with the tail.
 """
 
 import copy
@@ -18,8 +19,9 @@ import random
 
 import pytest
 
-from codetuples import (CodeTuple, classify, decode, delay_decodability,
-                        identification_delays, make_tuple, roundtrip_check)
+from codetuples import (CodeTuple, PrefixSetTable, classify, decode,
+                        delay_decodability, identification_delays,
+                        make_tuple, roundtrip_check)
 from codetuples.bits import Bits
 from codetuples import codec
 from codetuples.codec import _decode, _delays
@@ -81,7 +83,7 @@ def test_random_f0_tuples_decode_like_the_oracle():
             start = rng.randrange(code.num_tables)
             bits, _ = encode_from(code, start, random_seq(rng, code, 10))
             for cut in range(len(bits) + 1):
-                assert_same_decode(code, start, bits.head(cut))
+                assert_same_decode(code, start, bits[:cut])
 
 
 def test_random_bits_on_loop_free_tuples_decode_like_the_oracle():
@@ -147,7 +149,7 @@ def test_long_reference_streams_decode_like_the_oracle(key):
         seq.extend(random_seq(rng, code, 256))
         bits, _ = encode_from(code, start, seq)
     assert_same_decode(code, start, bits)
-    assert_same_decode(code, start, bits.head(len(bits) - rng.randint(1, 16)))
+    assert_same_decode(code, start, bits[:len(bits) - rng.randint(1, 16)])
 
 
 EMPTY_LOOP = make_tuple(("a", "b", "c"), [[("-", 0), ("0", 0), ("1", 0)]])
@@ -165,7 +167,7 @@ def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
             seq.extend(random_seq(rng, code, 256))
             bits, _ = encode_from(code, start, seq)
         cases.append((code, start, bits))
-        cases.append((code, start, bits.head(len(bits) - rng.randint(1, 16))))
+        cases.append((code, start, bits[:len(bits) - rng.randint(1, 16)]))
     oracle, fits = {}, {}
     for k in (2, 1, 2):
         shared = {}
@@ -239,6 +241,13 @@ def test_completions_match_the_repeated_sweep():
                 "empty" if not want[0] else "listed"
             answers[kind] = answers.get(kind, 0) + 1
     assert cyclic > 250 and min(answers.values()) > 150, (cyclic, answers)
+    # a long tail on an empty-codeword loop: every 2,048-bit string is
+    # finished by its bits with empty codewords inserted, past the cap
+    rng = random.Random(2048)
+    tail = "".join(rng.choice("01") for _ in range(2048))
+    want = oracle_completions(EMPTY_LOOP.sets, tail, 0)
+    assert want[1] and len(want[0][0]) == len(tail)
+    assert codec._completions(EMPTY_LOOP.sets, tail, 0) == want
 
 
 # empty codewords a, a cycle between the tables: a tail from table 0 is
@@ -256,6 +265,53 @@ def test_a_cycle_through_the_start_lists_the_cap_and_stops():
     info = decode(ENDLESS, 0, Bits("0")).info
     assert (info.tail, info.completions, info.capped) == (Bits("0"), want,
                                                          True)
+
+
+class CountingGraph(dict):
+    """An emission graph that counts its edge-list reads: each item
+    lookup, each ``get`` and each entry of an ``items()`` pass."""
+
+    reads = 0
+
+    def __getitem__(self, state):
+        CountingGraph.reads += 1
+        return super().__getitem__(state)
+
+    def get(self, state, default=None):
+        CountingGraph.reads += 1
+        return super().get(state, default)
+
+    def items(self):
+        for item in super().items():
+            CountingGraph.reads += 1
+            yield item
+
+
+# a stream four times as long may cost at most this many times the reads;
+# work quadratic in the tail's length gives about 16
+GROWTH = 6
+
+
+@pytest.mark.parametrize("code", [EMPTY_LOOP, ENDLESS],
+                         ids=["empty loop", "two-table cycle"])
+def test_tail_listing_work_grows_linearly(monkeypatch, code):
+    # decoding stops at once on an empty-codeword loop, so the whole
+    # stream is the tail whose completions are listed
+    search = PrefixSetTable._search
+
+    def counting_search(auto, *args):
+        graph, reaches = search(auto, *args)
+        return CountingGraph(graph), reaches
+    monkeypatch.setattr(PrefixSetTable, "_search", counting_search)
+    reads = []
+    for n in (512, 2048):
+        rng = random.Random(n)
+        bits = "".join(rng.choice("01") for _ in range(n))
+        CountingGraph.reads = 0
+        info = decode(CodeTuple(code.alphabet, code.tables), 0, bits).info
+        assert len(info.tail) >= n - 1 and info.capped
+        reads.append(CountingGraph.reads)
+    assert reads[1] <= GROWTH * reads[0], reads
 
 
 def test_a_cycle_the_start_never_finishes_through_lists_nothing():

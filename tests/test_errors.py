@@ -24,11 +24,11 @@ from codetuples import (Alphabet, Bits, CodeTuple, CodeTupleError,
                         serialize_code_tuple, serialize_dist,
                         stationary_distribution, steer_bit, table_length,
                         transition_matrix)
-from codetuples.bits import EMPTY, bit
+from codetuples.bits import EMPTY
 from codetuples.cli import main
+from codetuples.codec import ROUNDTRIP_SYMBOL_CAP
 from codetuples.classes import witness
 from codetuples.errors import InvalidType
-from codetuples.prefix_sets import symbols_with_codeword
 from codetuples.reference import TUPLES
 from codetuples.transforms import rewrite_step
 
@@ -96,10 +96,6 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     (lambda: witness("nope", TUPLES["r3"]), "unknown family 'nope', not one "
      "of extendable, regular, decodable, f0, f1, f2, f3, f4, aifv"),
     (lambda: Bits("012"), "not a binary string: '012'"),
-    (lambda: EMPTY.drop_first(), "empty bit string has no first bit"),
-    (lambda: Bits("1").strip_prefix(Bits("0")),
-     "Bits('0') is not a prefix of Bits('1')"),
-    (lambda: bit(2), "bit must be 0 or 1"),
     # as many digits as any parsed decimal exponent, not a raw decimal error
     (lambda: approx_decimal(THIRD, 10 ** 6),
      "places=1000000 outside -1000..1000"),
@@ -125,8 +121,6 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
     (lambda: steer_bit(TUPLES["r3"], 7), "start table 7 outside 0..2"),
     (lambda: prefix_chain(TUPLES["r3"], 9, 0), "start table 9 outside 0..2"),
     (lambda: prefix_chain(TUPLES["r3"], 0, 9), "symbol 9 outside 0..3"),
-    (lambda: symbols_with_codeword(TUPLES["r3"], 9, EMPTY),
-     "start table 9 outside 0..2"),
     (lambda: TUPLES["r3"].sets.search(Bits("0"), 9),
      "start table 9 outside 0..2"),
     (lambda: table_length(TUPLES["r3"], R3_UNIFORM, -1),
@@ -151,8 +145,6 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "not a binary string: '12'"),
     (lambda: TUPLES["r3"].sets.search(12, 0),
      "not a binary string: 12"),
-    (lambda: symbols_with_codeword(TUPLES["r3"], 0, "0x"),
-     "not a binary string: '0x'"),
     # bits that are not a binary string are refused as such, not blamed
     # for having no completion, nor read as decoding nothing
     (lambda: decode(TUPLES["r3"], 0, 12), "not a binary string: 12"),
@@ -175,6 +167,13 @@ R3_UNIFORM = SourceDist.uniform(TUPLES["r3"].alphabet)
      "max_len=0 below 1"),
     (lambda: roundtrip_check(TUPLES["r3"], max_len=-4, seed=1),
      "max_len=-4 below 1"),
+    # trials * max_len bounds the symbols a round trip draws; a size that
+    # would run for ever is refused at once
+    (lambda: roundtrip_check(TUPLES["r3"], trials=ROUNDTRIP_SYMBOL_CAP,
+                             max_len=2, seed=1),
+     "trials=1000000 times max_len=2 is above 1000000"),
+    (lambda: roundtrip_check(TUPLES["r3"], trials=10 ** 30, seed=1),
+     "trials=%d times max_len=12 is above 1000000" % 10 ** 30),
     # k is refused up front, also when no trial would read it
     (lambda: roundtrip_check(TUPLES["r3"], k=9, trials=0, seed=1),
      "k=9 outside 0..8"),

@@ -5,8 +5,7 @@ import pytest
 from codetuples import (PrefixSetTable, delay_decodability, is_extendable,
                         make_tuple)
 from codetuples.bits import EMPTY, Bits
-from codetuples.prefix_sets import (DEFAULT_MAX_K, encode_from,
-                                    symbols_with_codeword)
+from codetuples.prefix_sets import DEFAULT_MAX_K, encode_from
 from codetuples.reference import KEYS, TUPLES, bitset
 
 from support import oracle_continuations, random_code_tuple, window_samples
@@ -34,19 +33,8 @@ def test_encode_is_not_injective():
     assert bc == bd == Bits("1000111")
 
 
-def test_symbols_with_codeword():
-    r1 = TUPLES["r1"]
-    assert symbols_with_codeword(r1, 0, Bits("110")) == (0, 2)
-    assert symbols_with_codeword(r1, 2, EMPTY) == (0, 1, 2, 3)
-    r2 = TUPLES["r2"]
-    assert symbols_with_codeword(r2, 1, Bits("0" * 8)) == ()
-
-
 def test_windows_are_read_as_bits():
     r3 = TUPLES["r3"]
-    assert symbols_with_codeword(r3, 1, "") == (1,)
-    assert symbols_with_codeword(r3, 1, "") == symbols_with_codeword(
-        r3, 1, EMPTY)
     assert r3.sets.search("10000", 0)[1]
     assert not r3.sets.search("00", 0)[1]
     assert r3.sets.continuations(0, "10", 2) == \
@@ -183,9 +171,8 @@ def test_cardinality_identity_on_decodable_tuples():
                         continue
                     total = len(sets.continuations(i, b, k))
                     strict = len(sets.strict_continuations(i, b, k))
-                    exact = sum(
-                        len(sets.base(code.target(i, s), k))
-                        for s in symbols_with_codeword(code, i, b))
+                    exact = sum(len(sets.base(t, k)) for w, t, _
+                                in sets.rows[i] if w == str(b))
                     assert total == strict + exact
                     checked += 1
     assert checked > 1000
@@ -201,8 +188,9 @@ def test_union_decomposition_always():
             for b in window_samples(code, rng):
                 for k in range(0, 3):
                     union = set(sets.strict_continuations(i, b, k))
-                    for s in symbols_with_codeword(code, i, b):
-                        union |= sets.base(code.target(i, s), k)
+                    for w, t, _ in sets.rows[i]:
+                        if w == str(b):
+                            union |= sets.base(t, k)
                     assert sets.continuations(i, b, k) == union
 
 
@@ -236,7 +224,7 @@ def test_monotone_extension_for_extendable():
                 for k in range(0, 3):
                     for kk in range(k, 4):
                         small = sets.continuations(i, b, k)
-                        grown = {c.head(k)
+                        grown = {c[:k]
                                  for c in sets.continuations(i, b, kk)}
                         assert small == grown
 

@@ -23,7 +23,7 @@ from codetuples import (
 )
 from codetuples.bits import Bits
 from codetuples.core import SourceDist
-from codetuples.prefix_sets import encode_from, symbols_with_codeword
+from codetuples.prefix_sets import encode_from
 from codetuples.reference import KEYS, TUPLES
 
 from support import NAME_POOL
@@ -66,8 +66,8 @@ def test_continuations_split_as_strict_plus_exact_matches(code, b, k):
         assert strict <= weak
         assert all(len(c) == k for c in weak)
         via_exact = frozenset().union(*(
-            sets.base(code.target(i, s), k)
-            for s in symbols_with_codeword(code, i, b)), frozenset())
+            sets.base(t, k) for w, t, _ in sets.rows[i] if w == str(b)),
+            frozenset())
         assert weak == strict | via_exact
 
 
@@ -78,7 +78,7 @@ def test_base_sets_extend_one_bit_at_a_time(code, k):
     sets = PrefixSetTable(code)
     assume(is_extendable(code))
     for i in code.table_indices():
-        shorter = {c.head(k - 1) for c in sets.base(i, k)}
+        shorter = {c[:k - 1] for c in sets.base(i, k)}
         assert shorter == sets.base(i, k - 1)
 
 
