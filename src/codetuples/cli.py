@@ -22,7 +22,7 @@ from .goldens import run_goldens
 from .markov import (approx_decimal, average_length, stationary_distribution,
                      table_length)
 from .prefix_sets import K, check_k
-from .search import FILTERS, SearchSpace, enumerate_min, huffman_length
+from .search import FILTERS, TABLES, SearchSpace, enumerate_min, huffman_length
 from .transforms import PRECEDING, REWRITES, chain_to_class, rewrite_step
 
 
@@ -250,7 +250,7 @@ def build_parser():
             needs_tuple=False)
     p.add_argument("--sigma", type=int, required=True,
                    help="alphabet size")
-    p.add_argument("--tables", type=int, required=True, choices=(1, 2))
+    p.add_argument("--tables", type=int, required=True, choices=TABLES)
     p.add_argument("--max-len", type=int, required=True,
                    help="longest codeword allowed")
     p.add_argument("--filter", required=True, choices=FILTERS)

@@ -269,7 +269,7 @@ def identification_delays(code, start, seq, bits=None):
     seq = check_indices(code, start, seq)
     auto = code.sets
     text = auto._emit(start, seq)[0] if bits is None else str(Bits(bits))
-    return _delays(auto, start, seq, text, 2, {})  # any view width is exact
+    return _delays(auto, start, seq, text, K, {})  # any view width is exact
 
 
 @dataclass(frozen=True)

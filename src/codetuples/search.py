@@ -26,7 +26,7 @@ table's cost is its own expected length).  So a table's bucket (one target
 vector) keeps its first content and each length vector no other dominates,
 and the dominated ones the walk cannot drop cheaply: (3,2,3,f0) stores
 6,757 entries, of which 3,450 are a bucket's first or Pareto-minimal.
-The scan packs targets, length vectors and contents into ints (see _scan).
+The scan packs targets, length vectors and contents into ints (see _Scan).
 
 Under f0 only table 0 is walked: no f0 condition reads the table index, so
 table 1 under guess (a, b) is table 0 under (b, a) with targets flipped.
@@ -49,7 +49,7 @@ Under aifv both tables are walked under the one aifv guess, whose masks
 imply every aifv clause but (iv)'s demand that a target-1 word be a proper
 prefix of another word of its table and (vii)'s that a window with one
 possible next bit be a codeword or one plus one bit.  The walk decides both
-with word masks as it carries the union (see the proof above _layout).
+with word masks as it carries the union (see the proof above _Scan).
 
 The combine visits the guesses by a lower bound on their costs: a pair of
 tables costs a mean of their two costs weighted by the weight leaving each,
@@ -81,6 +81,7 @@ from .markov import average_length
 from .prefix_sets import check_int, check_type, emits
 
 FILTERS = ("f0", "aifv")
+TABLES = (1, 2)  # the table counts a space may have
 
 BLOCKS = 1 << K  # the K-bit blocks a guessed set may hold
 GUESSES = range(1, FULL_MASK + 1)  # the non-empty sets a table may guess
@@ -102,7 +103,7 @@ class SearchSpace:
             check_int(name, getattr(self, name))
         if self.sigma < 2:
             raise InvalidSpace("need at least two symbols")
-        if self.tables not in (1, 2):
+        if self.tables not in TABLES:
             raise InvalidSpace("table count must be 1 or 2")
         if self.max_len < 1:
             raise InvalidSpace("max_len must be positive")
@@ -188,8 +189,8 @@ def enumerate_min(space, dist):
     """The minimum-cost member of the space under the filter."""
     _space_dist(space, dist)
     if space not in _SCAN_CACHE:
-        _SCAN_CACHE[space] = _scan(space)
-    entry = _combine(space, dist, _SCAN_CACHE[space])
+        _SCAN_CACHE[space] = _Scan(space)
+    entry = _combine(dist, _SCAN_CACHE[space])
     if entry is None:
         raise EmptySpace("no %s" % _describe(space))
     # The guessing scan is cross-checked in the tests; re-checking the
@@ -221,7 +222,7 @@ def _describe(space):
 # sid = 2 * word_index + target, so ascending sid tuples are exactly the
 # canonical order and tuple comparison is the tie-break; sets of slots are
 # int bitmasks over sid.  The scan packs contents, target vectors and
-# length vectors into ints (see _scan).
+# length vectors into ints (see _Scan).
 
 
 def _width(max_len):
@@ -278,224 +279,220 @@ _CLASHING = [_unions([sum(1 << n for n, sent in enumerate(row)
 # word 0 (it emits 00 and 01) and no empty word with target 0 (it emits
 # 00); an empty word with target 1 could share the table only with words
 # starting 00, and there is another symbol: (v).  The walk decides the
-# rest with _layout's word masks: the target-1 half of (iv) by the words it
-# owes an extension, and (vii) by the one-way windows that follow marks,
+# rest with the scan's word masks: the target-1 half of (iv) by the words
+# it owes an extension, and (vii) by the one-way windows that follow marks,
 # which near must cover.  tests/test_search.py pins this at small sizes.
 
 
-def _layout(max_len):
-    words = all_words(max_len)
-    lens = [len(w) for w in words for _ in "01"]
-    evens = int("01" * len(words), 2)  # the target-0 slots
-    # per set a target may guess: each word's contribution, its gate's, and
-    # the target-0 slots meeting each set of blocks, those of the words
-    # whose gates emit one
-    gate = [_GATES[w[:K]] for w in words]
-    reach = [[row[n] for n in gate] for row in _EMITTED]
-    slots = [sum(4 ** wi for wi, g in enumerate(gate) if g == n)
-             for n in _GATES.values()]
-    hits = [_unions([sum(slots[n] for n, sent in enumerate(row)
-                         if sent >> b & 1) for b in range(BLOCKS)])
-            for row in _EMITTED]
-    # up (down)[word][gates] has the prefixes (extensions) behind the gates
-    up, down = ([[0] * len(_GATES) for _ in words] for _ in "ud")
-    for (ui, u), (vi, v) in itertools.product(enumerate(words), repeat=2):
-        if v.startswith(u):
-            n = _GATES[v[len(u):len(u) + K]]
-            up[vi][n] |= 1 << 2 * ui
-            down[ui][n] |= 1 << 2 * vi
-    up, down = ([_unions(row) for row in rows] for rows in (up, down))
-    # a slot's part of the (targets, lenvec) key, the slots sharing it, and
-    # the slots it dominates
-    key_of = [2 * n + (sid & 1) for sid, n in enumerate(lens)]
-    group = [sum(1 << sid for sid, part in enumerate(key_of) if part == n)
-             for n in range(2 * max_len + 2)]
-    tail = [evens << (sid & 1) >> lens.index(n) << lens.index(n)
-            for sid, n in enumerate(lens)]
-    # per word: the slots strictly extending it; per proper prefix p, bit
-    # 2 * index(p) + the bit after p in the word; and the target-0 slots of
-    # it and of it plus one bit, the windows (vii) lets be one-way
-    longer = [(down[wi][-1] & ~(1 << 2 * wi)) * 3 for wi in range(len(words))]
-    at = {w: 2 * wi for wi, w in enumerate(words)}
-    follow = [sum(1 << at[w[:n]] + int(w[n]) for n in range(len(w)))
-              for w in words]
-    near = [sum(1 << at[v] for v in (w, w + "0", w + "1") if v in at)
-            for w in words]
-    return (words, lens, evens, reach, hits, up, down, key_of, group, tail,
-            longer, follow, near)
-
-
-class _Tables(dict):
-    """Walked tables by walk key (index, guess), walking a missing one."""
-
-    def __init__(self, space):
-        self.space, self.layout = space, _layout(space.max_len)
-
-    def __missing__(self, key):
-        table = self[key] = _scan_table(self.space, *key, self.layout)
-        return table
-
-
-def _scan(space):
+class _Scan(dict):
     """Per continuation-set guess and table: every passing content.
 
-    Returns (guesses, tables).  guesses maps each kept guess to a (key,
-    orbit key) pair per table: key (index, guess) names the walk that
-    gives the table, the orbit key the walk with the same buckets and
-    costs.  tables maps a walk key to {targets: {lenvec: content}} and
-    walks a missing key when it is first read.  All three are packed ints:
-    targets bit i is symbol i's target, a lenvec is the sum of l_i *
-    (max_len + 1) ** i, and a content holds symbol i's sid in _width bits
-    from bit width * (sigma - 1 - i), so contents compare as their sid
-    tuples do.  A bucket (targets) holds, per lengths of the first
-    sigma - 1 symbols, each last length shorter than every one stored
-    before it with them: its first lenvec, every one that no other in it
-    dominates, and some that a vector with other head lengths dominates.
-    Each comes with the canonically first content with those targets and
-    codeword lengths, in ascending order.  Under f0, table 1 under (a, b)
-    is the table 0 under (b, a), shared, not flipped, and only the orbit
-    keys are walked here, the least guess of each complement orbit.
+    Built once per space: its word masks as named attributes, then
+    guesses, which maps each kept guess to a (key, orbit key) pair per
+    table: key (index, guess) names the walk that gives the table, the
+    orbit key the walk with the same buckets and costs.  The scan maps a
+    walk key to {targets: {lenvec: content}} and walks a missing key when
+    it is first read; one that walked nothing is an empty dict.  All three
+    are packed ints: targets bit i is symbol i's target, a lenvec is the
+    sum of l_i * (max_len + 1) ** i, and a content holds symbol i's sid in
+    width bits from bit width * (sigma - 1 - i), so contents compare as
+    their sid tuples do.  A bucket (targets) holds, per lengths of the
+    first sigma - 1 symbols, each last length shorter than every one
+    stored before it with them: its first lenvec, every one that no other
+    in it dominates, and some that a vector with other head lengths
+    dominates.  Each comes with the canonically first content with those
+    targets and codeword lengths, in ascending order.  Under f0, table 1
+    under (a, b) is the table 0 under (b, a), shared, not flipped, and
+    only the orbit keys are walked here, the least guess of each
+    complement orbit.
     """
-    tables = _Tables(space)
-    if space.filter == "aifv":  # two tables, and the clauses read the index
-        cells = tuple(((i, AIFV_GUESS),) * 2 for i in range(2))
-        kept = space.tables == 2 and all(tables[key] for key, _ in cells)
-        return {AIFV_GUESS: cells} if kept else {}, tables
 
-    def cell(walk):  # an f0 table is a table 0, costed by its orbit's walk
-        mirror = (MIRROR[walk[0]], MIRROR[walk[1]])
-        return (0, walk), (0, min(walk, mirror))
+    def __init__(self, space):
+        self.space, self.width = space, _width(space.max_len)
+        self.words = words = all_words(space.max_len)
+        self.lens = lens = [len(w) for w in words for _ in "01"]
+        self.evens = evens = int("01" * len(words), 2)  # the target-0 slots
+        # per set a target may guess: each word's contribution, its gate's, and
+        # the target-0 slots meeting each set of blocks, those of the words
+        # whose gates emit one
+        gate = [_GATES[w[:K]] for w in words]
+        self.reach = [[row[n] for n in gate] for row in _EMITTED]
+        slots = [sum(4 ** wi for wi, g in enumerate(gate) if g == n)
+                 for n in _GATES.values()]
+        self.hits = [_unions([sum(slots[n] for n, sent in enumerate(row)
+                                  if sent >> b & 1) for b in range(BLOCKS)])
+                     for row in _EMITTED]
+        # up (down)[word][gates] has the prefixes (extensions) behind the gates
+        up, down = ([[0] * len(_GATES) for _ in words] for _ in "ud")
+        for (ui, u), (vi, v) in itertools.product(enumerate(words), repeat=2):
+            if v.startswith(u):
+                n = _GATES[v[len(u):len(u) + K]]
+                up[vi][n] |= 1 << 2 * ui
+                down[ui][n] |= 1 << 2 * vi
+        self.up, self.down = up, down = [[_unions(row) for row in rows]
+                                         for rows in (up, down)]
+        # a slot's part of the (targets, lenvec) key, the slots sharing it, and
+        # the slots it dominates
+        self.key_of = key_of = [2 * n + (sid & 1)
+                                for sid, n in enumerate(lens)]
+        self.group = [sum(1 << sid for sid, part in enumerate(key_of)
+                          if part == n) for n in range(2 * space.max_len + 2)]
+        self.tail = [evens << (sid & 1) >> lens.index(n) << lens.index(n)
+                     for sid, n in enumerate(lens)]
+        # per word: the slots strictly extending it; per proper prefix p, bit
+        # 2 * index(p) + the bit after p in the word; and the target-0 slots of
+        # it and of it plus one bit, the windows (vii) lets be one-way
+        self.longer = [(down[wi][-1] & ~(1 << 2 * wi)) * 3
+                       for wi in range(len(words))]
+        at = {w: 2 * wi for wi, w in enumerate(words)}
+        self.follow = [sum(1 << at[w[:n]] + int(w[n]) for n in range(len(w)))
+                       for w in words]
+        self.near = [sum(1 << at[v] for v in (w, w + "0", w + "1") if v in at)
+                     for w in words]
+        if space.filter == "aifv":  # two tables, the clauses read the index
+            cells = tuple(((i, AIFV_GUESS),) * 2 for i in range(2))
+            kept = space.tables == 2 and all(self[key] for key, _ in cells)
+            self.guesses = {AIFV_GUESS: cells} if kept else {}
+            return
 
-    if space.tables == 1:  # only target-0 slots, so guess[1] is never read
-        every = {a: (cell((a, a)),) for a in GUESSES}
-    else:
-        every = {(a, b): (cell((a, b)), cell((b, a)))
-                 for a in GUESSES for b in GUESSES}
-    return {guess: cells for guess, cells in every.items()
-            if all(tables[orbit] for _, orbit in cells)}, tables
+        def cell(walk):  # an f0 table is a table 0, costed by its orbit's walk
+            mirror = (MIRROR[walk[0]], MIRROR[walk[1]])
+            return (0, walk), (0, min(walk, mirror))
 
+        if space.tables == 1:  # only target-0 slots, so guess[1] is never read
+            every = {a: (cell((a, a)),) for a in GUESSES}
+        else:
+            every = {(a, b): (cell((a, b)), cell((b, a)))
+                     for a in GUESSES for b in GUESSES}
+        self.guesses = {guess: cells for guess, cells in every.items()
+                        if all(self[orbit] for _, orbit in cells)}
 
-def _masks(space, index, guess, layout):
-    """Table index's masks under a guess: each slot's contribution, the
-    slots each slot clashes with, the slots allowed, and per set of missing
-    blocks the allowed slots giving them all."""
-    words, _, evens, reach, hits, up, down, *_ = layout
-    contrib = [c for pair in zip(*(reach[g] for g in guess)) for c in pair]
-    # slots that cannot share a table, by the gates that clash
-    gates = [[_CLASHING[long][short] for short in guess] for long in guess]
-    clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
-             | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]]) << 1 - t
-             for wi in range(len(words)) for t in (0, 1)]
-    hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
-    allowed = (evens if space.tables == 1 else evens * 3) \
-        & ~hit[FULL_MASK & ~guess[index]]
-    cover = [allowed & ~miss
-             for miss in _unions([~hit[1 << n] for n in range(BLOCKS)])]
-    return contrib, clash, allowed, cover
+    def __missing__(self, key):
+        table = self[key] = self._walk(*key)
+        return table
 
+    def _masks(self, index, guess):
+        """Table index's masks under a guess: each slot's contribution, the
+        slots each slot clashes with, the slots allowed, and per set of
+        missing blocks the allowed slots giving them all."""
+        evens, hits, up, down = self.evens, self.hits, self.up, self.down
+        contrib = [c for p in zip(*(self.reach[g] for g in guess)) for c in p]
+        # slots that cannot share a table, by the gates that clash
+        gates = [[_CLASHING[long][short] for short in guess] for long in guess]
+        clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
+                 | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]])
+                 << 1 - t for wi in range(len(self.words)) for t in (0, 1)]
+        hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
+        allowed = (evens if self.space.tables == 1 else evens * 3) \
+            & ~hit[FULL_MASK & ~guess[index]]
+        cover = [allowed & ~miss
+                 for miss in _unions([~hit[1 << n] for n in range(BLOCKS)])]
+        return contrib, clash, allowed, cover
 
-def _scan_table(space, index, guess, layout):
-    """One table's passing contents under a guess, by a depth-first walk.
+    def _walk(self, index, guess):
+        """One table's passing contents under a guess, by a depth-first walk.
 
-    Symbols take slots in ascending sid order, so contents appear in
-    product order and the first one kept per (targets, lenvec) is the
-    canonical one.  Only slots whose contribution lies inside the wanted
-    set are tried, never one clashing with an earlier symbol's slot.  The
-    last symbol must complete the union to exactly the wanted set; per
-    target it takes only a slot shorter than any taken after the same head
-    key, since a longer one only adds a dominated lenvec; once every
-    candidate is found or dominated after a head key, the heads with that
-    key are skipped, every slot of the (target, length) at once.  Under
-    aifv, walked under the aifv guess only, the walk also decides clauses
-    (iv) and (vii), and a target-1 slot no allowed slot can extend is
-    never tried: see the proof above _layout.
-    """
-    lens, evens, *_, key_of, group, tail, longer, follow, near = layout[1:]
-    contrib, clash, allowed, cover = _masks(space, index, guess, layout)
-    want, aifv, last = guess[index], space.filter == "aifv", space.sigma - 1
-    width = _width(space.max_len)
-    place = [(space.max_len + 1) ** pos for pos in range(space.sigma)]
-    last_lens = [n * place[last] for n in lens]
-    filled = {}  # head key -> slots found or dominated after it
-    found = {}
+        Symbols take slots in ascending sid order, so contents appear in
+        product order and the first one kept per (targets, lenvec) is the
+        canonical one.  Only slots whose contribution lies inside the wanted
+        set are tried, never one clashing with an earlier symbol's slot.
+        The last symbol must complete the union to exactly the wanted set;
+        per target it takes only a slot shorter than any taken after the
+        same head key, since a longer one only adds a dominated lenvec; once
+        every candidate is found or dominated after a head key, the heads
+        with that key are skipped, every slot of the (target, length) at
+        once.  Under aifv, walked under the aifv guess only, the walk also
+        decides clauses (iv) and (vii), and a target-1 slot no allowed slot
+        can extend is never tried: see the proof above _Scan.
+        """
+        space, lens, evens = self.space, self.lens, self.evens
+        key_of, group, tail = self.key_of, self.group, self.tail
+        longer, follow, near = self.longer, self.follow, self.near
+        contrib, clash, allowed, cover = self._masks(index, guess)
+        want, last, width = guess[index], space.sigma - 1, self.width
+        aifv = space.filter == "aifv"
+        place = [(space.max_len + 1) ** pos for pos in range(space.sigma)]
+        last_lens = [n * place[last] for n in lens]
+        filled = {}  # head key -> slots found or dominated after it
+        found = {}
 
-    if aifv:
-        @functools.cache
-        def extending(owed):  # the slots strictly extending every owed word
-            out = -1
-            while owed:
-                low = owed & -owed
-                out &= longer[low.bit_length() >> 1]
-                owed ^= low
-            return out
+        if aifv:
+            @functools.cache
+            def extending(owed):  # slots strictly extending every owed word
+                out = -1
+                while owed:
+                    low = owed & -owed
+                    out &= longer[low.bit_length() >> 1]
+                    owed ^= low
+                return out
 
-        def windows_near(options, after, covered):  # (vii): see walk
-            out = options
-            while options:
-                low = options & -options
-                options ^= low
-                wi = low.bit_length() - 1 >> 1
-                ahead = after | follow[wi]
-                if (ahead ^ ahead >> 1) & evens & ~(covered | near[wi]):
-                    out ^= low
-            return out
-
-        # a target-1 word that no allowed slot can extend is never paid
-        allowed &= ~sum(1 << sid for sid in range(1, len(lens), 2)
-                        if not longer[sid >> 1] & allowed & ~clash[sid])
-
-    # Under aifv, owed has the target-0 slots of the target-1 words no taken
-    # word extends yet, after the OR of their follow masks and covered that
-    # of their near masks, and window 0 in table 1.  The last word must
-    # extend every owed word, take target 1 only on a proper prefix of a
-    # taken word, (after | after >> 1) & evens, and leave each one-way
-    # window, (after ^ after >> 1) & evens, covered.
-    def walk(pos, cand, union, owed, after, covered, head_key, head,
-             head_targets, head_lens):
-        base = head_key * len(key_of)  # base > any part
-        deeper = pos + 1 < last
-        rest, now_owed, now_after, now_covered = cand, 0, 0, 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            sid = low.bit_length() - 1
-            key = base + key_of[sid]
-            if aifv:
-                ahead = follow[sid >> 1]
-                now_owed = (owed & ~(ahead | ahead >> 1)
-                            | (low >> 1 & ~(after | after >> 1)) * (sid & 1))
-                now_after = after | ahead
-                now_covered = covered | near[sid >> 1]
-            if deeper:
-                walk(pos + 1, cand & ~clash[sid], union | contrib[sid],
-                     now_owed, now_after, now_covered, key,
-                     head << width | sid, head_targets | (sid & 1) << pos,
-                     head_lens + lens[sid] * place[pos])
-            elif cand & ~(done := filled.get(key, 0)):
-                options = (cand & ~clash[sid] & ~done
-                           & cover[want & ~(union | contrib[sid])])
-                if aifv and options:
-                    options = windows_near(
-                        options & extending(now_owed)
-                        & (evens | (now_after | now_after >> 1) << 1),
-                        now_after, now_covered)
-                if options:  # one row, targets and lenvec per head slot
-                    row = (head << width | sid) << width
-                    targets = head_targets | (sid & 1) << pos
-                    lenvec = head_lens + lens[sid] * place[pos]
-                while options:  # store each option, shortest first
+            def windows_near(options, after, covered):  # (vii): see walk
+                out = options
+                while options:
                     low = options & -options
-                    end = low.bit_length() - 1
-                    found.setdefault(targets | (end & 1) << last, {})[
-                        lenvec + last_lens[end]] = row | end
-                    done |= tail[end]
-                    options &= ~done
-                filled[key] = done
-            else:  # every candidate taken or dominated after this head key
-                rest &= ~group[key_of[sid]]
+                    options ^= low
+                    wi = low.bit_length() - 1 >> 1
+                    ahead = after | follow[wi]
+                    if (ahead ^ ahead >> 1) & evens & ~(covered | near[wi]):
+                        out ^= low
+                return out
 
-    walk(0, allowed, 0, 0, 0, 4 * index, 0, 0, 0, 0)  # window 0: word 1
-    return found
+            # a target-1 word that no allowed slot can extend is never paid
+            allowed &= ~sum(1 << sid for sid in range(1, len(lens), 2)
+                            if not longer[sid >> 1] & allowed & ~clash[sid])
+
+        # Under aifv, owed has the target-0 slots of the target-1 words no
+        # taken word extends yet, after the OR of their follow masks and
+        # covered that of their near masks, and window 0 in table 1.  The
+        # last word must extend every owed word, take target 1 only on a
+        # proper prefix of a taken word, (after | after >> 1) & evens, and
+        # leave each one-way window, (after ^ after >> 1) & evens, covered.
+        def walk(pos, cand, union, owed, after, covered, head_key, head,
+                 head_targets, head_lens):
+            base = head_key * len(key_of)  # base > any part
+            deeper = pos + 1 < last
+            rest, now_owed, now_after, now_covered = cand, 0, 0, 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sid = low.bit_length() - 1
+                key = base + key_of[sid]
+                if aifv:
+                    ahead = follow[sid >> 1]
+                    now_owed = (owed & ~(ahead | ahead >> 1) | (
+                        low >> 1 & ~(after | after >> 1)) * (sid & 1))
+                    now_after = after | ahead
+                    now_covered = covered | near[sid >> 1]
+                if deeper:
+                    walk(pos + 1, cand & ~clash[sid], union | contrib[sid],
+                         now_owed, now_after, now_covered, key,
+                         head << width | sid, head_targets | (sid & 1) << pos,
+                         head_lens + lens[sid] * place[pos])
+                elif cand & ~(done := filled.get(key, 0)):
+                    options = (cand & ~clash[sid] & ~done
+                               & cover[want & ~(union | contrib[sid])])
+                    if aifv and options:
+                        options = windows_near(
+                            options & extending(now_owed)
+                            & (evens | (now_after | now_after >> 1) << 1),
+                            now_after, now_covered)
+                    if options:  # one row, targets and lenvec per head slot
+                        row = (head << width | sid) << width
+                        targets = head_targets | (sid & 1) << pos
+                        lenvec = head_lens + lens[sid] * place[pos]
+                    while options:  # store each option, shortest first
+                        low = options & -options
+                        end = low.bit_length() - 1
+                        found.setdefault(targets | (end & 1) << last, {})[
+                            lenvec + last_lens[end]] = row | end
+                        done |= tail[end]
+                        options &= ~done
+                    filled[key] = done
+                else:  # every candidate taken or dominated after this head key
+                    rest &= ~group[key_of[sid]]
+
+        walk(0, allowed, 0, 0, 0, 4 * index, 0, 0, 0, 0)  # window 0: word 1
+        return found
 
 
 def _reaches(rows0, rows1, num, den):
@@ -519,12 +516,12 @@ def _reaches(rows0, rows1, num, den):
             or l0 > 0 and l1 > 0 and a0 * l1 + a1 * l0 <= 0)
 
 
-def _combine(space, dist, scan):
+def _combine(dist, scan):
     """Cheapest (guess, targets, contents) combo for this distribution.
 
     Probabilities become integer weights scaled by the lcm of their
     denominators, and costs are compared as cross-multiplied fractions.
-    The scan's keys are packed ints (see _scan), so a lenvec's cost and a
+    The scan's keys are packed ints (see _Scan), so a lenvec's cost and a
     target vector's weight sent to table 1 are list entries, built a
     digit (a bit) per symbol, and an f0 table 1's contents are its table
     0's with each sid's low bit flipped by one XOR; only the winner's
@@ -541,8 +538,7 @@ def _combine(space, dist, scan):
     once per scan), the bucket's first content at the least cost, or its
     first when the table is unused.
     """
-    guesses, tables = scan
-    words = all_words(space.max_len)
+    space, words, width = scan.space, scan.words, scan.width
     scale, weight = dist.integer_weights()
     # cost per packed lenvec, and weight sent to table 1 per packed target
     # vector, a digit (a bit) per symbol; the weights sum to scale
@@ -550,7 +546,6 @@ def _combine(space, dist, scan):
     for w in weight:
         cost = [c + w * n for n in range(space.max_len + 1) for c in cost]
         ones += [o + w for o in ones]
-    width = _width(space.max_len)
     # an f0 table 1 is a table 0 with targets flipped: each sid's low bit
     flip = (sum(1 << width * pos for pos in range(space.sigma))
             if space.filter == "f0" else 0)
@@ -562,12 +557,12 @@ def _combine(space, dist, scan):
     def summary(key):  # (least cost, [(cost, leave, targets)] per bucket)
         if key not in summaries:
             rows = [(min(map(cost.__getitem__, b)), leaving[key[0]][t], t)
-                    for t, b in tables[key].items()]
+                    for t, b in scan[key].items()]
             summaries[key] = (min(rows)[0], rows)
         return summaries[key]
 
     order = sorted(((min(summary(orbit)[0] for _, orbit in cells), cells)
-                    for cells in guesses.values()), key=lambda guess: guess[0])
+                    for cells in scan.guesses.values()), key=lambda g: g[0])
     best = (1, 0, [])  # (numerator, denominator, tied parts); 1/0 is above all
     for bound, cells in order:
         if bound * best[1] > best[0]:  # strictly: ties go to the contents
@@ -604,7 +599,7 @@ def _combine(space, dist, scan):
     for i in range(len(tied[0])):  # table by table, each part read once
         read = dict.fromkeys(part[i] for part in tied)
         for key, targets, unused in read:
-            bucket = tables[key][targets]
+            bucket = scan[key][targets]
             row = bucket[next(iter(bucket)) if unused
                          else min(bucket, key=cost.__getitem__)]
             read[key, targets, unused] = row ^ flip if i else row

@@ -3,8 +3,8 @@ greedy decoder and a round trip on it, the old search scan, walk and
 combine, the old aifv membership test, a per-table verdict from the aifv
 clauses, the old rational stationary solve, the old Fraction-summed costs
 (transition matrix, table and average lengths, the Huffman cost) and
-rounding, the codec's old tail completions on a repeated sweep of
-finishing lengths, and a random tuple generator.
+rounding, an exact redundancy test, the codec's old tail completions on a
+repeated sweep of finishing lengths, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -17,6 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 import functools
 import itertools
+import math
 import random
 
 from codetuples import Bits, PrefixSetTable, make_tuple
@@ -534,20 +535,22 @@ def unpack_table(space, table):
 
 
 def walk_every_table(scan):
-    """A search scan in its walked shape, {guess: tables}, every table walked
-    and unpacked by ``unpack_table``.
+    """A ``search._Scan`` in its walked shape, {guess: tables}, per kept
+    guess of ``scan.guesses`` its tables, each walked and unpacked by
+    ``unpack_table``.
 
     The scan walks one f0 guess per complement orbit, and a mirror guess
     only once the combine reads its contents.  This reads every guess's
-    own tables through the scan, which walks the missing mirrors, so a
-    test that compares contents sees each guess's own walk.  Under f0
-    table 1 under (a, b) is the table 0 under (b, a), shared, not flipped.
+    own tables from the scan, a dict by walk key that walks the missing
+    mirrors, so a test that compares contents sees each guess's own walk.
+    Under f0 table 1 under (a, b) is the table 0 under (b, a), shared, not
+    flipped.
     """
-    guesses, tables = scan
-    keys = dict.fromkeys(key for cells in guesses.values() for key, _ in cells)
-    plain = {key: unpack_table(tables.space, tables[key]) for key in keys}
+    keys = dict.fromkeys(key for cells in scan.guesses.values()
+                         for key, _ in cells)
+    plain = {key: unpack_table(scan.space, scan[key]) for key in keys}
     return {guess: tuple(plain[key] for key, _ in cells)
-            for guess, cells in guesses.items()}
+            for guess, cells in scan.guesses.items()}
 
 
 def _swapped(table):
@@ -954,6 +957,29 @@ def oracle_huffman_length(dist):
         nodes = nodes[2:] + [(p1 + p2, order, m1 + m2)]
         order += 1
     return tuple(depth), sum(dist.probs[s] * depth[s] for s in dist.alphabet)
+
+
+REDUNDANCY_BITS = 1 << 20  # largest n ** (n * v) redundancy_within builds
+
+
+def redundancy_within(cost, counts, bound, strict=False):
+    """Whether cost - H(p) <= bound (< if strict), decided in integers, for
+    p = counts / n with n = sum(counts) and every count positive.
+
+    Write cost - bound = u / v in lowest terms.  H(p) >= 0, so the bound
+    holds when u < 0, and when u == 0 unless strict.  Otherwise u / v <=
+    H(p) = log2(n) - sum(a * log2(a)) / n is, times n * v and raised to
+    the power of two, 2 ** (u * n) * prod(a ** (a * v)) <= n ** (n * v).
+    """
+    n = sum(counts)
+    gap = Fraction(cost) - Fraction(bound)
+    u, v = gap.numerator, gap.denominator
+    if u < 0 or u == 0 and not strict:
+        return True
+    if n * v * n.bit_length() > REDUNDANCY_BITS:
+        raise ValueError("%s: n ** (n * v) is past the bit budget" % (counts,))
+    left = 2 ** (u * n) * math.prod(a ** (a * v) for a in counts)
+    return left < n ** (n * v) if strict else left <= n ** (n * v)
 
 
 def oracle_approx_decimal(x, places=4):

@@ -60,6 +60,7 @@ from support import (
     oracle_continuations,
     random_code_tuple,
     random_seq,
+    redundancy_within,
     window_samples,
 )
 
@@ -88,6 +89,9 @@ LENGTH_BOUND_ROWS = [
     row for n in range(4, 12)
     for row in itertools.combinations_with_replacement(range(n, 0, -1), 4)
     if sum(row) == n and math.gcd(*row) == 1]
+
+# two-symbol rows (a, 1)/(a + 1), up to the worst redundancy at n <= 30
+TWO_SYMBOL_ROWS = [(a, 1) for a in (2, 3, 4, 9, 19, 29)]
 
 NAMES = ("a", "b", "c", "d")
 
@@ -379,3 +383,26 @@ def test_one_more_bit_lets_aifv_match_f0_at_four_symbols():
     assert below == 19
     dist = _dist(SEARCH_GAP_SIGMA4)
     assert enumerate_min(strict_space, dist).avg_len == Fraction(9, 5)
+
+
+def test_two_symbol_minima_agree_and_keep_the_redundancy_bounds():
+    # At sigma 2 the f0 and aifv minima are equal at every length bound
+    # from 2 to 4.  Redundancy L - H(p) is decided in exact integers: the
+    # Huffman code's is strictly below 1, and the aifv minimum at L = 4,
+    # an upper bound on the unbounded AIFV-2 optimum, is within 1/2.
+    assert redundancy_within(1, (1, 1), 0)  # 1 bit at H = 1: exactly 0
+    assert not redundancy_within(1, (1, 1), 0, strict=True)
+    assert not redundancy_within(1, (9, 1), Fraction(1, 2))  # 0.531
+    for row in TWO_SYMBOL_ROWS:
+        dist = _dist(["%d/%d" % (x, sum(row)) for x in row])
+        minima = {}
+        for max_len in (2, 3, 4):
+            f0, aifv = (enumerate_min(SearchSpace(2, 2, max_len, name),
+                                      dist).avg_len for name in ("f0", "aifv"))
+            assert f0 == aifv, (row, max_len)
+            minima[max_len] = aifv
+        if row == (9, 1):
+            assert set(minima.values()) == {Fraction(119, 190)}
+        assert redundancy_within(huffman_length(dist)[1], row, 1,
+                                 strict=True), row
+        assert redundancy_within(minima[4], row, Fraction(1, 2)), minima

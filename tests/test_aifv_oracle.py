@@ -11,7 +11,7 @@ import itertools
 import random
 
 from codetuples import SearchSpace, is_aifv, make_tuple
-from codetuples.search import _scan, all_words
+from codetuples.search import _Scan, all_words
 from support import (_aifv_table_ok, aifv_table_ok, oracle_is_aifv,
                      random_code_tuple, walk_every_table)
 
@@ -24,7 +24,7 @@ def kept_contents(space):
     """Every content the scan keeps, per table, as (codeword, target) rows."""
     words = all_words(space.max_len)
     tables = ([], [])
-    for scanned in walk_every_table(_scan(space)).values():
+    for scanned in walk_every_table(_Scan(space)).values():
         for rows, table in zip(tables, scanned):
             rows.extend([(words[sid >> 1] or "-", sid & 1) for sid in content]
                         for bucket in table.values()

@@ -223,9 +223,10 @@ def _verb_actions(verb):
 
 
 def test_search_filter_choices_are_the_search_filters():
-    from codetuples.search import FILTERS
+    from codetuples.search import FILTERS, TABLES
 
     assert tuple(_verb_actions("search")["filter"].choices) == FILTERS
+    assert tuple(_verb_actions("search")["tables"].choices) == TABLES
 
 
 def test_transform_choices_and_k_default_read_their_definitions():

@@ -114,7 +114,7 @@ def test_scan_matches_direct_walk():
 def test_f0_table_one_is_table_zero_under_the_swapped_guess(sigma, max_len):
     # the f0 scan derives table 1 instead of walking it; walk it anyway
     space = SearchSpace(sigma, 2, max_len, "f0")
-    layout = search._layout(max_len)
+    scan = search._Scan(space)
 
     def ordered(table):  # keys and buckets in dict order
         return [(targets, list(bucket.items()))
@@ -122,10 +122,8 @@ def test_f0_table_one_is_table_zero_under_the_swapped_guess(sigma, max_len):
 
     for a in range(1, 16):
         for b in range(1, 16):
-            direct = unpack_table(
-                space, search._scan_table(space, 1, (a, b), layout))
-            derived = _swapped(unpack_table(
-                space, search._scan_table(space, 0, (b, a), layout)))
+            direct = unpack_table(space, scan._walk(1, (a, b)))
+            derived = _swapped(unpack_table(space, scan._walk(0, (b, a))))
             assert ordered(direct) == ordered(derived), (a, b)
 
 
@@ -158,19 +156,18 @@ def test_single_table_matches_direct_walk(sigma, max_len, filt):
 def test_walk_masks_decide_the_aifv_clauses(sigma, max_len):
     # every content the aifv guess's masks let through (allowed slots, no
     # clashing pair, union the wanted set) passes all seven aifv clauses
-    # exactly when its last slot passes the walk's rules over _layout's word
+    # exactly when its last slot passes the walk's rules over the scan's word
     # masks, folded over the head as the walk folds them: the owed rule
     # (extend every target-1 word no head word extends), the window rule
     # (target 1 only on a proper prefix of a head word) and the (vii) test
     # (every one-way window near a word, window 0 exempt in table 1); see
-    # the proof above search._layout
-    space = SearchSpace(sigma, 2, max_len, "aifv")
-    layout = search._layout(max_len)
-    words, _, evens, *_, longer, follow, near = layout
+    # the proof above search._Scan
+    scan = search._Scan(SearchSpace(sigma, 2, max_len, "aifv"))
+    words, evens, longer = scan.words, scan.evens, scan.longer
+    follow, near = scan.follow, scan.near
     passed = only_vii = 0
     for index, want in enumerate(search.AIFV_GUESS):
-        contrib, clash, allowed, _ = search._masks(space, index,
-                                                   search.AIFV_GUESS, layout)
+        contrib, clash, allowed, _ = scan._masks(index, search.AIFV_GUESS)
         slots = [sid for sid in range(2 * len(words)) if allowed >> sid & 1]
         for content in itertools.product(slots, repeat=sigma):
             if any(clash[a] >> b & 1
@@ -297,6 +294,38 @@ def test_strict_and_loose_filters_reach_the_same_minimum():
 def test_distribution_size_must_match_space():
     with pytest.raises(ValueError):
         enumerate_min(SearchSpace(3, 2, 2, "f0"), dist2("1/2"))
+
+
+def test_scan_cache_keeps_one_scan_per_space_until_cleared(monkeypatch):
+    # the benchmark empties search._SCAN_CACHE between runs, reading it by
+    # name through getattr: a rename or another type would silently leave
+    # its cold runs warm
+    cache = search._SCAN_CACHE
+    assert type(cache) is dict
+    walks, walk = [], search._Scan._walk
+
+    def counted(scan, *key):
+        walks.append(key)
+        return walk(scan, *key)
+
+    monkeypatch.setattr(search._Scan, "_walk", counted)
+    space, dist = SearchSpace(2, 2, 2, "f0"), dist2("7/10")
+    cache.pop(space, None)
+    first = enumerate_min(space, dist)
+    assert type(cache[space]) is search._Scan and cache[space].space == space
+    cold = len(walks)
+    assert cold > 0
+    assert enumerate_min(space, dist) == first and len(walks) == cold
+    cache.clear()
+    assert enumerate_min(space, dist) == first and len(walks) == 2 * cold
+    # a scan that walked nothing is an empty dict, falsy, and still reused
+    empty, held = SearchSpace(2, 1, 1, "aifv"), []
+    for _ in range(2):
+        with pytest.raises(EmptySpace):
+            enumerate_min(empty, dist)
+        held.append(cache[empty])
+    assert held[0] is held[1] and held[0] == {} and held[0].guesses == {}
+    assert len(walks) == 2 * cold and list(cache) == [space, empty]
 
 
 # summary rows (least cost, weight leaving, targets): small ranges so that

@@ -2,11 +2,12 @@
 
 ``support.oracle_scan_two_tables`` tries every content of every table under
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
-f0 scan walks one guess per complement orbit and a mirror guess only when
-the combine reads its contents, so every test that reads contents goes
-through ``support.walk_every_table``, which walks the rest and unpacks the
-scan's packed ints into tuples (``support.unpack_table``); the combine
-is compared on fresh scans, so that it walks its mirrors itself.  The f0
+f0 scan, one ``search._Scan`` per space, walks one guess per complement
+orbit when it is built and a mirror guess only when the combine reads its
+contents, so every test that reads contents goes through
+``support.walk_every_table``, which walks the rest and unpacks the scan's
+packed ints into tuples (``support.unpack_table``); the combine is
+compared on fresh scans, so that it walks its mirrors itself.  The f0
 scan shares each walked table 0 as table 1 of the swapped guess, so it
 is compared through ``support.expand_scan``, which flips a copy of every
 shared table 1 back into the oracle's shape.  The oracle keeps every length
@@ -22,8 +23,8 @@ same way against ``support.oracle_walk_scan``, the walk before it dropped
 dominated vectors, both combines read the scan, the oracle's expanded, and
 the order the combine relies on, contents ascending in every bucket, is
 checked on its own.  The combine stops at a bound, so it
-is also checked on distributions whose costs tie often and with the
-guesses in reverse order.
+is also checked on distributions whose costs tie often and on a fresh
+scan whose ``guesses`` are set in reverse order.
 """
 
 import functools
@@ -34,7 +35,7 @@ from fractions import Fraction
 import pytest
 
 from codetuples import Alphabet, SearchSpace, SourceDist
-from codetuples.search import MIRROR, _combine, _layout, _scan, _scan_table
+from codetuples.search import MIRROR, _combine, _Scan
 from support import (PAIR_INDEX, assert_keeps_pareto_buckets, expand_scan,
                      oracle_combine, oracle_scan_two_tables, oracle_walk_scan,
                      unpack_table, walk_every_table)
@@ -71,9 +72,9 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
     space = SearchSpace(sigma, 2, max_len, filt)
     expected = oracle_scan_two_tables(space)
     assert_keeps_pareto_buckets(
-        expand_scan(space, walk_every_table(_scan(space))), expected)
+        expand_scan(space, walk_every_table(_Scan(space))), expected)
     for dist in seeded_dists(sigma, space):
-        got = _combine(space, dist, _scan(space))
+        got = _combine(dist, _Scan(space))
         want = oracle_combine(space, dist, expected)
         assert got == want, (space, dist.probs)
         assert got is None or type(got[0]) is Fraction
@@ -81,7 +82,7 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
 
 @functools.cache
 def walked_scan(sigma, max_len, filt):
-    return walk_every_table(_scan(SearchSpace(sigma, 2, max_len, filt)))
+    return walk_every_table(_Scan(SearchSpace(sigma, 2, max_len, filt)))
 
 
 @pytest.mark.parametrize("filt", ["f0", "aifv"])
@@ -137,11 +138,11 @@ def test_f0_table_zero_has_its_mirror_guess_s_buckets(sigma, max_len, tables):
     # complementing every bit keeps f0, targets and codeword lengths, so the
     # scan reads a mirror guess's costs from its orbit's walk
     space = SearchSpace(sigma, tables, max_len, "f0")
-    layout = _layout(max_len)
+    scan = _Scan(space)
     for a, b in itertools.product(range(1, 16), repeat=2):
         if tables == 1 and a != b:
             continue
-        walks = [unpack_table(space, _scan_table(space, 0, guess, layout))
+        walks = [unpack_table(space, scan._walk(0, guess))
                  for guess in ((a, b), (MIRROR[a], MIRROR[b]))]
         assert pareto_buckets(walks[0]) == pareto_buckets(walks[1]), (a, b)
 
@@ -150,7 +151,7 @@ def test_f0_table_zero_has_its_mirror_guess_s_buckets(sigma, max_len, tables):
 @pytest.mark.parametrize("sigma,max_len", [(2, 2), (3, 3), (4, 2)])
 def test_cold_f0_scan_walks_one_guess_per_orbit(sigma, max_len, tables,
                                                walked):
-    _, walks = _scan(SearchSpace(sigma, tables, max_len, "f0"))
+    walks = _Scan(SearchSpace(sigma, tables, max_len, "f0"))
     assert len(walks) == walked
     for index, (a, b) in walks:
         assert index == 0 and (a, b) <= (MIRROR[a], MIRROR[b]), (a, b)
@@ -163,9 +164,10 @@ def test_one_table_combine_reads_each_guess_s_own_contents(sigma, max_len):
     # of that guess's own table, mirror guesses walked on demand
     space = SearchSpace(sigma, 1, max_len, "f0")
     dist = seeded_dists(sigma, space)[1]
-    for guess, (table,) in walk_every_table(_scan(space)).items():
-        guesses, tables = _scan(space)
-        got = _combine(space, dist, ({guess: guesses[guess]}, tables))
+    for guess, (table,) in walk_every_table(_Scan(space)).items():
+        scan = _Scan(space)
+        scan.guesses = {guess: scan.guesses[guess]}
+        got = _combine(dist, scan)
         want = min((sum(p * n for p, n in zip(dist.probs, lenvec)), row)
                    for bucket in table.values()
                    for lenvec, row in bucket.items())
@@ -181,7 +183,7 @@ def test_combine_matches_the_oracle_at_four_symbols(max_len, filt, count):
     space = SearchSpace(4, 2, max_len, filt)
     expected = expand_scan(space, walked_scan(4, max_len, filt))
     for dist in seeded_dists(4, space)[:count]:
-        assert _combine(space, dist, _scan(space)) == \
+        assert _combine(dist, _Scan(space)) == \
             oracle_combine(space, dist, expected), dist.probs
 
 
@@ -198,8 +200,8 @@ def test_bounded_combine_keeps_the_tie_break(sigma, max_len, filt):
     for weights in TIE_HEAVY[sigma]:
         dist = SourceDist(alphabet, tuple(Fraction(w, sum(weights))
                                           for w in weights))
-        got = _combine(space, dist, _scan(space))
+        got = _combine(dist, _Scan(space))
         assert got == oracle_combine(space, dist, expected), dist.probs
-        guesses, tables = _scan(space)
-        backwards = (dict(reversed(guesses.items())), tables)
-        assert _combine(space, dist, backwards) == got, dist.probs
+        backwards = _Scan(space)
+        backwards.guesses = dict(reversed(backwards.guesses.items()))
+        assert _combine(dist, backwards) == got, dist.probs
