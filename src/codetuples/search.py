@@ -41,9 +41,9 @@ mirror have the same buckets and the same least costs, and the scan walks
 one guess per orbit: 117 of the 225 guesses, 9 of 15 for one table.  The
 canonical contents differ: complementing reverses the order of the words
 of one length, so a mirror's first content is the complement of its orbit
-walk's last one, which the walk does not keep.  The combine walks a
-mirror guess only when it reads its contents, for a pair at the best
-cost, and the walk stays in the cached scan for later distributions.
+walk's last one, which the walk does not keep.  The combine walks a mirror
+at the tie-break, a used table only over its least-cost lenvecs' (length,
+target) pairs: Pareto-minimal, they keep their first contents.
 
 Under aifv both tables are walked under the one aifv guess, whose masks
 imply every aifv clause but (iv)'s demand that a target-1 word be a proper
@@ -304,7 +304,7 @@ class _Scan(dict):
     targets and codeword lengths, in ascending order.  Under f0, table 1
     under (a, b) is the table 0 under (b, a), shared, not flipped, and
     only the orbit keys are walked here, the least guess of each
-    complement orbit.
+    complement orbit, then the combine's mirrors: (index, guess[, keep]).
     """
 
     def __init__(self, space):
@@ -322,14 +322,14 @@ class _Scan(dict):
         self.hits = [_unions([sum(slots[n] for n, sent in enumerate(row)
                                   if sent >> b & 1) for b in range(BLOCKS)])
                      for row in _EMITTED]
-        # up (down)[word][gates] has the prefixes (extensions) behind the gates
+        # up (down)[gates][word] has the prefixes (extensions) behind gates
         up, down = ([[0] * len(_GATES) for _ in words] for _ in "ud")
         for (ui, u), (vi, v) in itertools.product(enumerate(words), repeat=2):
             if v.startswith(u):
                 n = _GATES[v[len(u):len(u) + K]]
                 up[vi][n] |= 1 << 2 * ui
                 down[ui][n] |= 1 << 2 * vi
-        self.up, self.down = up, down = [[_unions(row) for row in rows]
+        self.up, self.down = up, down = [list(zip(*map(_unions, rows)))
                                          for rows in (up, down)]
         # a slot's part of the (targets, lenvec) key, the slots sharing it, and
         # the slots it dominates
@@ -342,7 +342,7 @@ class _Scan(dict):
         # per word: the slots strictly extending it; per proper prefix p, bit
         # 2 * index(p) + the bit after p in the word; and the target-0 slots of
         # it and of it plus one bit, the windows (vii) lets be one-way
-        self.longer = [(down[wi][-1] & ~(1 << 2 * wi)) * 3
+        self.longer = [(down[-1][wi] & ~(1 << 2 * wi)) * 3
                        for wi in range(len(words))]
         at = {w: 2 * wi for wi, w in enumerate(words)}
         self.follow = [sum(1 << at[w[:n]] + int(w[n]) for n in range(len(w)))
@@ -355,15 +355,13 @@ class _Scan(dict):
             self.guesses = {AIFV_GUESS: cells} if kept else {}
             return
 
-        def cell(walk):  # an f0 table is a table 0, costed by its orbit's walk
-            mirror = (MIRROR[walk[0]], MIRROR[walk[1]])
-            return (0, walk), (0, min(walk, mirror))
-
+        # an f0 table is a table 0, costed by its orbit's walk
+        cell = {(a, b): ((0, (a, b)), (0, min((a, b), (MIRROR[a], MIRROR[b]))))
+                for a, b in itertools.product(GUESSES, repeat=2)}
         if space.tables == 1:  # only target-0 slots, so guess[1] is never read
-            every = {a: (cell((a, a)),) for a in GUESSES}
+            every = {a: (cell[a, a],) for a in GUESSES}
         else:
-            every = {(a, b): (cell((a, b)), cell((b, a)))
-                     for a in GUESSES for b in GUESSES}
+            every = {(a, b): (cell[a, b], cell[b, a]) for a, b in cell}
         self.guesses = {guess: cells for guess, cells in every.items()
                         if all(self[orbit] for _, orbit in cells)}
 
@@ -371,48 +369,50 @@ class _Scan(dict):
         table = self[key] = self._walk(*key)
         return table
 
-    def _masks(self, index, guess):
+    def _masks(self, index, guess, keep=-1):
         """Table index's masks under a guess: each slot's contribution, the
-        slots each slot clashes with, the slots allowed, and per set of
-        missing blocks the allowed slots giving them all."""
+        slots each slot clashes with, the slots allowed (within keep), and
+        per set of missing blocks the allowed slots giving them all."""
         evens, hits, up, down = self.evens, self.hits, self.up, self.down
-        contrib = [c for p in zip(*(self.reach[g] for g in guess)) for c in p]
+        (a, ca), (b, cb) = ((g, _CLASHING[g]) for g in guess)
+        contrib, clash = [0] * len(self.lens), [0] * len(self.lens)
+        contrib[::2], contrib[1::2] = self.reach[a], self.reach[b]
         # slots that cannot share a table, by the gates that clash
-        gates = [[_CLASHING[long][short] for short in guess] for long in guess]
-        clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
-                 | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]])
-                 << 1 - t for wi in range(len(self.words)) for t in (0, 1)]
-        hit = [h0 | h1 << 1 for h0, h1 in zip(hits[guess[0]], hits[guess[1]])]
-        allowed = (evens if self.space.tables == 1 else evens * 3) \
-            & ~hit[FULL_MASK & ~guess[index]]
-        cover = [allowed & ~miss
-                 for miss in _unions([~hit[1 << n] for n in range(BLOCKS)])]
+        clash[::2] = [u | d | (x | y) << 1 for u, d, x, y in zip(
+            up[ca[a]], down[ca[a]], up[ca[b]], down[cb[a]])]
+        clash[1::2] = [(u | d) << 1 | x | y for u, d, x, y in zip(
+            up[cb[b]], down[cb[b]], up[cb[a]], down[ca[b]])]
+        h0, h1 = hits[a], hits[b]
+        allowed = (evens if self.space.tables == 1 else evens * 3) & keep & ~(
+            h0[miss := FULL_MASK & ~guess[index]] | h1[miss] << 1)
+        cover = [allowed]  # by De Morgan: AND the hits of the missing blocks
+        for hit in [h0[1 << n] | h1[1 << n] << 1 for n in range(BLOCKS)]:
+            cover += [c & hit for c in cover]
         return contrib, clash, allowed, cover
 
-    def _walk(self, index, guess):
+    def _walk(self, index, guess, keep=-1):
         """One table's passing contents under a guess, by a depth-first walk.
 
         Symbols take slots in ascending sid order, so contents appear in
         product order and the first one kept per (targets, lenvec) is the
-        canonical one.  Only slots whose contribution lies inside the wanted
-        set are tried, never one clashing with an earlier symbol's slot.
-        The last symbol must complete the union to exactly the wanted set;
-        per target it takes only a slot shorter than any taken after the
-        same head key, since a longer one only adds a dominated lenvec; once
-        every candidate is found or dominated after a head key, the heads
-        with that key are skipped, every slot of the (target, length) at
-        once.  Under aifv, walked under the aifv guess only, the walk also
+        canonical one.  Only slots in keep whose contribution lies inside the
+        wanted set are tried, never one clashing with an earlier symbol's
+        slot.  The last symbol must complete the union to exactly the wanted
+        set; per target it takes only a slot shorter than any taken after
+        the same head key, since a longer one only adds a dominated lenvec;
+        once every candidate is found or dominated after a head key, the
+        heads with that key are skipped, every slot of the (target, length)
+        at once.  Under aifv, walked under the aifv guess only, the walk also
         decides clauses (iv) and (vii), and a target-1 slot no allowed slot
         can extend is never tried: see the proof above _Scan.
         """
         space, lens, evens = self.space, self.lens, self.evens
         key_of, group, tail = self.key_of, self.group, self.tail
         longer, follow, near = self.longer, self.follow, self.near
-        contrib, clash, allowed, cover = self._masks(index, guess)
+        contrib, clash, allowed, cover = self._masks(index, guess, keep)
         want, last, width = guess[index], space.sigma - 1, self.width
         aifv = space.filter == "aifv"
         place = [(space.max_len + 1) ** pos for pos in range(space.sigma)]
-        last_lens = [n * place[last] for n in lens]
         filled = {}  # head key -> slots found or dominated after it
         found = {}
 
@@ -476,15 +476,16 @@ class _Scan(dict):
                             options & extending(now_owed)
                             & (evens | (now_after | now_after >> 1) << 1),
                             now_after, now_covered)
-                    if options:  # one row, targets and lenvec per head slot
-                        row = (head << width | sid) << width
-                        targets = head_targets | (sid & 1) << pos
-                        lenvec = head_lens + lens[sid] * place[pos]
+                    if not options:  # nothing found: done is as it was
+                        continue
+                    row = (head << width | sid) << width  # per head slot
+                    targets = head_targets | (sid & 1) << pos
+                    lenvec = head_lens + lens[sid] * place[pos]
                     while options:  # store each option, shortest first
-                        low = options & -options
-                        end = low.bit_length() - 1
-                        found.setdefault(targets | (end & 1) << last, {})[
-                            lenvec + last_lens[end]] = row | end
+                        end = (options & -options).bit_length() - 1
+                        if (t := targets | (end & 1) << last) not in found:
+                            found[t] = {}  # a new target vector
+                        found[t][lenvec + lens[end] * place[last]] = row | end
                         done |= tail[end]
                         options &= ~done
                     filled[key] = done
@@ -532,19 +533,19 @@ def _combine(dist, scan):
     Guesses are visited by the least bucket cost of either table, a lower
     bound on their pairs' costs, until it is strictly above the best cost,
     and joined only when the price test (_reaches) passes.  The pairs at
-    the best cost are kept as (key, targets, unused) parts, read only at
-    the tie-break, table 0's first and table 1's only for the ties whose
-    table 0 is least: from each table's own walk (a mirror is walked there,
-    once per scan), the bucket's first content at the least cost, or its
-    first when the table is unused.
+    the best cost are kept as (cell, targets, least cost) parts, the cost 0
+    for an unused table (a used one costs more), read only at the tie-break,
+    table 0's first and table 1's only for the ties whose table 0 is least:
+    from each table's own walk, the bucket's first content at the least
+    cost, or its first when unused (a mirror walked as the module says).
     """
     space, words, width = scan.space, scan.words, scan.width
-    scale, weight = dist.integer_weights()
+    base, (scale, weight) = space.max_len + 1, dist.integer_weights()
     # cost per packed lenvec, and weight sent to table 1 per packed target
     # vector, a digit (a bit) per symbol; the weights sum to scale
     cost, ones = [0], [0]
     for w in weight:
-        cost = [c + w * n for n in range(space.max_len + 1) for c in cost]
+        cost = [c + w * n for n in range(base) for c in cost]
         ones += [o + w for o in ones]
     # an f0 table 1 is a table 0 with targets flipped: each sid's low bit
     flip = (sum(1 << width * pos for pos in range(space.sigma))
@@ -567,16 +568,16 @@ def _combine(dist, scan):
     for bound, cells in order:
         if bound * best[1] > best[0]:  # strictly: ties go to the contents
             break
-        (key0, orbit0), *rest = cells
+        (_, orbit0), *rest = cells
         if not rest:  # all targets 0: one bucket, the table's cost
             (low, _, targets), = summary(orbit0)[1]
             ahead = low * best[1] - best[0]
             if ahead < 0:
                 best = (low, 1, [])
             if ahead <= 0:
-                best[2].append(((key0, targets, False),))
+                best[2].append(((cells[0], targets, low),))
             continue
-        (key1, orbit1), = rest
+        (_, orbit1), = rest
         rows0, rows1 = summary(orbit0)[1], summary(orbit1)[1]
         if not _reaches(rows0, rows1, best[0], best[1]):
             continue
@@ -591,18 +592,26 @@ def _combine(dist, scan):
                     continue
                 if ahead < 0:
                     best = (num, total, [])
-                best[2].append(((key0, t0, leave1 == 0),
-                                (key1, t1, leave0 == 0)))
+                best[2].append(((cells[0], t0, leave1 and low0),
+                                (cells[1], t1, leave0 and low1)))
     if not best[2]:
         return None
     pick, tied = (), best[2]
     for i in range(len(tied[0])):  # table by table, each part read once
         read = dict.fromkeys(part[i] for part in tied)
-        for key, targets, unused in read:
-            bucket = scan[key][targets]
-            row = bucket[next(iter(bucket)) if unused
-                         else min(bucket, key=cost.__getitem__)]
-            read[key, targets, unused] = row ^ flip if i else row
+        keep = {}  # per used mirror: the slots matching its least-cost lenvecs
+        for (key, orbit), targets, low in read:
+            if low and key not in scan:  # low is 0 for an unused table
+                keep[key] = keep.get(key, 0) | sum(scan.group[n] for n in {
+                    2 * (v // base ** pos % base) + (targets >> pos & 1)
+                    for v in scan[orbit][targets] if cost[v] == low
+                    for pos in range(space.sigma)})
+        walked = {key: scan[key + (slots,)] for key, slots in keep.items()}
+        for (key, orbit), targets, low in read:
+            bucket = (walked if low and key in walked else scan)[key][targets]
+            row = bucket[min(bucket, key=cost.__getitem__) if low
+                         else next(iter(bucket))]
+            read[(key, orbit), targets, low] = row ^ flip if i else row
         pick += _unpack(least := min(read.values()), space.sigma, width)
         tied = [part for part in tied if read[part[i]] == least]
     return (Fraction(best[0], best[1] * scale), pick,

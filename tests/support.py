@@ -28,7 +28,7 @@ from codetuples.codec import (COMPLETION_CAP, FAILURE_CAP, DanglingInfo,
 from codetuples.core import CodeTuple, Table
 from codetuples.errors import NoConsistentCompletion, NotRegular
 from codetuples.prefix_sets import encode_from
-from codetuples.search import all_words
+from codetuples.search import _CLASHING, _unions, all_words
 
 NAME_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
 # The oracle scans' own two-bit sets, 4-bit masks over PAIR_INDEX, written
@@ -793,6 +793,50 @@ def _walk_table(space, index, guess, layout):
 
     walk(0, allowed, 0, 0, (), (), ())
     return found
+
+
+# --------------------------------------------------------------------------
+# The scan's per-guess masks as they stood before its clash rows were read
+# per gate set: each word's prefix and extension masks, one union per gate
+# set, indexed word first, and every hit entry of the guess built.  Kept as
+# the reference for search._Scan._masks.
+# --------------------------------------------------------------------------
+
+
+@functools.cache
+def _word_masks(max_len):
+    """Per word and gate set, the target-0 slots of its prefixes (up) and
+    extensions (down) whose suffix's first two bits are one of the gates."""
+    words = all_words(max_len)
+    gates = {w: n for n, w in enumerate(all_words(2))}
+    up, down = ([[0] * len(gates) for _ in words] for _ in "ud")
+    for (ui, u), (vi, v) in itertools.product(enumerate(words), repeat=2):
+        if v.startswith(u):
+            n = gates[v[len(u):len(u) + 2]]
+            up[vi][n] |= 1 << 2 * ui
+            down[ui][n] |= 1 << 2 * vi
+    return [[_unions(row) for row in rows] for rows in (up, down)]
+
+
+def oracle_masks(scan, index, guess, keep=-1):
+    """``scan._masks(index, guess, keep)``, word by word: each slot's
+    contribution, the slots it clashes with, the allowed slots within keep,
+    and per set of missing blocks the allowed slots giving them all.  The
+    scan's per-set tables (``reach``, ``hits``) and ``search._CLASHING`` are
+    read as they are; the clash is rebuilt from the words."""
+    up, down = _word_masks(scan.space.max_len)
+    contrib = [c for p in zip(*(scan.reach[g] for g in guess)) for c in p]
+    gates = [[_CLASHING[long][short] for short in guess] for long in guess]
+    clash = [(up[wi][gates[t][t]] | down[wi][gates[t][t]]) << t
+             | (up[wi][gates[t][1 - t]] | down[wi][gates[1 - t][t]])
+             << 1 - t for wi in range(len(scan.words)) for t in (0, 1)]
+    hit = [h0 | h1 << 1
+           for h0, h1 in zip(scan.hits[guess[0]], scan.hits[guess[1]])]
+    allowed = ((scan.evens if scan.space.tables == 1 else scan.evens * 3)
+               & keep & ~hit[FULL_MASK & ~guess[index]])
+    cover = [allowed & ~miss
+             for miss in _unions([~hit[1 << n] for n in range(4)])]
+    return contrib, clash, allowed, cover
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from codetuples.errors import (CodeTupleError, EmptySpace, InvalidSpace,
                                InvalidType, SearchCheckFailed)
 from codetuples.reference import HUFFMAN_GOLDEN, main_dist
 from codetuples.search import all_words, canonical_key, enumerate_min_direct
-from support import _swapped, aifv_table_ok, unpack_table
+from support import _swapped, aifv_table_ok, oracle_masks, unpack_table
 
 AB2 = Alphabet(("a", "b"))
 
@@ -149,6 +149,34 @@ def test_single_table_matches_direct_walk(sigma, max_len, filt):
                 outcomes.append((got.best, got.avg_len, got.examined))
         assert outcomes[0] == outcomes[1], dist.probs
         assert filt == "f0" or "no aifv tuple with 1 table" in outcomes[0]
+
+
+class _Unwalked(search._Scan):
+    """A scan whose masks are built but whose tables are never walked."""
+
+    def __missing__(self, key):
+        return {}
+
+
+@pytest.mark.parametrize("filt", ["f0", "aifv"])
+@pytest.mark.parametrize("tables", [1, 2])
+@pytest.mark.parametrize("sigma,max_len", [(sigma, max_len)
+                                           for sigma in (2, 3, 4)
+                                           for max_len in (1, 2, 3, 4)])
+def test_masks_match_the_word_by_word_reference(sigma, max_len, tables, filt):
+    # the scan reads each guess's clash rows per gate set and only the hit
+    # entries it uses; support.oracle_masks builds them word by word and
+    # every hit entry, as the scan once did, for every guess and index,
+    # with and without a seeded keep
+    scan = _Unwalked(SearchSpace(sigma, tables, max_len, filt))
+    rng = random.Random("masks:%d:%d" % (tables, max_len))
+    for guess in itertools.product(range(1, 16), repeat=2):
+        for index in range(tables):
+            assert scan._masks(index, guess) == \
+                oracle_masks(scan, index, guess), (guess, index)
+            keep = rng.getrandbits(len(scan.lens))
+            assert scan._masks(index, guess, keep) == \
+                oracle_masks(scan, index, guess, keep), (guess, index, keep)
 
 
 @pytest.mark.parametrize("sigma,max_len", [(2, 1), (2, 2), (2, 3), (3, 1),

@@ -4,10 +4,15 @@
 every guess; ``support.oracle_combine`` adds costs in ``Fraction``s.  The
 f0 scan, one ``search._Scan`` per space, walks one guess per complement
 orbit when it is built and a mirror guess only when the combine reads its
-contents, so every test that reads contents goes through
-``support.walk_every_table``, which walks the rest and unpacks the scan's
-packed ints into tuples (``support.unpack_table``); the combine is
-compared on fresh scans, so that it walks its mirrors itself.  The f0
+contents at the tie-break: whole for an unused table, and for a used one
+only over the slots whose (length, target) pairs its least-cost lenvecs
+hold, stored under key (index, guess, keep).  So every test that reads
+contents goes through ``support.walk_every_table``, which walks the rest
+whole and unpacks the scan's packed ints into tuples
+(``support.unpack_table``); the combine is compared on fresh scans, so
+that it walks its mirrors itself, and on three spaces each restricted
+read is checked against the whole walk, and every whole mirror walk
+against the tied parts that leave their table unused.  The f0
 scan shares each walked table 0 as table 1 of the swapped guess, so it
 is compared through ``support.expand_scan``, which flips a copy of every
 shared table 1 back into the oracle's shape.  The oracle keeps every length
@@ -78,6 +83,116 @@ def test_scan_and_combine_match_the_oracle(sigma, max_len, filt):
         want = oracle_combine(space, dist, expected)
         assert got == want, (space, dist.probs)
         assert got is None or type(got[0]) is Fraction
+
+
+def tied_parts(guesses, dist, whole):
+    """Every (walk key, targets, used) part of an f0 pair at the best cost.
+
+    A scan's guesses are costed from whole, each walk key's table walked
+    whole and unpacked, in integer weights compared by cross multiplying;
+    targets are each walk's own, so a table leaves by its target-1 weight,
+    an f0 table 1 being the table 0 under the swapped guess.  A table is
+    used when the other one leaves to it; a one-table guess costs its one
+    bucket's least cost.
+    """
+    _, weight = dist.integer_weights()
+
+    @functools.cache
+    def rows(key):  # (least cost, weight leaving, targets) per bucket
+        return [(min(sum(w * n for w, n in zip(weight, lenvec))
+                     for lenvec in bucket),
+                 sum(w for w, t in zip(weight, targets) if t), targets)
+                for targets, bucket in whole[key].items()]
+
+    pairs = []  # (cost numerator, denominator, parts)
+    for cells in guesses.values():
+        (key0, _), *rest = cells
+        if not rest:
+            pairs += [(low, 1, [(key0, t, True)]) for low, _, t in rows(key0)]
+            continue
+        (key1, _), = rest
+        for (low0, leave0, t0), (low1, leave1, t1) in itertools.product(
+                rows(key0), rows(key1)):
+            if leave0 + leave1:
+                parts = [(key0, t0, leave1 > 0), (key1, t1, leave0 > 0)]
+                pairs.append((leave1 * low0 + leave0 * low1, leave0 + leave1,
+                              parts))
+    num, den = 1, 0  # above every cost
+    for n, d, _ in pairs:
+        if n * den < num * d:
+            num, den = n, d
+    return {part for n, d, parts in pairs if n * den == num * d
+            for part in parts}
+
+
+class ReadLog(dict):
+    """A walked table that logs each bucket read from it, with itself."""
+
+    def __init__(self, table, key, log):
+        super().__init__(table)
+        self.key, self.log = key, log
+
+    def __getitem__(self, targets):
+        self.log.append((self.key, targets, self))
+        return super().__getitem__(targets)
+
+
+@pytest.mark.parametrize("sigma,tables,max_len", [(3, 2, 3), (3, 1, 3),
+                                                   (4, 2, 3)])
+def test_combine_reads_used_mirrors_from_restricted_walks(
+        sigma, tables, max_len, monkeypatch):
+    # a used tied part of a mirror is read from a walk of the slots whose
+    # (length, target) pairs its least-cost lenvecs hold, never from a
+    # whole walk, and that read gives what the whole mirror walk gives: the
+    # first content at the least cost.  Only unused parts walk whole mirrors
+    space = SearchSpace(sigma, tables, max_len, "f0")
+    scan = _Scan(space)
+    walked = walk_every_table(scan)
+    whole = {key: table for guess, cells in scan.guesses.items()
+             for (key, _), table in zip(cells, walked[guess])}
+    alphabet = Alphabet(("a", "b", "c", "d")[:sigma])
+    dists = seeded_dists(sigma, space) + [
+        SourceDist(alphabet, tuple(Fraction(w, sum(ws)) for w in ws))
+        for ws in TIE_HEAVY[sigma]]
+    walk, calls, reads = _Scan._walk, [], []
+
+    def logged(self, index, guess, *keep):
+        calls.append(((index, guess), keep))
+        table = walk(self, index, guess, *keep)
+        return ReadLog(table, (index, guess), reads) if keep else table
+
+    monkeypatch.setattr(_Scan, "_walk", logged)
+    # a one-table winner sits under the full guess, its own mirror, so that
+    # space is also searched under each mirror guess alone
+    runs = [(dist, None) for dist in dists] + [
+        (dists[1], guess) for guess in scan.guesses if tables == 1
+        and guess > MIRROR[guess]]
+    restricted = 0
+    for dist, only in runs:
+        fresh = _Scan(space)
+        if only:
+            fresh.guesses = {only: fresh.guesses[only]}
+        del calls[:], reads[:]
+        _combine(dist, fresh)
+        ties = tied_parts(fresh.guesses, dist, whole)
+        unused = {key for key, _, used in ties if not used}
+        for (index, guess), keep in calls:
+            if not keep and guess > (MIRROR[guess[0]], MIRROR[guess[1]]):
+                assert (index, guess) in unused, (dist.probs, guess)
+
+        def price(lenvec):
+            return sum(p * n for p, n in zip(dist.probs, lenvec))
+
+        for key, targets, table in reads:
+            bits = tuple(targets >> i & 1 for i in range(sigma))
+            assert (key, bits, True) in ties, (dist.probs, key, bits)
+            got = unpack_table(space, {targets: dict.get(table, targets)})
+            want = whole[key][bits]
+            low = min(map(price, want))
+            assert got[bits][min(got[bits], key=price)] == min(
+                row for lenvec, row in want.items() if price(lenvec) == low)
+            restricted += 1
+    assert restricted
 
 
 @functools.cache
