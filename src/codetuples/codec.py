@@ -15,10 +15,10 @@ Each memo is keyed by the bits that decide its answer:
   exactly when one of its keys is a prefix of the view.
 - a tail's completions, or that it has none, by (table, bits left).
 - a symbol's identification by (table, its identifying prefix) and by
-  (table, the bits a step reads): until one symbol is left, the scan reads
-  no bit past the offset it has reached, so every view starting with that
-  prefix is identified there alike.  A view that identifies nothing is
-  stored as such, under itself alone.
+  (table, the bits a step reads): each row stays consistent up to its reach
+  into the bits, and no bit past an offset decides whether it gets there,
+  so every view starting with that prefix is identified there alike.  A
+  view that identifies nothing is stored as such, under itself alone.
 Decoding, tail completion and the round-trip delay scan all walk the tuple's
 emission automaton, ``code.sets``, over ``str`` offsets.
 """
@@ -26,6 +26,7 @@ emission automaton, ``code.sets``, over ``str`` offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os.path import commonprefix
 import random
 
 from .bits import Bits
@@ -116,11 +117,6 @@ def _completions(auto, tail, table):
     return tuple(found[:COMPLETION_CAP]), len(found) > COMPLETION_CAP
 
 
-def _common_prefix(seqs):
-    lo, hi = min(seqs, default=()), max(seqs, default=())
-    return next((lo[:n] for n, (a, b) in enumerate(zip(lo, hi)) if a != b), lo)
-
-
 def _decode(auto, k, start, text, steps, tails):
     """Decode text from start; ``steps[i]`` maps the bits a step reads in
     table i to (symbol, codeword length, target, more than one row fits) for
@@ -181,7 +177,7 @@ def _decode(auto, k, start, text, steps, tails):
             "with delay %d there" % (pos, table, text[pos:], k)) from None
     # With the list capped an unseen completion could disagree, so only an
     # uncapped consensus is safe to emit.
-    settled = _common_prefix(completions) if not capped else ()
+    settled = commonprefix(completions) if not capped else ()
     if settled:
         for s in settled:
             w, table, _ = rows[table][s]
@@ -212,23 +208,31 @@ def decode(code, start, bits, k=K):
 
 def _identify(auto, table, text):
     """(offset, symbol) once text[:offset] leaves one symbol of ``table``
-    consistent (more bits only rule more out), or None if text never does."""
-    cands = auto.rows[table]
-    for t in range(len(text) + 1):
-        cands = [(w, j, s) for w, j, s in cands if text.startswith(w[:t])
-                 and (len(w) >= t or auto._search(text, j, len(w), t)[1])]
-        if len(cands) == 1:
-            return t, cands[0][2]
-    return None
+    consistent (more bits only rule more out), or None if text never does.
+    Each row is consistent up to its reach, the longest prefix of text its
+    codeword, then an emission from its target, agrees with: a walk past
+    the codeword to text's end reaches all of it, else the codewords that
+    may pass the walk's furthest state tell.  A unique longest reach
+    identifies one past the second-longest."""
+    rows, reaches = auto.rows, [(-1, -1)]
+    for w, j, s in rows[table]:
+        walk, whole = auto._search(text, j, len(w)) if text.startswith(w) \
+            else ((), False)
+        top = max(u for _, u in walk) if walk else len(commonprefix((w, text)))
+        reaches.append((len(text) if whole else max([top] + [
+            u + len(commonprefix((c, text[u:u + len(c)])))
+            for i, u in walk for c, _, _ in rows[i] if u + len(c) > top]), s))
+    (second, _), (reach, s) = sorted(reaches)[-2:]
+    return (second + 1, s) if reach > second else None
 
 
 def _delays(auto, start, seq, text, k, memo):
     """Identify each symbol within the bits a k-delay step reads, else on
-    all of it.  ``memo`` maps (table, bits) to the (offset, symbol) that
-    ``_identify`` finds on any bits starting with them, or to () when the
-    bits alone identify nothing; None is never stored.  Up to the offset
-    the scan reads only the bits before it, so a found one is stored under
-    its identifying prefix and under the bits read."""
+    views of the rest, unstored, growing from w to 2w + 1 bits until one
+    does or the stream ends.  ``memo`` maps (table, bits) to the (offset,
+    symbol) ``_identify`` finds on any bits starting with them, or to ()
+    when they alone identify nothing, never to None.  No later bit decides
+    it, so a found one is stored under its identifying prefix and the view."""
     rows, longest = auto.rows, auto.longest
     table, pos, delays = start, 0, []
     for s in seq:
@@ -243,8 +247,9 @@ def _delays(auto, start, seq, text, k, memo):
                 if found:
                     memo[table, view[:found[0]]] = found
             memo[table, view] = found
-        if not found and pos + len(view) < len(text):  # more bits may tell
-            found = _identify(auto, table, text[pos:])
+        while not found and pos + len(view) < len(text):  # more bits may tell
+            view = text[pos:pos + 2 * len(view) + 1]
+            found = _identify(auto, table, view)
         if not found:
             break  # never the only explanation: the decoder's dangling tail
         if found[1] != s:

@@ -181,10 +181,9 @@ class PrefixSetTable:
         check_table(table, len(self.rows))
         return self._search(str(Bits(text)), table)
 
-    def _search(self, text, table, pos=0, end=None):
-        """``search`` from (table, pos) inside text[pos:end], for checked
+    def _search(self, text, table, pos=0):
+        """``search`` from (table, pos) inside text[pos:], for checked
         arguments, as the codec passes them."""
-        end = len(text) if end is None else end
         graph = {}
         reaches = False
         stack = [(table, pos)]
@@ -193,16 +192,15 @@ class PrefixSetTable:
             if state in graph:
                 continue
             j, u = state
-            left = end - u
+            left = len(text) - u
             edges = graph[state] = []
             reaches = reaches or left == 0
             for w, t, s in self.rows[j] if left else ():
-                if len(w) <= left:
-                    if text.startswith(w, u):
-                        nxt = (t, u + len(w))
-                        edges.append((s, nxt))
-                        stack.append(nxt)
-                elif text.startswith(w[:left], u):
+                if text.startswith(w, u):
+                    nxt = (t, u + len(w))
+                    edges.append((s, nxt))
+                    stack.append(nxt)
+                elif text.startswith(w[:left], u):  # w runs past text's end
                     reaches = True
         return graph, reaches
 

@@ -4,7 +4,8 @@ combine, the old aifv membership test, a per-table verdict from the aifv
 clauses, the old rational stationary solve, the old Fraction-summed costs
 (transition matrix, table and average lengths, the Huffman cost) and
 rounding, an exact redundancy test, the codec's old tail completions on a
-repeated sweep of finishing lengths, and a random tuple generator.
+repeated sweep of finishing lengths, the codec's old per-bit symbol
+identification, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -317,6 +318,19 @@ def oracle_identification_delays(code, start, seq, bits=None):
         pos = boundary
         table = code.target(table, s)
     return delays
+
+
+def oracle_identify(auto, table, text):
+    """``codec._identify`` as it was: the candidate rows narrowed one bit at
+    a time, each survivor whose codeword the bits read so far pass checked
+    by a walk of the automaton over those bits alone."""
+    cands = auto.rows[table]
+    for t in range(len(text) + 1):
+        cands = [(w, j, s) for w, j, s in cands if text.startswith(w[:t])
+                 and (len(w) >= t or auto._search(text[:t], j, len(w))[1])]
+        if len(cands) == 1:
+            return t, cands[0][2]
+    return None
 
 
 def oracle_roundtrip_check(code, k=2, trials=1000, max_len=12, seed=None):

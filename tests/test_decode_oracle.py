@@ -2,7 +2,9 @@
 
 ``support.oracle_decode`` and ``support.oracle_identification_delays`` are
 the decoder and delay scan as they stood on ``Bits`` slices, with their own
-state searches.  Every field of the result must agree: symbols, end table,
+state searches; ``support.oracle_identify`` is the codec's symbol
+identification as it stood before it read each candidate's reach, one
+bounded search per candidate per bit.  Every field of the result must agree: symbols, end table,
 tail, completions, capped and conflicts, or both must refuse the bits.
 ``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
 decoder per trial, against the codec's dicts of steps shared by the trials.
@@ -10,7 +12,9 @@ decoder per trial, against the codec's dicts of steps shared by the trials.
 steps probed from ``fits`` are checked.  ``support.oracle_completions`` is
 the tail listing on a repeated sweep of finishing lengths, against which
 the codec's walk by slack budgets is checked; its work is counted in reads
-of the emission graph, which must grow linearly with the tail.
+of the emission graph, which must grow linearly with the tail.  The
+identification's work is counted in the states its walks return, which
+must grow linearly with the stream.
 """
 
 import copy
@@ -30,8 +34,8 @@ from codetuples.prefix_sets import encode_from
 from codetuples.reference import TUPLES
 
 from support import (NAME_POOL, oracle_completions, oracle_decode,
-                     oracle_identification_delays, oracle_roundtrip_check,
-                     random_code_tuple, random_seq)
+                     oracle_identification_delays, oracle_identify,
+                     oracle_roundtrip_check, random_code_tuple, random_seq)
 
 STREAM_KEYS = ("r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10")
 
@@ -287,8 +291,8 @@ class CountingGraph(dict):
             yield item
 
 
-# a stream four times as long may cost at most this many times the reads;
-# work quadratic in the tail's length gives about 16
+# a stream four times as long may cost at most this many times the reads
+# or states; work quadratic in its length gives about 16
 GROWTH = 6
 
 
@@ -400,6 +404,99 @@ def test_identification_delays_match_the_oracle():
         seq = random_seq(rng, code, 8)
         assert identification_delays(code, start, seq) == \
             oracle_identification_delays(code, start, seq), (code, seq)
+
+
+def random_short_tuple(rng):
+    """1-3 tables, 1-4 symbols, codewords of 0-3 bits: empty codewords,
+    and cycles of them, are common."""
+    tables, sigma = rng.randint(1, 3), rng.randint(1, 4)
+    return make_tuple(NAME_POOL[:sigma], [
+        [("".join(rng.choice("01") for _ in range(rng.randint(0, 3))) or "-",
+          rng.randrange(tables)) for _ in range(sigma)]
+        for _ in range(tables)])
+
+
+def test_identify_matches_the_per_bit_oracle_on_every_short_text():
+    rng = random.Random(4410)
+    texts = ["".join(bits) for n in range(11)
+             for bits in itertools.product("01", repeat=n)]
+    seen = set()
+    for _ in range(12):
+        code = random_short_tuple(rng)
+        seen.update(["one symbol"] * (code.sigma == 1)
+                    + ["empty-codeword cycle"] * has_empty_cycle(code))
+        for table in code.table_indices():
+            for text in texts:
+                want = oracle_identify(code.sets, table, text)
+                assert codec._identify(code.sets, table, text) == want, \
+                    (code, table, text)
+                seen.add("none" if want is None else "found at %d" % min(
+                    want[0], 4))
+    assert len(seen) == 8, seen
+
+
+def test_identify_one_symbol_empty_text_and_tied_reaches():
+    one = make_tuple(("a",), [[("01", 0)]])
+    for text in ("", "1", "0110"):  # one symbol is identified by no bit
+        assert codec._identify(one.sets, 0, text) == \
+            oracle_identify(one.sets, 0, text) == (0, 0)
+    for code in (EMPTY_LOOP, ENDLESS, AMBIGUOUS[0]):  # no bit read, no one
+        assert codec._identify(code.sets, 0, "") is None
+        assert oracle_identify(code.sets, 0, "") is None
+    # a and b share the codeword 0, so they tie on every text it starts;
+    # c (1) is identified by its first bit, which rules them both out
+    tied = AMBIGUOUS[1]
+    for text in ("0", "01", "0110"):
+        assert codec._identify(tied.sets, 0, text) is None
+    assert codec._identify(tied.sets, 0, "10") == (1, 2)
+    # a's empty codeword reaches every text, as b and c do with theirs
+    for text in ("0", "1", "0110"):
+        assert codec._identify(EMPTY_LOOP.sets, 0, text) is None
+        assert oracle_identify(EMPTY_LOOP.sets, 0, text) is None
+
+
+# one table, where 110 and 11 can both go on 1 for many bits: a third of
+# the symbols need more than 2 bits past their codeword, a few over 10
+DELAY_3 = make_tuple(("a", "b", "c"), [[("110", 0), ("01", 0), ("11", 0)]])
+
+
+@pytest.mark.parametrize("code", [EMPTY_LOOP, ENDLESS, DELAY_3],
+                         ids=["empty loop", "two-table cycle", "delay-3 tuple"])
+def test_identification_work_grows_linearly(monkeypatch, code):
+    # on the loops the first symbol is never identified, so its views grow
+    # to the whole stream; on DELAY_3 many symbols need wider views
+    search, states = PrefixSetTable._search, []
+
+    def counting_search(auto, *args):
+        graph, reaches = search(auto, *args)
+        states[-1] += len(graph)
+        return graph, reaches
+    monkeypatch.setattr(PrefixSetTable, "_search", counting_search)
+    for n in (500, 2000):
+        rng = random.Random(n)
+        seq = [rng.randrange(code.sigma) for _ in range(n)]
+        states.append(0)
+        delays = identification_delays(CodeTuple(code.alphabet, code.tables),
+                                       0, seq)
+        assert max(delays) > 2 if code is DELAY_3 else not delays
+    assert states[1] <= GROWTH * states[0], states
+
+
+# table 0's codewords are both empty, so at k = 0 a step there reads no bit
+# and its view identifies nothing: only views that grow reach a 1-bit one
+ZERO_WIDTH = make_tuple(("a", "b"), [[("-", 1), ("-", 1)],
+                                     [("0", 0), ("1", 0)]])
+
+
+def test_zero_width_views_grow_and_finish():
+    rng = random.Random(4411)
+    seq = tuple(rng.randrange(2) for _ in range(1000))
+    for start in (0, 1):
+        assert identification_delays(ZERO_WIDTH, start, seq) == \
+            oracle_identification_delays(ZERO_WIDTH, start, seq)
+    report = assert_same_roundtrip(ZERO_WIDTH, 0, seed=4411, trials=300,
+                                   max_len=6)
+    assert report.failure_count < report.trials
 
 
 def assert_same_roundtrip(code, k, seed, trials=60, max_len=10):
