@@ -92,9 +92,9 @@ def oracle_delay_violations(code, k):
     return tuple(out)
 
 
-def random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=4):
+def random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=4, min_sigma=2):
     tables = rng.randint(1, max_tables)
-    sigma = rng.randint(2, max_sigma)
+    sigma = rng.randint(min_sigma, max_sigma)
     rows = []
     for _ in range(tables):
         row = []

@@ -4,8 +4,9 @@
 the decoder and delay scan as they stood on ``Bits`` slices, with their own
 state searches; ``support.oracle_identify`` is the codec's symbol
 identification as it stood before it read each candidate's reach, one
-bounded search per candidate per bit.  Every field of the result must agree: symbols, end table,
-tail, completions, capped and conflicts, or both must refuse the bits.
+bounded search per candidate per bit.  Every field of the result must
+agree: symbols, end table, tail, completions, capped and conflicts, or
+both must refuse the bits.
 ``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
 decoder per trial, against the codec's dicts of steps shared by the trials.
 ``scan_step`` is a greedy step as a scan of every row, against which the
@@ -406,23 +407,16 @@ def test_identification_delays_match_the_oracle():
             oracle_identification_delays(code, start, seq), (code, seq)
 
 
-def random_short_tuple(rng):
-    """1-3 tables, 1-4 symbols, codewords of 0-3 bits: empty codewords,
-    and cycles of them, are common."""
-    tables, sigma = rng.randint(1, 3), rng.randint(1, 4)
-    return make_tuple(NAME_POOL[:sigma], [
-        [("".join(rng.choice("01") for _ in range(rng.randint(0, 3))) or "-",
-          rng.randrange(tables)) for _ in range(sigma)]
-        for _ in range(tables)])
-
-
 def test_identify_matches_the_per_bit_oracle_on_every_short_text():
     rng = random.Random(4410)
     texts = ["".join(bits) for n in range(11)
              for bits in itertools.product("01", repeat=n)]
     seen = set()
     for _ in range(12):
-        code = random_short_tuple(rng)
+        # 1-4 symbols and 0-3-bit codewords: empty codewords, and cycles of
+        # them, are common
+        code = random_code_tuple(rng, max_tables=3, max_sigma=4, max_len=3,
+                                 min_sigma=1)
         seen.update(["one symbol"] * (code.sigma == 1)
                     + ["empty-codeword cycle"] * has_empty_cycle(code))
         for table in code.table_indices():
