@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from .errors import InvalidArgument
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes the bits, leaves the rest
+
 
 class Bits:
     """An immutable sequence over {0, 1}.
@@ -22,7 +24,7 @@ class Bits:
     def __init__(self, bits=""):
         if isinstance(bits, Bits):
             s = bits._s
-        elif isinstance(bits, str) and not bits.strip("01"):
+        elif isinstance(bits, str) and not bits.translate(_NOT_BITS):
             s = bits
         else:  # also an int whose digits are all 0s and 1s
             raise InvalidArgument("not a binary string: %r" % (bits,))

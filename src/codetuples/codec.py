@@ -9,8 +9,8 @@ revisit a (table, offset) state through an empty codeword.
 
 Each memo is keyed by the bits that decide its answer:
 - a greedy step by the bits it reads, at most its table's longest codeword
-  plus k, in one dict per table and call (``roundtrip_check``'s trials share
-  one call's dicts).  A missed view probes the automaton's ``fits(k)``, keyed
+  plus k, in the automaton's ``steps(k)``: one dict per table, kept with the
+  tuple, of at most STEP_CAP views.  A missed view probes ``fits(k)``, keyed
   by each codeword plus a k-bit window its target can emit: a row fits
   exactly when one of its keys is a prefix of the view.
 - a tail's completions, or that it has none, by (table, bits left).
@@ -35,6 +35,7 @@ from .prefix_sets import (K, check_code, check_indices, check_int, check_k,
                           encode_from)
 
 COMPLETION_CAP = 16
+STEP_CAP = 2 ** 12  # views per table in ``steps(k)``, whatever the streams
 FAILURE_CAP = 10
 ROUNDTRIP_SYMBOL_CAP = 10 ** 6  # trials * max_len, the most symbols drawn
 
@@ -118,11 +119,10 @@ def _completions(auto, tail, table):
 
 
 def _decode(auto, k, start, text, steps, tails):
-    """Decode text from start; ``steps[i]`` maps the bits a step reads in
-    table i to (symbol, codeword length, target, more than one row fits) for
-    the lowest fitting symbol, or () when none fits, and ``tails`` maps
-    (table, bits left) to their completions, or to None when no emission
-    starts with the bits left."""
+    """Decode text from start.  ``steps[i]``, at most STEP_CAP views, maps
+    the bits a step reads in table i to the lowest fitting row's (symbol,
+    codeword length, target, more than one row fits), () if none fits, and
+    ``tails`` (table, bits left) to their completions, None if unemittable."""
     rows, fits = auto.rows, auto.fits(k)
     widths = [n + k for n in auto.longest]
     symbols, table, pos, conflicts = [], start, 0, 0
@@ -140,7 +140,8 @@ def _decode(auto, k, start, text, steps, tails):
                 fit = keys.get(view[:n])
                 if fit:  # a second row only flags a conflict
                     step = min(step, fit)[:3] + (True,) if step else fit
-            memo[view] = step
+            if len(memo) < STEP_CAP:  # bounded whatever the streams
+                memo[view] = step
         if not step:
             break
         s, n, t, conflict = step
@@ -202,8 +203,8 @@ def decode(code, start, bits, k=K):
     greedy step went wrong: the tuple is not decodable with delay k there.
     """
     check_indices(code, start)
-    steps = [{} for _ in code.tables]
-    return _decode(code.sets, k, start, str(Bits(bits)), steps, {})
+    sets = code.sets
+    return _decode(sets, k, start, str(Bits(bits)), sets.steps(k), {})
 
 
 def _identify(auto, table, text):
@@ -322,7 +323,6 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
     rng = random.Random(seed)
     randrange, sigma = rng.randrange, code.sigma
     auto, tails, scans = code.sets, {}, {}  # shared by the trials
-    steps = [{} for _ in code.tables]
     failures, count, max_delay, conflicts = [], 0, 0, 0
 
     def fail(trial, start, seq, reason):
@@ -336,7 +336,7 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
         seq = tuple(randrange(sigma) for _ in range(rng.randint(1, max_len)))
         text = auto._emit(start, seq)[0]
         try:
-            result = _decode(auto, k, start, text, steps, tails)
+            result = _decode(auto, k, start, text, auto.steps(k), tails)
         except NoConsistentCompletion as exc:
             fail(trial, start, seq, "no completion: %s" % exc)
             continue

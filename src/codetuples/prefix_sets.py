@@ -88,6 +88,7 @@ class PrefixSetTable:
         self._reach = tuple(map(self._reached_rows, range(len(self.rows))))
         self._words = {}
         self._fits = {}
+        self._steps = {}
 
     def _reached_rows(self, i):
         """The rows of the tables i reaches by empty codewords, i included."""
@@ -143,6 +144,13 @@ class PrefixSetTable:
                 tables.append((keys, sorted(set(map(len, keys)))))
             self._fits[k] = tuple(tables)
         return self._fits[k]
+
+    def steps(self, k):
+        """Per table, the greedy steps ``codec`` read at delay k, by view."""
+        check_k(k)  # before the lookup, as in ``fits``
+        if k not in self._steps:
+            self._steps[k] = tuple({} for _ in self.rows)
+        return self._steps[k]
 
     def base(self, i, k):
         """All k-bit strings table i can emit next, as ``Bits`` (``words``)."""

@@ -1,11 +1,11 @@
 """Shared test helpers: a definitional continuation-set oracle, the old
-greedy decoder and a round trip on it, the old search scan, walk and
-combine, the old aifv membership test, a per-table verdict from the aifv
-clauses, the old rational stationary solve, the old Fraction-summed costs
-(transition matrix, table and average lengths, the Huffman cost) and
-rounding, an exact redundancy test, the codec's old tail completions on a
-repeated sweep of finishing lengths, the codec's old per-bit symbol
-identification, and a random tuple generator.
+greedy decoder, a bit-by-bit delay scan and a round trip on them, the old
+search scan, walk and combine, the old aifv membership test, a per-table
+verdict from the aifv clauses, the old rational stationary solve, the old
+Fraction-summed costs (transition matrix, table and average lengths, the
+Huffman cost) and rounding, an exact redundancy test, the codec's old tail
+completions on a repeated sweep of finishing lengths, the codec's old
+per-bit symbol identification, and a random tuple generator.
 
 The continuation oracle explores source sequences directly, memoized on
 (table, emitted-prefix) states, so it never touches the library's
@@ -137,7 +137,9 @@ def all_sequences(sigma, max_len):
 # The greedy decoder as it stood before the codec moved onto the emission
 # automaton, kept verbatim on ``Bits`` as the oracle for differential tests.
 # It does not terminate on tuples whose greedy scan can loop through empty
-# codewords, so only call it on tuples without such loops.
+# codewords, so only call it on tuples without such loops.  The delay scan
+# beside it reads ``Bits`` through ``code.code`` and ``code.target`` alone,
+# one bit at a time, and ends on any tuple.
 # --------------------------------------------------------------------------
 
 ORACLE_COMPLETION_CAP = 16
@@ -281,18 +283,28 @@ def oracle_decode(code, start, bits, k=2):
     return DecodeResult(tuple(symbols), start, table, info)
 
 
-def _oracle_consistent(code, table, s, obs):
-    w = code.code(table, s)
-    if obs.is_prefix_of(w):
-        return True
-    if w.is_prefix_of(obs):
-        return oracle_achievable(code, code.target(table, s),
-                                 obs[len(w):])
-    return False
+def _oracle_read(code, states, bit):
+    """The states (table, symbol, bits of its codeword read) a candidate is
+    in after one more bit, from those it was in: a state at the end of its
+    codeword goes on with every codeword of its target, once per table,
+    which also ends a loop of empty codewords."""
+    out, frontier, opened = set(), list(states), set()
+    for j, s, d in frontier:  # the list grows while it is read
+        w, t = code.code(j, s), code.target(j, s)
+        if d < len(w):
+            if w[d] == bit:
+                out.add((j, s, d + 1))
+        elif t not in opened:
+            opened.add(t)
+            frontier.extend((t, s2, 0) for s2 in code.alphabet)
+    return out
 
 
 def oracle_identification_delays(code, start, seq, bits=None):
-    """The old bit-by-bit identification scan."""
+    """The bit-by-bit identification scan.  Each candidate symbol carries
+    the states the bits read so far leave it in, one bit at a time, and
+    stays consistent while it has one: its codeword, then some emission
+    from its target, agrees with every bit read."""
     if bits is None:
         bits, _ = encode_from(code, start, seq)
     table = start
@@ -300,18 +312,20 @@ def oracle_identification_delays(code, start, seq, bits=None):
     delays = []
     for s in seq:
         boundary = pos + len(code.code(table, s))
+        live = {s2: {(table, s2, 0)} for s2 in code.alphabet}
         identified = None
         for t in range(pos, len(bits) + 1):
-            obs = bits[pos:t]
-            cands = [s2 for s2 in code.alphabet
-                     if _oracle_consistent(code, table, s2, obs)]
-            if len(cands) == 1:
-                if cands[0] != s:
+            if len(live) == 1:
+                if s not in live:
                     raise AssertionError(
                         "identification scan contradicts the source at "
                         "table %d, bit %d" % (table, t))
                 identified = t
                 break
+            if not live or t == len(bits):
+                break  # none comes back once all are gone, or the bits end
+            live = {s2: after for s2, states in live.items()
+                    if (after := _oracle_read(code, states, bits[t]))}
         if identified is None:
             break
         delays.append(max(0, identified - boundary))

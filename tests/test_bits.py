@@ -15,6 +15,13 @@ def test_construction_and_len():
         Bits("012")
 
 
+@pytest.mark.parametrize("value", ["012", "0 1", "\uff11", "\n", 1, 10])
+def test_construction_refuses_all_but_0_and_1(value):
+    with pytest.raises(ValueError) as info:
+        Bits(value)
+    assert str(info.value) == "not a binary string: %r" % (value,)
+
+
 def test_indexing_and_iteration():
     b = Bits("0110")
     assert b[0] == 0

@@ -62,12 +62,16 @@ def test_values_copy_and_pickle(how):
         twin = duplicate(value)
         assert twin == value and type(twin) is type(value), value
     for sets_built in (False, True):
+        bits = encode(TUPLES["r3"], 0, (0, 1, 2, 3, 2, 1))[0]
         code = CodeTuple(TUPLES["r3"].alphabet, TUPLES["r3"].tables)
-        if sets_built:
-            code.sets
-        bits = encode(code, 0, (0, 1, 2, 3, 2, 1))[0]
+        assert "sets" not in vars(code)
+        if sets_built:  # and its step tables filled, which the twin carries
+            decode(code, 0, bits)
+            assert any(code.sets.steps(2))
         twin = duplicate(code)
         assert twin == code and hash(twin) == hash(code), sets_built
+        if sets_built:
+            assert twin.sets.steps(2) == code.sets.steps(2)
         for cut in (len(bits), len(bits) - 1):
             assert decode(twin, 0, bits[:cut]) == \
                 decode(code, 0, bits[:cut]), (sets_built, cut)

@@ -1,14 +1,16 @@
 """The codec's emission automaton against the old greedy decoder.
 
-``support.oracle_decode`` and ``support.oracle_identification_delays`` are
-the decoder and delay scan as they stood on ``Bits`` slices, with their own
-state searches; ``support.oracle_identify`` is the codec's symbol
+``support.oracle_decode`` is the decoder as it stood on ``Bits`` slices,
+and ``support.oracle_identification_delays`` a delay scan on ``Bits`` that
+carries each candidate's automaton states one bit at a time, each with its
+own state search; ``support.oracle_identify`` is the codec's symbol
 identification as it stood before it read each candidate's reach, one
 bounded search per candidate per bit.  Every field of the result must
 agree: symbols, end table, tail, completions, capped and conflicts, or
 both must refuse the bits.
 ``support.oracle_roundtrip_check`` runs the round trip on them, one fresh
-decoder per trial, against the codec's dicts of steps shared by the trials.
+decoder per trial, against the codec, whose step tables live on the tuple's
+automaton (``steps(k)``), shared by the trials and by every later decode.
 ``scan_step`` is a greedy step as a scan of every row, against which the
 steps probed from ``fits`` are checked.  ``support.oracle_completions`` is
 the tail listing on a repeated sweep of finishing lengths, against which
@@ -30,7 +32,7 @@ from codetuples import (CodeTuple, PrefixSetTable, classify, decode,
 from codetuples.bits import Bits
 from codetuples import codec
 from codetuples.codec import _decode, _delays
-from codetuples.errors import NoConsistentCompletion
+from codetuples.errors import CodeTupleError, NoConsistentCompletion
 from codetuples.prefix_sets import encode_from
 from codetuples.reference import TUPLES
 
@@ -143,8 +145,9 @@ def test_every_short_string_on_ambiguous_tuples(code):
                     assert_same_decode(code, start, Bits("".join(text)), k)
 
 
-@pytest.mark.parametrize("key", STREAM_KEYS)
-def test_long_reference_streams_decode_like_the_oracle(key):
+def reference_stream(key):
+    """A seeded stream of at least 4,096 bits on a reference tuple, and the
+    generator, which goes on to draw its cut."""
     code = TUPLES[key]
     rng = random.Random("stream:" + key)
     start = rng.randrange(code.num_tables)
@@ -153,6 +156,12 @@ def test_long_reference_streams_decode_like_the_oracle(key):
     while len(bits) < 4096:
         seq.extend(random_seq(rng, code, 256))
         bits, _ = encode_from(code, start, seq)
+    return code, start, bits, rng
+
+
+@pytest.mark.parametrize("key", STREAM_KEYS)
+def test_long_reference_streams_decode_like_the_oracle(key):
+    code, start, bits, rng = reference_stream(key)
     assert_same_decode(code, start, bits)
     assert_same_decode(code, start, bits[:len(bits) - rng.randint(1, 16)])
 
@@ -161,9 +170,10 @@ EMPTY_LOOP = make_tuple(("a", "b", "c"), [[("-", 0), ("0", 0), ("1", 0)]])
 
 
 def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
-    # one process decodes the same tuples at k = 2, 1 and 2 again; dicts of
-    # steps shared by every stream of a tuple, as roundtrip_check shares them
-    # across its trials, must change no result
+    # one process decodes the same tuples at k = 2, 1 and 2 again, and
+    # round-trips them; the automaton's own step tables, kept from call to
+    # call, and dicts shared by every stream of a tuple, as roundtrip_check
+    # shares them across its trials, must change no result
     rng = random.Random(4406)
     cases = []
     for code in [TUPLES[key] for key in STREAM_KEYS] + [EMPTY_LOOP]:
@@ -189,13 +199,69 @@ def test_shared_step_dicts_decode_like_fresh_tuples_and_the_oracle():
             steps = shared.setdefault(code, [{} for _ in code.tables])
             assert outcome(_decode, code.sets, k, start, str(bits), steps,
                            {}) == want
-            for memo, longest in zip(steps, code.sets.longest):
+            for memo, own, longest in zip(steps, code.sets.steps(k),
+                                          code.sets.longest):
                 assert len(memo) <= 2 ** (longest + k + 1)
-    # the step keys are the tuple's, at most sigma * 2**k per table, and
-    # decoding never grows them
+                assert len(own) <= 2 ** (longest + k + 1)
+        for code in dict.fromkeys(code for code, _, _ in cases):
+            seed = rng.randrange(999)
+            fresh = CodeTuple(code.alphabet, code.tables)
+            want = roundtrip_check(fresh, k, 30, 10, seed)
+            assert roundtrip_check(code, k, 30, 10, seed) == want
+            if not has_empty_cycle(code):
+                assert want == oracle_roundtrip_check(code, k, 30, 10, seed)
+    # every step the automaton keeps is a scan's of every row; the step
+    # keys are the tuple's, at most sigma * 2**k per table, and decoding
+    # never grows them
     for (code, k), want in fits.items():
+        for table, memo in enumerate(code.sets.steps(k)):
+            for view, step in memo.items():
+                assert step == scan_step(code, k, table, view)
         assert code.sets.fits(k) == want
         assert all(len(keys) <= code.sigma * 2 ** k for keys, _ in want)
+
+
+def test_a_second_decode_of_the_same_bits_adds_no_view():
+    rng = random.Random(4412)
+    for key in STREAM_KEYS:
+        code = CodeTuple(TUPLES[key].alphabet, TUPLES[key].tables)
+        start = rng.randrange(code.num_tables)
+        bits, _ = encode_from(code, start, random_seq(rng, code, 300))
+        for k in (1, 2):
+            first = outcome(decode, code, start, bits, k)
+            views = [dict(memo) for memo in code.sets.steps(k)]
+            assert any(views), key
+            assert outcome(decode, code, start, bits, k) == first
+            assert [dict(memo) for memo in code.sets.steps(k)] == views
+
+
+def test_the_step_cap_bounds_every_table(monkeypatch):
+    # with a cap of 4 views the r5 streams leave every table at 4 or
+    # fewer, and a missed view not kept is probed again alike
+    code, start, bits, _ = reference_stream("r5")
+    texts = (bits, bits[:len(bits) - 7], bits[:1024])
+    fresh = CodeTuple(code.alphabet, code.tables)
+    want = [outcome(decode, fresh, start, text, k)
+            for k in (1, 2, 3) for text in texts]
+    monkeypatch.setattr(codec, "STEP_CAP", 4)
+    capped = CodeTuple(code.alphabet, code.tables)
+    assert [outcome(decode, capped, start, text, k)
+            for k in (1, 2, 3) for text in texts] == want
+    sizes = [len(memo) for k in (1, 2, 3) for memo in capped.sets.steps(k)]
+    assert max(sizes) == 4, sizes  # reached, never passed
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2", 9, -1])
+def test_steps_refuse_a_k_as_fits_does(k):
+    sets = CodeTuple(TUPLES["r3"].alphabet, TUPLES["r3"].tables).sets
+    for stored in (1, 2):  # a lookup before the check would find 2.0, True
+        sets.fits(stored)
+        sets.steps(stored)
+    with pytest.raises(CodeTupleError) as want:
+        sets.fits(k)
+    with pytest.raises(type(want.value)) as got:
+        sets.steps(k)
+    assert str(got.value) == str(want.value)
 
 
 def test_a_shared_tails_dict_searches_each_tail_once(monkeypatch):
