@@ -26,9 +26,9 @@ from .search import FILTERS, TABLES, SearchSpace, enumerate_min, huffman_length
 from .transforms import PRECEDING, REWRITES, chain_to_class, rewrite_step
 
 
-def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read(path):  # the parsers' splitlines and split read \r\n as text mode
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read().decode("utf-8-sig")
 
 
 def _load_tuple(path):

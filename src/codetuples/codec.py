@@ -14,11 +14,11 @@ Each memo is keyed by the bits that decide its answer:
   by each codeword plus a k-bit window its target can emit: a row fits
   exactly when one of its keys is a prefix of the view.
 - a tail's completions, or that it has none, by (table, bits left).
-- a symbol's identification by (table, its identifying prefix) and by
-  (table, the bits a step reads): each row stays consistent up to its reach
-  into the bits, and no bit past an offset decides whether it gets there,
-  so every view starting with that prefix is identified there alike.  A
-  view that identifies nothing is stored as such, under itself alone.
+- a symbol's identification, in one dict per table, by its identifying
+  prefix and by the bits a step reads: each row stays consistent up to its
+  reach into the bits, and no bit past an offset decides whether it gets
+  there, so every view starting with that prefix is identified there alike.
+  A view that identifies nothing is stored as such, under itself alone.
 Decoding, tail completion and the round-trip delay scan all walk the tuple's
 emission automaton, ``code.sets``, over ``str`` offsets.
 """
@@ -119,10 +119,11 @@ def _completions(auto, tail, table):
 
 
 def _decode(auto, k, start, text, steps, tails):
-    """Decode text from start.  ``steps[i]``, at most STEP_CAP views, maps
-    the bits a step reads in table i to the lowest fitting row's (symbol,
-    codeword length, target, more than one row fits), () if none fits, and
-    ``tails`` (table, bits left) to their completions, None if unemittable."""
+    """Decode text from start to (symbols, end table, tail, completions,
+    capped, conflicts).  ``steps[i]``, at most STEP_CAP views, maps the bits
+    a step reads in table i to the lowest fitting row's (symbol, length,
+    target, more than one row fits), () if none fits, and ``tails`` (table,
+    bits left) to their completions, None if unemittable."""
     rows, fits = auto.rows, auto.fits(k)
     widths = [n + k for n in auto.longest]
     symbols, table, pos, conflicts = [], start, 0, 0
@@ -186,8 +187,7 @@ def _decode(auto, k, start, text, steps, tails):
             pos += len(w)
         completions, capped = complete()
 
-    info = DanglingInfo(Bits(text[pos:]), completions, capped, conflicts)
-    return DecodeResult(tuple(symbols), start, table, info)
+    return tuple(symbols), table, text[pos:], completions, capped, conflicts
 
 
 def decode(code, start, bits, k=K):
@@ -204,7 +204,19 @@ def decode(code, start, bits, k=K):
     """
     check_indices(code, start)
     sets = code.sets
-    return _decode(sets, k, start, str(Bits(bits)), sets.steps(k), {})
+    symbols, table, tail, *info = _decode(sets, k, start, str(Bits(bits)),
+                                          sets.steps(k), {})
+    return DecodeResult(symbols, start, table, DanglingInfo(Bits(tail), *info))
+
+
+def _agree(a, b):
+    """How many leading bits a and b share (``commonprefix``, made cheap)."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            return n
+        n += 1
+    return n
 
 
 def _identify(auto, table, text):
@@ -215,39 +227,43 @@ def _identify(auto, table, text):
     the codeword to text's end reaches all of it, else the codewords that
     may pass the walk's furthest state tell.  A unique longest reach
     identifies one past the second-longest."""
-    rows, reaches = auto.rows, [(-1, -1)]
+    rows, best, second, found = auto.rows, -1, -1, None
     for w, j, s in rows[table]:
-        walk, whole = auto._search(text, j, len(w)) if text.startswith(w) \
-            else ((), False)
-        top = max(u for _, u in walk) if walk else len(commonprefix((w, text)))
-        reaches.append((len(text) if whole else max([top] + [
-            u + len(commonprefix((c, text[u:u + len(c)])))
-            for i, u in walk for c, _, _ in rows[i] if u + len(c) > top]), s))
-    (second, _), (reach, s) = sorted(reaches)[-2:]
-    return (second + 1, s) if reach > second else None
+        reach = _agree(w, text)
+        if reach == len(w):  # text starts with w: walk on from its target
+            walk, whole = auto._search(text, j, reach)
+            top = max(u for _, u in walk)
+            reach = len(text) if whole else max([top] + [
+                u + _agree(c, text[u:u + len(c)])
+                for i, u in walk for c, _, _ in rows[i] if u + len(c) > top])
+        if reach > best:
+            best, second, found = reach, best, s
+        elif reach > second:
+            second = reach
+    return (second + 1, found) if best > second else None
 
 
-def _delays(auto, start, seq, text, k, memo):
+def _delays(auto, start, seq, text, k, memos):
     """Identify each symbol within the bits a k-delay step reads, else on
     views of the rest, unstored, growing from w to 2w + 1 bits until one
-    does or the stream ends.  ``memo`` maps (table, bits) to the (offset,
-    symbol) ``_identify`` finds on any bits starting with them, or to ()
-    when they alone identify nothing, never to None.  No later bit decides
-    it, so a found one is stored under its identifying prefix and the view."""
+    does or the stream ends.  ``memos[i]`` maps bits in table i to the
+    (offset, symbol) ``_identify`` finds on any bits starting with them, or
+    to () when they alone identify nothing, never to None.  No later bit
+    decides it, so a found one is stored under its identifying prefix too."""
     rows, longest = auto.rows, auto.longest
     table, pos, delays = start, 0, []
     for s in seq:
         w, nxt, _ = rows[table][s]
-        view = text[pos:pos + longest[table] + k]
-        found = memo.get((table, view))
+        view, memo = text[pos:pos + longest[table] + k], memos[table]
+        found = memo.get(view)
         if found is None:
-            found = next(filter(None, (memo.get((table, view[:n]))
+            found = next(filter(None, (memo.get(view[:n])
                                        for n in range(len(view)))), None)
             if found is None:
                 found = _identify(auto, table, view) or ()
                 if found:
-                    memo[table, view[:found[0]]] = found
-            memo[table, view] = found
+                    memo[view[:found[0]]] = found
+            memo[view] = found
         while not found and pos + len(view) < len(text):  # more bits may tell
             view = text[pos:pos + 2 * len(view) + 1]
             found = _identify(auto, table, view)
@@ -275,7 +291,8 @@ def identification_delays(code, start, seq, bits=None):
     seq = check_indices(code, start, seq)
     auto = code.sets
     text = auto._emit(start, seq)[0] if bits is None else str(Bits(bits))
-    return _delays(auto, start, seq, text, K, {})  # any view width is exact
+    memos = [{} for _ in auto.rows]
+    return _delays(auto, start, seq, text, K, memos)  # any width is exact
 
 
 @dataclass(frozen=True)
@@ -321,8 +338,8 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
             trials, max_len, ROUNDTRIP_SYMBOL_CAP))
     check_k(k)  # before the trials, of which there may be none
     rng = random.Random(seed)
-    randrange, sigma = rng.randrange, code.sigma
-    auto, tails, scans = code.sets, {}, {}  # shared by the trials
+    randrange, sigma, auto = rng.randrange, code.sigma, code.sets
+    steps, tails, scans = auto.steps(k), {}, [{} for _ in auto.rows]
     failures, count, max_delay, conflicts = [], 0, 0, 0
 
     def fail(trial, start, seq, reason):
@@ -336,25 +353,22 @@ def roundtrip_check(code, k=K, trials=1000, max_len=12, seed=None):
         seq = tuple(randrange(sigma) for _ in range(rng.randint(1, max_len)))
         text = auto._emit(start, seq)[0]
         try:
-            result = _decode(auto, k, start, text, auto.steps(k), tails)
+            got, *_, conflict = _decode(auto, k, start, text, steps, tails)
         except NoConsistentCompletion as exc:
             fail(trial, start, seq, "no completion: %s" % exc)
             continue
-        got = result.symbols
         if got != seq[:len(got)]:
             fail(trial, start, seq, "decoded %r instead of a prefix" % (got,))
             continue
-        conflicts += result.info.conflicts
+        conflicts += conflict
         n = len(got)  # the cut-stream contract owes seq[n] if k bits follow
         if n < len(seq) and len(auto._emit(start, seq[:n + 1])[0]) + k \
                 <= len(text):
             fail(trial, start, seq, "symbol %d not decoded, though at least "
                  "%d bits follow its codeword" % (n, k))
             continue
-        delays = _delays(auto, start, seq, text, k, scans)
-        if delays:
-            worst = max(delays)
-            max_delay = max(max_delay, worst)
-            if worst > k:
-                fail(trial, start, seq, "identification delay %d" % worst)
+        worst = max(_delays(auto, start, seq, text, k, scans), default=0)
+        max_delay = max(max_delay, worst)
+        if worst > k:
+            fail(trial, start, seq, "identification delay %d" % worst)
     return RoundTripReport(trials, tuple(failures), count, max_delay, conflicts)

@@ -383,11 +383,69 @@ def test_repeated_calls_in_one_process_match_fresh_processes(
         ["decode", "--help"],
         ["classify"],
     ]
+    for argv in calls:
+        _in_both(capsys, argv)
+
+
+def _in_both(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, once it matches a
+    fresh interpreter's."""
     src = os.path.dirname(os.path.dirname(codetuples.__file__))
     env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
-    for argv in calls:
-        fresh = subprocess.run(
-            [sys.executable, "-m", "codetuples.cli"] + argv, env=env,
-            capture_output=True, text=True, timeout=120)
-        got = _in_process(capsys, argv)
-        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    fresh = subprocess.run(
+        [sys.executable, "-m", "codetuples.cli"] + argv, env=env,
+        capture_output=True, text=True, timeout=120)
+    got = _in_process(capsys, argv)
+    assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    return got
+
+
+def _twin(tmp_path, path, name, change):
+    """A copy of the file at ``path`` with its bytes changed."""
+    twin = tmp_path / name
+    with open(path, "rb") as handle:
+        twin.write_bytes(change(handle.read()))
+    return str(twin)
+
+
+def _verbs(tuple_file, dist_file, bits_file):
+    """A verb that reads each kind of file: a tuple, a distribution (with
+    the tuple) and a bits file (with the tuple)."""
+    return [["classify", "--tuple", tuple_file],
+            ["avglen", "--tuple", tuple_file, "--dist", dist_file],
+            ["decode", "--tuple", tuple_file, "--bits-file", bits_file]]
+
+
+@pytest.fixture
+def inputs(files, tmp_path):
+    """The r3 tuple, the main distribution and a two-line bits file."""
+    bits_file = tmp_path / "stream.bits"
+    bits_file.write_text("1000\n001111110\n", encoding="utf-8")
+    return [files["r3"], files["dist"], str(bits_file)]
+
+
+def test_crlf_files_print_as_their_lf_twins(inputs, tmp_path, capsys):
+    crlf = [_twin(tmp_path, path, "crlf%d" % n,
+                  lambda text: text.replace(b"\n", b"\r\n"))
+            for n, path in enumerate(inputs)]
+    want = [_in_process(capsys, argv) for argv in _verbs(*inputs)]
+    assert [_in_both(capsys, argv) for argv in _verbs(*crlf)] == want
+    assert all(rc == 0 for rc, _, _ in want)
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["tuple", "dist", "bits"])
+def test_files_with_a_byte_order_mark_load(inputs, tmp_path, capsys, kind):
+    marked = list(inputs)
+    marked[kind] = _twin(tmp_path, inputs[kind], "bom",
+                         lambda text: "\ufeff".encode("utf-8") + text)
+    want = _in_process(capsys, _verbs(*inputs)[kind])
+    assert want[0] == 0 and not want[2]
+    assert _in_both(capsys, _verbs(*marked)[kind]) == want
+
+
+def test_a_file_that_is_not_utf8_names_the_byte(files, tmp_path, capsys):
+    path = tmp_path / "bad.ct"
+    path.write_bytes(b"alphabet a \xff b\ntables 1\n")
+    assert _in_both(capsys, ["classify", "--tuple", str(path)]) == (
+        1, "", "error: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "invalid start byte\n")
