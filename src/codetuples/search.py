@@ -24,8 +24,8 @@ each table depends only on the next-table choices, so the tables' expected
 lengths are minimized independently per guess and target assignment (one
 table's cost is its own expected length).  So a table's bucket (one target
 vector) keeps its first content and each length vector no other dominates,
-and the dominated ones the walk cannot drop cheaply: (3,2,3,f0) stores
-6,757 entries, of which 3,450 are a bucket's first or Pareto-minimal.
+and the few dominated ones the walk cannot drop cheaply: (3,2,3,f0) stores
+3,726 entries, of which 3,450 are a bucket's first or Pareto-minimal.
 The scan packs targets, length vectors and contents into ints (see _Scan).
 
 Under f0 only table 0 is walked: no f0 condition reads the table index, so
@@ -298,13 +298,15 @@ class _Scan(dict):
     width bits from bit width * (sigma - 1 - i), so contents compare as
     their sid tuples do.  A bucket (targets) holds, per lengths of the
     first sigma - 1 symbols, each last length shorter than every one
-    stored before it with them: its first lenvec, every one that no other
-    in it dominates, and some that a vector with other head lengths
-    dominates.  Each comes with the canonically first content with those
-    targets and codeword lengths, in ascending order.  Under f0, table 1
-    under (a, b) is the table 0 under (b, a), shared, not flipped, and
-    only the orbit keys are walked here, the least guess of each
-    complement orbit, then the combine's mirrors: (index, guess[, keep]).
+    stored before it with them or, before they were first walked, with
+    lengths one bit shorter for one of those symbols: its first lenvec,
+    every one that no other in it dominates, and a few that a vector with
+    other head lengths dominates.  Each comes with the canonically first
+    content with those targets and codeword lengths, in ascending order.
+    Under f0, table 1 under (a, b) is the table 0 under (b, a), shared,
+    not flipped, and only the orbit keys are walked here, the least guess
+    of each complement orbit, then the combine's mirrors: (index,
+    guess[, keep]).
     """
 
     def __init__(self, space):
@@ -399,12 +401,14 @@ class _Scan(dict):
         wanted set are tried, never one clashing with an earlier symbol's
         slot.  The last symbol must complete the union to exactly the wanted
         set; per target it takes only a slot shorter than any taken after
-        the same head key, since a longer one only adds a dominated lenvec;
-        once every candidate is found or dominated after a head key, the
-        heads with that key are skipped, every slot of the (target, length)
-        at once.  Under aifv, walked under the aifv guess only, the walk also
-        decides clauses (iv) and (vii), and a target-1 slot no allowed slot
-        can extend is never tried: see the proof above _Scan.
+        the same head key or, when the key is first read, after a key with
+        the same targets and one bit less in one place, since a longer one
+        only adds a dominated lenvec; once every candidate is found or
+        dominated after a head key, the heads with that key are skipped,
+        every slot of the (target, length) at once.  Under aifv, walked
+        under the aifv guess only, the walk also decides clauses (iv) and
+        (vii), and a target-1 slot no allowed slot can extend is never
+        tried: see the proof above _Scan.
         """
         space, lens, evens = self.space, self.lens, self.evens
         key_of, group, tail = self.key_of, self.group, self.tail
@@ -413,6 +417,10 @@ class _Scan(dict):
         want, last, width = guess[index], space.sigma - 1, self.width
         aifv = space.filter == "aifv"
         place = [(space.max_len + 1) ** pos for pos in range(space.sigma)]
+        # per head position: the head key step of one bit less there, and
+        # the place above it; key % above >= step when it has a bit to drop
+        fewer = [(2 * len(key_of) ** j, len(key_of) ** (j + 1))
+                 for j in range(last)]
         filled = {}  # head key -> slots found or dominated after it
         found = {}
 
@@ -468,7 +476,14 @@ class _Scan(dict):
                          now_owed, now_after, now_covered, key,
                          head << width | sid, head_targets | (sid & 1) << pos,
                          head_lens + lens[sid] * place[pos])
-                elif cand & ~(done := filled.get(key, 0)):
+                    continue
+                if (done := filled.get(key)) is None:  # a new head key: seed
+                    done = 0  # it from the keys one bit shorter in one place
+                    for step, above in fewer:
+                        if key % above >= step:
+                            done |= filled.get(key - step, 0)
+                    filled[key] = done
+                if cand & ~done:
                     options = (cand & ~clash[sid] & ~done
                                & cover[want & ~(union | contrib[sid])])
                     if aifv and options:

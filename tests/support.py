@@ -631,8 +631,8 @@ def assert_keeps_pareto_buckets(got, full):
                 assert all(bucket[v] == row for v, row in kept.items()), where
                 assert next(iter(kept.items())) == \
                     next(iter(bucket.items())), where
-                assert all(v in kept for v in bucket if not any(
-                    _dominates(u, v) for u in bucket)), where
+                assert all(any(_dominates(u, v) for u in bucket)
+                           for v in bucket if v not in kept), where
 
 
 def oracle_combine(space, dist, scan):

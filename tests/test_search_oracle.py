@@ -27,9 +27,10 @@ At four symbols the oracle scan is too slow, so the scan is checked the
 same way against ``support.oracle_walk_scan``, the walk before it dropped
 dominated vectors, both combines read the scan, the oracle's expanded, and
 the order the combine relies on, contents ascending in every bucket, is
-checked on its own.  The combine stops at a bound, so it
-is also checked on distributions whose costs tie often and on a fresh
-scan whose ``guesses`` are set in reverse order.
+checked on its own.  At length bound 4 the oracle walk also stands in
+for the oracle scan, and the oracle combine reads it.  The combine stops
+at a bound, so it is also checked on distributions whose costs tie often
+and on a fresh scan whose ``guesses`` are set in reverse order.
 """
 
 import functools
@@ -205,6 +206,39 @@ def test_scan_keeps_the_old_walk_s_pareto_buckets_at_four_symbols(filt):
     space = SearchSpace(4, 2, 3, filt)
     assert_keeps_pareto_buckets(expand_scan(space, walked_scan(4, 3, filt)),
                                 expand_scan(space, oracle_walk_scan(space)))
+
+
+@pytest.mark.parametrize("filt", ["f0", "aifv"])
+def test_scan_and_combine_match_the_old_walk_at_length_four(filt):
+    # the walk drops the most dominated vectors at the longest words; the
+    # oracle scan is too slow here, so the old walk stands in for it
+    space = SearchSpace(3, 2, 4, filt)
+    expected = expand_scan(space, oracle_walk_scan(space))
+    assert_keeps_pareto_buckets(
+        expand_scan(space, walk_every_table(_Scan(space))), expected)
+    alphabet = Alphabet(("a", "b", "c"))
+    dists = [SourceDist(alphabet, tuple(Fraction(w, sum(weights))
+                                        for w in weights))
+             for weights in TIE_HEAVY[3]] + seeded_dists(3, space)[1:4]
+    for dist in dists:
+        assert _combine(dist, _Scan(space)) == \
+            oracle_combine(space, dist, expected), dist.probs
+
+
+@pytest.mark.parametrize("sigma,max_len,stored,dominated", [
+    (3, 3, 3726, 315), (3, 4, 5806, 892), (4, 3, 11635, 1443)])
+def test_scan_stores_few_dominated_vectors(sigma, max_len, stored, dominated):
+    # stored vectors, and those another vector of their bucket dominates,
+    # stay at the seeded walk's counts: a walk that drops a last slot only
+    # against the same head key stores 6,757 (3,346 dominated) at (3,2,3)
+    # and 16,448 (11,534) at (3,2,4)
+    space = SearchSpace(sigma, 2, max_len, "f0")
+    tables = [unpack_table(space, table) for table in _Scan(space).values()]
+    got = sum(len(bucket) for table in tables for bucket in table.values())
+    minimal = sum(len(bucket) for table in tables
+                  for bucket in pareto_buckets(table).values())
+    assert got <= stored
+    assert got - minimal <= dominated
 
 
 @pytest.mark.parametrize("sigma,max_len,filt",
